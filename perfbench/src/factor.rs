@@ -13,10 +13,11 @@ use std::time::Instant;
 use ata::linalg::update::{LdltFactor, UpdateError};
 use ata::mat::{gen, MatRef, Matrix};
 use ata::{AtaContext, FactoredGram};
+use rand::RngCore;
 
 use crate::report::median;
 use crate::trace::Tracer;
-use crate::{mix, Opts, Recorder, Run, SplitMix};
+use crate::{signs, stream, Opts, Recorder, Run};
 
 const N: usize = 256;
 const K: usize = 32;
@@ -79,26 +80,17 @@ fn set_up(chunks: &[Matrix<f64>], b: &[f64]) -> (FactoredGram<f64>, f64, bool) {
 }
 
 pub fn run(opts: &Opts, tr: &mut Tracer) -> Run {
+    let mut seeds = stream(opts.seed, 0xfac);
     let chunks: Vec<Matrix<f64>> = (0..RING)
-        .map(|i| gen::standard::<f64>(mix(opts.seed, 0xfac, i as u64), K, N))
+        .map(|_| gen::standard::<f64>(seeds.next_u64(), K, N))
         .collect();
-    let mut rng = SplitMix(mix(opts.seed, 0xfac, 1000));
-    let b: Vec<f64> = (0..N).map(|_| rng.sign()).collect();
+    let b = signs(&mut stream(opts.seed, 0xfad), N);
 
-    let mut setups = Vec::new();
-    let mut warm_ok = true;
-    let mut fg = None;
-    for _ in 0..opts.setups {
-        drop(fg.take());
-        let (g, s, ok) = set_up(&chunks, &b);
-        setups.push(s);
-        warm_ok &= ok;
-        fg = Some(g);
-    }
-    let mut fg = fg.expect("at least one set-up");
+    let (mut fg, s, warm_ok) = set_up(&chunks, &b);
+    let mut setups = vec![s];
 
     let updates0 = fg.factor_updates();
-    let mut rec = Recorder::new(opts.seconds);
+    let mut rec = Recorder::new(opts);
     while rec.running() {
         let op = rec.ops();
         let step = op as usize;
@@ -122,7 +114,8 @@ pub fn run(opts: &Opts, tr: &mut Tracer) -> Run {
         let ok = retracted.is_ok() && verified(&fg, 0.0, &x, &b) && verified(&fg, LAMBDA, &xr, &b);
         rec.record(tr.traces(op), ms, ok);
     }
-    let mut run = rec.finish(setups);
+    let mut run = rec.finish();
+    run.one_in_flight = true;
     run.faults += u64::from(!warm_ok);
     run.counters = vec![
         (
@@ -157,6 +150,14 @@ pub fn run(opts: &Opts, tr: &mut Tracer) -> Run {
             ),
         ]);
     }
+    // The other set-ups, one factored Gram at a time.
+    drop(fg);
+    for _ in 1..opts.setups {
+        let (_, s, ok) = set_up(&chunks, &b);
+        setups.push(s);
+        run.faults += u64::from(!ok);
+    }
+    run.setup_s = setups;
     run
 }
 

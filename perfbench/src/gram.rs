@@ -23,10 +23,11 @@ use ata::kernels::{gemm_tn, syrk_ln, CacheConfig};
 use ata::mat::{gen, half_up, MatMut, MatRef, Matrix};
 use ata::strassen::{ArenaPool, StrassenWorkspace};
 use ata::{AtaContext, Output, OwnedPlan};
+use rand::RngCore;
 
 use crate::report::median;
 use crate::trace::{SpanId, Tracer};
-use crate::{mix, Opts, Recorder, Run, SplitMix};
+use crate::{signs, stream, Opts, Recorder, Run};
 
 const N: usize = 2048;
 const THREADS: usize = 2;
@@ -113,9 +114,10 @@ fn block(c: &mut Matrix<f64>, r: Region) -> MatMut<'_, f64> {
 }
 
 pub fn run(opts: &Opts, tr: &mut Tracer) -> Run {
+    let mut seeds = stream(opts.seed, 0x6a3);
     let inputs: Vec<Input> = (0..INPUTS)
-        .map(|i| {
-            let a = gen::standard::<f64>(mix(opts.seed, 0x6a3, i as u64), N, N);
+        .map(|_| {
+            let a = gen::standard::<f64>(seeds.next_u64(), N, N);
             let max_abs = a.as_ref().max_abs();
             let fro2 = a.as_slice().iter().map(|v| v * v).sum();
             Input { a, max_abs, fro2 }
@@ -123,18 +125,8 @@ pub fn run(opts: &Opts, tr: &mut Tracer) -> Run {
         .collect();
     let mut c = Matrix::zeros(N, N);
 
-    let mut setups = Vec::new();
-    let mut plan_ms = Vec::new();
-    let mut plan = None;
-    for _ in 0..opts.setups {
-        // Drop the previous context first: one pool at a time.
-        drop(plan.take());
-        let (p, s, ms) = set_up(&inputs[0].a, &mut c, tr);
-        setups.push(s);
-        plan_ms.push(ms);
-        plan = Some(p);
-    }
-    let plan = plan.expect("at least one set-up");
+    let (plan, s, ms) = set_up(&inputs[0].a, &mut c, tr);
+    let (mut setups, mut plan_ms) = (vec![s], vec![ms]);
     let cache = plan.cache();
     let shared = SharedPlan::build(N, THREADS);
     let offdiag = *shared
@@ -145,8 +137,8 @@ pub fn run(opts: &Opts, tr: &mut Tracer) -> Run {
     let width = |s: (usize, usize)| s.1 - s.0;
     let (leaf, leaves) = gemm_leaf((N, width(offdiag.a_cols), width(offdiag.b_cols)), &cache);
 
-    let mut rec = Recorder::new(opts.seconds);
-    let mut rng = SplitMix(mix(opts.seed, 0xf7e, 0));
+    let mut rec = Recorder::new(opts);
+    let mut rng = stream(opts.seed, 0xf7e);
     while rec.running() {
         let op = rec.ops();
         let input = &inputs[op as usize % INPUTS];
@@ -157,12 +149,13 @@ pub fn run(opts: &Opts, tr: &mut Tracer) -> Run {
         let ms = t.elapsed().as_secs_f64() * 1e3;
         tr.end(call);
         tr.end(root);
-        let x: Vec<f64> = (0..N).map(|_| rng.sign()).collect();
+        let x = signs(&mut rng, N);
         rec.record(tr.traces(op), ms, freivalds(input, &c, &x, leaf.1));
     }
 
     let ctx = plan.context();
-    let mut run = rec.finish(setups);
+    let mut run = rec.finish();
+    run.one_in_flight = true;
     run.counters = vec![
         ("core.mults", ata_mults(N, N, &cache) as f64),
         ("strassen.workspace_elems", plan.workspace_elems() as f64),
@@ -185,8 +178,18 @@ pub fn run(opts: &Opts, tr: &mut Tracer) -> Run {
         run.layers.extend([
             ("context.execute_ms", execute_ms),
             ("context.overhead_ms", execute_ms - atas),
-            ("context.plan_ms", median(&plan_ms)),
         ]);
+    }
+    // The other set-ups, one pool at a time.
+    drop(plan);
+    for _ in 1..opts.setups {
+        let (_, s, ms) = set_up(&inputs[0].a, &mut c, tr);
+        setups.push(s);
+        plan_ms.push(ms);
+    }
+    run.setup_s = setups;
+    if tr.on() {
+        run.layers.push(("context.plan_ms", median(&plan_ms)));
     }
     run
 }

@@ -21,47 +21,15 @@ pub fn median(samples: &[f64]) -> f64 {
     quantile(samples, 0.5)
 }
 
-/// The tail reported as `tail_ms`, with a label naming it, for latencies
-/// `ms` of ops that ended `at_s` seconds into a loop of `wall_s` seconds.
-///
-/// The loop is cut into windows of at least one second that hold ten ops
-/// on average; the tail is each window's p95 (p90 below 1000 ops in all),
-/// and the median of those. A burst of host steal inside a few windows
-/// then moves the tail no more than it moves the median, while a slower
-/// program moves every window. On a 2-vCPU VM with 1-12% steal, the p90
-/// of all of a gram_square run's ops spread up to 0.31 between runs, and
-/// factor_window's per-second p99, which sits on the 1% of steps that a
-/// preempted vCPU stretches, spread 0.20-0.24 against 0.04 for its p95.
-pub fn tail(ms: &[f64], at_s: &[f64], wall_s: f64) -> (f64, String) {
+/// The tail reported as `tail_ms`, with a label naming it: the p99 of
+/// every op, or the p90 below 1000 ops.
+pub fn tail(ms: &[f64]) -> (f64, String) {
     let (q, name) = if ms.len() < 1000 {
         (0.90, "p90")
     } else {
-        (0.95, "p95")
+        (0.99, "p99")
     };
-    let width = (10.0 * wall_s / ms.len() as f64).max(1.0);
-    let mut windows: Vec<Vec<f64>> = Vec::new();
-    for (&ms, &at) in ms.iter().zip(at_s) {
-        let w = (at / width) as usize;
-        if windows.len() <= w {
-            windows.resize_with(w + 1, Vec::new);
-        }
-        windows[w].push(ms);
-    }
-    // The last window is cut short by the deadline or the drain.
-    if windows.len() > 1 {
-        windows.pop();
-    }
-    let tails: Vec<f64> = windows
-        .iter()
-        .filter(|w| !w.is_empty())
-        .map(|w| quantile(w, q))
-        .collect();
-    let label = format!(
-        "median over {} windows of {width:.2} s of each window's {name}; {} ops",
-        tails.len(),
-        ms.len()
-    );
-    (median(&tails), label)
+    (quantile(ms, q), format!("{name} of {} ops", ms.len()))
 }
 
 /// A JSON value.
@@ -151,25 +119,11 @@ mod tests {
     }
 
     #[test]
-    fn tail_is_the_median_of_window_quantiles() {
-        // 100 ops over 10 s: windows of 10 ops, p90 each; the slow
-        // window (and the cut-short last one) do not move the tail.
-        let ms: Vec<f64> = (0..100)
-            .map(|i| if i / 10 == 3 { 100.0 } else { (i % 10) as f64 })
-            .collect();
-        let at: Vec<f64> = (0..100).map(|i| i as f64 / 10.0).collect();
-        let (v, label) = tail(&ms, &at, 10.0);
-        assert_eq!(v, quantile(&ms[..10], 0.9));
-        assert!(
-            label.starts_with("median over 9 windows of 1.00 s of each window's p90"),
-            "{label}"
-        );
-        // From 1000 ops on the window quantile is the p95.
-        let ms: Vec<f64> = (0..2000).map(|i| (i % 100) as f64).collect();
-        let at: Vec<f64> = (0..2000).map(|i| i as f64 / 500.0).collect();
-        let (v, label) = tail(&ms, &at, 4.0);
-        assert_eq!(v, quantile(&ms[..500], 0.95));
-        assert!(label.contains("p95; 2000 ops"), "{label}");
+    fn tail_is_p90_below_1000_ops_and_p99_from_there() {
+        let ms: Vec<f64> = (0..100).map(f64::from).collect();
+        assert_eq!(tail(&ms), (quantile(&ms, 0.9), "p90 of 100 ops".into()));
+        let ms: Vec<f64> = (0..1000).map(f64::from).collect();
+        assert_eq!(tail(&ms), (quantile(&ms, 0.99), "p99 of 1000 ops".into()));
     }
 
     #[test]
