@@ -1,24 +1,24 @@
 //! Dispatch-overhead benchmark: repeated small-`n` Gram calls through
-//! the one-shot legacy API vs a reused `AtaPlan`.
+//! the one-shot `ata_s` free function vs a reused `AtaPlan`.
 //!
 //! This is the workload the Plan/Context redesign targets — a serving
 //! loop computing many Gram matrices of one shape, where per-call
 //! planning (task-tree build, arena allocation, thread spawn-up) is the
 //! dominant cost at small sizes. The `amortization summary` benchmark
-//! prints the one-shot/reused ratio directly so the win is tracked.
+//! prints the one-shot/reused ratio directly.
 //!
 //! Smoke mode for CI: set `ATA_BENCH_SMOKE=1` to run one timed
 //! iteration per benchmark (the bench then only guards against rot).
-
-#![allow(deprecated)] // the one-shot side *is* the deprecated path
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use ata::mat::{gen, Matrix};
-use ata::{gram_with, AtaContext, AtaOptions, Output};
+use ata::core::parallel::ata_s;
+use ata::kernels::CacheConfig;
+use ata::mat::{gen, MatRef, Matrix};
+use ata::{AtaContext, Output};
 
 /// Measurement budget: tiny in smoke mode (CI), seconds otherwise.
 fn budget() -> Duration {
@@ -29,6 +29,16 @@ fn budget() -> Duration {
     }
 }
 
+/// One-shot Gram: AtA-S on the global pool, planning and allocating on
+/// every call.
+fn one_shot_gram(a: MatRef<'_, f64>, threads: usize) -> Matrix<f64> {
+    let n = a.cols();
+    let mut c = Matrix::zeros(n, n);
+    ata_s(1.0, a, &mut c.as_mut(), threads, &CacheConfig::default());
+    c.mirror_lower_to_upper();
+    c
+}
+
 fn bench_one_shot_vs_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch overhead");
     group.sample_size(20).measurement_time(budget());
@@ -36,10 +46,8 @@ fn bench_one_shot_vs_plan(c: &mut Criterion) {
     for &n in &[16usize, 32, 64] {
         let m = 2 * n;
         let a = gen::standard::<f64>(7, m, n);
-        let opts = AtaOptions::with_threads(threads.get());
-
-        group.bench_with_input(BenchmarkId::new("one-shot gram_with", n), &n, |bch, _| {
-            bch.iter(|| black_box(gram_with(a.as_ref(), &opts))[(0, 0)])
+        group.bench_with_input(BenchmarkId::new("one-shot ata_s", n), &n, |bch, _| {
+            bch.iter(|| black_box(one_shot_gram(a.as_ref(), threads.get()))[(0, 0)])
         });
 
         let ctx = AtaContext::shared(threads);
@@ -75,10 +83,9 @@ fn bench_amortization_summary(c: &mut Criterion) {
     let n = 32usize;
     let m = 64usize;
     let a = gen::standard::<f64>(11, m, n);
-    let opts = AtaOptions::with_threads(threads.get());
 
     // Warm both paths (global pool spawn-up, code paths hot).
-    let _ = gram_with(a.as_ref(), &opts);
+    let _ = one_shot_gram(a.as_ref(), threads.get());
     let ctx = AtaContext::shared(threads);
     let plan = ctx.plan_with::<f64>(m, n, Output::Gram);
     let mut out = Matrix::<f64>::zeros(n, n);
@@ -86,7 +93,7 @@ fn bench_amortization_summary(c: &mut Criterion) {
 
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
-        black_box(gram_with(a.as_ref(), &opts));
+        black_box(one_shot_gram(a.as_ref(), threads.get()));
     }
     let one_shot = t0.elapsed().as_secs_f64() / reps as f64;
 

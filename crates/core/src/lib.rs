@@ -109,7 +109,7 @@ impl AtaOptions {
     }
 }
 
-/// Shared implementation of the legacy one-shot entry points.
+/// Shared implementation of the one-shot entry points.
 pub(crate) fn lower_impl<T: Scalar>(a: MatRef<'_, T>, opts: &AtaOptions) -> Matrix<T> {
     let n = a.cols();
     let mut c = Matrix::zeros(n, n);
@@ -144,24 +144,10 @@ pub fn gram<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
     c
 }
 
-/// Full symmetric Gram matrix `A^T A` with explicit options.
-#[deprecated(note = "use AtaContext/AtaPlan (the `ata` facade's plan–execute API) instead")]
-pub fn gram_with<T: Scalar>(a: MatRef<'_, T>, opts: &AtaOptions) -> Matrix<T> {
-    let mut c = lower_impl(a, opts);
-    c.mirror_lower_to_upper();
-    c
-}
-
 /// Lower-triangular `A^T A` (strictly-upper entries are zero), default
 /// options.
 pub fn lower<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
     lower_impl(a, &AtaOptions::default())
-}
-
-/// Lower-triangular `A^T A` with explicit options.
-#[deprecated(note = "use AtaContext/AtaPlan (the `ata` facade's plan–execute API) instead")]
-pub fn lower_with<T: Scalar>(a: MatRef<'_, T>, opts: &AtaOptions) -> Matrix<T> {
-    lower_impl(a, opts)
 }
 
 /// `A^T A` in packed lower-triangular storage (`n(n+1)/2` elements) —
@@ -170,18 +156,8 @@ pub fn packed<T: Scalar>(a: MatRef<'_, T>) -> SymPacked<T> {
     SymPacked::from_lower(&lower_impl(a, &AtaOptions::default()))
 }
 
-/// Packed `A^T A` with explicit options.
-#[deprecated(note = "use AtaContext/AtaPlan (the `ata` facade's plan–execute API) instead")]
-pub fn packed_with<T: Scalar>(a: MatRef<'_, T>, opts: &AtaOptions) -> SymPacked<T> {
-    SymPacked::from_lower(&lower_impl(a, opts))
-}
-
 #[cfg(test)]
 mod tests {
-    // These tests intentionally exercise the deprecated one-shot legacy
-    // path (the `_with` free functions) alongside the defaults.
-    #![allow(deprecated)]
-
     use super::*;
     use ata_mat::{gen, reference};
 
@@ -198,9 +174,9 @@ mod tests {
     fn gram_parallel_option() {
         let a = gen::standard::<f32>(2, 64, 48);
         let opts = AtaOptions::with_threads(4).cache_words(64);
-        let g = gram_with(a.as_ref(), &opts);
+        let g = lower_impl(a.as_ref(), &opts);
         let g_ref = reference::gram(a.as_ref());
-        assert!(g.max_abs_diff(&g_ref) < 1e-2);
+        assert!(g.max_abs_diff_lower(&g_ref) < 1e-2);
     }
 
     #[test]
@@ -238,13 +214,13 @@ mod tests {
     fn winograd_option_matches_reference_serial_and_parallel() {
         let a = gen::standard::<f64>(31, 72, 56);
         let g_ref = reference::gram(a.as_ref());
-        let serial = gram_with(a.as_ref(), &AtaOptions::serial().cache_words(32).winograd());
-        assert!(serial.max_abs_diff(&g_ref) < 1e-10, "serial winograd");
-        let par = gram_with(
+        let serial = lower_impl(a.as_ref(), &AtaOptions::serial().cache_words(32).winograd());
+        assert!(serial.max_abs_diff_lower(&g_ref) < 1e-10, "serial winograd");
+        let par = lower_impl(
             a.as_ref(),
             &AtaOptions::with_threads(4).cache_words(32).winograd(),
         );
-        assert!(par.max_abs_diff(&g_ref) < 1e-10, "parallel winograd");
+        assert!(par.max_abs_diff_lower(&g_ref) < 1e-10, "parallel winograd");
     }
 
     #[test]
@@ -255,10 +231,10 @@ mod tests {
         let opts_c = AtaOptions::serial().cache_words(8);
         let opts_w = opts_c.winograd();
         let (_, classic) = measure(|| {
-            let _ = lower_with(a.as_ref(), &opts_c);
+            let _ = lower_impl(a.as_ref(), &opts_c);
         });
         let (_, winograd) = measure(|| {
-            let _ = lower_with(a.as_ref(), &opts_w);
+            let _ = lower_impl(a.as_ref(), &opts_w);
         });
         assert_eq!(
             classic.muls, winograd.muls,

@@ -49,12 +49,10 @@ use ata_mat::{MatRef, Matrix, Scalar};
 use ata_strassen::StrassenWorkspace;
 
 /// Internal Gram plumbing: the lower triangle of `A^T A` honoring the
-/// legacy [`AtaOptions`] knobs, through the non-deprecated core entry
-/// points. The serial case runs inline on the calling thread (no pool
-/// spawn-up, and thread-local scalar state like `Tracked` counters
-/// stays observable); `threads > 1` goes through AtA-S. This keeps the
-/// crate's stable `AtaOptions` signatures off the deprecated `_with`
-/// wrappers.
+/// [`AtaOptions`] knobs, through the core entry points. The serial case
+/// runs inline on the calling thread (no pool spawn-up, and
+/// thread-local scalar state like `Tracked` counters stays observable);
+/// `threads > 1` goes through AtA-S.
 pub(crate) fn gram_lower_opts<T: Scalar>(a: MatRef<'_, T>, opts: &AtaOptions) -> Matrix<T> {
     let n = a.cols();
     let mut c = Matrix::zeros(n, n);

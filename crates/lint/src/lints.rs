@@ -14,8 +14,8 @@
 //! - `safety-comment`, `unsafe-allowlist`: every file.
 //! - `no-raw-spawn`: every file except `tests/`, `benches/`,
 //!   `examples/` trees and `#[cfg(test)]` spans.
-//! - `lock-across-blocking`: only `src/service.rs`, `src/shard.rs`,
-//!   `src/stream.rs` (the serving layer's lock-and-channel discipline).
+//! - `lock-across-blocking`: only `src/shard.rs`, `src/stream.rs` (the
+//!   serving layer's lock-and-channel discipline).
 //! - `no-unwrap-in-lib`: the facade `src/`, `crates/dist/src/`,
 //!   `crates/kernels/src/`, `crates/linalg/src/`; `#[cfg(test)]` spans
 //!   are exempt.
@@ -64,7 +64,7 @@ pub const UNSAFE_ALLOWLIST: [&str; 4] = [
 ];
 
 /// Files the `lock-across-blocking` heuristic applies to.
-const LOCK_SCOPED: [&str; 3] = ["src/service.rs", "src/shard.rs", "src/stream.rs"];
+const LOCK_SCOPED: [&str; 2] = ["src/shard.rs", "src/stream.rs"];
 
 /// Method names treated as blocking channel operations.
 const BLOCKING_CALLS: [&str; 4] = ["send", "recv", "recv_timeout", "wait"];
@@ -561,23 +561,23 @@ mod tests {
     #[test]
     fn builder_spawn_is_a_method_call_hit() {
         let src = "fn f() { std::thread::Builder::new().spawn(|| {}); }\n";
-        let d = lint_file("src/service.rs", src);
+        let d = lint_file("src/shard.rs", src);
         assert!(lints_of(&d).contains(&"no-raw-spawn"));
     }
 
     #[test]
     fn lock_across_blocking_guard_vs_clone() {
         let bad = "fn f() {\n    let guard = q.lock().unwrap();\n    tx.send(1).ok();\n}\n";
-        let d = lint_file("src/service.rs", bad);
+        let d = lint_file("src/shard.rs", bad);
         assert!(lints_of(&d).contains(&"lock-across-blocking"));
 
         let cloned =
             "fn f() {\n    let tx2 = q.lock().unwrap().clone();\n    tx2.send(1).ok();\n}\n";
-        let d = lint_file("src/service.rs", cloned);
+        let d = lint_file("src/shard.rs", cloned);
         assert!(!lints_of(&d).contains(&"lock-across-blocking"));
 
         let dropped = "fn f() {\n    let guard = q.lock().unwrap();\n    drop(guard);\n    tx.send(1).ok();\n}\n";
-        let d = lint_file("src/service.rs", dropped);
+        let d = lint_file("src/shard.rs", dropped);
         assert!(!lints_of(&d).contains(&"lock-across-blocking"));
     }
 

@@ -66,7 +66,7 @@ fn no_raw_spawn_fires_at_expected_line() {
 
 #[test]
 fn lock_across_blocking_fires_at_expected_line() {
-    let d = diags("src/service.rs", include_str!("fixtures/bad_lock.rs"));
+    let d = diags("src/shard.rs", include_str!("fixtures/bad_lock.rs"));
     // The guard taken on line 6 is still live across the send on line 7
     // (and the `.unwrap()` on the lock is itself a serving-path hit).
     assert!(d.contains(&(7, "lock-across-blocking")), "got {d:?}");
@@ -94,7 +94,7 @@ fn bad_fixtures_are_path_scoped() {
         include_str!("fixtures/bad_unwrap.rs"),
     );
     assert_eq!(d, vec![(4, "no-unwrap-in-lib"), (8, "no-unwrap-in-lib")]);
-    // ...and the lock fixture's heuristic only applies to the three
+    // ...and the lock fixture's heuristic only applies to the two
     // serving files (the unwrap hit remains, facade src/ is scoped).
     let d = diags("src/context.rs", include_str!("fixtures/bad_lock.rs"));
     assert!(!d.contains(&(7, "lock-across-blocking")), "got {d:?}");
@@ -102,7 +102,7 @@ fn bad_fixtures_are_path_scoped() {
 
 #[test]
 fn clean_fixture_is_silent_under_strictest_scoping() {
-    let d = diags("src/service.rs", include_str!("fixtures/clean.rs"));
+    let d = diags("src/shard.rs", include_str!("fixtures/clean.rs"));
     assert!(d.is_empty(), "clean fixture tripped: {d:?}");
 }
 

@@ -1,5 +1,5 @@
 //! Fixture: serving-path constructs that must NOT trip any lint, even
-//! under the strictest path scoping (`src/service.rs`: unwrap scope +
+//! under the strictest path scoping (`src/shard.rs`: unwrap scope +
 //! lock scope).
 
 use std::sync::Mutex;

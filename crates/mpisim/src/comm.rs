@@ -718,8 +718,10 @@ mod tests {
     fn try_recv_returns_none_until_delivery() {
         let report = run(2, CostModel::zero(), |comm| {
             if comm.rank() == 0 {
-                // Nothing sent yet: must be None immediately.
+                // Rank 1 holds its payload until released below, so
+                // nothing has been sent yet: must be None.
                 let early = comm.try_recv(1, 5).is_none();
+                comm.send(1, 7, vec![]);
                 // Handshake so rank 1's message is definitely in flight.
                 let _ = comm.recv(1, 6);
                 // Poll until the payload lands (it was sent before tag 6).
@@ -733,6 +735,7 @@ mod tests {
                 }
                 vec![f64::from(early), got.expect("payload delivered")[0]]
             } else {
+                let _ = comm.recv(0, 7);
                 comm.send(0, 5, vec![77.0f64]);
                 comm.send(0, 6, vec![]);
                 vec![]

@@ -59,7 +59,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ata_core::serial::{ata_into_with_kind, ata_workspace_elems, StrassenKind};
 use ata_core::tasktree::SharedPlan;
-use ata_core::{ata_s_planned, plan_workspace_elems, AtaOptions};
+use ata_core::{ata_s_planned, plan_workspace_elems};
 use ata_dist::{AtaDConfig, DistPlan, WireFormat};
 use ata_kernels::{CacheConfig, KernelConfig};
 use ata_mat::{MatMut, MatRef, Matrix, Scalar, SymPacked};
@@ -227,7 +227,6 @@ pub struct AtaContextBuilder {
     cache: Option<CacheConfig>,
     strassen: StrassenKind,
     wire: WireFormat,
-    dedicated_pool: bool,
 }
 
 impl Default for AtaContextBuilder {
@@ -237,7 +236,6 @@ impl Default for AtaContextBuilder {
             cache: None,
             strassen: StrassenKind::Classic,
             wire: WireFormat::default(),
-            dedicated_pool: true,
         }
     }
 }
@@ -288,22 +286,11 @@ impl AtaContextBuilder {
         self
     }
 
-    /// Whether a [`Backend::Shared`] context spawns its own persistent
-    /// worker pool (default) or shares the process-global one. The
-    /// legacy one-shot wrappers disable this so they never pay pool
-    /// spawn-up per call.
-    pub fn dedicated_pool(mut self, dedicated: bool) -> Self {
-        self.dedicated_pool = dedicated;
-        self
-    }
-
-    /// Build the context (spawning the worker pool for a dedicated
-    /// shared backend).
+    /// Build the context (spawning the worker pool for a shared
+    /// backend).
     pub fn build(self) -> AtaContext {
         let pool = match self.backend {
-            Backend::Shared { threads } if self.dedicated_pool => {
-                Some(ata_kernels::par::pool_with_threads(threads.get()))
-            }
+            Backend::Shared { threads } => Some(ata_kernels::par::pool_with_threads(threads.get())),
             _ => None,
         };
         AtaContext {
@@ -438,20 +425,6 @@ impl AtaContext {
             .build()
     }
 
-    /// Map the legacy [`AtaOptions`] onto a context. Used by the
-    /// deprecated `_with` wrappers; shares the process-global pool so a
-    /// per-call context stays cheap.
-    pub fn from_options(opts: &AtaOptions) -> Self {
-        let mut b = Self::builder()
-            .cache(opts.cache)
-            .strassen(opts.strassen)
-            .dedicated_pool(false);
-        if let Some(threads) = NonZeroUsize::new(opts.threads).filter(|t| t.get() > 1) {
-            b = b.threads(threads);
-        }
-        b.build()
-    }
-
     /// The context's backend.
     pub fn backend(&self) -> Backend {
         self.inner.backend
@@ -495,7 +468,7 @@ impl AtaContext {
     /// re-planning an already-planned `(T, m, n, output)` combination is
     /// a hash lookup returning the same shared core (see
     /// [`AtaContext::plan_cache_len`]). The serving front-ends —
-    /// [`crate::batch::BatchPlan`], [`crate::service::AtaService`], the
+    /// [`crate::batch::BatchPlan`], [`crate::shard::ShardedService`], the
     /// one-shot conveniences — lean on this to re-plan per call for
     /// free.
     pub fn plan_with<T: Scalar + 'static>(
@@ -1303,25 +1276,6 @@ mod tests {
         let plan2 = ctx.plan::<f64>(32, 32);
         let _ = plan2.execute(a.as_ref());
         assert_eq!(ctx.arena_pool::<f64>().cached_elems(), cached_before);
-    }
-
-    #[test]
-    fn from_options_maps_legacy_knobs() {
-        let opts = AtaOptions::with_threads(3).cache_words(128).winograd();
-        let ctx = AtaContext::from_options(&opts);
-        assert_eq!(
-            ctx.backend(),
-            Backend::Shared {
-                threads: NonZeroUsize::new(3).unwrap()
-            }
-        );
-        assert_eq!(ctx.cache().words, 128);
-        assert_eq!(ctx.strassen(), StrassenKind::Winograd);
-        assert_eq!(ctx.wire(), WireFormat::SymPacked, "packed is the default");
-        assert_eq!(
-            AtaContext::from_options(&AtaOptions::serial()).backend(),
-            Backend::Serial
-        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Sharded distributed serving: [`ShardedService`].
+//! Gram serving: [`ShardedService`].
 //!
-//! [`crate::service::AtaService`] batches a flood onto *one* node's
-//! pool; [`crate::dist::DistPlan`] splits *one* large problem across
-//! simulated ranks. A production front door needs both at once: route a
-//! heterogeneous flood so that small Gram problems run whole — one per
-//! rank-shard, coalesced into per-shard [`BatchPlan`] dispatches — while
-//! problems too large for a single shard split across all P ranks via
-//! AtA-D (Algorithm 4). [`ShardedService`] is that router.
+//! Requests trickle in from many threads. [`ShardedService`] routes
+//! them so that small Gram problems run whole — one per rank-shard,
+//! coalesced into per-shard [`BatchPlan`] dispatches on the context's
+//! pool — while problems too large for a single shard split across all
+//! P simulated ranks via AtA-D (Algorithm 4, [`crate::dist::DistPlan`]).
+//! Built with [`ShardedServiceBuilder::shards`] set to 1 it has no split
+//! lane: one bounded queue feeds one worker's batched dispatches.
 //!
 //! Four properties make it a serving component rather than a demo:
 //!
@@ -57,7 +57,42 @@ use crate::batch::BatchPlan;
 use crate::clock::{Clock, WallClock};
 use crate::context::{lock_recover, AtaContext, AtaOutput, Output};
 
-pub use crate::service::JobError;
+/// Why a job handle carries no result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobError {
+    /// The job was caught on panicking shards until the requeue path
+    /// gave up: either its own solo dispatch panicked (proven culprit),
+    /// the retry budget ran out, or no live shard was left to take it.
+    /// `attempts` counts the dispatch attempts that ended in a panic.
+    Requeued {
+        /// Dispatch attempts that ended in a shard panic.
+        attempts: usize,
+    },
+    /// The job's submission deadline passed before a worker could
+    /// execute it (see [`ShardedService::submit_with_deadline`]).
+    DeadlineExceeded,
+    /// The service shut down before the job ran.
+    Closed,
+    /// An internal invariant failed while executing the job (e.g. the
+    /// simulated cluster produced no rank-0 result); the job is failed
+    /// instead of panicking the serving lane.
+    Internal,
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobError::Requeued { attempts } => {
+                write!(f, "job failed after {attempts} panicked dispatch attempts")
+            }
+            JobError::DeadlineExceeded => write!(f, "job deadline passed before execution"),
+            JobError::Closed => write!(f, "service shut down before the job ran"),
+            JobError::Internal => write!(f, "internal invariant failed while executing the job"),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
 
 /// Deterministic exponential backoff for the split lane's fault
 /// retries: attempt `k` (0-based) failing sleeps
@@ -150,14 +185,14 @@ impl SplitChaos {
     }
 }
 
-/// The result side of a submitted job; [`ShardJobHandle::wait`] blocks
+/// The result side of a submitted job; [`JobHandle::wait`] blocks
 /// until a shard has executed (or given up on) the job.
 #[derive(Debug)]
-pub struct ShardJobHandle<T: Scalar> {
+pub struct JobHandle<T: Scalar> {
     recv: channel::Receiver<Result<AtaOutput<T>, JobError>>,
 }
 
-impl<T: Scalar> ShardJobHandle<T> {
+impl<T: Scalar> JobHandle<T> {
     /// Block until the job's outcome is known: the result, or the
     /// [`JobError`] explaining why there is none.
     pub fn wait(self) -> Result<AtaOutput<T>, JobError> {
@@ -169,7 +204,7 @@ impl<T: Scalar> ShardJobHandle<T> {
 
     /// Wait at most `timeout` (wall time) for the outcome. `None` means
     /// the job is still pending — the handle stays valid, so callers
-    /// can poll or fall back to a blocking [`ShardJobHandle::wait`].
+    /// can poll or fall back to a blocking [`JobHandle::wait`].
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<AtaOutput<T>, JobError>> {
         match self.recv.recv_timeout(timeout) {
             Ok(outcome) => Some(outcome),
@@ -233,8 +268,9 @@ impl<T: Scalar> ShardJob<T> {
     }
 
     /// Descending-dispatch key: the `m n^2` multiply volume of the
-    /// classical product — the same largest-first policy as
-    /// [`crate::service::AtaService`]'s worker.
+    /// classical product. Under a pool the batch's critical path is its
+    /// biggest job, so starting it first keeps the tail of the batch
+    /// from serializing behind it.
     fn flop_estimate(&self) -> u128 {
         let (m, n) = self.shape();
         m as u128 * n as u128 * n as u128
@@ -1007,14 +1043,14 @@ impl<T: Scalar + 'static> ShardedService<T> {
     /// control still applies ([`ShardSubmitError::Rejected`]), and a
     /// fully failed or shut-down service reports
     /// [`ShardSubmitError::Closed`]; `Full` never occurs here.
-    pub fn submit(&self, a: Matrix<T>) -> Result<ShardJobHandle<T>, ShardSubmitError<T>> {
+    pub fn submit(&self, a: Matrix<T>) -> Result<JobHandle<T>, ShardSubmitError<T>> {
         self.submit_inner(a, true, None)
     }
 
     /// Submit without blocking: [`ShardSubmitError::Full`] when every
     /// live shard's queue (or, for a large problem, the split lane) is
     /// at capacity — the backpressure signal, handing the operand back.
-    pub fn try_submit(&self, a: Matrix<T>) -> Result<ShardJobHandle<T>, ShardSubmitError<T>> {
+    pub fn try_submit(&self, a: Matrix<T>) -> Result<JobHandle<T>, ShardSubmitError<T>> {
         self.submit_inner(a, false, None)
     }
 
@@ -1026,7 +1062,7 @@ impl<T: Scalar + 'static> ShardedService<T> {
         &self,
         a: Matrix<T>,
         deadline: Duration,
-    ) -> Result<ShardJobHandle<T>, ShardSubmitError<T>> {
+    ) -> Result<JobHandle<T>, ShardSubmitError<T>> {
         let expiry = self.shared.clock.now().saturating_add(deadline);
         self.submit_inner(a, true, Some(expiry))
     }
@@ -1036,7 +1072,7 @@ impl<T: Scalar + 'static> ShardedService<T> {
         a: Matrix<T>,
         blocking: bool,
         deadline: Option<Duration>,
-    ) -> Result<ShardJobHandle<T>, ShardSubmitError<T>> {
+    ) -> Result<JobHandle<T>, ShardSubmitError<T>> {
         let (m, n) = a.shape();
         if self.is_split(m, n) {
             // Price the split before dispatch; the same cached plan the
@@ -1065,14 +1101,14 @@ impl<T: Scalar + 'static> ShardedService<T> {
             };
             return if blocking {
                 match sender.send(job) {
-                    Ok(()) => Ok(ShardJobHandle { recv }),
+                    Ok(()) => Ok(JobHandle { recv }),
                     Err(channel::SendError(job)) => {
                         Err(ShardSubmitError::Closed(job.into_matrix()))
                     }
                 }
             } else {
                 match sender.try_send(job) {
-                    Ok(()) => Ok(ShardJobHandle { recv }),
+                    Ok(()) => Ok(JobHandle { recv }),
                     Err(TrySendError::Full(job)) => Err(ShardSubmitError::Full(job.into_matrix())),
                     Err(TrySendError::Disconnected(job)) => {
                         Err(ShardSubmitError::Closed(job.into_matrix()))
@@ -1089,7 +1125,7 @@ impl<T: Scalar + 'static> ShardedService<T> {
             deadline,
         };
         match self.route_to_shard(job, blocking) {
-            Ok(()) => Ok(ShardJobHandle { recv }),
+            Ok(()) => Ok(JobHandle { recv }),
             Err((job, full)) => {
                 let a = job.into_matrix();
                 Err(if full {
@@ -1144,7 +1180,7 @@ impl<T: Scalar + 'static> ShardedService<T> {
     /// poison. For shard-failure tests and chaos drills — not part of
     /// the supported serving API.
     #[doc(hidden)]
-    pub fn submit_poison(&self) -> ShardJobHandle<T> {
+    pub fn submit_poison(&self) -> JobHandle<T> {
         let (resp, recv) = channel::unbounded();
         let job = ShardJob {
             payload: Payload::Poison,
@@ -1156,7 +1192,7 @@ impl<T: Scalar + 'static> ShardedService<T> {
         if let Err((job, _)) = self.route_to_shard(job, true) {
             let _ = job.resp.send(Err(JobError::Closed));
         }
-        ShardJobHandle { recv }
+        JobHandle { recv }
     }
 
     /// Snapshot of the serving counters.
@@ -1200,7 +1236,9 @@ impl<T: Scalar + 'static> ShardedService<T> {
         self.close_and_join(true);
         self.stats()
     }
+}
 
+impl<T: Scalar> ShardedService<T> {
     fn close_and_join(&mut self, loud: bool) {
         for slot in &self.shared.slots {
             drop(lock_recover(&slot.sender).take());
@@ -1229,19 +1267,8 @@ impl<T: Scalar + 'static> ShardedService<T> {
 
 impl<T: Scalar> Drop for ShardedService<T> {
     fn drop(&mut self) {
-        for slot in &self.shared.slots {
-            if let Ok(mut sender) = slot.sender.lock() {
-                drop(sender.take());
-            }
-        }
-        drop(self.split_sender.take());
-        for worker in self.workers.drain(..) {
-            // Drop must not panic; shutdown() is the loud path.
-            let _ = worker.join();
-        }
-        if let Some(worker) = self.split_worker.take() {
-            let _ = worker.join();
-        }
+        // Drop must not panic; shutdown() is the loud path.
+        self.close_and_join(false);
     }
 }
 

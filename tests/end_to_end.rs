@@ -2,18 +2,15 @@
 //! `A^T A` through every path the workspace offers — naive oracle,
 //! serial AtA, shared-memory AtA-S, distributed AtA-D on the simulator,
 //! and all three distributed baselines where applicable.
-//!
-//! The deprecated `gram_with`/`lower_with`/`packed_with` wrappers are
-//! exercised deliberately: they must keep agreeing with the plan API
-//! they now delegate to.
-#![allow(deprecated)]
+
+use std::num::NonZeroUsize;
 
 use ata::dist::baselines::{caps_like, cosma_like, pdsyrk_like};
 use ata::dist::{ata_d, AtaDConfig};
 use ata::kernels::CacheConfig;
 use ata::mat::{gen, reference, Matrix};
 use ata::mpisim::{run, CostModel};
-use ata::{gram_with, lower_with, packed_with, AtaOptions};
+use ata::AtaContext;
 
 fn oracle_lower(a: &Matrix<f64>) -> Matrix<f64> {
     let n = a.cols();
@@ -30,15 +27,19 @@ fn every_algorithm_agrees_on_one_input() {
     let tol = ata::mat::ops::product_tol::<f64>(m, n, m as f64);
 
     // Serial, small base case to force deep recursion.
-    let serial = lower_with(a.as_ref(), &AtaOptions::serial().cache_words(32));
+    let serial = AtaContext::builder()
+        .cache_words(32)
+        .build()
+        .lower(a.as_ref());
     assert!(serial.max_abs_diff_lower(&reference_c) <= tol, "serial");
 
     // Shared-memory, several thread counts.
     for threads in [2usize, 5, 16] {
-        let par = lower_with(
-            a.as_ref(),
-            &AtaOptions::with_threads(threads).cache_words(32),
-        );
+        let par = AtaContext::builder()
+            .threads(NonZeroUsize::new(threads).unwrap())
+            .cache_words(32)
+            .build()
+            .lower(a.as_ref());
         assert!(
             par.max_abs_diff_lower(&reference_c) <= tol,
             "AtA-S P={threads}"
@@ -113,7 +114,11 @@ fn baselines_agree_with_oracle_end_to_end() {
 fn f32_pipeline_works_end_to_end() {
     let (m, n) = (128usize, 48usize);
     let a = gen::standard::<f32>(55, m, n);
-    let g = gram_with(a.as_ref(), &AtaOptions::with_threads(4).cache_words(64));
+    let g = AtaContext::builder()
+        .threads(NonZeroUsize::new(4).unwrap())
+        .cache_words(64)
+        .build()
+        .gram(a.as_ref());
     let g_ref = reference::gram(a.as_ref());
     let tol = ata::mat::ops::product_tol::<f32>(m, n, m as f64);
     assert!(g.max_abs_diff(&g_ref) <= tol);
@@ -122,9 +127,9 @@ fn f32_pipeline_works_end_to_end() {
 #[test]
 fn packed_and_full_apis_are_consistent() {
     let a = gen::standard::<f64>(77, 60, 36);
-    let opts = AtaOptions::serial().cache_words(64);
-    let full = gram_with(a.as_ref(), &opts);
-    let packed = packed_with(a.as_ref(), &opts);
+    let ctx = AtaContext::builder().cache_words(64).build();
+    let full = ctx.gram(a.as_ref());
+    let packed = ctx.packed(a.as_ref());
     assert_eq!(packed.order(), 36);
     assert!(packed.to_full().max_abs_diff(&full) < 1e-14);
     // Symmetric accessors agree with the full matrix in both orders.
@@ -142,10 +147,17 @@ fn exactness_on_integer_inputs_across_algorithms() {
     let a = gen::ternary::<f64>(9, m, n);
     let reference_c = oracle_lower(&a);
 
-    let serial = lower_with(a.as_ref(), &AtaOptions::serial().cache_words(16));
+    let serial = AtaContext::builder()
+        .cache_words(16)
+        .build()
+        .lower(a.as_ref());
     assert_eq!(serial.max_abs_diff_lower(&reference_c), 0.0, "serial exact");
 
-    let par = lower_with(a.as_ref(), &AtaOptions::with_threads(8).cache_words(16));
+    let par = AtaContext::builder()
+        .threads(NonZeroUsize::new(8).unwrap())
+        .cache_words(16)
+        .build()
+        .lower(a.as_ref());
     assert_eq!(par.max_abs_diff_lower(&reference_c), 0.0, "AtA-S exact");
 
     let cfg = AtaDConfig {
@@ -166,8 +178,7 @@ fn exactness_on_integer_inputs_across_algorithms() {
 
 #[test]
 fn context_backends_agree_through_one_api() {
-    use ata::{AtaContext, Backend, Output};
-    use std::num::NonZeroUsize;
+    use ata::{Backend, Output};
 
     let (m, n) = (64usize, 48usize);
     let a = gen::standard::<f64>(2024, m, n);
@@ -203,21 +214,6 @@ fn context_backends_agree_through_one_api() {
             "{backend:?} is not deterministic under plan reuse"
         );
     }
-}
-
-#[test]
-fn deprecated_wrappers_match_context_results() {
-    let (m, n) = (40usize, 32usize);
-    let a = gen::standard::<f64>(99, m, n);
-    let opts = AtaOptions::with_threads(3).cache_words(32);
-    let legacy = gram_with(a.as_ref(), &opts);
-    let ctx = ata::AtaContext::from_options(&opts);
-    let modern = ctx.gram(a.as_ref());
-    assert_eq!(
-        legacy.max_abs_diff(&modern),
-        0.0,
-        "wrapper and context must run the identical computation"
-    );
 }
 
 #[test]

@@ -3,20 +3,25 @@
 //! positive-semidefiniteness of Gram matrices, packed round trips, and
 //! scheduler invariants under random process counts.
 
-// The `lower_with` cases below intentionally keep exercising the
-// deprecated one-shot wrappers next to the plan API they delegate to.
-#![allow(deprecated)]
-
 use ata::core::tasktree::{ComputeKind, DistTree, SharedPlan};
 use ata::kernels::{gemm_tn, syrk_ln, CacheConfig};
 use ata::mat::{gen, reference, Matrix};
 use ata::strassen::{fast_strassen, winograd_strassen};
-use ata::{lower_with, AtaContext, AtaOptions, Output, SymPacked};
+use ata::{AtaContext, AtaContextBuilder, Output, SymPacked};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
 fn tolerance(m: usize, n: usize) -> f64 {
     ata::mat::ops::product_tol::<f64>(m, n, m as f64)
+}
+
+/// A context builder for `threads` workers: serial Algorithm 1 for one,
+/// shared-memory AtA-S above.
+fn builder_for(threads: usize) -> AtaContextBuilder {
+    match NonZeroUsize::new(threads).filter(|t| t.get() > 1) {
+        Some(threads) => AtaContext::builder().threads(threads),
+        None => AtaContext::builder(),
+    }
 }
 
 proptest! {
@@ -66,8 +71,7 @@ proptest! {
         threads in 1usize..9,
     ) {
         let a = gen::standard::<f64>(seed, m, n);
-        let opts = AtaOptions::with_threads(threads).cache_words(words);
-        let fast = lower_with(a.as_ref(), &opts);
+        let fast = builder_for(threads).cache_words(words).build().lower(a.as_ref());
         let mut slow = Matrix::zeros(n, n);
         reference::syrk_ln(1.0, a.as_ref(), &mut slow.as_mut());
         prop_assert!(fast.max_abs_diff_lower(&slow) <= tolerance(m, n) * 2.0);
@@ -214,11 +218,12 @@ proptest! {
         threads in 1usize..6,
     ) {
         let a = gen::standard::<f64>(seed, m, n);
-        let classic = lower_with(a.as_ref(), &AtaOptions::with_threads(threads).cache_words(16));
-        let winograd = lower_with(
-            a.as_ref(),
-            &AtaOptions::with_threads(threads).cache_words(16).winograd(),
-        );
+        let classic = builder_for(threads).cache_words(16).build().lower(a.as_ref());
+        let winograd = builder_for(threads)
+            .cache_words(16)
+            .winograd()
+            .build()
+            .lower(a.as_ref());
         prop_assert!(classic.max_abs_diff_lower(&winograd) <= tolerance(m, n) * 4.0);
     }
 
@@ -356,11 +361,7 @@ proptest! {
         // oracle within the f64 product tolerance.
         let cfg = CacheConfig::with_words(words);
         for threads in [1usize, 2, 4] {
-            let mut builder = AtaContext::builder().cache(cfg).dedicated_pool(false);
-            if threads > 1 {
-                builder = builder.threads(NonZeroUsize::new(threads).expect("threads > 0"));
-            }
-            let ctx = builder.build();
+            let ctx = builder_for(threads).cache(cfg).build();
             for output in [Output::Gram, Output::Lower, Output::Packed] {
                 let plan = ctx.plan_with::<f64>(m, n, output);
                 for round in 0..3u64 {
@@ -386,11 +387,14 @@ proptest! {
     ) {
         // With the op-counting scalar, repeated executions of one plan
         // perform the *identical* sequence of scalar operations, and the
-        // count equals the legacy one-shot path's: plan reuse changes
-        // dispatch, never the computation.
+        // count equals the serial Algorithm 1 recursion's: plan reuse
+        // changes dispatch, never the computation.
+        use ata::core::serial::{ata_into_with_kind, StrassenKind};
         use ata::mat::tracked::{measure, Tracked};
-        let opts = AtaOptions::serial().cache_words(words);
-        let ctx = AtaContext::builder().cache(CacheConfig::with_words(words)).build();
+        use ata::strassen::StrassenWorkspace;
+        use ata::Scalar;
+        let cfg = CacheConfig::with_words(words);
+        let ctx = AtaContext::builder().cache(cfg).build();
         let plan = ctx.plan_with::<Tracked>(m, n, Output::Lower);
         let a = gen::standard::<Tracked>(seed, m, n);
         let (_, ops_first) = measure(|| {
@@ -400,12 +404,18 @@ proptest! {
             let _ = plan.execute(a.as_ref());
         });
         prop_assert_eq!(ops_first, ops_again, "plan reuse drifted in op count");
-        // The true legacy oracle: ata-core's one-shot recursion (the
-        // facade's lower_with now delegates to the plan path itself).
-        let (_, ops_legacy) = measure(|| {
-            let _ = ata::core::lower_with(a.as_ref(), &opts);
+        let (_, ops_serial) = measure(|| {
+            let mut c = Matrix::zeros(n, n);
+            ata_into_with_kind(
+                Tracked::ONE,
+                a.as_ref(),
+                &mut c.as_mut(),
+                &cfg,
+                StrassenKind::Classic,
+                &mut StrassenWorkspace::empty(),
+            );
         });
-        prop_assert_eq!(ops_first, ops_legacy, "plan path != legacy path in op count");
+        prop_assert_eq!(ops_first, ops_serial, "plan path != serial recursion in op count");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests of the serving surface: streaming accumulation
 //! (`GramAccumulator`), batched execution (`BatchPlan`) and the
-//! blocking `AtaService` front-end.
+//! blocking `ShardedService` front-end on one shard.
 //!
 //! The load-bearing invariants:
 //!
@@ -13,8 +13,7 @@
 
 use ata::mat::tracked::{measure, Tracked};
 use ata::mat::{gen, reference, Matrix, Scalar};
-use ata::service::AtaServiceBuilder;
-use ata::{AtaContext, AtaService, Output};
+use ata::{AtaContext, Output, ShardedServiceBuilder};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
@@ -259,8 +258,14 @@ fn service_round_trip_matches_batch_plan() {
     let direct = ctx
         .batch_plan::<f64>(&[(24, 12); 6], Output::Gram)
         .execute_batch(&refs);
-    let svc: AtaService<f64> = AtaServiceBuilder::new(&ctx).max_batch(6).build();
-    let handles: Vec<_> = inputs.iter().map(|a| svc.submit(a.clone())).collect();
+    let svc = ShardedServiceBuilder::new(&ctx)
+        .shards(1)
+        .max_batch(6)
+        .build::<f64>();
+    let handles: Vec<_> = inputs
+        .iter()
+        .map(|a| svc.submit(a.clone()).expect("service alive"))
+        .collect();
     for (i, h) in handles.into_iter().enumerate() {
         let via_service = h.wait().expect("service alive").into_dense();
         let via_batch = direct[i].clone().into_dense();
@@ -271,7 +276,7 @@ fn service_round_trip_matches_batch_plan() {
         );
     }
     let stats = svc.shutdown();
-    assert_eq!(stats.jobs, 6);
+    assert_eq!(stats.whole_jobs, 6);
 }
 
 #[test]

@@ -95,6 +95,7 @@ proptest! {
     fn unpoisoned_floods_match_the_oracle_and_fail_nothing(
         shards in 1usize..5,
         jobs in 1usize..10,
+        max_batch in 1usize..5,
         m in 8usize..40,
         n in 4usize..20,
         split_words in 64usize..2048,
@@ -102,10 +103,12 @@ proptest! {
     ) {
         // Routing sanity across the whole/split boundary: whichever lane
         // each job lands in, answers match the oracle and the traffic
-        // quote reconciles bit-exactly with the simulator.
+        // quote reconciles bit-exactly with the simulator, and no shard
+        // coalesces more than `max_batch` jobs into one dispatch.
         let ctx = AtaContext::serial();
         let svc = ShardedServiceBuilder::new(&ctx)
             .shards(shards)
+            .max_batch(max_batch)
             .split_words(split_words)
             .build::<f64>();
         let inputs: Vec<Matrix<f64>> = (0..jobs)
@@ -123,6 +126,9 @@ proptest! {
         prop_assert_eq!(stats.completed_jobs(), jobs);
         prop_assert_eq!(stats.failed_jobs, 0);
         prop_assert_eq!(stats.dead_shards, 0);
+        for s in &stats.per_shard {
+            prop_assert!(s.jobs <= s.batches * max_batch, "{s:?} over max_batch {max_batch}");
+        }
         prop_assert_eq!(stats.predicted_split_words, stats.simulated_split_words);
         prop_assert_eq!(
             stats.predicted_root_recv_words,
