@@ -11,7 +11,7 @@
 //! ```
 
 use ata_bench::{effective_gflops, fmt_secs, time_median, Cli, Table};
-use ata_core::serial::ata_into_with;
+use ata_core::serial::{ata_into_with_kind, StrassenKind};
 use ata_kernels::{syrk_ln, CacheConfig};
 use ata_mat::{gen, Matrix};
 use ata_strassen::StrassenWorkspace;
@@ -51,7 +51,8 @@ fn main() {
 
         let t_ata = time_median(reps, || {
             c.as_mut().fill_zero();
-            ata_into_with(1.0, a.as_ref(), &mut c.as_mut(), &cache, &mut ws);
+            let kind = StrassenKind::Classic;
+            ata_into_with_kind(1.0, a.as_ref(), &mut c.as_mut(), &cache, kind, &mut ws);
         });
         let t_syrk = time_median(reps, || {
             c.as_mut().fill_zero();

@@ -64,6 +64,10 @@ fn carve_tasks<'c, T: Scalar>(
 /// controls the *task decomposition* (the paper's fixed 16-thread setup
 /// decouples task count from core count, §5.4).
 ///
+/// Builds the plan and arenas per call and uses the FastStrassen
+/// products; [`ata_s_planned`] replays a prebuilt plan under either
+/// [`StrassenKind`].
+///
 /// # Panics
 /// On inconsistent shapes or `threads == 0`.
 pub fn ata_s<T: Scalar>(
@@ -73,26 +77,10 @@ pub fn ata_s<T: Scalar>(
     threads: usize,
     cfg: &CacheConfig,
 ) {
-    ata_s_kind(alpha, a, c, threads, cfg, StrassenKind::Classic);
-}
-
-/// [`ata_s`] with an explicit product scheme for `A^T B` tasks and the
-/// `C21` products inside `A^T A` tasks.
-///
-/// # Panics
-/// On inconsistent shapes or `threads == 0`.
-pub fn ata_s_kind<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    threads: usize,
-    cfg: &CacheConfig,
-    kind: StrassenKind,
-) {
     assert!(threads > 0, "ata_s: threads must be positive");
     let plan = SharedPlan::build(a.cols(), threads);
     let arenas = ArenaPool::new();
-    ata_s_planned(alpha, a, c, &plan, cfg, kind, &arenas);
+    ata_s_planned(alpha, a, c, &plan, cfg, StrassenKind::Classic, &arenas);
 }
 
 /// Strassen-workspace requirement (elements) of one shared-plan task —
@@ -137,8 +125,8 @@ pub fn plan_workspace_elems(
 /// (phase 1 of Algorithm 3) was built once by [`SharedPlan::build`] and
 /// can be replayed against many same-shape inputs. Worker arenas come
 /// from `arenas` (checkout/return), so a warm [`ArenaPool`] makes
-/// repeated executions allocation-free; the one-shot wrappers simply
-/// pass an empty pool.
+/// repeated executions allocation-free; the one-shot [`ata_s`] simply
+/// passes an empty pool.
 ///
 /// # Panics
 /// If `plan` was built for a different `n` than `a.cols()`, or on

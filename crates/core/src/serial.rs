@@ -69,25 +69,11 @@ impl StrassenKind {
     }
 }
 
-/// `C_low += alpha * A^T A` (Algorithm 1) with caller-provided workspace.
+/// `C_low += alpha * A^T A` (Algorithm 1) with caller-provided workspace
+/// and an explicit product scheme for the `C21` off-diagonal products.
 ///
 /// Shapes: `A: m x n`, `C: n x n`; entries with `i < j` are never read or
 /// written.
-///
-/// # Panics
-/// On inconsistent shapes.
-pub fn ata_into_with<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cfg: &CacheConfig,
-    ws: &mut StrassenWorkspace<T>,
-) {
-    ata_into_with_kind(alpha, a, c, cfg, StrassenKind::Classic, ws);
-}
-
-/// [`ata_into_with`] with an explicit product scheme for the `C21`
-/// off-diagonal products.
 ///
 /// # Panics
 /// On inconsistent shapes.
@@ -118,7 +104,7 @@ pub fn ata_into_with_kind<T: Scalar>(
 /// On inconsistent shapes.
 pub fn ata_into<T: Scalar>(alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>, cfg: &CacheConfig) {
     let mut ws = StrassenWorkspace::empty();
-    ata_into_with(alpha, a, c, cfg, &mut ws);
+    ata_into_with_kind(alpha, a, c, cfg, StrassenKind::Classic, &mut ws);
 }
 
 /// Exact Strassen-workspace requirement (elements) of the whole serial
@@ -322,11 +308,12 @@ mod tests {
         let mut ws = StrassenWorkspace::<f64>::empty();
         let a = gen::standard::<f64>(5, 32, 32);
         let mut c = Matrix::zeros(32, 32);
-        ata_into_with(1.0, a.as_ref(), &mut c.as_mut(), &cfg, &mut ws);
+        let kind = StrassenKind::Classic;
+        ata_into_with_kind(1.0, a.as_ref(), &mut c.as_mut(), &cfg, kind, &mut ws);
         let cap_after_first = ws.capacity();
         // Second run must not need any further growth.
         let mut c2 = Matrix::zeros(32, 32);
-        ata_into_with(1.0, a.as_ref(), &mut c2.as_mut(), &cfg, &mut ws);
+        ata_into_with_kind(1.0, a.as_ref(), &mut c2.as_mut(), &cfg, kind, &mut ws);
         assert_eq!(ws.capacity(), cap_after_first);
         assert_eq!(c.max_abs_diff(&c2), 0.0);
     }

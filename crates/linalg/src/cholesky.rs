@@ -24,7 +24,8 @@ pub enum CholeskyError {
         /// Column at which the pivot failed.
         column: usize,
     },
-    /// A right-hand side's length does not match the factor's order.
+    /// A right-hand side's length, or a Gram matrix's order, does not
+    /// match the factor's order.
     ShapeMismatch {
         /// Expected dimension (the factor's order `n`).
         expected: usize,
@@ -43,10 +44,7 @@ impl std::fmt::Display for CholeskyError {
                 )
             }
             CholeskyError::ShapeMismatch { expected, got } => {
-                write!(
-                    f,
-                    "right-hand side shape mismatch: expected {expected}, got {got}"
-                )
+                write!(f, "operand shape mismatch: expected {expected}, got {got}")
             }
         }
     }

@@ -4,7 +4,12 @@
 //! which the Gram matrix is the expensive intermediate step: checking
 //! orthogonality, Gram–Schmidt, least squares via the normal equations,
 //! and the SVD through the eigenproblem of `A^T A` (§1). This crate
-//! turns those motivations into library code built on `ata-core`:
+//! turns those motivations into library code that *consumes* a Gram
+//! matrix: each consumer takes `G = A^T A` as an argument (only its
+//! lower triangle is read) instead of computing it, so the caller picks
+//! the backend. With the `ata` facade that is `ctx.lower(a)` on an
+//! `AtaContext`, which runs Algorithm 1, AtA-S or AtA-D with the
+//! context's plan cache and arenas:
 //!
 //! * [`cholesky`] — `G = L L^T` factorization and SPD solves;
 //! * [`update`] — streaming factorization: rank-k Cholesky/LDLᵀ
@@ -44,44 +49,13 @@ pub use ridge::RidgeSolver;
 pub use svd::singular_values;
 pub use update::{LdltFactor, ShiftedSolver, UpdateError};
 
-use ata_core::{parallel::ata_s_kind, serial::ata_into_with_kind, AtaOptions};
-use ata_mat::{MatRef, Matrix, Scalar};
-use ata_strassen::StrassenWorkspace;
-
-/// Internal Gram plumbing: the lower triangle of `A^T A` honoring the
-/// [`AtaOptions`] knobs, through the core entry points. The serial case
-/// runs inline on the calling thread (no pool spawn-up, and
-/// thread-local scalar state like `Tracked` counters stays observable);
-/// `threads > 1` goes through AtA-S.
-pub(crate) fn gram_lower_opts<T: Scalar>(a: MatRef<'_, T>, opts: &AtaOptions) -> Matrix<T> {
+/// Lower triangle of `A^T A` by Algorithm 1 under the default cache
+/// model: how the unit tests build the Grams the consumers take.
+#[cfg(test)]
+pub(crate) fn lower_gram<T: ata_mat::Scalar>(a: ata_mat::MatRef<'_, T>) -> ata_mat::Matrix<T> {
     let n = a.cols();
-    let mut c = Matrix::zeros(n, n);
-    if opts.threads <= 1 {
-        let mut ws = StrassenWorkspace::empty();
-        ata_into_with_kind(
-            T::ONE,
-            a,
-            &mut c.as_mut(),
-            &opts.cache,
-            opts.strassen,
-            &mut ws,
-        );
-    } else {
-        ata_s_kind(
-            T::ONE,
-            a,
-            &mut c.as_mut(),
-            opts.threads,
-            &opts.cache,
-            opts.strassen,
-        );
-    }
-    c
-}
-
-/// [`gram_lower_opts`] with both triangles filled.
-pub(crate) fn gram_full_opts<T: Scalar>(a: MatRef<'_, T>, opts: &AtaOptions) -> Matrix<T> {
-    let mut c = gram_lower_opts(a, opts);
-    c.mirror_lower_to_upper();
-    c
+    let mut g = ata_mat::Matrix::zeros(n, n);
+    let cfg = ata_kernels::CacheConfig::default();
+    ata_core::ata_into(T::ONE, a, &mut g.as_mut(), &cfg);
+    g
 }

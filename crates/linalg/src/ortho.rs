@@ -2,8 +2,6 @@
 //! straightforward, yet effective, method to check for orthogonality
 //! [...] repeatedly computed in the Gram-Schmidt algorithm".
 
-use crate::gram_full_opts;
-use ata_core::AtaOptions;
 use ata_kernels::level1::{axpy, dot, nrm2, scal};
 use ata_mat::{MatRef, Matrix, Scalar};
 
@@ -43,16 +41,21 @@ pub fn mgs_orthonormalize<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
     q
 }
 
-/// Orthogonality defect `max_ij |Q^T Q - I|`, computed with a single
-/// AtA product — the paper's one-product orthogonality check.
-pub fn orthogonality_defect<T: Scalar>(q: MatRef<'_, T>, opts: &AtaOptions) -> f64 {
-    let g = gram_full_opts(q, opts);
-    let n = q.cols();
+/// Orthogonality defect `max_ij |Q^T Q - I|` from the Gram matrix
+/// `gram = Q^T Q` — the paper's one-product orthogonality check. Only
+/// the lower triangle (`j <= i`) is read, so one AtA call such as
+/// `ctx.lower(q)` supplies it.
+///
+/// # Panics
+/// If `gram` is not square.
+pub fn orthogonality_defect<T: Scalar>(gram: &Matrix<T>) -> f64 {
+    let n = gram.rows();
+    assert_eq!(gram.cols(), n, "orthogonality_defect needs a square Gram");
     let mut worst = 0.0f64;
     for i in 0..n {
-        for j in 0..n {
+        for j in 0..=i {
             let expect = if i == j { 1.0 } else { 0.0 };
-            worst = worst.max((g[(i, j)].to_f64() - expect).abs());
+            worst = worst.max((gram[(i, j)].to_f64() - expect).abs());
         }
     }
     worst
@@ -61,13 +64,14 @@ pub fn orthogonality_defect<T: Scalar>(q: MatRef<'_, T>, opts: &AtaOptions) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower_gram;
     use ata_mat::gen;
 
     #[test]
     fn mgs_produces_orthonormal_basis() {
         let a = gen::standard::<f64>(1, 40, 12);
         let q = mgs_orthonormalize(a.as_ref());
-        let defect = orthogonality_defect(q.as_ref(), &AtaOptions::serial());
+        let defect = orthogonality_defect(&lower_gram(q.as_ref()));
         assert!(defect < 1e-12, "defect {defect}");
     }
 
@@ -94,7 +98,7 @@ mod tests {
     #[test]
     fn defect_detects_non_orthogonal_input() {
         let a = gen::standard::<f64>(3, 30, 8);
-        assert!(orthogonality_defect(a.as_ref(), &AtaOptions::serial()) > 0.5);
+        assert!(orthogonality_defect(&lower_gram(a.as_ref())) > 0.5);
     }
 
     #[test]

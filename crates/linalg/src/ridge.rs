@@ -3,16 +3,14 @@
 //! `min_x ||A x - b||² + lambda ||x||²` solves
 //! `(A^T A + lambda I) x = A^T b`. The expensive part — the Gram matrix
 //! — is *independent of `lambda`*, so the idiomatic workflow computes it
-//! once with AtA and then factors `G + lambda I` per regularization
-//! value; that is exactly what [`RidgeSolver`] packages. This is the
-//! workload where the paper's `A^T A` speedup multiplies: a lambda
-//! sweep (cross-validation) reuses one AtA call across dozens of
-//! factorizations.
+//! once with AtA (e.g. `ctx.lower(a)` through the `ata` facade) and then
+//! factors `G + lambda I` per regularization value; that is exactly what
+//! [`RidgeSolver`] packages. This is the workload where the paper's
+//! `A^T A` speedup multiplies: a lambda sweep (cross-validation) reuses
+//! one AtA call across dozens of factorizations.
 
 use crate::cholesky::{cholesky_factor, cholesky_solve, CholeskyError};
-use crate::gram_lower_opts;
 use crate::update::{ShiftedSolver, UpdateError};
-use ata_core::AtaOptions;
 use ata_kernels::gemm_tn;
 use ata_mat::{MatRef, Matrix, Scalar};
 
@@ -46,23 +44,28 @@ pub struct RidgeSolver<T: Scalar> {
 }
 
 impl<T: Scalar> RidgeSolver<T> {
-    /// Precompute `A^T A` (via AtA, honoring `opts`) and `A^T b`.
+    /// Keep the Gram matrix `gram = A^T A` (only its lower triangle is
+    /// read) and precompute `A^T b`.
     ///
     /// # Panics
-    /// If `b.len() != m` or `m < n`.
-    pub fn new(a: MatRef<'_, T>, b: &[T], opts: &AtaOptions) -> Self {
+    /// If `b.len() != m`, `m < n` or `gram` is not `n x n`.
+    pub fn new(a: MatRef<'_, T>, b: &[T], gram: Matrix<T>) -> Self {
         let (m, n) = a.shape();
         assert!(
             m >= n,
             "ridge regression needs a tall (overdetermined) system"
         );
         assert_eq!(b.len(), m, "rhs length must equal A's row count");
-        let gram_lower = gram_lower_opts(a, opts);
+        assert_eq!(gram.shape(), (n, n), "gram must be {n}x{n}");
         let b_mat = Matrix::from_vec(b.to_vec(), m, 1);
         let mut rhs = Matrix::<T>::zeros(n, 1);
         gemm_tn(T::ONE, a, b_mat.as_ref(), &mut rhs.as_mut());
         let atb = (0..n).map(|i| rhs[(i, 0)]).collect();
-        Self { gram_lower, atb, m }
+        Self {
+            gram_lower: gram,
+            atb,
+            m,
+        }
     }
 
     /// Number of features (columns of `A`).
@@ -127,6 +130,7 @@ impl<T: Scalar> RidgeSolver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower_gram;
     use crate::lstsq::{residual_norm, solve_normal_equations};
     use ata_mat::gen;
 
@@ -136,12 +140,15 @@ mod tests {
         (a, b)
     }
 
+    fn solver(a: &Matrix<f64>, b: &[f64]) -> RidgeSolver<f64> {
+        RidgeSolver::new(a.as_ref(), b, lower_gram(a.as_ref()))
+    }
+
     #[test]
     fn lambda_zero_equals_ordinary_least_squares() {
         let (a, b) = setup(50, 10, 1);
-        let solver = RidgeSolver::new(a.as_ref(), &b, &AtaOptions::serial());
-        let ridge = solver.solve(0.0).expect("full rank");
-        let ols = solve_normal_equations(a.as_ref(), &b, &AtaOptions::serial()).expect("rank");
+        let ridge = solver(&a, &b).solve(0.0).expect("full rank");
+        let ols = solve_normal_equations(a.as_ref(), &b, lower_gram(a.as_ref())).expect("rank");
         for (r, o) in ridge.iter().zip(&ols) {
             assert!((r - o).abs() < 1e-10);
         }
@@ -152,9 +159,8 @@ mod tests {
         // ||x(lambda)||_2 decreases as lambda grows — the defining
         // behaviour of ridge.
         let (a, b) = setup(60, 12, 2);
-        let solver = RidgeSolver::new(a.as_ref(), &b, &AtaOptions::serial());
         let lambdas = [0.0, 0.1, 1.0, 10.0, 100.0];
-        let path = solver.solve_path(&lambdas).expect("spd");
+        let path = solver(&a, &b).solve_path(&lambdas).expect("spd");
         let norms: Vec<f64> = path
             .iter()
             .map(|x| x.iter().map(|v| v * v).sum::<f64>().sqrt())
@@ -180,7 +186,7 @@ mod tests {
         // Above the reuse thresholds the path goes through the shared
         // tridiagonal base — it must match the direct refactor route.
         let (a, b) = setup(90, 20, 7);
-        let solver = RidgeSolver::new(a.as_ref(), &b, &AtaOptions::serial());
+        let solver = solver(&a, &b);
         let lambdas: Vec<f64> = (0..8).map(|i| 0.05 * (i as f64 + 1.0)).collect();
         let path = solver.solve_path(&lambdas).expect("spd");
         for (x, &l) in path.iter().zip(&lambdas) {
@@ -204,7 +210,7 @@ mod tests {
         let b: Vec<Tracked> = (0..m)
             .map(|i| Tracked::from_f64(((i as f64) * 0.3).sin() * 2.0))
             .collect();
-        let solver = RidgeSolver::new(a.as_ref(), &b, &AtaOptions::serial());
+        let solver = RidgeSolver::new(a.as_ref(), &b, lower_gram(a.as_ref()));
         let lam = |i: usize| Tracked::from_f64(0.01 * (i as f64 + 1.0));
         let l16: Vec<Tracked> = (0..16).map(lam).collect();
         let l8: Vec<Tracked> = (0..8).map(lam).collect();
@@ -242,8 +248,7 @@ mod tests {
         // (A^T A + lambda I) x == A^T b at the returned solution.
         let (a, b) = setup(40, 8, 3);
         let lambda = 0.75;
-        let solver = RidgeSolver::new(a.as_ref(), &b, &AtaOptions::serial());
-        let x = solver.solve(lambda).expect("spd");
+        let x = solver(&a, &b).solve(lambda).expect("spd");
         let n = 8;
         // Build full G and A^T b naively.
         let mut g = vec![vec![0.0f64; n]; n];
@@ -276,7 +281,7 @@ mod tests {
         for i in 0..30 {
             a[(i, 5)] = a[(i, 4)];
         }
-        let solver = RidgeSolver::new(a.as_ref(), &b, &AtaOptions::serial());
+        let solver = solver(&a, &b);
         let x = solver.solve(1e-6).expect("regularized solve must succeed");
         assert!((x[4] - x[5]).abs() < 1e-6, "tied columns split: {x:?}");
         // The regularized solution still fits well.
@@ -289,14 +294,19 @@ mod tests {
 
     #[test]
     fn parallel_and_winograd_options_agree() {
+        use ata_core::{ata_into_with_kind, ata_s, StrassenKind};
+        use ata_kernels::CacheConfig;
+        use ata_strassen::StrassenWorkspace;
         let (a, b) = setup(64, 16, 5);
-        let base = RidgeSolver::new(a.as_ref(), &b, &AtaOptions::serial());
-        let par = RidgeSolver::new(a.as_ref(), &b, &AtaOptions::with_threads(4).cache_words(64));
-        let win = RidgeSolver::new(
-            a.as_ref(),
-            &b,
-            &AtaOptions::serial().cache_words(64).winograd(),
-        );
+        let cfg = CacheConfig::with_words(64);
+        let base = solver(&a, &b);
+        let mut g_par = Matrix::zeros(16, 16);
+        ata_s(1.0, a.as_ref(), &mut g_par.as_mut(), 4, &cfg);
+        let par = RidgeSolver::new(a.as_ref(), &b, g_par);
+        let mut g_win = Matrix::zeros(16, 16);
+        let (kind, mut ws) = (StrassenKind::Winograd, StrassenWorkspace::empty());
+        ata_into_with_kind(1.0, a.as_ref(), &mut g_win.as_mut(), &cfg, kind, &mut ws);
+        let win = RidgeSolver::new(a.as_ref(), &b, g_win);
         let xb = base.solve(0.5).expect("spd");
         let xp = par.solve(0.5).expect("spd");
         let xw = win.solve(0.5).expect("spd");
@@ -312,7 +322,13 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_lambda_rejected() {
         let (a, b) = setup(20, 4, 6);
-        let solver = RidgeSolver::new(a.as_ref(), &b, &AtaOptions::serial());
-        let _ = solver.solve(-1.0);
+        let _ = solver(&a, &b).solve(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gram must be 4x4")]
+    fn gram_of_wrong_order_rejected() {
+        let (a, b) = setup(20, 4, 6);
+        let _ = RidgeSolver::new(a.as_ref(), &b, lower_gram(a.as_ref().block(0, 20, 0, 3)));
     }
 }

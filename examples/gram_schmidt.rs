@@ -12,7 +12,8 @@
 
 use ata::linalg::ortho::{mgs_orthonormalize, orthogonality_defect};
 use ata::mat::gen;
-use ata::AtaOptions;
+use ata::AtaContext;
+use std::num::NonZeroUsize;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -24,13 +25,14 @@ fn main() {
     let a = gen::standard::<f64>(99, m, n);
     let q = mgs_orthonormalize(a.as_ref());
 
-    let opts = AtaOptions::with_threads(4);
-    let dev = orthogonality_defect(q.as_ref(), &opts);
+    // One AtA-S product on 4 workers; the check reads its lower triangle.
+    let ctx = AtaContext::shared(NonZeroUsize::new(4).expect("4 > 0"));
+    let dev = orthogonality_defect(&ctx.lower(q.as_ref()));
     println!("max |Q^T Q - I| = {dev:.3e}");
     assert!(dev < 1e-10, "Q failed the orthogonality check");
 
     // Sanity: the original basis was far from orthogonal.
-    let dev_a = orthogonality_defect(a.as_ref(), &AtaOptions::serial());
+    let dev_a = orthogonality_defect(&ctx.lower(a.as_ref()));
     println!("max |A^T A - I| = {dev_a:.3e}  (original basis, for contrast)");
     assert!(dev_a > 1.0);
 

@@ -10,7 +10,8 @@
 
 use ata::linalg::lstsq::{residual_norm, solve_normal_equations};
 use ata::mat::gen;
-use ata::AtaOptions;
+use ata::AtaContext;
+use std::num::NonZeroUsize;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,9 +35,10 @@ fn main() {
         b[i] += 1e-9 * ((i * 31 % 17) as f64 - 8.0);
     }
 
-    // One call: G = A^T A via AtA (4 threads), Cholesky, two solves.
-    let opts = AtaOptions::with_threads(4);
-    let x = solve_normal_equations(a.as_ref(), &b, &opts).expect("A has full column rank");
+    // G = A^T A via AtA-S on 4 workers, then Cholesky and two solves.
+    let ctx = AtaContext::shared(NonZeroUsize::new(4).expect("4 > 0"));
+    let x = solve_normal_equations(a.as_ref(), &b, ctx.lower(a.as_ref()))
+        .expect("A has full column rank");
 
     let err = x
         .iter()

@@ -14,9 +14,10 @@
 use ata::linalg::lstsq::residual_norm;
 use ata::linalg::ridge::RidgeSolver;
 use ata::mat::Matrix;
-use ata::AtaOptions;
+use ata::AtaContext;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::num::NonZeroUsize;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,8 +63,10 @@ fn main() {
     );
 
     // One AtA call...
+    let ctx = AtaContext::shared(NonZeroUsize::new(2).expect("2 > 0"));
     let t0 = std::time::Instant::now();
-    let solver = RidgeSolver::new(a_train.as_ref(), &b_train, &AtaOptions::with_threads(2));
+    let gram = ctx.lower(a_train.as_ref());
+    let solver = RidgeSolver::new(a_train.as_ref(), &b_train, gram);
     let t_gram = t0.elapsed().as_secs_f64();
 
     // ...then a factorization per lambda.

@@ -14,7 +14,8 @@
 use ata::linalg::ortho::mgs_orthonormalize;
 use ata::linalg::svd::{condition_number, gram_svd};
 use ata::mat::{gen, Matrix};
-use ata::AtaOptions;
+use ata::AtaContext;
+use std::num::NonZeroUsize;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,8 +36,10 @@ fn main() {
             .sum::<f64>()
     });
 
-    let opts = AtaOptions::with_threads(4);
-    let (sigma, v_rec) = gram_svd(a.as_ref(), &opts);
+    // One Gram via AtA-S on 4 workers feeds every query below.
+    let ctx = AtaContext::shared(NonZeroUsize::new(4).expect("4 > 0"));
+    let gram = ctx.lower(a.as_ref());
+    let (sigma, v_rec) = gram_svd(&gram);
 
     let worst = sigma
         .iter()
@@ -71,7 +74,7 @@ fn main() {
     println!("max | ||A v_i|| - sigma_i| = {worst_v:.3e}");
     assert!(worst_v < 1e-7);
 
-    let kappa = condition_number(a.as_ref(), &opts);
+    let kappa = condition_number(&gram);
     println!("condition number           = {kappa:.4} (planted: {})", n);
     assert!((kappa - n as f64).abs() < 1e-6 * n as f64);
 

@@ -733,17 +733,8 @@ impl<T: Scalar + 'static> PlanCore<T> {
         self.output
     }
 
-    /// Accumulate the lower triangle: `C_low += A^T A`, the β = 1 mode
-    /// behind [`AtaPlan::execute_accumulate`] and the streaming
-    /// [`crate::stream::GramAccumulator`]. Strictly-upper entries of `c`
-    /// are never touched.
-    fn accumulate_lower(
-        &self,
-        inner: &ContextInner,
-        alpha: T,
-        a: MatRef<'_, T>,
-        c: &mut MatMut<'_, T>,
-    ) {
+    /// Panic unless `a` has the planned shape and `c` is `n x n`.
+    fn check_shapes(&self, a: MatRef<'_, T>, c: &MatMut<'_, T>) {
         assert_eq!(
             a.shape(),
             (self.m, self.n),
@@ -759,6 +750,22 @@ impl<T: Scalar + 'static> PlanCore<T> {
             self.n,
             c.shape()
         );
+    }
+
+    /// The one backend dispatch: `C_low += alpha * A^T A`. This is the
+    /// β = 1 mode behind [`AtaPlan::execute_accumulate`] and the
+    /// streaming [`crate::stream::GramAccumulator`]; the `execute*`
+    /// entry points zero `c` and pass `alpha = 1`. Shapes are checked
+    /// before any write, and strictly-upper entries of `c` are never
+    /// touched.
+    fn accumulate_lower(
+        &self,
+        inner: &ContextInner,
+        alpha: T,
+        a: MatRef<'_, T>,
+        c: &mut MatMut<'_, T>,
+    ) {
+        self.check_shapes(a, c);
         match (self.flavor, inner.backend) {
             (PlanFlavor::SerialLeaf, _) | (PlanFlavor::Auto, Backend::Serial) => {
                 let mut ws = self.arenas.checkout(self.ws_elems);
@@ -776,67 +783,11 @@ impl<T: Scalar + 'static> PlanCore<T> {
                     None => exec(),
                 }
             }
-            (PlanFlavor::Auto, Backend::SimulatedDist { .. }) => {
-                // The simulated cluster computes a fresh lower triangle;
-                // fold it into the accumulator element-wise.
-                let mut fresh = Matrix::zeros(self.n, self.n);
-                self.compute_lower(inner, a, &mut fresh.as_mut());
-                for i in 0..self.n {
-                    for j in 0..=i {
-                        c[(i, j)] += alpha * fresh[(i, j)];
-                    }
-                }
-            }
-        }
-    }
-
-    /// Compute the lower triangle into `c`. The serial, shared and
-    /// serial-leaf arms accumulate (`C_low += A^T A`, the kernels'
-    /// native contract); the simulated-dist arm overwrites the lower
-    /// triangle with the cluster's result. Callers wanting a pure
-    /// product zero the triangle first; callers wanting accumulation on
-    /// the dist backend go through [`PlanCore::accumulate_lower`], which
-    /// folds the cluster result in via a scratch buffer.
-    fn compute_lower(&self, inner: &ContextInner, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-        match (self.flavor, inner.backend) {
-            (PlanFlavor::SerialLeaf, _) | (PlanFlavor::Auto, Backend::Serial) => {
-                let mut ws = self.arenas.checkout(self.ws_elems);
-                ata_into_with_kind(T::ONE, a, c, &self.cache, inner.strassen, &mut ws);
-                self.arenas.give_back(ws);
-            }
-            (PlanFlavor::Auto, Backend::Shared { .. }) => {
-                // ata-lint: allow(no-unwrap-in-lib): `PlanCore::build`
-                // populates `shared` whenever the backend is Shared.
-                let plan = self.shared.as_ref().expect("shared backend has a plan");
-                match &inner.pool {
-                    Some(pool) => pool.install(|| {
-                        ata_s_planned(
-                            T::ONE,
-                            a,
-                            c,
-                            plan,
-                            &self.cache,
-                            inner.strassen,
-                            &self.arenas,
-                        )
-                    }),
-                    None => ata_s_planned(
-                        T::ONE,
-                        a,
-                        c,
-                        plan,
-                        &self.cache,
-                        inner.strassen,
-                        &self.arenas,
-                    ),
-                }
-            }
             (PlanFlavor::Auto, Backend::SimulatedDist { ranks, loggp }) => {
                 // ata-lint: allow(no-unwrap-in-lib): `PlanCore::build`
                 // populates `dist` whenever the backend is SimulatedDist.
                 let plan = self.dist.as_ref().expect("dist backend has a plan");
                 let owned = a.to_matrix();
-                let n = self.n;
                 let (input, plan_ref) = (&owned, plan.as_ref());
                 let report = run(ranks.get(), loggp, move |comm| {
                     let input = (comm.rank() == 0).then_some(input);
@@ -853,9 +804,10 @@ impl<T: Scalar + 'static> PlanCore<T> {
                     // ata-lint: allow(no-unwrap-in-lib): the closure
                     // passed to `run` returns Some exactly on rank 0.
                     .expect("rank 0 returns the result");
-                for i in 0..n {
+                // The cluster computes a fresh lower triangle; fold it in.
+                for i in 0..self.n {
                     for j in 0..=i {
-                        c[(i, j)] = lower[(i, j)];
+                        c[(i, j)] += alpha * lower[(i, j)];
                     }
                 }
             }
@@ -863,23 +815,9 @@ impl<T: Scalar + 'static> PlanCore<T> {
     }
 
     fn execute_into(&self, inner: &ContextInner, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-        assert_eq!(
-            a.shape(),
-            (self.m, self.n),
-            "plan built for {}x{}, input is {:?}",
-            self.m,
-            self.n,
-            a.shape()
-        );
-        assert_eq!(
-            c.shape(),
-            (self.n, self.n),
-            "output must be {0}x{0}, got {1:?}",
-            self.n,
-            c.shape()
-        );
+        self.check_shapes(a, c);
         c.fill_zero();
-        self.compute_lower(inner, a, c);
+        self.accumulate_lower(inner, T::ONE, a, c);
         if self.output == Output::Gram {
             // Mirror in place: C is symmetric by construction.
             for i in 0..self.n {
@@ -891,16 +829,8 @@ impl<T: Scalar + 'static> PlanCore<T> {
     }
 
     fn execute(&self, inner: &ContextInner, a: MatRef<'_, T>) -> AtaOutput<T> {
-        assert_eq!(
-            a.shape(),
-            (self.m, self.n),
-            "plan built for {}x{}, input is {:?}",
-            self.m,
-            self.n,
-            a.shape()
-        );
         let mut c = Matrix::zeros(self.n, self.n);
-        self.compute_lower(inner, a, &mut c.as_mut());
+        self.accumulate_lower(inner, T::ONE, a, &mut c.as_mut());
         match self.output {
             Output::Gram => {
                 c.mirror_lower_to_upper();

@@ -109,7 +109,9 @@
 //!   cluster, AtA-D and the distributed baselines;
 //! * [`linalg`] (`ata-linalg`) — the paper's §1 applications as library
 //!   code: normal-equations least squares, SVD via the Gram matrix,
-//!   Gram–Schmidt orthogonalization.
+//!   Gram–Schmidt orthogonalization. They take the Gram as an argument,
+//!   e.g. `solve_normal_equations(a, &b, ctx.lower(a))`, so any backend
+//!   computes it.
 
 #![forbid(unsafe_code)]
 
@@ -132,7 +134,6 @@ pub use shard::{
 };
 pub use stream::GramAccumulator;
 
-pub use ata_core::AtaOptions;
 pub use ata_dist::{DistPlan, WireFormat};
 
 /// The paper's core algorithms (`ata-core`).

@@ -8,6 +8,7 @@ use std::num::NonZeroUsize;
 use ata::dist::baselines::{caps_like, cosma_like, pdsyrk_like};
 use ata::dist::{ata_d, AtaDConfig};
 use ata::kernels::CacheConfig;
+use ata::linalg::{solve_normal_equations, RidgeSolver};
 use ata::mat::{gen, reference, Matrix};
 use ata::mpisim::{run, CostModel};
 use ata::AtaContext;
@@ -195,6 +196,9 @@ fn context_backends_agree_through_one_api() {
             loggp: CostModel::zero(),
         },
     ];
+    // Right-hand side for the ata-linalg consumers of each backend's Gram.
+    let b: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
+    let mut serial_solutions: Option<(Vec<f64>, Vec<f64>)> = None;
     for backend in backends {
         let ctx = AtaContext::builder()
             .backend(backend)
@@ -213,6 +217,21 @@ fn context_backends_agree_through_one_api() {
             0.0,
             "{backend:?} is not deterministic under plan reuse"
         );
+
+        // The linalg consumers take whichever backend's Gram they are given.
+        let lstsq = solve_normal_equations(a.as_ref(), &b, first.clone()).expect("full rank");
+        let ridge = RidgeSolver::new(a.as_ref(), &b, first)
+            .solve(0.5)
+            .expect("spd");
+        let (lstsq_ref, ridge_ref) = serial_solutions.get_or_insert((lstsq.clone(), ridge.clone()));
+        for (got, want) in [(&lstsq, &*lstsq_ref), (&ridge, &*ridge_ref)] {
+            let diff = got
+                .iter()
+                .zip(want)
+                .map(|(u, v)| (u - v).abs())
+                .fold(0.0f64, f64::max);
+            assert!(diff < 1e-9, "{backend:?} solution differs by {diff}");
+        }
     }
 }
 
