@@ -11,9 +11,12 @@
 //!    writes `BENCH_kernels.json` at the workspace root — the
 //!    regression-tracking trajectory the ROADMAP asks for. The record
 //!    carries the detected ISA and, for the micro engine, one entry per
-//!    tile path (resolved dispatch plus forced portable/scalar
-//!    ablations), and includes the geomean micro-vs-blocked speedup on
-//!    f64, the headline number of the packed engine.
+//!    tile path: an `intrinsic` entry for every ISA the host supports
+//!    (tagged with that ISA, so an AVX-512 host's record still shares
+//!    its `fma` entries with an AVX2-only runner's) plus the
+//!    portable/scalar ablations. It includes the geomean
+//!    micro-vs-blocked speedup on f64 over the detected ISA's entries,
+//!    the headline number of the packed engine.
 //!
 //! Smoke mode for CI: set `ATA_BENCH_SMOKE=1` to run one timed iteration
 //! per measurement (guards against rot; the JSON is still written, with
@@ -25,13 +28,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use ata_kernels::calibrate::tuned_for_path;
+use ata_kernels::calibrate::{tuned_for_isa, tuned_for_path};
 use ata_kernels::gemm::{gemm_tn_blocked, gemm_tn_unblocked, BlockSizes};
 use ata_kernels::micro::{
     gemm_tn_micro, gemm_tn_micro_path, micro_path_for, syrk_ln_micro, syrk_ln_micro_path,
     KernelConfig, MicroPath,
 };
-use ata_kernels::simd;
+use ata_kernels::simd::{self, Isa};
 use ata_kernels::syrk::syrk_ln_blocked;
 use ata_mat::{gen, reference, Matrix, Scalar};
 
@@ -165,16 +168,30 @@ fn time_call(mut f: impl FnMut()) -> f64 {
 
 /// Measure all engines of `gemm_tn` and `syrk_ln` for one scalar type.
 ///
-/// The default `micro` entries run whatever tile path the dispatcher
-/// resolves on this host (intrinsic where FMA kernels exist). On top of
-/// those, every *other* tile path is measured explicitly through the
-/// forced `*_micro_path` entry points with its own per-path tuned
-/// config, so the record keeps a trajectory for each implementation —
-/// the ablation the ISA-dispatch work is judged against.
+/// Every micro-engine tile path is measured explicitly through the
+/// forced `*_micro_path` entry points with its own tuned config: the
+/// intrinsic path once per ISA the host supports, each pass at that
+/// ISA's row from [`tuned_for_isa`] and tagged with that ISA (an
+/// AVX-512 host also times the AVX2 tiles), then the portable and
+/// scalar ablations. The record thus keeps a trajectory for each
+/// implementation — the ablation the ISA-dispatch work is judged
+/// against. The engine-agnostic entries carry the detected ISA.
 fn record_dtype<T: Scalar>(sizes: &[usize], recs: &mut Vec<Rec>) {
-    let isa = simd::detected().name();
-    let resolved = micro_path_for::<T>();
-    let cfg = KernelConfig::for_scalar::<T>();
+    let detected = simd::detected().name();
+    let mut paths: Vec<(&'static str, MicroPath, KernelConfig)> = [Isa::Avx512, Isa::Fma]
+        .into_iter()
+        .filter(|&isa| simd::supports(isa))
+        .map(|isa| {
+            (
+                isa.name(),
+                MicroPath::Intrinsic,
+                tuned_for_isa::<T>(isa).kernel,
+            )
+        })
+        .collect();
+    for path in [MicroPath::Portable, MicroPath::Scalar] {
+        paths.push((detected, path, tuned_for_path::<T>(path).kernel));
+    }
     for &n in sizes {
         let a = gen::standard::<T>(1, n, n);
         let b = gen::standard::<T>(2, n, n);
@@ -182,7 +199,7 @@ fn record_dtype<T: Scalar>(sizes: &[usize], recs: &mut Vec<Rec>) {
         let gemm_flops = 2.0 * (n as f64).powi(3);
         let syrk_flops = (n as f64) * (n as f64) * (n as f64 + 1.0);
 
-        let push = |recs: &mut Vec<Rec>, kernel, engine, path, secs: f64, flops: f64| {
+        let push = |recs: &mut Vec<Rec>, kernel, engine, isa, path, secs: f64, flops: f64| {
             recs.push(Rec {
                 kernel,
                 engine,
@@ -195,9 +212,22 @@ fn record_dtype<T: Scalar>(sizes: &[usize], recs: &mut Vec<Rec>) {
             });
         };
 
-        let secs =
-            time_call(|| gemm_tn_micro(T::ONE, a.as_ref(), b.as_ref(), &mut out.as_mut(), &cfg));
-        push(recs, "gemm_tn", "micro", resolved.name(), secs, gemm_flops);
+        for &(isa, path, cfg) in &paths {
+            let secs = time_call(|| {
+                gemm_tn_micro_path(
+                    path,
+                    T::ONE,
+                    a.as_ref(),
+                    b.as_ref(),
+                    &mut out.as_mut(),
+                    &cfg,
+                )
+            });
+            push(recs, "gemm_tn", "micro", isa, path.name(), secs, gemm_flops);
+            let secs =
+                time_call(|| syrk_ln_micro_path(path, T::ONE, a.as_ref(), &mut out.as_mut(), &cfg));
+            push(recs, "syrk_ln", "micro", isa, path.name(), secs, syrk_flops);
+        }
         let secs = time_call(|| {
             gemm_tn_blocked(
                 T::ONE,
@@ -207,53 +237,39 @@ fn record_dtype<T: Scalar>(sizes: &[usize], recs: &mut Vec<Rec>) {
                 BlockSizes::default(),
             )
         });
-        push(recs, "gemm_tn", "blocked", "none", secs, gemm_flops);
+        push(
+            recs, "gemm_tn", "blocked", detected, "none", secs, gemm_flops,
+        );
         let secs =
             time_call(|| gemm_tn_unblocked(T::ONE, a.as_ref(), b.as_ref(), &mut out.as_mut()));
-        push(recs, "gemm_tn", "unblocked", "none", secs, gemm_flops);
-
-        let secs = time_call(|| syrk_ln_micro(T::ONE, a.as_ref(), &mut out.as_mut(), &cfg));
-        push(recs, "syrk_ln", "micro", resolved.name(), secs, syrk_flops);
+        push(
+            recs,
+            "gemm_tn",
+            "unblocked",
+            detected,
+            "none",
+            secs,
+            gemm_flops,
+        );
         let secs = time_call(|| {
             syrk_ln_blocked(T::ONE, a.as_ref(), &mut out.as_mut(), BlockSizes::default())
         });
-        push(recs, "syrk_ln", "blocked", "none", secs, syrk_flops);
-
-        // Forced-path ablation entries (skipping the resolved path,
-        // which the default entries above already cover).
-        for path in [MicroPath::Portable, MicroPath::Scalar] {
-            if path == resolved {
-                continue;
-            }
-            let pcfg = tuned_for_path::<T>(path).kernel;
-            let secs = time_call(|| {
-                gemm_tn_micro_path(
-                    path,
-                    T::ONE,
-                    a.as_ref(),
-                    b.as_ref(),
-                    &mut out.as_mut(),
-                    &pcfg,
-                )
-            });
-            push(recs, "gemm_tn", "micro", path.name(), secs, gemm_flops);
-            let secs = time_call(|| {
-                syrk_ln_micro_path(path, T::ONE, a.as_ref(), &mut out.as_mut(), &pcfg)
-            });
-            push(recs, "syrk_ln", "micro", path.name(), secs, syrk_flops);
-        }
+        push(
+            recs, "syrk_ln", "blocked", detected, "none", secs, syrk_flops,
+        );
     }
 }
 
 /// Geomean of `blocked_time / micro_time` over f64 `gemm_tn` + `syrk_ln`
-/// at every measured size — the acceptance headline of the packed
-/// engine.
+/// at every measured size, on the tile path and ISA the dispatcher
+/// resolves — the acceptance headline of the packed engine.
 fn geomean_speedup(recs: &[Rec]) -> f64 {
     let resolved = micro_path_for::<f64>().name();
+    let isa = simd::detected().name();
     let mut log_sum = 0.0;
     let mut count = 0usize;
     for r in recs.iter().filter(|r| r.dtype == "f64") {
-        if r.engine != "micro" || r.path != resolved {
+        if r.engine != "micro" || r.path != resolved || r.isa != isa {
             continue;
         }
         let blocked = recs
@@ -323,8 +339,8 @@ fn bench_perf_record(c: &mut Criterion) {
     println!("perf record: geomean f64 micro-vs-blocked speedup {geomean:.2}x");
     for r in &recs {
         println!(
-            "perf record: {}/{}/{} {} n={} {:.3e}s/call ({:.2} GFLOP/s)",
-            r.kernel, r.engine, r.path, r.dtype, r.n, r.secs_per_call, r.gflops
+            "perf record: {}/{}/{}/{} {} n={} {:.3e}s/call ({:.2} GFLOP/s)",
+            r.kernel, r.engine, r.isa, r.path, r.dtype, r.n, r.secs_per_call, r.gflops
         );
     }
 

@@ -10,19 +10,23 @@
 //!    with [`measure`] (regenerate any time with `ata calibrate`), after
 //!    applying the `ATA_KERNEL_PARAMS` environment override.
 //! 2. [`measure`] — the calibration run itself: sweeps the register-tile
-//!    menu and the `KC/MC/NC` grid with wall-clock timings, then locates
+//!    menu and the `KC/MC/NC` grid with wall-clock timings at sizes some
+//!    menu tiles leave ragged edges on, then locates
 //!    the AtA base-case crossover (the problem size where one
 //!    Algorithm 1 recursion level — four half-size syrk leaves plus two
 //!    half-size products — stops beating a single syrk leaf).
 //!
 //! # Per-ISA tables
 //!
-//! The table is keyed on *(scalar type, resolved tile path)*: the fused
-//! AVX2/FMA kernels in [`crate::simd`] prefer different register tiles
-//! and cutoffs than the portable autovectorized kernels, so a machine
-//! with FMA resolves the `*_FMA` rows and everything else (including
-//! forced `ATA_MICRO=portable|scalar` runs) resolves the portable rows.
-//! `ata calibrate` prints both sets where the hardware supports them.
+//! The table is keyed on *(scalar type, ISA of the resolved tile path)*:
+//! the fused kernels in [`crate::simd`] prefer different register tiles
+//! and cutoffs than the portable autovectorized kernels, and the 512-bit
+//! tiles differ from the 256-bit ones. On the intrinsic path an
+//! AVX-512 host resolves the `*_AVX512` rows, an AVX2 + FMA host the
+//! `*_FMA` rows, and everything else (including forced
+//! `ATA_MICRO=portable|scalar` runs) resolves the portable rows.
+//! [`tuned_for_isa`] reads any ISA's row directly. `ata calibrate`
+//! measures the rows of the path the host resolves.
 //!
 //! # Overriding
 //!
@@ -30,7 +34,9 @@
 //! keys `mr`, `nr`, `kc`, `mc`, `nc`, `words`, `volume`, e.g.
 //! `ATA_KERNEL_PARAMS="mr=8,nr=4,kc=128,words=16384"`. Unknown keys and
 //! malformed pairs are ignored; the override applies to every scalar
-//! type. `ATA_MICRO` selects the tile path (`intrinsic|portable|scalar`)
+//! type. An AVX2-menu tile (e.g. `mr=4,nr=8`) runs the AVX2 kernels on
+//! an AVX-512 host, since the tile picks the kernel set.
+//! `ATA_MICRO` selects the tile path (`intrinsic|portable|scalar`)
 //! or disables the packed engine entirely (`0`; see
 //! [`crate::micro::selected_path`]).
 
@@ -40,6 +46,7 @@ use crate::micro::{
     MICRO_MIN_VOLUME,
 };
 use crate::pack::PackBufs;
+use crate::simd::Isa;
 use ata_mat::{MatMut, MatRef, Scalar};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -139,20 +146,67 @@ const TUNED_F32_FMA: Tuned = Tuned {
     micro_min_volume: 24 * 24 * 24 + 1,
 };
 
-/// The measured parameters for scalar type `T` on an explicit tile
-/// path, with any `ATA_KERNEL_PARAMS` override applied.
+/// Fused-kernel row for f64 under [`Isa::Avx512`], measured on a
+/// 2-vCPU Intel Xeon host with AVX-512F (single thread) by six full
+/// `ata calibrate` runs: the 8 x 16 tile (16 accumulator vectors, 2 B
+/// vectors, 1 broadcast) won five of the six, with `kc = 128` in all
+/// six and `nc = 256` in five. The runs split `mc` 64 / 128 four to
+/// two; timing the leaves the AtA recursion reaches on a 2048-wide
+/// input (a 256 x 128 x 128 `gemm_tn` and a 512 x 256 `syrk_ln`, both
+/// read at row stride 2048) settled it for 128: 31-34 GF/s gemm and
+/// 27-34 GF/s syrk, against 31-32 / 23-24 at `mc = 64` and
+/// 17-21 / 13-14 for the `TUNED_F64_FMA` tile on the same host.
+const TUNED_F64_AVX512: Tuned = Tuned {
+    kernel: KernelConfig {
+        mr: 8,
+        nr: 16,
+        kc: 128,
+        mc: 128,
+        nc: 256,
+    },
+    // Five of the six runs measured 131072; the sixth (18432) was timing
+    // noise. Equal to the AVX2 row, so the Strassen recursion depth, and
+    // with it every op count, is the same on both ISAs.
+    base_words: 131_072,
+    // All six runs measured 24^3 + 1. The packing-overhead floor is
+    // kept anyway so the same products take the blocked loops as under
+    // the AVX2 row.
+    micro_min_volume: MICRO_MIN_VOLUME,
+};
+
+/// Fused-kernel row for f32 under [`Isa::Avx512`] (see
+/// [`TUNED_F64_AVX512`]): the 8 x 32 tile won all six runs, with
+/// `kc = 128`, `mc = 128` in four and `nc = 256` in all six (61-67
+/// GF/s gemm, 45-48 GF/s syrk at the leaf shapes above).
+const TUNED_F32_AVX512: Tuned = Tuned {
+    kernel: KernelConfig {
+        mr: 8,
+        nr: 32,
+        kc: 128,
+        mc: 128,
+        nc: 256,
+    },
+    base_words: 131_072,
+    // Measured in all six runs: 32-column tiles leave a 16-column
+    // ragged strip at n = 48, where the blocked loops still win.
+    micro_min_volume: 48 * 48 * 48 + 1,
+};
+
+/// The baked parameters for scalar type `T` on `isa`'s intrinsic
+/// kernels ([`Isa::Generic`]: the portable row), whether or not this
+/// host supports `isa`, with any `ATA_KERNEL_PARAMS` override applied.
+/// A benchmark times each ISA's kernels at their own blocking by passing
+/// this row's [`Tuned::kernel`] as an explicit config.
 ///
-/// Only a genuinely-available `Intrinsic` path (see
-/// [`crate::simd::has_kernels`]) resolves the `*_FMA` rows; `Portable`
-/// and `Scalar` — and any scalar the SIMD module has no kernels for —
-/// resolve the portable rows, so the blocking a run uses always matches
-/// the kernels it executes.
-pub fn tuned_for_path<T: Scalar>(path: MicroPath) -> Tuned {
-    let fused = path == MicroPath::Intrinsic && crate::simd::has_kernels::<T>();
-    let base = match (T::NAME, fused) {
-        ("f32", true) => TUNED_F32_FMA,
-        ("f32", false) => TUNED_F32,
-        ("f64", true) => TUNED_F64_FMA,
+/// Scalars without intrinsic kernels resolve the portable row for
+/// every `isa`.
+pub fn tuned_for_isa<T: Scalar>(isa: Isa) -> Tuned {
+    let base = match (T::NAME, isa) {
+        ("f32", Isa::Avx512) => TUNED_F32_AVX512,
+        ("f32", Isa::Fma) => TUNED_F32_FMA,
+        ("f32", Isa::Generic) => TUNED_F32,
+        ("f64", Isa::Avx512) => TUNED_F64_AVX512,
+        ("f64", Isa::Fma) => TUNED_F64_FMA,
         // Types without their own row (the op-counting `Tracked` scalar,
         // exact fields) inherit the portable f64 row: their "speed" is
         // irrelevant, but sharing the row keeps their blocking — and
@@ -161,6 +215,23 @@ pub fn tuned_for_path<T: Scalar>(path: MicroPath) -> Tuned {
         _ => TUNED_F64,
     };
     apply_env(base)
+}
+
+/// The measured parameters for scalar type `T` on an explicit tile
+/// path, with any `ATA_KERNEL_PARAMS` override applied.
+///
+/// Only a genuinely-available `Intrinsic` path (see
+/// [`crate::simd::has_kernels`]) resolves the detected ISA's fused rows;
+/// `Portable` and `Scalar` — and any scalar the SIMD module has no
+/// kernels for — resolve the portable rows, so the blocking a run uses
+/// always matches the kernels it executes.
+pub fn tuned_for_path<T: Scalar>(path: MicroPath) -> Tuned {
+    let fused = path == MicroPath::Intrinsic && crate::simd::has_kernels::<T>();
+    tuned_for_isa::<T>(if fused {
+        crate::simd::detected()
+    } else {
+        Isa::Generic
+    })
 }
 
 /// The measured parameters for scalar type `T` on the tile path the
@@ -278,12 +349,22 @@ fn time_gemm<T: Scalar>(size: usize, cfg: &KernelConfig, bufs: &mut PackBufs<T>)
     samples[1]
 }
 
+/// Square sizes the full tile sweep times each candidate at. 192 is
+/// divisible by every menu tile; 256 is the f64 leaf order
+/// `sqrt(base_words / 2)` the AtA recursion bottoms out at, and tiles
+/// that do not divide it (`6 x _`, `_ x 24`, `_ x 48`) pay for the
+/// ragged strip they leave on the scalar edge kernel there, as they do
+/// on the power-of-two leaves.
+const KERNEL_SWEEP_SIZES: &[usize] = &[192, 256];
+
 /// Sweep the register-tile menu and a coarse `KC/MC/NC` grid, returning
-/// the fastest [`KernelConfig`] by measured square-gemm time.
+/// the fastest [`KernelConfig`] by square-gemm time summed over
+/// the sweep sizes.
 ///
-/// `quick` trims the grid for smoke runs (CI, `ata calibrate --quick`).
+/// `quick` trims the grid to one small size for smoke runs (CI,
+/// `ata calibrate --quick`).
 pub fn measure_kernel<T: Scalar>(quick: bool) -> KernelConfig {
-    let size = if quick { 64 } else { 192 };
+    let sizes: &[usize] = if quick { &[64] } else { KERNEL_SWEEP_SIZES };
     let kcs: &[usize] = if quick { &[128] } else { &[128, 256] };
     let mcs: &[usize] = if quick { &[64] } else { &[32, 64, 128] };
     let ncs: &[usize] = if quick { &[256] } else { &[128, 256] };
@@ -294,7 +375,10 @@ pub fn measure_kernel<T: Scalar>(quick: bool) -> KernelConfig {
             for &mc in mcs {
                 for &nc in ncs {
                     let cfg = KernelConfig::new(mr, nr, kc, mc, nc);
-                    let t = time_gemm::<T>(size, &cfg, &mut bufs);
+                    let t: f64 = sizes
+                        .iter()
+                        .map(|&size| time_gemm::<T>(size, &cfg, &mut bufs))
+                        .sum();
                     if t < best.0 {
                         best = (t, cfg);
                     }
@@ -448,6 +532,8 @@ mod tests {
         for (t, menu) in [
             (TUNED_F64_FMA, crate::simd::FMA_MENU_F64),
             (TUNED_F32_FMA, crate::simd::FMA_MENU_F32),
+            (TUNED_F64_AVX512, crate::simd::AVX512_MENU_F64),
+            (TUNED_F32_AVX512, crate::simd::AVX512_MENU_F32),
         ] {
             let tile = (t.kernel.mr, t.kernel.nr);
             assert!(
@@ -465,7 +551,14 @@ mod tests {
     fn baked_cutoffs_lie_in_the_measured_sweep_range() {
         let lo = 2 * BASE_SWEEP_SIZES.first().unwrap().pow(2);
         let hi = 2 * BASE_SWEEP_SIZES.last().unwrap().pow(2);
-        for t in [TUNED_F64, TUNED_F32, TUNED_F64_FMA, TUNED_F32_FMA] {
+        for t in [
+            TUNED_F64,
+            TUNED_F32,
+            TUNED_F64_FMA,
+            TUNED_F32_FMA,
+            TUNED_F64_AVX512,
+            TUNED_F32_AVX512,
+        ] {
             assert!(
                 (lo..=hi).contains(&t.base_words),
                 "baked cutoff {} outside the sweep's valid range [{lo}, {hi}]",
@@ -500,16 +593,19 @@ mod tests {
             tuned_for_path::<ata_mat::tracked::Tracked>(MicroPath::Intrinsic),
             tuned_for_path::<f64>(MicroPath::Portable),
         );
-        if crate::simd::has_kernels::<f64>() {
-            assert_eq!(
-                tuned_for_path::<f64>(MicroPath::Intrinsic),
-                apply_env(TUNED_F64_FMA)
-            );
-            assert_eq!(
-                tuned_for_path::<f32>(MicroPath::Intrinsic),
-                apply_env(TUNED_F32_FMA)
-            );
-        }
+        let (f64_row, f32_row) = match crate::simd::detected() {
+            Isa::Avx512 => (TUNED_F64_AVX512, TUNED_F32_AVX512),
+            Isa::Fma => (TUNED_F64_FMA, TUNED_F32_FMA),
+            Isa::Generic => (TUNED_F64, TUNED_F32),
+        };
+        assert_eq!(
+            tuned_for_path::<f64>(MicroPath::Intrinsic),
+            apply_env(f64_row)
+        );
+        assert_eq!(
+            tuned_for_path::<f32>(MicroPath::Intrinsic),
+            apply_env(f32_row)
+        );
         assert_eq!(
             tuned_for_path::<f64>(MicroPath::Scalar),
             apply_env(TUNED_F64)
@@ -517,11 +613,53 @@ mod tests {
     }
 
     #[test]
+    fn tuned_for_isa_reads_every_row_on_any_host() {
+        for (isa, f64_row, f32_row) in [
+            (Isa::Avx512, TUNED_F64_AVX512, TUNED_F32_AVX512),
+            (Isa::Fma, TUNED_F64_FMA, TUNED_F32_FMA),
+            (Isa::Generic, TUNED_F64, TUNED_F32),
+        ] {
+            assert_eq!(tuned_for_isa::<f64>(isa), apply_env(f64_row));
+            assert_eq!(tuned_for_isa::<f32>(isa), apply_env(f32_row));
+            assert_eq!(
+                tuned_for_isa::<ata_mat::tracked::Tracked>(isa),
+                apply_env(TUNED_F64),
+                "scalars without kernels keep the portable row on every ISA"
+            );
+        }
+    }
+
+    #[test]
+    fn full_tile_sweep_sees_ragged_edges_on_every_intrinsic_menu() {
+        // A tile that divides every swept size is never charged for the
+        // ragged strip it leaves on the power-of-two leaves, so each menu
+        // must meet a size one of its tiles does not divide.
+        for menu in crate::simd::INTRINSIC_MENUS {
+            assert!(
+                KERNEL_SWEEP_SIZES
+                    .iter()
+                    .any(|&s| menu.iter().any(|&(mr, nr)| s % mr != 0 || s % nr != 0)),
+                "menu {menu:?} divides every sweep size {KERNEL_SWEEP_SIZES:?}"
+            );
+        }
+        let leaf = ((TUNED_F64_AVX512.base_words / 2) as f64).sqrt() as usize;
+        assert!(
+            KERNEL_SWEEP_SIZES.contains(&leaf),
+            "the sweep includes the f64 leaf order sqrt(base_words / 2) = {leaf}"
+        );
+    }
+
+    #[test]
     fn menus_track_the_resolved_path() {
         use crate::micro::micro_path_for;
+        use crate::simd::{AVX512_MENU_F32, AVX512_MENU_F64, FMA_MENU_F32, FMA_MENU_F64};
         if micro_path_for::<f64>() == MicroPath::Intrinsic {
-            assert_eq!(menu_for::<f64>(), crate::simd::FMA_MENU_F64);
-            assert_eq!(menu_for::<f32>(), crate::simd::FMA_MENU_F32);
+            let (f64_menu, f32_menu) = match crate::simd::detected() {
+                Isa::Avx512 => (AVX512_MENU_F64, AVX512_MENU_F32),
+                _ => (FMA_MENU_F64, FMA_MENU_F32),
+            };
+            assert_eq!(menu_for::<f64>(), f64_menu);
+            assert_eq!(menu_for::<f32>(), f32_menu);
         } else {
             assert_eq!(menu_for::<f64>(), KernelConfig::MENU);
         }

@@ -82,10 +82,11 @@ pub struct KernelConfig {
 impl KernelConfig {
     /// Register tiles with a dedicated unrolled portable microkernel.
     /// Other `(mr, nr)` pairs run through the (slower) bounds-aware
-    /// kernel. The intrinsic tiles ([`crate::simd::FMA_MENU_F64`] /
-    /// [`crate::simd::FMA_MENU_F32`]) are a subset, so a forced
-    /// `ATA_MICRO=portable` run keeps the unrolled kernel at any
-    /// ISA-calibrated tile.
+    /// kernel. Every intrinsic tile a tuned row in [`crate::calibrate`]
+    /// bakes is on this menu — all of the AVX2 menus
+    /// ([`crate::simd::FMA_MENU_F64`] / [`crate::simd::FMA_MENU_F32`])
+    /// and the baked AVX-512 tiles — so the same tile keeps an unrolled
+    /// portable kernel when it runs on a host without that ISA.
     pub const MENU: &'static [(usize, usize)] = &[
         (4, 4),
         (4, 8),
@@ -98,6 +99,7 @@ impl KernelConfig {
         (8, 6),
         (8, 8),
         (8, 16),
+        (8, 32),
         (12, 4),
     ];
 
@@ -324,6 +326,7 @@ fn full_tile<T: Scalar>(
         (8, 6) => kernel::<T, 8, 6>(kc, ap, bp, c),
         (8, 8) => kernel::<T, 8, 8>(kc, ap, bp, c),
         (8, 16) => kernel::<T, 8, 16>(kc, ap, bp, c),
+        (8, 32) => kernel::<T, 8, 32>(kc, ap, bp, c),
         (12, 4) => kernel::<T, 12, 4>(kc, ap, bp, c),
         (4, 12) => kernel::<T, 4, 12>(kc, ap, bp, c),
         (6, 4) => kernel::<T, 6, 4>(kc, ap, bp, c),
@@ -339,8 +342,9 @@ fn full_tile<T: Scalar>(
 /// diagonal block — at fused speed instead of scalar speed, at the cost
 /// of one extra add per stored element. Only the intrinsic path takes
 /// it: the portable/scalar paths keep the exact-op [`edge_tile`], so
-/// `Tracked` counts and portable bitwise behavior are unchanged. `false`
-/// means no fused kernel took the tile and the caller must fall back.
+/// `Tracked` counts and portable bitwise behavior are unchanged. The
+/// scratch holds the largest tile on any intrinsic menu. `false` means
+/// no fused kernel took the tile and the caller must fall back.
 #[allow(clippy::too_many_arguments)]
 fn straddle_tile_intrinsic<T: Scalar>(
     mr: usize,
@@ -352,11 +356,11 @@ fn straddle_tile_intrinsic<T: Scalar>(
     ir: usize,
     jr: usize,
 ) -> bool {
-    const MAX_TILE: usize = 256;
-    if mr * nr > MAX_TILE {
+    use crate::simd::MAX_TILE_ELEMS;
+    if mr * nr > MAX_TILE_ELEMS {
         return false;
     }
-    let mut scratch = [T::ZERO; MAX_TILE];
+    let mut scratch = [T::ZERO; MAX_TILE_ELEMS];
     let mut sv = MatMut::from_slice(&mut scratch[..mr * nr], mr, nr);
     if !crate::simd::full_tile(mr, nr, kc, ap, bp, &mut sv) {
         return false;

@@ -1,18 +1,27 @@
-//! AVX2/FMA register microkernels for x86-64.
+//! Fused register microkernels for x86-64: 256-bit AVX2/FMA tiles and
+//! 512-bit AVX-512F tiles.
 //!
 //! Each kernel computes one full `MR x NR` tile of `C += Ap^T Bp` over
 //! the packed micro-panels from [`crate::pack`], exactly like the
 //! portable const-generic kernel in [`crate::micro`], but with explicit
-//! 256-bit vectors and one fused `vfmadd` per lane-column per k-step.
-//! `NR` is a multiple of the vector width (4 f64 / 8 f32 lanes), so a
-//! tile's accumulators are `MR x NRV` registers; the 15-register tiles
-//! (`6 x 8` f64, `6 x 16` f32: 12 accumulators + 2 B vectors + 1
-//! broadcast) are the expected sweep winners on 16-register AVX2.
+//! vectors and one fused multiply-add per lane-column per k-step. `NR`
+//! is a multiple of the vector width (4 f64 / 8 f32 lanes at 256 bits,
+//! 8 / 16 at 512 bits), so a tile's accumulators are `MR x NRV`
+//! registers. On 16-register AVX2 the 15-register tiles (`6 x 8` f64,
+//! `6 x 16` f32: 12 accumulators + 2 B vectors + 1 broadcast) are the
+//! expected sweep winners; AVX-512's 32 registers hold up to `8 x 3`
+//! accumulators plus their B vectors and broadcast.
 //!
-//! Only *full* tiles come through here — ragged edges and diagonal
-//! straddles stay on the scalar bounds-aware kernel, which is what
-//! preserves the engine's exact-op `Tracked` contract (these kernels are
-//! unreachable for non-`f32`/`f64` scalars; see [`super::full_tile`]).
+//! Both instruction sets instantiate the one `fma_tile!` body; only the
+//! target features, the vector type and the intrinsic names differ. The
+//! two tile menus are disjoint (every AVX-512 tile is at least 16 f64 /
+//! 32 f32 columns wide, wider than any AVX2 tile), so the tile shape
+//! alone picks the kernel set.
+//!
+//! Only *full* tiles come through here — ragged edges stay on the
+//! scalar bounds-aware kernel, which is what preserves the engine's
+//! exact-op `Tracked` contract (these kernels are unreachable for
+//! non-`f32`/`f64` scalars; see [`super::full_tile`]).
 //!
 //! The fused accumulation rounds differently from the deliberately
 //! unfused [`ata_mat::Scalar::mul_add`] chain of the portable kernel:
@@ -20,32 +29,40 @@
 //! tolerance, not bit-for-bit (`crates/kernels/tests/simd_paths.rs`
 //! pins both properties).
 
+use super::{supports, Isa};
 use ata_mat::MatMut;
 use core::arch::x86_64::{
-    __m256, __m256d, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
-    _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_storeu_pd,
-    _mm256_storeu_ps,
+    __m256, __m256d, __m512, __m512d, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd,
+    _mm256_loadu_ps, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps,
+    _mm256_storeu_pd, _mm256_storeu_ps, _mm512_fmadd_pd, _mm512_fmadd_ps, _mm512_loadu_pd,
+    _mm512_loadu_ps, _mm512_set1_pd, _mm512_set1_ps, _mm512_setzero_pd, _mm512_setzero_ps,
+    _mm512_storeu_pd, _mm512_storeu_ps,
 };
 
 /// f64 lanes per 256-bit vector.
 const LANES_F64: usize = 4;
 /// f32 lanes per 256-bit vector.
 const LANES_F32: usize = 8;
+/// f64 lanes per 512-bit vector.
+const LANES_F64_512: usize = 8;
+/// f32 lanes per 512-bit vector.
+const LANES_F32_512: usize = 16;
 
 /// Generate one fused `MR x (LANES * NRV)` tile kernel: seed the
 /// accumulators from `C`, run `kc` broadcast-FMA steps over the packed
 /// panels, write back once.
 macro_rules! fma_tile {
-    ($name:ident, $elem:ty, $vec:ty, $lanes:expr, $setzero:ident, $set1:ident,
-     $loadu:ident, $fmadd:ident, $storeu:ident, $mr:expr, $nrv:expr) => {
+    ($name:ident, $features:literal, $elem:ty, $vec:ty, $lanes:expr, $setzero:ident,
+     $set1:ident, $loadu:ident, $fmadd:ident, $storeu:ident, $mr:expr, $nrv:expr) => {
         /// One full register tile of `C += Ap^T Bp`, fused.
         ///
         /// # Safety
-        /// The CPU must support AVX2 and FMA, `ap` must hold at least
-        /// `kc * MR` elements, `bp` at least `kc * NR`, and `c` must be
-        /// an `MR x NR` tile (`NR = LANES * NRV`). The dispatchers below
-        /// check all four before calling.
-        #[target_feature(enable = "avx2,fma")]
+        /// The CPU must support every feature in the `target_feature`
+        /// list, `ap` must hold at least `kc * MR` elements, `bp` at
+        /// least `kc * NR`, and `c` must be an `MR x NR` tile
+        /// (`NR = LANES * NRV`). The dispatchers below check all four
+        /// before calling.
+        #[target_feature(enable = $features)]
         unsafe fn $name(kc: usize, ap: &[$elem], bp: &[$elem], c: &mut MatMut<'_, $elem>) {
             const MR: usize = $mr;
             const NRV: usize = $nrv;
@@ -96,6 +113,7 @@ macro_rules! fma_tile_f64 {
     ($name:ident, $mr:expr, $nrv:expr) => {
         fma_tile!(
             $name,
+            "avx2,fma",
             f64,
             __m256d,
             LANES_F64,
@@ -114,6 +132,7 @@ macro_rules! fma_tile_f32 {
     ($name:ident, $mr:expr, $nrv:expr) => {
         fma_tile!(
             $name,
+            "avx2,fma",
             f32,
             __m256,
             LANES_F32,
@@ -122,6 +141,44 @@ macro_rules! fma_tile_f32 {
             _mm256_loadu_ps,
             _mm256_fmadd_ps,
             _mm256_storeu_ps,
+            $mr,
+            $nrv
+        );
+    };
+}
+
+macro_rules! avx512_tile_f64 {
+    ($name:ident, $mr:expr, $nrv:expr) => {
+        fma_tile!(
+            $name,
+            "avx512f",
+            f64,
+            __m512d,
+            LANES_F64_512,
+            _mm512_setzero_pd,
+            _mm512_set1_pd,
+            _mm512_loadu_pd,
+            _mm512_fmadd_pd,
+            _mm512_storeu_pd,
+            $mr,
+            $nrv
+        );
+    };
+}
+
+macro_rules! avx512_tile_f32 {
+    ($name:ident, $mr:expr, $nrv:expr) => {
+        fma_tile!(
+            $name,
+            "avx512f",
+            f32,
+            __m512,
+            LANES_F32_512,
+            _mm512_setzero_ps,
+            _mm512_set1_ps,
+            _mm512_loadu_ps,
+            _mm512_fmadd_ps,
+            _mm512_storeu_ps,
             $mr,
             $nrv
         );
@@ -142,72 +199,96 @@ fma_tile_f32!(tile_f32_6x16, 6, 2);
 fma_tile_f32!(tile_f32_8x8, 8, 1);
 fma_tile_f32!(tile_f32_8x16, 8, 2);
 
-/// Run the fused f64 kernel for tile `(mr, nr)`. `false` means "no
-/// kernel took the tile" (unsupported ISA, off-menu tile, or operands
-/// that fail the bounds checks) and the caller must use the portable
-/// path.
-pub(super) fn tile_f64(
-    mr: usize,
-    nr: usize,
-    kc: usize,
-    ap: &[f64],
-    bp: &[f64],
-    c: &mut MatMut<'_, f64>,
-) -> bool {
-    if super::detected() != super::Isa::Fma
-        || ap.len() < kc * mr
-        || bp.len() < kc * nr
-        || c.shape() != (mr, nr)
-    {
-        return false;
-    }
-    // SAFETY: AVX2+FMA presence was just re-checked through the cached
-    // runtime detection, and the operand bounds above are exactly the
-    // kernels' preconditions (`ap` holds `kc * mr`, `bp` holds
-    // `kc * nr`, `c` is `mr x nr`).
-    unsafe {
-        match (mr, nr) {
-            (4, 4) => tile_f64_4x4(kc, ap, bp, c),
-            (4, 8) => tile_f64_4x8(kc, ap, bp, c),
-            (6, 4) => tile_f64_6x4(kc, ap, bp, c),
-            (6, 8) => tile_f64_6x8(kc, ap, bp, c),
-            (8, 4) => tile_f64_8x4(kc, ap, bp, c),
-            (8, 8) => tile_f64_8x8(kc, ap, bp, c),
-            _ => return false,
+avx512_tile_f64!(tile_f64_4x16_avx512, 4, 2);
+avx512_tile_f64!(tile_f64_6x16_avx512, 6, 2);
+avx512_tile_f64!(tile_f64_8x16_avx512, 8, 2);
+avx512_tile_f64!(tile_f64_8x24_avx512, 8, 3);
+
+avx512_tile_f32!(tile_f32_4x32_avx512, 4, 2);
+avx512_tile_f32!(tile_f32_6x32_avx512, 6, 2);
+avx512_tile_f32!(tile_f32_8x32_avx512, 8, 2);
+avx512_tile_f32!(tile_f32_8x48_avx512, 8, 3);
+
+/// Generate one dispatcher: run the `isa` kernel for tile `(mr, nr)`.
+/// `false` means "no kernel took the tile" (the host lacks `isa`, the
+/// tile is off this menu, or the operands fail the bounds checks) and
+/// the caller must try the next kernel set or the portable path.
+macro_rules! tile_dispatch {
+    ($(#[$doc:meta])* $name:ident, $elem:ty, $isa:expr,
+     $(($mr:literal, $nr:literal) => $kernel:ident),+ $(,)?) => {
+        $(#[$doc])*
+        pub(super) fn $name(
+            mr: usize,
+            nr: usize,
+            kc: usize,
+            ap: &[$elem],
+            bp: &[$elem],
+            c: &mut MatMut<'_, $elem>,
+        ) -> bool {
+            if !supports($isa) || ap.len() < kc * mr || bp.len() < kc * nr || c.shape() != (mr, nr)
+            {
+                return false;
+            }
+            // SAFETY: `supports` just confirmed through the cached
+            // runtime detection that the CPU has every target feature
+            // this dispatcher's kernels enable, and the operand bounds
+            // above are exactly the kernels' preconditions (`ap` holds
+            // `kc * mr`, `bp` holds `kc * nr`, `c` is `mr x nr`).
+            unsafe {
+                match (mr, nr) {
+                    $(($mr, $nr) => $kernel(kc, ap, bp, c),)+
+                    _ => return false,
+                }
+            }
+            true
         }
-    }
-    true
+    };
 }
 
-/// f32 twin of [`tile_f64`] (8-lane vectors, so `nr` is a multiple of 8).
-pub(super) fn tile_f32(
-    mr: usize,
-    nr: usize,
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut MatMut<'_, f32>,
-) -> bool {
-    if super::detected() != super::Isa::Fma
-        || ap.len() < kc * mr
-        || bp.len() < kc * nr
-        || c.shape() != (mr, nr)
-    {
-        return false;
-    }
-    // SAFETY: as in `tile_f64` — feature set re-checked via the cached
-    // detection, operand bounds checked against the kernel
-    // preconditions directly above.
-    unsafe {
-        match (mr, nr) {
-            (4, 8) => tile_f32_4x8(kc, ap, bp, c),
-            (4, 16) => tile_f32_4x16(kc, ap, bp, c),
-            (6, 8) => tile_f32_6x8(kc, ap, bp, c),
-            (6, 16) => tile_f32_6x16(kc, ap, bp, c),
-            (8, 8) => tile_f32_8x8(kc, ap, bp, c),
-            (8, 16) => tile_f32_8x16(kc, ap, bp, c),
-            _ => return false,
-        }
-    }
-    true
-}
+tile_dispatch!(
+    /// The AVX2/FMA f64 kernel set ([`super::FMA_MENU_F64`]).
+    tile_f64,
+    f64,
+    Isa::Fma,
+    (4, 4) => tile_f64_4x4,
+    (4, 8) => tile_f64_4x8,
+    (6, 4) => tile_f64_6x4,
+    (6, 8) => tile_f64_6x8,
+    (8, 4) => tile_f64_8x4,
+    (8, 8) => tile_f64_8x8,
+);
+
+tile_dispatch!(
+    /// The AVX2/FMA f32 kernel set ([`super::FMA_MENU_F32`]).
+    tile_f32,
+    f32,
+    Isa::Fma,
+    (4, 8) => tile_f32_4x8,
+    (4, 16) => tile_f32_4x16,
+    (6, 8) => tile_f32_6x8,
+    (6, 16) => tile_f32_6x16,
+    (8, 8) => tile_f32_8x8,
+    (8, 16) => tile_f32_8x16,
+);
+
+tile_dispatch!(
+    /// The AVX-512F f64 kernel set ([`super::AVX512_MENU_F64`]).
+    tile_f64_avx512,
+    f64,
+    Isa::Avx512,
+    (4, 16) => tile_f64_4x16_avx512,
+    (6, 16) => tile_f64_6x16_avx512,
+    (8, 16) => tile_f64_8x16_avx512,
+    (8, 24) => tile_f64_8x24_avx512,
+);
+
+tile_dispatch!(
+    /// The AVX-512F f32 kernel set ([`super::AVX512_MENU_F32`]).
+    tile_f32_avx512,
+    f32,
+    Isa::Avx512,
+    (4, 32) => tile_f32_4x32_avx512,
+    (6, 32) => tile_f32_6x32_avx512,
+    (8, 32) => tile_f32_8x32_avx512,
+    (8, 48) => tile_f32_8x48_avx512,
+);

@@ -8,15 +8,21 @@
 //! * `intrinsic` is fused (FMA rounds once per multiply-add), so it is
 //!   compared against `portable` within the analytic product tolerance,
 //!   and must be deterministic run-to-run.
+//! * Every tile on every intrinsic menu the host supports (AVX-512 and
+//!   AVX2 on an AVX-512 host) holds that contract through explicit
+//!   configs, whichever ISA the tuned rows resolve.
 //! * The op-counting `Tracked` scalar has no intrinsic kernels: all three
 //!   forced paths must produce the same bits *and* the same op ledger.
 
+use ata_kernels::calibrate::tuned_for_isa;
 use ata_kernels::micro::{
-    gemm_tn_micro_path, micro_path_for, syrk_ln_micro_path, KernelConfig, MicroPath,
+    gemm_tn_micro_path, gemm_tn_micro_path_with, micro_path_for, syrk_ln_micro_path,
+    syrk_ln_micro_path_with, KernelConfig, MicroPath,
 };
-use ata_kernels::simd;
+use ata_kernels::pack::PackBufs;
+use ata_kernels::simd::{self, Isa};
 use ata_mat::tracked::{measure, Tracked};
-use ata_mat::{gen, Matrix};
+use ata_mat::{gen, Matrix, Scalar};
 use proptest::prelude::*;
 
 const PRIMES: [usize; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
@@ -50,22 +56,91 @@ fn tol32(m: usize, n: usize) -> f64 {
     ata_mat::ops::product_tol::<f32>(m, n, m as f64) * 4.0
 }
 
-/// Bitwise equality for f64 matrices (stricter than `max_abs_diff == 0`:
-/// distinguishes `-0.0` from `0.0` and would catch NaN payload drift).
-fn bits_eq_f64(a: &Matrix<f64>, b: &Matrix<f64>) -> bool {
+/// Bitwise equality (stricter than `max_abs_diff == 0`: distinguishes
+/// `-0.0` from `0.0` and would catch NaN payload drift; widening f32 to
+/// f64 is exact, so the f64 bits identify the f32 ones).
+fn bits_eq<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> bool {
     a.shape() == b.shape()
         && a.as_slice()
             .iter()
             .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+            .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits())
 }
 
-fn bits_eq_f32(a: &Matrix<f32>, b: &Matrix<f32>) -> bool {
-    a.shape() == b.shape()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+/// Every tile on the intrinsic menus of `menus` that this host runs,
+/// tagged with its ISA.
+fn supported_tiles(menus: [(Isa, &'static [(usize, usize)]); 2]) -> Vec<(Isa, (usize, usize))> {
+    menus
+        .into_iter()
+        .filter(|&(isa, _)| simd::supports(isa))
+        .flat_map(|(isa, menu)| menu.iter().map(move |&tile| (isa, tile)))
+        .collect()
+}
+
+/// For each tile, run `gemm_tn` and `syrk_ln` on `MicroPath::Intrinsic`
+/// with an explicit config (a tiny multi-block one, or the tile's ISA
+/// row) and check them against `Portable` within the product tolerance,
+/// bitwise against a rerun, and — for `syrk` — for an untouched strict
+/// upper triangle.
+fn check_intrinsic_tiles<T: Scalar>(
+    tiles: &[(Isa, (usize, usize))],
+    (m, n, k): (usize, usize, usize),
+    tiny: bool,
+) {
+    let a = gen::standard::<T>(m as u64 * 7 + n as u64, m, n);
+    let b = gen::standard::<T>(k as u64 * 5 + 1, m, k);
+    let seed_gemm = gen::standard::<T>(17, n, k);
+    let seed_syrk = gen::standard::<T>(19, n, n);
+    let tol = ata_mat::ops::product_tol::<T>(m.max(n), n.max(k), m as f64) * 4.0;
+    let mut bufs = PackBufs::<T>::new();
+    for &(isa, (mr, nr)) in tiles {
+        let cfg = if tiny {
+            KernelConfig::new(mr, nr, 8, 2 * mr + 1, 2 * nr + 3)
+        } else {
+            KernelConfig {
+                mr,
+                nr,
+                ..tuned_for_isa::<T>(isa).kernel
+            }
+        };
+        let mut gemm = |path| {
+            let mut c = seed_gemm.clone();
+            let (av, bv) = (a.as_ref(), b.as_ref());
+            gemm_tn_micro_path_with(path, T::ONE, av, bv, &mut c.as_mut(), &cfg, &mut bufs);
+            c
+        };
+        let (fused, again, portable) = (
+            gemm(MicroPath::Intrinsic),
+            gemm(MicroPath::Intrinsic),
+            gemm(MicroPath::Portable),
+        );
+        let tag = format!("{} {} ({mr},{nr}) m={m} n={n} k={k}", isa.name(), T::NAME);
+        assert!(fused.max_abs_diff(&portable) <= tol, "gemm {tag}");
+        assert!(bits_eq(&fused, &again), "gemm rerun {tag}");
+
+        let mut syrk = |path| {
+            let mut c = seed_syrk.clone();
+            syrk_ln_micro_path_with(path, T::ONE, a.as_ref(), &mut c.as_mut(), &cfg, &mut bufs);
+            c
+        };
+        let (fused, again, portable) = (
+            syrk(MicroPath::Intrinsic),
+            syrk(MicroPath::Intrinsic),
+            syrk(MicroPath::Portable),
+        );
+        assert!(fused.max_abs_diff_lower(&portable) <= tol, "syrk {tag}");
+        assert!(bits_eq(&fused, &again), "syrk rerun {tag}");
+        for i in 0..n {
+            for j in i + 1..n {
+                let (got, seed) = (fused.as_ref().row(i)[j], seed_syrk.as_ref().row(i)[j]);
+                assert_eq!(
+                    got.to_f64().to_bits(),
+                    seed.to_f64().to_bits(),
+                    "syrk wrote the strict upper ({i},{j}) {tag}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -93,7 +168,7 @@ proptest! {
         gemm_tn_micro_path(
             MicroPath::Scalar, alpha, a.as_ref(), b.as_ref(), &mut c_scalar.as_mut(), &cfg,
         );
-        prop_assert!(bits_eq_f64(&c_portable, &c_scalar));
+        prop_assert!(bits_eq(&c_portable, &c_scalar));
     }
 
     #[test]
@@ -116,7 +191,7 @@ proptest! {
         gemm_tn_micro_path(
             MicroPath::Scalar, 1.0f32, a.as_ref(), b.as_ref(), &mut c_scalar.as_mut(), &cfg,
         );
-        prop_assert!(bits_eq_f32(&c_portable, &c_scalar));
+        prop_assert!(bits_eq(&c_portable, &c_scalar));
     }
 
     #[test]
@@ -137,7 +212,7 @@ proptest! {
         syrk_ln_micro_path(
             MicroPath::Scalar, 1.0, a.as_ref(), &mut c_scalar.as_mut(), &cfg,
         );
-        prop_assert!(bits_eq_f64(&c_portable, &c_scalar));
+        prop_assert!(bits_eq(&c_portable, &c_scalar));
     }
 
     #[test]
@@ -165,7 +240,7 @@ proptest! {
             gemm_tn_micro_path(
                 MicroPath::Scalar, 1.0, a21, b, &mut c_scalar.as_mut(), &cfg,
             );
-            prop_assert!(bits_eq_f64(&c_portable, &c_scalar));
+            prop_assert!(bits_eq(&c_portable, &c_scalar));
         }
     }
 
@@ -260,7 +335,26 @@ proptest! {
         gemm_tn_micro_path(
             MicroPath::Intrinsic, 1.0, a.as_ref(), b.as_ref(), &mut second.as_mut(), &cfg,
         );
-        prop_assert!(bits_eq_f64(&first, &second));
+        prop_assert!(bits_eq(&first, &second));
+    }
+
+    #[test]
+    fn every_supported_intrinsic_tile_matches_portable_and_is_deterministic(
+        m in 1usize..40,
+        n in 1usize..72,
+        k in 1usize..72,
+        tiny in 0usize..2,
+    ) {
+        let f64_tiles = supported_tiles([
+            (Isa::Avx512, simd::AVX512_MENU_F64),
+            (Isa::Fma, simd::FMA_MENU_F64),
+        ]);
+        check_intrinsic_tiles::<f64>(&f64_tiles, (m, n, k), tiny == 1);
+        let f32_tiles = supported_tiles([
+            (Isa::Avx512, simd::AVX512_MENU_F32),
+            (Isa::Fma, simd::FMA_MENU_F32),
+        ]);
+        check_intrinsic_tiles::<f32>(&f32_tiles, (m, n, k), tiny == 1);
     }
 
     #[test]
@@ -303,17 +397,30 @@ fn dispatch_is_coherent_with_the_detected_isa() {
     // the per-scalar menu must all tell the same story.
     let isa = simd::detected();
     assert_eq!(isa, simd::detected(), "detection is cached and stable");
+    assert!(simd::supports(isa));
     match isa {
-        simd::Isa::Fma => {
+        Isa::Avx512 => {
+            assert!(simd::has_kernels::<f64>());
+            assert!(simd::has_kernels::<f32>());
+            assert_eq!(simd::fma_menu::<f64>(), Some(simd::AVX512_MENU_F64));
+            assert_eq!(simd::fma_menu::<f32>(), Some(simd::AVX512_MENU_F32));
+            assert!(
+                simd::supports(Isa::Fma),
+                "AVX-512 hosts run the AVX2 tiles too"
+            );
+        }
+        Isa::Fma => {
             assert!(simd::has_kernels::<f64>());
             assert!(simd::has_kernels::<f32>());
             assert_eq!(simd::fma_menu::<f64>(), Some(simd::FMA_MENU_F64));
             assert_eq!(simd::fma_menu::<f32>(), Some(simd::FMA_MENU_F32));
+            assert!(!simd::supports(Isa::Avx512));
         }
-        simd::Isa::Generic => {
+        Isa::Generic => {
             assert!(!simd::has_kernels::<f64>());
             assert!(!simd::has_kernels::<f32>());
             assert_eq!(simd::fma_menu::<f64>(), None);
+            assert!(!simd::supports(Isa::Fma));
         }
     }
     // Tracked never has fused kernels and never resolves to Intrinsic,
