@@ -4,8 +4,8 @@
 //! Two layers:
 //!
 //! 1. Criterion groups — the blocking ablation for `gemm_tn` (packed
-//!    microkernel vs blocked rank-1 vs unblocked vs textbook oracle) and
-//!    the `syrk` triangle savings, for interactive runs.
+//!    microkernel vs blocked rank-1 vs textbook oracle) and the `syrk`
+//!    triangle savings, for interactive runs.
 //! 2. A `perf record` pass (schema 2) that times every
 //!    `(kernel, engine, dtype, n, isa, path)` combination directly and
 //!    writes `BENCH_kernels.json` at the workspace root — the
@@ -29,7 +29,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use ata_kernels::calibrate::{tuned_for_isa, tuned_for_path};
-use ata_kernels::gemm::{gemm_tn_blocked, gemm_tn_unblocked, BlockSizes};
+use ata_kernels::gemm::{gemm_tn_blocked, BlockSizes};
 use ata_kernels::micro::{
     gemm_tn_micro, gemm_tn_micro_path, micro_path_for, syrk_ln_micro, syrk_ln_micro_path,
     KernelConfig, MicroPath,
@@ -80,13 +80,6 @@ fn bench_gemm_blocking(c: &mut Criterion) {
                 black_box(out.as_slice()[0]);
             })
         });
-        group.bench_with_input(BenchmarkId::new("unblocked", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.as_mut().fill_zero();
-                gemm_tn_unblocked(1.0, a.as_ref(), b.as_ref(), &mut out.as_mut());
-                black_box(out.as_slice()[0]);
-            })
-        });
         group.bench_with_input(BenchmarkId::new("textbook", n), &n, |bch, _| {
             bch.iter(|| {
                 out.as_mut().fill_zero();
@@ -132,11 +125,11 @@ fn bench_syrk_vs_gemm(c: &mut Criterion) {
 ///
 /// `isa` is the host's detected instruction set and `path` the tile
 /// implementation a micro-engine entry ran on (`none` for the blocked
-/// and unblocked engines). Both are string fields, so `bench_gate`
-/// automatically folds them into each entry's identity: a record taken
-/// on a different ISA, or a dispatch change that silently moves a point
-/// to another tile path, surfaces as a new grid point instead of being
-/// compared metric-to-metric against a different kernel.
+/// engine). Both are string fields, so `bench_gate` automatically folds
+/// them into each entry's identity: a record taken on a different ISA,
+/// or a dispatch change that silently moves a point to another tile
+/// path, surfaces as a new grid point instead of being compared
+/// metric-to-metric against a different kernel.
 struct Rec {
     kernel: &'static str,
     engine: &'static str,
@@ -239,17 +232,6 @@ fn record_dtype<T: Scalar>(sizes: &[usize], recs: &mut Vec<Rec>) {
         });
         push(
             recs, "gemm_tn", "blocked", detected, "none", secs, gemm_flops,
-        );
-        let secs =
-            time_call(|| gemm_tn_unblocked(T::ONE, a.as_ref(), b.as_ref(), &mut out.as_mut()));
-        push(
-            recs,
-            "gemm_tn",
-            "unblocked",
-            detected,
-            "none",
-            secs,
-            gemm_flops,
         );
         let secs = time_call(|| {
             syrk_ln_blocked(T::ONE, a.as_ref(), &mut out.as_mut(), BlockSizes::default())

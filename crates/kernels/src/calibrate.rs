@@ -36,13 +36,12 @@
 //! malformed pairs are ignored; the override applies to every scalar
 //! type. An AVX2-menu tile (e.g. `mr=4,nr=8`) runs the AVX2 kernels on
 //! an AVX-512 host, since the tile picks the kernel set.
-//! `ATA_MICRO` selects the tile path (`intrinsic|portable|scalar`)
-//! or disables the packed engine entirely (`0`; see
-//! [`crate::micro::selected_path`]).
+//! `ATA_MICRO` selects the tile path (`intrinsic|portable|scalar`; see
+//! [`crate::micro::micro_path_for`]).
 
 use crate::gemm::{gemm_tn_blocked, BlockSizes};
 use crate::micro::{
-    gemm_tn_micro_with, micro_path_for, syrk_ln_micro_with, KernelConfig, MicroPath,
+    gemm_tn_micro_path_with, micro_path_for, syrk_ln_micro_path_with, KernelConfig, MicroPath,
     MICRO_MIN_VOLUME,
 };
 use crate::pack::PackBufs;
@@ -337,11 +336,12 @@ fn time_gemm<T: Scalar>(size: usize, cfg: &KernelConfig, bufs: &mut PackBufs<T>)
     fill_pattern(&mut b, 2);
     let av = MatRef::from_slice(&a, size, size);
     let bv = MatRef::from_slice(&b, size, size);
+    let path = micro_path_for::<T>();
     let mut samples = [0.0f64; 3];
     for s in samples.iter_mut() {
         let mut cv = MatMut::from_slice(&mut c, size, size);
         let t0 = Instant::now();
-        gemm_tn_micro_with(T::ONE, av, bv, &mut cv, cfg, bufs);
+        gemm_tn_micro_path_with(path, T::ONE, av, bv, &mut cv, cfg, bufs);
         *s = t0.elapsed().as_secs_f64();
     }
     samples.sort_by(f64::total_cmp);
@@ -397,11 +397,12 @@ fn time_syrk<T: Scalar>(size: usize, cfg: &KernelConfig, bufs: &mut PackBufs<T>)
     let mut c = vec![T::ZERO; size * size];
     fill_pattern(&mut a, 4);
     let av = MatRef::from_slice(&a, size, size);
+    let path = micro_path_for::<T>();
     let mut samples = [0.0f64; 3];
     for s in samples.iter_mut() {
         let mut cv = MatMut::from_slice(&mut c, size, size);
         let t0 = Instant::now();
-        syrk_ln_micro_with(T::ONE, av, &mut cv, cfg, bufs);
+        syrk_ln_micro_path_with(path, T::ONE, av, &mut cv, cfg, bufs);
         *s = t0.elapsed().as_secs_f64();
     }
     samples.sort_by(f64::total_cmp);
@@ -428,10 +429,14 @@ pub const BASE_SWEEP_SIZES: &[usize] = &[48, 64, 96, 128, 192, 256];
 /// alone (`7 t(s/2)` plus an axpy-priced block-sum term) — Strassen's
 /// mix, not Algorithm 1's — and mispriced the syrk leaves, which skip
 /// the strictly-upper half of every diagonal tile. The crossover `s*`
-/// is the smallest swept size where recursing wins; recursion should
-/// *stop* below it, i.e. when the operands fit `words = 2 * s*^2` cache
-/// words (the `ata_base` predicate `m*n + n*n <= words` on a square
-/// problem).
+/// is the smallest swept size where recursing wins, and the returned
+/// budget is `words = 2 * s*^2`.
+///
+/// The factor 2 counts an `n x n` output next to the input, but
+/// [`crate::CacheConfig::ata_base`] tests the input block alone
+/// (`m*n <= words`). On square problems this budget therefore keeps
+/// blocks up to `sqrt(2) * s*` (about `1.41 s*`) as base cases, not only
+/// those below `s*`. The baked `base_words` rows follow this convention.
 pub fn measure_base_words<T: Scalar>(kernel: &KernelConfig, quick: bool) -> usize {
     let sizes: &[usize] = if quick { &[48, 96] } else { BASE_SWEEP_SIZES };
     let mut bufs = PackBufs::new();

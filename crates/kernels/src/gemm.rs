@@ -47,9 +47,8 @@ impl BlockSizes {
 ///
 /// Dispatches to the packed register-blocked engine
 /// ([`crate::micro::gemm_tn_micro`]) with the measured per-scalar
-/// blocking from [`crate::calibrate`]; tiny products (and builds with
-/// `ATA_MICRO=0`) fall back to [`gemm_tn_blocked`] — see
-/// [`crate::micro::selected_path`].
+/// blocking from [`crate::calibrate`]; tiny products fall back to
+/// [`gemm_tn_blocked`] — see [`crate::micro::selected_path`].
 ///
 /// Shapes: `A: m x n`, `B: m x k`, `C: n x k`.
 ///
@@ -88,6 +87,23 @@ pub fn gemm_tn_blocked<T: Scalar>(
         "gemm_tn: C must be {n}x{k}, got {:?}",
         c.shape()
     );
+    blocked_nest(alpha, a, b, c, bs, false);
+}
+
+/// The tile loop behind [`gemm_tn_blocked`] and
+/// [`crate::syrk::syrk_ln_blocked`]: `C += alpha * A^T B`, or with
+/// `lower` (`B` is `A`, `C` is square) only its `i >= j` entries — each
+/// row of a tile stops at the diagonal, and the row tiles start at `jc`.
+pub(crate) fn blocked_nest<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    c: &mut MatMut<'_, T>,
+    bs: BlockSizes,
+    lower: bool,
+) {
+    let (m, n) = a.shape();
+    let k = b.cols();
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -96,7 +112,7 @@ pub fn gemm_tn_blocked<T: Scalar>(
     let mut jc = 0;
     while jc < k {
         let jn = (jc + bs.nc).min(k);
-        let mut ic = 0;
+        let mut ic = if lower { jc } else { 0 };
         while ic < n {
             let im = (ic + bs.mc).min(n);
             // C tile rows ic..im, cols jc..jn accumulate while A and B rows
@@ -108,7 +124,8 @@ pub fn gemm_tn_blocked<T: Scalar>(
                 let brow = &b.row(l)[jc..jn];
                 for (i, &ali) in arow.iter().enumerate() {
                     let s = if alpha_is_one { ali } else { alpha * ali };
-                    let crow = &mut c.row_mut(ic + i)[jc..jn];
+                    let end = if lower { jn.min(ic + i + 1) } else { jn };
+                    let crow = &mut c.row_mut(ic + i)[jc..end];
                     for (cv, &bv) in crow.iter_mut().zip(brow) {
                         *cv += s * bv;
                     }
@@ -117,37 +134,6 @@ pub fn gemm_tn_blocked<T: Scalar>(
             ic = im;
         }
         jc = jn;
-    }
-}
-
-/// Unblocked rank-1-update variant kept for the blocking ablation bench;
-/// semantically identical to [`gemm_tn`].
-pub fn gemm_tn_unblocked<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-) {
-    let (m, n) = a.shape();
-    let (mb, k) = b.shape();
-    assert_eq!(m, mb, "gemm_tn: A is {m}x{n} but B has {mb} rows");
-    assert_eq!(
-        c.shape(),
-        (n, k),
-        "gemm_tn: C must be {n}x{k}, got {:?}",
-        c.shape()
-    );
-    let alpha_is_one = alpha == T::ONE;
-    for l in 0..m {
-        let arow = a.row(l);
-        let brow = b.row(l);
-        for (i, &av) in arow.iter().enumerate() {
-            let s = if alpha_is_one { av } else { alpha * av };
-            let crow = c.row_mut(i);
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += s * bv;
-            }
-        }
     }
 }
 
@@ -196,17 +182,6 @@ mod tests {
     fn tiny_blocks_still_correct() {
         check_against_oracle(19, 23, 17, 1.0, BlockSizes::new(1, 1));
         check_against_oracle(19, 23, 17, 1.0, BlockSizes::new(2, 3));
-    }
-
-    #[test]
-    fn unblocked_matches_blocked() {
-        let a = gen::standard::<f64>(5, 24, 18);
-        let b = gen::standard::<f64>(6, 24, 20);
-        let mut c1 = Matrix::zeros(18, 20);
-        let mut c2 = Matrix::zeros(18, 20);
-        gemm_tn(1.0, a.as_ref(), b.as_ref(), &mut c1.as_mut());
-        gemm_tn_unblocked(1.0, a.as_ref(), b.as_ref(), &mut c2.as_mut());
-        assert!(c1.max_abs_diff(&c2) < 1e-12);
     }
 
     #[test]

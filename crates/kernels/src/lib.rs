@@ -9,18 +9,20 @@
 //! * [`gemm`] — `C += alpha * A^T B` without materializing `A^T`
 //!   (the `?gemm('T','N')` case used everywhere in the paper);
 //! * [`syrk`] — lower-triangular `C += alpha * A^T A`
-//!   (the `?syrk('L','T')` case);
+//!   (the `?syrk('L','T')` case), run as the gemm loop nest with
+//!   `B = A` under a lower-triangle mask;
 //! * [`pack`] / [`micro`] — the BLIS-style packed, register-blocked
 //!   engine both of the above dispatch to (Huang et al.'s prescription
-//!   for making Strassen leaves competitive), with the pre-engine loops
-//!   retained as the ablation fallback;
+//!   for making Strassen leaves competitive), with the pre-engine
+//!   blocked loops kept for products below the calibrated volume
+//!   cutoff;
 //! * [`calibrate`] — the measured per-scalar blocking table and
 //!   base-case cutoff model behind the engine's defaults;
 //! * [`par`] — rayon-parallel versions standing in for multi-threaded MKL
 //!   in the Figure 5/6 comparisons;
-//! * [`simd`] — explicit AVX2/FMA register kernels behind one-time
-//!   runtime CPU-feature detection, with the portable kernels as the
-//!   bit-identical fallback on machines without them.
+//! * [`simd`] — explicit AVX-512 and AVX2/FMA register kernels behind
+//!   one-time runtime CPU-feature detection, with the portable kernels
+//!   as the bit-identical fallback on machines without them.
 //!
 //! Absolute GFLOPs are below MKL's hand-tuned assembly, but every
 //! algorithm in the workspace — AtA and all baselines — calls these same

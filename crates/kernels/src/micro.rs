@@ -1,9 +1,9 @@
 //! The register-blocked microkernel engine (BLIS-style `GEMM`/`SYRK`).
 //!
 //! [`crate::gemm::gemm_tn`] and [`crate::syrk::syrk_ln`] dispatch onto
-//! this module by default (see [`selected_path`]); the pre-engine loops
-//! remain available as `gemm_tn_blocked` / `gemm_tn_unblocked` for
-//! ablation and as the op-counting reference.
+//! this module by default (see [`selected_path`]); below the calibrated
+//! volume cutoff they keep the pre-engine loops `gemm_tn_blocked` /
+//! `syrk_ln_blocked`.
 //!
 //! # Anatomy
 //!
@@ -22,6 +22,11 @@
 //!           microkernel: MR x NR accumulators in registers,
 //!           one fused multiply-add per (i, j, p)
 //! ```
+//!
+//! `syrk` is the same nest with `B = A` under a lower-triangle mask, as
+//! in BLIS `gemmt`: the `ic` loop starts at `jc` (every row above lies
+//! wholly above the diagonal), tiles above the diagonal are skipped, and
+//! tiles the diagonal cuts run a kernel that writes only `i >= j`.
 //!
 //! The microkernel keeps an `MR x NR` accumulator array in registers,
 //! seeded from `C` and written back once per `KC` block, so `C` traffic
@@ -179,54 +184,31 @@ impl MicroPath {
 /// [`crate::calibrate::Tuned::micro_min_volume`].
 pub const MICRO_MIN_VOLUME: usize = 4096;
 
-/// Parsed `ATA_MICRO` ablation switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MicroMode {
-    /// No override: engine on, best available tile path per scalar.
-    Auto,
-    /// `ATA_MICRO=0|off`: engine off, everything runs the blocked loops.
-    Off,
-    /// `ATA_MICRO=intrinsic|portable|scalar`: engine on, tile path pinned.
-    Force(MicroPath),
-}
-
-/// The process-wide `ATA_MICRO` setting (read once; unknown values fall
-/// back to `Auto` so stale scripts degrade to defaults, not to panics).
-fn micro_mode() -> MicroMode {
-    static MODE: OnceLock<MicroMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("ATA_MICRO").as_deref() {
-        Ok("0") | Ok("off") => MicroMode::Off,
-        Ok("intrinsic") => MicroMode::Force(MicroPath::Intrinsic),
-        Ok("portable") => MicroMode::Force(MicroPath::Portable),
-        Ok("scalar") => MicroMode::Force(MicroPath::Scalar),
-        _ => MicroMode::Auto,
+/// The tile path pinned by `ATA_MICRO=intrinsic|portable|scalar`, read
+/// once per process; unset or unknown values pin nothing, so stale
+/// scripts degrade to defaults, not to panics.
+fn forced_path() -> Option<MicroPath> {
+    static FORCED: OnceLock<Option<MicroPath>> = OnceLock::new();
+    *FORCED.get_or_init(|| match std::env::var("ATA_MICRO").as_deref() {
+        Ok("intrinsic") => Some(MicroPath::Intrinsic),
+        Ok("portable") => Some(MicroPath::Portable),
+        Ok("scalar") => Some(MicroPath::Scalar),
+        _ => None,
     })
-}
-
-/// True when `ATA_MICRO=0` disables the engine process-wide (the
-/// ablation/escape hatch; read once).
-fn micro_disabled() -> bool {
-    micro_mode() == MicroMode::Off
 }
 
 /// The tile path the engine resolves for scalar type `T` under the
 /// current `ATA_MICRO` setting and detected ISA.
 ///
-/// A forced `intrinsic` (and plain `Auto`) degrades gracefully to
+/// A forced `intrinsic` (and no pin at all) degrades gracefully to
 /// `Portable` when [`crate::simd`] has no kernels for `T` on this CPU —
 /// notably `Tracked` and the exact fields never reach intrinsics, which
 /// is what keeps their op-count contract independent of the host ISA.
 pub fn micro_path_for<T: Scalar>() -> MicroPath {
-    match micro_mode() {
-        MicroMode::Force(MicroPath::Scalar) => MicroPath::Scalar,
-        MicroMode::Force(MicroPath::Portable) => MicroPath::Portable,
-        MicroMode::Force(MicroPath::Intrinsic) | MicroMode::Auto | MicroMode::Off => {
-            if crate::simd::has_kernels::<T>() {
-                MicroPath::Intrinsic
-            } else {
-                MicroPath::Portable
-            }
-        }
+    match forced_path() {
+        Some(path @ (MicroPath::Portable | MicroPath::Scalar)) => path,
+        _ if crate::simd::has_kernels::<T>() => MicroPath::Intrinsic,
+        _ => MicroPath::Portable,
     }
 }
 
@@ -241,7 +223,7 @@ pub fn micro_path_for<T: Scalar>() -> MicroPath {
 /// gets a correspondingly higher cutoff.
 pub fn selected_path<T: Scalar>(m: usize, n: usize, k: usize) -> KernelPath {
     let volume = m.saturating_mul(n).saturating_mul(k);
-    if micro_disabled() || volume < crate::calibrate::tuned_for::<T>().micro_min_volume {
+    if volume < crate::calibrate::tuned_for::<T>().micro_min_volume {
         KernelPath::Blocked
     } else {
         KernelPath::Micro
@@ -334,13 +316,14 @@ fn full_tile<T: Scalar>(
     }
 }
 
-/// Full-size tile straddling the diagonal of a syrk block, on the
+/// Full-size tile straddling the diagonal of a syrk `C`, on the
 /// intrinsic path: run the fused kernel on the whole tile into a zeroed
 /// scratch, then accumulate only the lower-triangle entries into `C`.
+/// `(ir, jr)` is the tile's top-left position in `C`.
 ///
-/// This keeps the expensive straddle band — a constant fraction of every
-/// diagonal block — at fused speed instead of scalar speed, at the cost
-/// of one extra add per stored element. Only the intrinsic path takes
+/// This keeps the expensive straddle band — the tiles along the
+/// diagonal — at fused speed instead of scalar speed, at the cost of
+/// one extra add per stored element. Only the intrinsic path takes
 /// it: the portable/scalar paths keep the exact-op [`edge_tile`], so
 /// `Tracked` counts and portable bitwise behavior are unchanged. The
 /// scratch holds the largest tile on any intrinsic menu. `false` means
@@ -381,10 +364,14 @@ fn straddle_tile_intrinsic<T: Scalar>(
 /// Computes `c[ii, jj] (+)= sum_p ap[p, ii] * bp[p, jj]` for
 /// `ii < mr_eff`, `jj < jj_max(ii)` where the column cap enforces the
 /// lower-triangle constraint when `diag = Some((ir, jr))` (tile placed at
-/// rows `ir..`, cols `jr..` of a diagonal block: only `ir + ii >= jr + jj`
+/// rows `ir..`, cols `jr..` of a syrk `C`: only `ir + ii >= jr + jj`
 /// entries are touched). Performs exactly one multiply and one add per
 /// computed `(ii, jj, p)` triple — no padding arithmetic.
+///
+/// Not inlined, like [`kernel`]: inlined into the tile sweep, the
+/// scalar path (which runs every tile here) measured about 1.5x slower.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn edge_tile<T: Scalar>(
     kc: usize,
     mr: usize,
@@ -414,11 +401,15 @@ fn edge_tile<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------
-// Loop nests.
+// Loop nest.
 // ---------------------------------------------------------------------
 
 /// Sweep the packed `(apack, bpack)` block over the `C` block at
 /// `(row0, col0)` of extent `mc_eff x nc_eff`.
+///
+/// With `lower`, only entries on or below the diagonal of `C` are
+/// touched: each micro-column starts at the first micro-row that reaches
+/// the diagonal, and tiles the diagonal cuts go to the straddle kernels.
 #[allow(clippy::too_many_arguments)]
 fn sweep_tiles<T: Scalar>(
     path: MicroPath,
@@ -431,26 +422,94 @@ fn sweep_tiles<T: Scalar>(
     c: &mut MatMut<'_, T>,
     row0: usize,
     col0: usize,
+    lower: bool,
 ) {
     let (mr, nr) = (cfg.mr, cfg.nr);
     let mut jr = 0;
     while jr < nc_eff {
         let nr_eff = nr.min(nc_eff - jr);
         let bp = &bpack[(jr / nr) * kc_eff * nr..][..kc_eff * nr];
-        let mut ir = 0;
+        let j = col0 + jr;
+        let mut ir = if lower {
+            (j.saturating_sub(row0) / mr) * mr
+        } else {
+            0
+        };
         while ir < mc_eff {
             let mr_eff = mr.min(mc_eff - ir);
             let ap = &apack[(ir / mr) * kc_eff * mr..][..kc_eff * mr];
-            let mut ctile =
-                c.block_mut(row0 + ir, row0 + ir + mr_eff, col0 + jr, col0 + jr + nr_eff);
-            if mr_eff == mr && nr_eff == nr {
+            let i = row0 + ir;
+            let mut ctile = c.block_mut(i, i + mr_eff, j, j + nr_eff);
+            let full = mr_eff == mr && nr_eff == nr;
+            // Under the mask, the diagonal cuts a tile whose top row `i`
+            // lies above the diagonal entry of its last column.
+            let diag = (lower && i + 1 < j + nr_eff).then_some((i, j));
+            if full && diag.is_none() {
                 full_tile(path, mr, nr, kc_eff, ap, bp, &mut ctile);
+            } else if full
+                && diag.is_some()
+                && path == MicroPath::Intrinsic
+                && straddle_tile_intrinsic(mr, nr, kc_eff, ap, bp, &mut ctile, i, j)
+            {
+                // Fused straddle tile handled above.
             } else {
-                edge_tile(kc_eff, mr, nr, mr_eff, nr_eff, ap, bp, &mut ctile, None);
+                edge_tile(kc_eff, mr, nr, mr_eff, nr_eff, ap, bp, &mut ctile, diag);
             }
             ir += mr;
         }
         jr += nr;
+    }
+}
+
+/// The one packed loop nest behind [`gemm_tn_micro_path_with`] and
+/// [`syrk_ln_micro_path_with`]: `C += alpha * A^T B`, or with `lower`
+/// (`B` is `A`, `C` is square) only the lower triangle of it.
+///
+/// Each `B` panel is packed once per `(jc, pc)`. Under the mask the `ic`
+/// loop starts at `jc`, since every row above `jc` lies wholly above the
+/// diagonal of the `jc..jn` column block.
+#[allow(clippy::too_many_arguments)]
+fn macro_kernel<T: Scalar>(
+    path: MicroPath,
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    c: &mut MatMut<'_, T>,
+    cfg: &KernelConfig,
+    bufs: &mut PackBufs<T>,
+    lower: bool,
+) {
+    let (m, n) = a.shape();
+    let k = b.cols();
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let scale = PackScale::from_alpha(alpha);
+    let a_elems = packed_elems(cfg.kc.min(m), cfg.mc.min(n), cfg.mr);
+    let b_elems = packed_elems(cfg.kc.min(m), cfg.nc.min(k), cfg.nr);
+    let (apack, bpack) = bufs.split(a_elems, b_elems);
+
+    let mut jc = 0;
+    while jc < k {
+        let jn = (jc + cfg.nc).min(k);
+        let mut pc = 0;
+        while pc < m {
+            let pe = (pc + cfg.kc).min(m);
+            let kc_eff = pe - pc;
+            pack_panels_par(b.block(pc, pe, jc, jn), cfg.nr, scale, bpack);
+            let mut ic = if lower { jc } else { 0 };
+            while ic < n {
+                let im = (ic + cfg.mc).min(n);
+                pack_panels(a.block(pc, pe, ic, im), cfg.mr, PackScale::One, apack);
+                let (mc_eff, nc_eff) = (im - ic, jn - jc);
+                sweep_tiles(
+                    path, cfg, kc_eff, mc_eff, nc_eff, apack, bpack, c, ic, jc, lower,
+                );
+                ic = im;
+            }
+            pc = pe;
+        }
+        jc = jn;
     }
 }
 
@@ -480,51 +539,7 @@ pub fn gemm_tn_micro_path_with<T: Scalar>(
         "gemm_tn: C must be {n}x{k}, got {:?}",
         c.shape()
     );
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let scale = PackScale::from_alpha(alpha);
-    let a_elems = packed_elems(cfg.kc.min(m), cfg.mc.min(n), cfg.mr);
-    let b_elems = packed_elems(cfg.kc.min(m), cfg.nc.min(k), cfg.nr);
-    let (apack, bpack) = bufs.split(a_elems, b_elems);
-
-    let mut jc = 0;
-    while jc < k {
-        let jn = (jc + cfg.nc).min(k);
-        let mut pc = 0;
-        while pc < m {
-            let pe = (pc + cfg.kc).min(m);
-            let kc_eff = pe - pc;
-            pack_panels_par(b.block(pc, pe, jc, jn), cfg.nr, scale, bpack);
-            let mut ic = 0;
-            while ic < n {
-                let im = (ic + cfg.mc).min(n);
-                pack_panels(a.block(pc, pe, ic, im), cfg.mr, PackScale::One, apack);
-                sweep_tiles(path, cfg, kc_eff, im - ic, jn - jc, apack, bpack, c, ic, jc);
-                ic = im;
-            }
-            pc = pe;
-        }
-        jc = jn;
-    }
-}
-
-/// `C += alpha * A^T B` through the packed engine, with caller-provided
-/// packing buffers, on the tile path resolved by [`micro_path_for`].
-///
-/// Shapes: `A: m x n`, `B: m x k`, `C: n x k`.
-///
-/// # Panics
-/// On inconsistent shapes.
-pub fn gemm_tn_micro_with<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cfg: &KernelConfig,
-    bufs: &mut PackBufs<T>,
-) {
-    gemm_tn_micro_path_with(micro_path_for::<T>(), alpha, a, b, c, cfg, bufs);
+    macro_kernel(path, alpha, a, b, c, cfg, bufs, false);
 }
 
 /// [`gemm_tn_micro_path_with`] using this thread's cached packing
@@ -540,7 +555,8 @@ pub fn gemm_tn_micro_path<T: Scalar>(
     with_thread_bufs(|bufs| gemm_tn_micro_path_with(path, alpha, a, b, c, cfg, bufs));
 }
 
-/// [`gemm_tn_micro_with`] using this thread's cached packing buffers.
+/// [`gemm_tn_micro_path`] on the tile path resolved by
+/// [`micro_path_for`].
 pub fn gemm_tn_micro<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -548,16 +564,16 @@ pub fn gemm_tn_micro<T: Scalar>(
     c: &mut MatMut<'_, T>,
     cfg: &KernelConfig,
 ) {
-    with_thread_bufs(|bufs| gemm_tn_micro_with(alpha, a, b, c, cfg, bufs));
+    gemm_tn_micro_path(micro_path_for::<T>(), alpha, a, b, c, cfg);
 }
 
 /// Lower-triangular `C += alpha * A^T A` through the packed engine on an
 /// explicit tile path, with caller-provided packing buffers.
 ///
-/// Strictly-lower rectangular blocks reuse the gemm loop nest; diagonal
-/// blocks run micro-tiles below the diagonal at full speed and straddling
-/// tiles through the bounds-aware kernel, so only `i >= j` entries are
-/// read or written and the flop count stays the exact triangle count.
+/// This is the gemm loop nest with `B = A` under a lower-triangle mask:
+/// tiles below the diagonal run at full speed and straddling tiles
+/// through the straddle kernels, so only `i >= j` entries are read or
+/// written and the flop count stays the exact triangle count.
 ///
 /// Shapes: `A: m x n`, `C: n x n`.
 ///
@@ -571,99 +587,14 @@ pub fn syrk_ln_micro_path_with<T: Scalar>(
     cfg: &KernelConfig,
     bufs: &mut PackBufs<T>,
 ) {
-    let (m, n) = a.shape();
+    let n = a.cols();
     assert_eq!(
         c.shape(),
         (n, n),
         "syrk_ln: C must be {n}x{n}, got {:?}",
         c.shape()
     );
-    if m == 0 || n == 0 {
-        return;
-    }
-    let scale = PackScale::from_alpha(alpha);
-    let (mr, nr) = (cfg.mr, cfg.nr);
-
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + cfg.mc).min(n);
-        // Strictly-lower rectangle of this block row:
-        // C[i0..i1, 0..i0] += alpha * A[:, i0..i1]^T A[:, 0..i0].
-        if i0 > 0 {
-            let a_i = a.block(0, m, i0, i1);
-            let a_j = a.block(0, m, 0, i0);
-            let mut c_blk = c.block_mut(i0, i1, 0, i0);
-            gemm_tn_micro_path_with(path, alpha, a_i, a_j, &mut c_blk, cfg, bufs);
-        }
-        // Diagonal block C[i0..i1, i0..i1], lower part only. Both packed
-        // operands come from the same A columns; micro-tiles entirely
-        // below the diagonal take the fast kernel.
-        let t = i1 - i0;
-        let a_elems = packed_elems(cfg.kc.min(m), t, mr);
-        let b_elems = packed_elems(cfg.kc.min(m), t, nr);
-        let mut pc = 0;
-        while pc < m {
-            let pe = (pc + cfg.kc).min(m);
-            let kc_eff = pe - pc;
-            let atile = a.block(pc, pe, i0, i1);
-            let (apack, bpack) = bufs.split(a_elems, b_elems);
-            pack_panels(atile, mr, PackScale::One, apack);
-            pack_panels(atile, nr, scale, bpack);
-            let mut jr = 0;
-            while jr < t {
-                let nr_eff = nr.min(t - jr);
-                let bp = &bpack[(jr / nr) * kc_eff * nr..][..kc_eff * nr];
-                // First micro-row containing any i >= j entry.
-                let mut ir = (jr / mr) * mr;
-                while ir < t {
-                    let mr_eff = mr.min(t - ir);
-                    let ap = &apack[(ir / mr) * kc_eff * mr..][..kc_eff * mr];
-                    let mut ctile =
-                        c.block_mut(i0 + ir, i0 + ir + mr_eff, i0 + jr, i0 + jr + nr_eff);
-                    if mr_eff == mr && nr_eff == nr && ir >= jr + nr - 1 {
-                        full_tile(path, mr, nr, kc_eff, ap, bp, &mut ctile);
-                    } else if mr_eff == mr
-                        && nr_eff == nr
-                        && path == MicroPath::Intrinsic
-                        && straddle_tile_intrinsic(mr, nr, kc_eff, ap, bp, &mut ctile, ir, jr)
-                    {
-                        // Fused straddle tile handled above.
-                    } else {
-                        edge_tile(
-                            kc_eff,
-                            mr,
-                            nr,
-                            mr_eff,
-                            nr_eff,
-                            ap,
-                            bp,
-                            &mut ctile,
-                            Some((ir, jr)),
-                        );
-                    }
-                    ir += mr;
-                }
-                jr += nr;
-            }
-            pc = pe;
-        }
-        i0 = i1;
-    }
-}
-
-/// Lower-triangular `C += alpha * A^T A` with caller-provided packing
-/// buffers, on the tile path resolved by [`micro_path_for`].
-///
-/// # Panics
-/// On inconsistent shapes.
-pub fn syrk_ln_micro_with<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cfg: &KernelConfig,
-    bufs: &mut PackBufs<T>,
-) {
-    syrk_ln_micro_path_with(micro_path_for::<T>(), alpha, a, c, cfg, bufs);
+    macro_kernel(path, alpha, a, a, c, cfg, bufs, true);
 }
 
 /// [`syrk_ln_micro_path_with`] using this thread's cached packing
@@ -678,14 +609,15 @@ pub fn syrk_ln_micro_path<T: Scalar>(
     with_thread_bufs(|bufs| syrk_ln_micro_path_with(path, alpha, a, c, cfg, bufs));
 }
 
-/// [`syrk_ln_micro_with`] using this thread's cached packing buffers.
+/// [`syrk_ln_micro_path`] on the tile path resolved by
+/// [`micro_path_for`].
 pub fn syrk_ln_micro<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
     c: &mut MatMut<'_, T>,
     cfg: &KernelConfig,
 ) {
-    with_thread_bufs(|bufs| syrk_ln_micro_with(alpha, a, c, cfg, bufs));
+    syrk_ln_micro_path(micro_path_for::<T>(), alpha, a, c, cfg);
 }
 
 #[cfg(test)]

@@ -6,12 +6,14 @@
 //! halving the flops of a general product, exactly like the BLAS routine
 //! it replaces.
 //!
-//! Blocking mirrors [`crate::gemm`]: the strictly-lower rectangular tiles
-//! reuse the gemm tile kernel on column-strip views of `A`; diagonal tiles
-//! use a dedicated triangular kernel whose inner `axpy` runs over the
-//! `j <= i` prefix of the row — still unit-stride, still vectorizable.
+//! Both engines run their gemm loop nest with `B = A` under a
+//! lower-triangle mask, as BLIS `gemmt` does: the packed engine through
+//! [`crate::micro::syrk_ln_micro_path_with`], the blocked loops through
+//! [`syrk_ln_blocked`]. Tiles wholly above the diagonal are never
+//! visited, and tiles the diagonal cuts touch only their `i >= j`
+//! entries.
 
-use crate::gemm::{gemm_tn_blocked, BlockSizes};
+use crate::gemm::{blocked_nest, BlockSizes};
 use ata_mat::{MatMut, MatRef, Scalar};
 
 /// `C_low += alpha * A^T A` — the workspace's default `?syrk('L','T')`.
@@ -19,8 +21,8 @@ use ata_mat::{MatMut, MatRef, Scalar};
 /// Dispatches to the packed register-blocked engine
 /// ([`crate::micro::syrk_ln_micro`], diagonal tiles included) with the
 /// measured per-scalar blocking from [`crate::calibrate`]; tiny updates
-/// (and builds with `ATA_MICRO=0`) fall back to [`syrk_ln_blocked`] —
-/// see [`crate::micro::selected_path`].
+/// fall back to [`syrk_ln_blocked`] — see
+/// [`crate::micro::selected_path`].
 ///
 /// Shapes: `A: m x n`, `C: n x n` (only `i >= j` entries touched).
 ///
@@ -84,7 +86,9 @@ pub fn syrk_ln_beta<T: Scalar>(alpha: T, beta: T, a: MatRef<'_, T>, c: &mut MatM
     syrk_ln(alpha, a, c);
 }
 
-/// `C_low += alpha * A^T A` with explicit blocking parameters.
+/// `C_low += alpha * A^T A` with explicit blocking parameters: the
+/// [`crate::gemm::gemm_tn_blocked`] tile loop with `B = A`, each tile
+/// row stopping at the diagonal.
 ///
 /// # Panics
 /// On inconsistent shapes.
@@ -94,50 +98,14 @@ pub fn syrk_ln_blocked<T: Scalar>(
     c: &mut MatMut<'_, T>,
     bs: BlockSizes,
 ) {
-    let (m, n) = a.shape();
+    let n = a.cols();
     assert_eq!(
         c.shape(),
         (n, n),
         "syrk_ln: C must be {n}x{n}, got {:?}",
         c.shape()
     );
-    if m == 0 || n == 0 {
-        return;
-    }
-
-    // Tile C's lower triangle in square MC x MC blocks by block-row.
-    let tile = bs.mc.max(1);
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + tile).min(n);
-        // Strictly-lower rectangular part of this block row:
-        // C[i0..i1, 0..i0] += alpha * A[:, i0..i1]^T A[:, 0..i0].
-        if i0 > 0 {
-            let a_i = a.block(0, m, i0, i1);
-            let a_j = a.block(0, m, 0, i0);
-            let mut c_blk = c.block_mut(i0, i1, 0, i0);
-            gemm_tn_blocked(alpha, a_i, a_j, &mut c_blk, bs);
-        }
-        // Diagonal tile: triangular kernel.
-        let alpha_is_one = alpha == T::ONE;
-        for l in 0..m {
-            let arow = a.row(l);
-            for i in i0..i1 {
-                let s = if alpha_is_one {
-                    arow[i]
-                } else {
-                    alpha * arow[i]
-                };
-                // C[i, i0..=i] += s * A[l, i0..=i]
-                let src = &arow[i0..=i];
-                let dst = &mut c.row_mut(i)[i0..=i];
-                for (cv, &av) in dst.iter_mut().zip(src) {
-                    *cv += s * av;
-                }
-            }
-        }
-        i0 = i1;
-    }
+    blocked_nest(alpha, a, a, c, bs, true);
 }
 
 /// Balanced partition of the rows of an `n x n` lower triangle into `p`

@@ -200,19 +200,30 @@ proptest! {
         m0 in 1usize..48,
         n0 in 1usize..48,
     ) {
+        // Syrk is the gemm loop nest under a lower-triangle mask, so on
+        // the unfused paths its lower triangle must carry the very bits
+        // of `gemm_tn` with `B = A` — on a contiguous `A` and on a column
+        // block of a wider matrix (the strided view AtA's leaves read).
         let (m, n, _) = shape(class, m0, n0, 1, n0 + 1);
         let a = gen::standard::<f64>(m as u64 * 3 + n as u64, m, n);
+        let wide = gen::standard::<f64>(m as u64 * 5 + n as u64, m, 3 * n);
         let seed_c = gen::standard::<f64>(11, n, n);
         let cfg = config(class % 2 == 0, 4, 8);
-        let mut c_portable = seed_c.clone();
-        let mut c_scalar = seed_c;
-        syrk_ln_micro_path(
-            MicroPath::Portable, 1.0, a.as_ref(), &mut c_portable.as_mut(), &cfg,
-        );
-        syrk_ln_micro_path(
-            MicroPath::Scalar, 1.0, a.as_ref(), &mut c_scalar.as_mut(), &cfg,
-        );
-        prop_assert!(bits_eq(&c_portable, &c_scalar));
+        for a in [a.as_ref(), wide.as_ref().block(0, m, n, 2 * n)] {
+            let mut c_portable = seed_c.clone();
+            let mut c_scalar = seed_c.clone();
+            let mut c_gemm = seed_c.clone();
+            syrk_ln_micro_path(MicroPath::Portable, 1.0, a, &mut c_portable.as_mut(), &cfg);
+            syrk_ln_micro_path(MicroPath::Scalar, 1.0, a, &mut c_scalar.as_mut(), &cfg);
+            gemm_tn_micro_path(MicroPath::Portable, 1.0, a, a, &mut c_gemm.as_mut(), &cfg);
+            prop_assert!(bits_eq(&c_portable, &c_scalar));
+            for i in 0..n {
+                let (syrk_row, gemm_row) = (c_portable.as_ref().row(i), c_gemm.as_ref().row(i));
+                for j in 0..=i {
+                    prop_assert_eq!(syrk_row[j].to_bits(), gemm_row[j].to_bits(), "({}, {})", i, j);
+                }
+            }
+        }
     }
 
     #[test]
