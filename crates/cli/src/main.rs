@@ -17,7 +17,8 @@
 //!            [--rows M] [--cols N] [--budget R] [--seed S0]
 //! ata verify --input FILE [--threads T]                     AtA vs naive oracle
 //! ata info   --input FILE                                   shape and norms
-//! ata calibrate [--quick 1]                                 measure kernel tuning table
+//! ata calibrate [--quick 1]                                 measure kernel tuning table and
+//!                                                           the Strassen cutoff
 //! ```
 //!
 //! All AtA variants run through one [`AtaContext`]: `--threads` selects
@@ -40,9 +41,11 @@
 #![forbid(unsafe_code)]
 
 use ata::shard::{JobError, RetryPolicy, ShardedServiceBuilder, SplitChaos};
+use ata::strassen::calibrate as strassen_calibrate;
 use ata::{AtaContext, Backend, GramAccumulator, ManualClock, Output, WireFormat};
+use ata_kernels::calibrate::{self, Tuned};
 use ata_kernels::syrk_ln;
-use ata_mat::{gen, io, reference, Matrix};
+use ata_mat::{gen, io, reference, Matrix, Scalar};
 use ata_mpisim::CostModel;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -615,53 +618,24 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the kernel calibration sweeps and print the measured table in
-/// the shape of `ata_kernels::calibrate`'s baked records, so new
-/// hardware can be re-tuned by pasting the output over the constants
-/// (or exporting `ATA_KERNEL_PARAMS`).
+/// Run the calibration sweeps and print the measured table in the shape
+/// of `ata_kernels::calibrate`'s baked records, so new hardware can be
+/// re-tuned by pasting the output over the constants (or exporting
+/// `ATA_KERNEL_PARAMS`). The kernel half of a row comes from
+/// `ata_kernels::calibrate`, its `base_words` from the Strassen cutoff
+/// sweep in `ata_strassen::calibrate`.
 fn cmd_calibrate(args: &Args) -> Result<(), String> {
     let quick = args.usize("quick", 0)? != 0;
     println!(
-        "calibrating packed-kernel parameters ({} sweep, single thread)...",
+        "calibrating kernel parameters and the Strassen cutoff ({} sweep, single thread)...",
         if quick { "quick" } else { "full" }
     );
     println!(
         "detected isa: {} (force a path with ATA_MICRO=intrinsic|portable|scalar)",
         ata_kernels::simd::detected().name()
     );
-    let f64_path = ata_kernels::micro::micro_path_for::<f64>();
-    let f32_path = ata_kernels::micro::micro_path_for::<f32>();
-    let f64_t = ata_kernels::calibrate::measure::<f64>(quick);
-    let f32_t = ata_kernels::calibrate::measure::<f32>(quick);
-    for (name, path, menu, t) in [
-        (
-            "f64",
-            f64_path,
-            ata_kernels::calibrate::menu_for::<f64>(),
-            f64_t,
-        ),
-        (
-            "f32",
-            f32_path,
-            ata_kernels::calibrate::menu_for::<f32>(),
-            f32_t,
-        ),
-    ] {
-        let k = t.kernel;
-        println!(
-            "{name} ({} path, {}-tile menu): mr={} nr={} kc={} mc={} nc={} base_words={} \
-             micro_min_volume={}",
-            path.name(),
-            menu.len(),
-            k.mr,
-            k.nr,
-            k.kc,
-            k.mc,
-            k.nc,
-            t.base_words,
-            t.micro_min_volume
-        );
-    }
+    let f64_t = calibrate_row::<f64>(quick);
+    calibrate_row::<f32>(quick);
     println!(
         "override per run with ATA_KERNEL_PARAMS=\"mr={},nr={},kc={},mc={},nc={},words={},volume={}\"",
         f64_t.kernel.mr,
@@ -673,6 +647,42 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
         f64_t.micro_min_volume
     );
     Ok(())
+}
+
+/// Measure and print one scalar type's row: the tile and blocking
+/// sweep, the micro-vs-blocked volume crossover, and the Strassen
+/// cutoff with its per-order level / `gemm_tn` time ratios.
+fn calibrate_row<T: Scalar>(quick: bool) -> Tuned {
+    let kernel = calibrate::measure_kernel::<T>(quick);
+    let micro_min_volume = calibrate::measure_min_volume::<T>(&kernel, quick);
+    let sweep = strassen_calibrate::measure_cutoff::<T>(quick);
+    let ratios: Vec<String> = sweep.iter().map(|(g, r)| format!("{g}: {r:.3}")).collect();
+    println!(
+        "{} cutoff sweep, Strassen level / gemm_tn median time (wins at <= {}): {}",
+        T::NAME,
+        strassen_calibrate::LEVEL_WIN,
+        ratios.join(", ")
+    );
+    let t = Tuned {
+        kernel,
+        base_words: strassen_calibrate::cutoff_words(&sweep),
+        micro_min_volume,
+    };
+    println!(
+        "{} ({} path, {}-tile menu): mr={} nr={} kc={} mc={} nc={} base_words={} \
+         micro_min_volume={}",
+        T::NAME,
+        ata_kernels::micro::micro_path_for::<T>().name(),
+        calibrate::menu_for::<T>().len(),
+        kernel.mr,
+        kernel.nr,
+        kernel.kc,
+        kernel.mc,
+        kernel.nc,
+        t.base_words,
+        t.micro_min_volume
+    );
+    t
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {

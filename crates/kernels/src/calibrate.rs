@@ -2,19 +2,20 @@
 //!
 //! The pre-engine kernels ran with one guessed blocking (`MC = 32`,
 //! `NC = 256`) and one guessed recursion cutoff (32768 cache words) for
-//! every scalar type. This module replaces the guesses with a *measured*
-//! model, in two layers:
+//! every scalar type. This module replaces the guesses with measured
+//! values, in two layers:
 //!
 //! 1. [`tuned_for`] — the zero-cost lookup the kernel entry points use.
-//!    It returns a per-scalar [`Tuned`] record from a table measured
-//!    with [`measure`] (regenerate any time with `ata calibrate`), after
-//!    applying the `ATA_KERNEL_PARAMS` environment override.
-//! 2. [`measure`] — the calibration run itself: sweeps the register-tile
-//!    menu and the `KC/MC/NC` grid with wall-clock timings at sizes some
-//!    menu tiles leave ragged edges on, then locates
-//!    the AtA base-case crossover (the problem size where one
-//!    Algorithm 1 recursion level — four half-size syrk leaves plus two
-//!    half-size products — stops beating a single syrk leaf).
+//!    It returns a per-scalar [`Tuned`] record from a table measured by
+//!    `ata calibrate`, after applying the `ATA_KERNEL_PARAMS`
+//!    environment override.
+//! 2. The sweeps behind the kernel half of a row: [`measure_kernel`]
+//!    times the register-tile menu and the `KC/MC/NC` grid at sizes some
+//!    menu tiles leave ragged edges on, and [`measure_min_volume`] finds
+//!    where the packed engine starts beating the blocked loops. The row's
+//!    [`Tuned::base_words`] is measured by `ata_strassen::calibrate`,
+//!    which owns the recursion that budget gates; `ata calibrate`
+//!    assembles the row from both.
 //!
 //! # Per-ISA tables
 //!
@@ -41,8 +42,7 @@
 
 use crate::gemm::{gemm_tn_blocked, BlockSizes};
 use crate::micro::{
-    gemm_tn_micro_path_with, micro_path_for, syrk_ln_micro_path_with, KernelConfig, MicroPath,
-    MICRO_MIN_VOLUME,
+    gemm_tn_micro_path_with, micro_path_for, KernelConfig, MicroPath, MICRO_MIN_VOLUME,
 };
 use crate::pack::PackBufs;
 use crate::simd::Isa;
@@ -57,7 +57,9 @@ pub struct Tuned {
     pub kernel: KernelConfig,
     /// Cache-word budget at which the Strassen-style recursions stop
     /// splitting and call the packed kernel (the measured crossover,
-    /// in elements; see [`crate::CacheConfig`]).
+    /// in elements; see [`crate::CacheConfig`]). Measured by
+    /// `ata_strassen::calibrate`: `2 g²` for the largest square order
+    /// `g` that a Strassen level does not beat `gemm_tn` at.
     pub base_words: usize,
     /// Minimum flop volume (`m * n * k`) at which the packed engine
     /// beats the blocked rank-1 loops for this scalar/path — below it
@@ -67,7 +69,7 @@ pub struct Tuned {
 
 /// Measured on the development container (Intel Xeon @ 2.10 GHz,
 /// baseline x86-64 SSE2 codegen, single thread) via
-/// `ATA_MICRO=portable ata calibrate`. Re-run [`measure`] on new
+/// `ATA_MICRO=portable ata calibrate`. Re-run `ata calibrate` on new
 /// hardware and update these records.
 const TUNED_F64: Tuned = Tuned {
     kernel: KernelConfig {
@@ -146,48 +148,49 @@ const TUNED_F32_FMA: Tuned = Tuned {
 };
 
 /// Fused-kernel row for f64 under [`Isa::Avx512`], measured on a
-/// 2-vCPU Intel Xeon host with AVX-512F (single thread) by six full
-/// `ata calibrate` runs: the 8 x 16 tile (16 accumulator vectors, 2 B
-/// vectors, 1 broadcast) won five of the six, with `kc = 128` in all
-/// six and `nc = 256` in five. The runs split `mc` 64 / 128 four to
-/// two; timing the leaves the AtA recursion reaches on a 2048-wide
-/// input (a 256 x 128 x 128 `gemm_tn` and a 512 x 256 `syrk_ln`, both
-/// read at row stride 2048) settled it for 128: 31-34 GF/s gemm and
-/// 27-34 GF/s syrk, against 31-32 / 23-24 at `mc = 64` and
-/// 17-21 / 13-14 for the `TUNED_F64_FMA` tile on the same host.
+/// 2-vCPU Intel Xeon host with AVX-512F (single thread) by `ata
+/// calibrate`. The 8 x 16 tile (16 accumulator vectors, 2 B vectors, 1
+/// broadcast) and `nc = 256` come from six runs that swept tiles at
+/// 192 and 256, and won again in ten runs that also swept 768 (8 and 9
+/// of the ten). Those ten moved `kc` from 128 to 256 (six of ten); `mc`
+/// stays 128, since they split it 64 / 128 / 32 four, four and two.
 const TUNED_F64_AVX512: Tuned = Tuned {
     kernel: KernelConfig {
         mr: 8,
         nr: 16,
-        kc: 128,
+        kc: 256,
         mc: 128,
         nc: 256,
     },
-    // Five of the six runs measured 131072; the sixth (18432) was timing
-    // noise. Equal to the AVX2 row, so the Strassen recursion depth, and
-    // with it every op count, is the same on both ISAs.
-    base_words: 131_072,
-    // All six runs measured 24^3 + 1. The packing-overhead floor is
-    // kept anyway so the same products take the blocked loops as under
-    // the AVX2 row.
+    // 2 * 768^2: the mode (five of ten runs at this blocking) of the
+    // Strassen cutoff sweep, where one level first beat `gemm_tn` by 5%
+    // at g* = 1024. Larger than the AVX2 and portable rows, so the
+    // recursion depth, and with it the op counts, differ between ISAs.
+    base_words: 1_179_648,
+    // Most runs measured 24^3 + 1. The packing-overhead floor is kept
+    // anyway so the same products take the blocked loops as under the
+    // AVX2 row.
     micro_min_volume: MICRO_MIN_VOLUME,
 };
 
 /// Fused-kernel row for f32 under [`Isa::Avx512`] (see
-/// [`TUNED_F64_AVX512`]): the 8 x 32 tile won all six runs, with
-/// `kc = 128`, `mc = 128` in four and `nc = 256` in all six (61-67
-/// GF/s gemm, 45-48 GF/s syrk at the leaf shapes above).
+/// [`TUNED_F64_AVX512`]): the 8 x 32 tile and `nc = 256` won the six
+/// earlier runs and again 6 and 9 of the ten runs that swept 768,
+/// which also moved `kc` from 128 to 256 (six of ten) and split `mc`
+/// 32 / 128 / 64 five, four and one (kept at 128).
 const TUNED_F32_AVX512: Tuned = Tuned {
     kernel: KernelConfig {
         mr: 8,
         nr: 32,
-        kc: 128,
+        kc: 256,
         mc: 128,
         nc: 256,
     },
-    base_words: 131_072,
-    // Measured in all six runs: 32-column tiles leave a 16-column
-    // ragged strip at n = 48, where the blocked loops still win.
+    // 2 * 1024^2: the mode (three of ten runs at this blocking) of the
+    // cutoff sweep, a first 5% win at g* = 1536.
+    base_words: 2_097_152,
+    // Measured in every run: 32-column tiles leave a 16-column ragged
+    // strip at n = 48, where the blocked loops still win.
     micro_min_volume: 48 * 48 * 48 + 1,
 };
 
@@ -350,12 +353,12 @@ fn time_gemm<T: Scalar>(size: usize, cfg: &KernelConfig, bufs: &mut PackBufs<T>)
 }
 
 /// Square sizes the full tile sweep times each candidate at. 192 is
-/// divisible by every menu tile; 256 is the f64 leaf order
-/// `sqrt(base_words / 2)` the AtA recursion bottoms out at, and tiles
-/// that do not divide it (`6 x _`, `_ x 24`, `_ x 48`) pay for the
-/// ragged strip they leave on the scalar edge kernel there, as they do
-/// on the power-of-two leaves.
-const KERNEL_SWEEP_SIZES: &[usize] = &[192, 256];
+/// divisible by every menu tile; tiles that do not divide 256 (`6 x _`,
+/// `_ x 24`, `_ x 48`) pay there for the ragged strip they leave on the
+/// scalar edge kernel, as they do on the power-of-two leaves. 768 is the
+/// f64 leaf order `sqrt(base_words / 2)` of the AVX-512 row: the largest
+/// square product the Strassen recursion keeps as one `gemm_tn` call.
+const KERNEL_SWEEP_SIZES: &[usize] = &[192, 256, 768];
 
 /// Sweep the register-tile menu and a coarse `KC/MC/NC` grid, returning
 /// the fastest [`KernelConfig`] by square-gemm time summed over
@@ -387,71 +390,6 @@ pub fn measure_kernel<T: Scalar>(quick: bool) -> KernelConfig {
         }
     }
     best.1
-}
-
-/// Median-of-three wall-clock seconds of one syrk-leaf rank update
-/// `C_low += A^T A` at `m = n = size` under `cfg` — the base case the
-/// AtA recursion actually bottoms out in.
-fn time_syrk<T: Scalar>(size: usize, cfg: &KernelConfig, bufs: &mut PackBufs<T>) -> f64 {
-    let mut a = vec![T::ZERO; size * size];
-    let mut c = vec![T::ZERO; size * size];
-    fill_pattern(&mut a, 4);
-    let av = MatRef::from_slice(&a, size, size);
-    let path = micro_path_for::<T>();
-    let mut samples = [0.0f64; 3];
-    for s in samples.iter_mut() {
-        let mut cv = MatMut::from_slice(&mut c, size, size);
-        let t0 = Instant::now();
-        syrk_ln_micro_path_with(path, T::ONE, av, &mut cv, cfg, bufs);
-        *s = t0.elapsed().as_secs_f64();
-    }
-    samples.sort_by(f64::total_cmp);
-    std::hint::black_box(&c);
-    samples[1]
-}
-
-/// The sizes swept for the base-case crossover; the returned cutoff is
-/// always `2 s^2` for some swept `s`, so `[2*48^2, 2*256^2]` is the
-/// valid range of any measured (or baked) `base_words`.
-pub const BASE_SWEEP_SIZES: &[usize] = &[48, 64, 96, 128, 192, 256];
-
-/// Locate the AtA base-case crossover for `T` under `kernel`, by timing
-/// the two sides of one Algorithm 1 recursion level directly:
-///
-/// * staying at the base case costs one size-`s` syrk leaf;
-/// * recursing costs the level's actual kernel mix — four half-size
-///   syrk leaves (the recursive AtA calls, themselves base cases at the
-///   crossover) plus two half-size `A^T B` products (the off-diagonal
-///   FastStrassen calls, which degenerate to direct gemm when their
-///   children are base cases).
-///
-/// The previous model inferred both sides from square-gemm timings
-/// alone (`7 t(s/2)` plus an axpy-priced block-sum term) — Strassen's
-/// mix, not Algorithm 1's — and mispriced the syrk leaves, which skip
-/// the strictly-upper half of every diagonal tile. The crossover `s*`
-/// is the smallest swept size where recursing wins, and the returned
-/// budget is `words = 2 * s*^2`.
-///
-/// The factor 2 counts an `n x n` output next to the input, but
-/// [`crate::CacheConfig::ata_base`] tests the input block alone
-/// (`m*n <= words`). On square problems this budget therefore keeps
-/// blocks up to `sqrt(2) * s*` (about `1.41 s*`) as base cases, not only
-/// those below `s*`. The baked `base_words` rows follow this convention.
-pub fn measure_base_words<T: Scalar>(kernel: &KernelConfig, quick: bool) -> usize {
-    let sizes: &[usize] = if quick { &[48, 96] } else { BASE_SWEEP_SIZES };
-    let mut bufs = PackBufs::new();
-    for &s in sizes {
-        let t_full = time_syrk::<T>(s, kernel, &mut bufs);
-        let half = s.div_ceil(2);
-        let t_level = 4.0 * time_syrk::<T>(half, kernel, &mut bufs)
-            + 2.0 * time_gemm::<T>(half, kernel, &mut bufs);
-        if t_level < 0.95 * t_full {
-            return 2 * s * s;
-        }
-    }
-    // No crossover in range: keep recursion rare.
-    let s = *sizes.last().expect("size table is non-empty"); // ata-lint: allow(no-unwrap-in-lib): the size table is a non-empty constant
-    2 * s * s
 }
 
 /// The sizes swept for the micro-vs-blocked crossover; any measured (or
@@ -505,21 +443,6 @@ pub fn measure_min_volume<T: Scalar>(kernel: &KernelConfig, quick: bool) -> usiz
     MICRO_MIN_VOLUME
 }
 
-/// Full calibration for scalar type `T` on its resolved tile path:
-/// tile/blocking sweep, the micro-vs-blocked volume crossover, and the
-/// AtA base-case crossover. `quick` keeps the run under a second for
-/// smoke use; the full run takes a few seconds per type.
-pub fn measure<T: Scalar>(quick: bool) -> Tuned {
-    let kernel = measure_kernel::<T>(quick);
-    let micro_min_volume = measure_min_volume::<T>(&kernel, quick);
-    let base_words = measure_base_words::<T>(&kernel, quick);
-    Tuned {
-        kernel,
-        base_words,
-        micro_min_volume,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,12 +473,9 @@ mod tests {
                 "baked fused tile {tile:?} needs a portable fallback kernel"
             );
         }
-    }
-
-    #[test]
-    fn baked_cutoffs_lie_in_the_measured_sweep_range() {
-        let lo = 2 * BASE_SWEEP_SIZES.first().unwrap().pow(2);
-        let hi = 2 * BASE_SWEEP_SIZES.last().unwrap().pow(2);
+        // The base-case budgets are checked against their sweep in
+        // `ata_strassen::calibrate`; the volume cutoffs against theirs.
+        let vol_hi = VOLUME_SWEEP_SIZES.last().unwrap().pow(3) + 1;
         for t in [
             TUNED_F64,
             TUNED_F32,
@@ -564,12 +484,6 @@ mod tests {
             TUNED_F64_AVX512,
             TUNED_F32_AVX512,
         ] {
-            assert!(
-                (lo..=hi).contains(&t.base_words),
-                "baked cutoff {} outside the sweep's valid range [{lo}, {hi}]",
-                t.base_words
-            );
-            let vol_hi = VOLUME_SWEEP_SIZES.last().unwrap().pow(3) + 1;
             assert!(
                 (MICRO_MIN_VOLUME..=vol_hi).contains(&t.micro_min_volume),
                 "baked volume cutoff {} outside [{MICRO_MIN_VOLUME}, {vol_hi}]",
@@ -680,9 +594,8 @@ mod tests {
         // Smoke only: a quick sweep must terminate and produce a menu
         // tile with positive blocking. (The actual numbers are
         // hardware-dependent and not asserted.)
-        let t = measure::<f32>(true);
-        assert!(menu_for::<f32>().contains(&(t.kernel.mr, t.kernel.nr)));
-        assert!(t.base_words >= 2 * 48 * 48);
-        assert!(t.micro_min_volume >= MICRO_MIN_VOLUME);
+        let kernel = measure_kernel::<f32>(true);
+        assert!(menu_for::<f32>().contains(&(kernel.mr, kernel.nr)));
+        assert!(measure_min_volume::<f32>(&kernel, true) >= MICRO_MIN_VOLUME);
     }
 }

@@ -16,8 +16,9 @@
 //!   for making Strassen leaves competitive), with the pre-engine
 //!   blocked loops kept for products below the calibrated volume
 //!   cutoff;
-//! * [`calibrate`] — the measured per-scalar blocking table and
-//!   base-case cutoff model behind the engine's defaults;
+//! * [`calibrate`] — the measured per-scalar blocking and cutoff table
+//!   behind the engine's defaults, with the tile and volume sweeps that
+//!   measure its kernel half (`ata-strassen` measures the cutoff);
 //! * [`par`] — rayon-parallel versions standing in for multi-threaded MKL
 //!   in the Figure 5/6 comparisons;
 //! * [`simd`] — explicit AVX-512 and AVX2/FMA register kernels behind

@@ -164,18 +164,13 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Copy the lower triangle onto the upper one, making the matrix
-    /// symmetric. Used after AtA which only fills `i >= j` (§3.1).
+    /// symmetric. Used after AtA which only fills `i >= j` (§3.1); see
+    /// [`MatMut::mirror_lower_to_upper`].
     ///
     /// # Panics
     /// If the matrix is not square.
     pub fn mirror_lower_to_upper(&mut self) {
-        assert_eq!(self.rows, self.cols, "mirror requires a square matrix");
-        for i in 0..self.rows {
-            for j in 0..i {
-                let v = self[(i, j)];
-                self[(j, i)] = v;
-            }
-        }
+        self.as_mut().mirror_lower_to_upper();
     }
 
     /// True if `|self[(i,j)] - self[(j,i)]| <= tol` for all pairs.

@@ -148,12 +148,10 @@ impl<T: Scalar> SymPacked<T> {
     pub fn to_full(&self) -> Matrix<T> {
         let mut out = Matrix::zeros(self.n, self.n);
         for i in 0..self.n {
-            for j in 0..=i {
-                let v = self.data[i * (i + 1) / 2 + j];
-                out[(i, j)] = v;
-                out[(j, i)] = v;
-            }
+            let start = i * (i + 1) / 2;
+            out.row_mut(i)[..=i].copy_from_slice(&self.data[start..start + i + 1]);
         }
+        out.mirror_lower_to_upper();
         out
     }
 

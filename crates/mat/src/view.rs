@@ -524,7 +524,70 @@ impl<'a, T: Scalar> MatMut<'a, T> {
             self.row_mut(i).copy_from_slice(src.row(i));
         }
     }
+
+    /// Overwrite this view with the transpose of `src`, one 64 x 64 tile
+    /// at a time: each tile's rows of `src` are copied into a local
+    /// buffer, then written out as the tile's columns, so the strided
+    /// side of the transpose stays in cache.
+    ///
+    /// # Panics
+    /// If `src` is not `cols x rows`.
+    pub fn transpose_from(&mut self, src: MatRef<'_, T>) {
+        assert_eq!(
+            (src.cols, src.rows),
+            self.shape(),
+            "transpose_from shape mismatch"
+        );
+        let mut tile = [[T::ZERO; TRANSPOSE_TILE]; TRANSPOSE_TILE];
+        for j0 in (0..self.cols).step_by(TRANSPOSE_TILE) {
+            let j1 = (j0 + TRANSPOSE_TILE).min(self.cols);
+            for i0 in (0..self.rows).step_by(TRANSPOSE_TILE) {
+                let i1 = (i0 + TRANSPOSE_TILE).min(self.rows);
+                for (buf, j) in tile.iter_mut().zip(j0..j1) {
+                    buf[..i1 - i0].copy_from_slice(&src.row(j)[i0..i1]);
+                }
+                for (di, i) in (i0..i1).enumerate() {
+                    for (d, buf) in self.row_mut(i)[j0..j1].iter_mut().zip(&tile) {
+                        *d = buf[di];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Copy the lower triangle of a square view onto its strict upper
+    /// triangle (`C[j][i] = C[i][j]` for `i > j`), the symmetric
+    /// completion after AtA fills `i >= j` (§3.1). Recursive quad split:
+    /// `C12 ← C21ᵀ` by [`Self::transpose_from`], then the same on `C11`
+    /// and `C22`. Writes nothing on or below the diagonal.
+    ///
+    /// # Panics
+    /// If the view is not square.
+    pub fn mirror_lower_to_upper(&mut self) {
+        assert_eq!(self.rows, self.cols, "mirror requires a square matrix");
+        if self.rows <= MIRROR_BASE {
+            for i in 1..self.rows {
+                for j in 0..i {
+                    let v = *self.at(i, j);
+                    *self.at_mut(j, i) = v;
+                }
+            }
+            return;
+        }
+        let (mut c11, mut c12, c21, mut c22) = self.rb_mut().quad_split_mut();
+        c12.transpose_from(c21.into_ref());
+        c11.mirror_lower_to_upper();
+        c22.mirror_lower_to_upper();
+    }
 }
+
+/// Tile order of [`MatMut::transpose_from`]: the tile buffer of an
+/// `f64` transpose takes 32 KiB.
+const TRANSPOSE_TILE: usize = 64;
+
+/// Order up to which [`MatMut::mirror_lower_to_upper`] copies element by
+/// element instead of splitting further.
+const MIRROR_BASE: usize = 32;
 
 impl<T> std::ops::Index<(usize, usize)> for MatRef<'_, T> {
     type Output = T;

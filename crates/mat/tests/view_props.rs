@@ -109,3 +109,40 @@ proptest! {
         prop_assert_eq!(a.max_abs_diff(&back), 0.0);
     }
 }
+
+/// The element-wise mirror loop the blocked one replaced, on a view at
+/// `(r0, c0)` of order `n` inside the row-major `stride`-wide buffer.
+fn mirror_elementwise(data: &mut [f64], stride: usize, r0: usize, c0: usize, n: usize) {
+    for i in 0..n {
+        for j in 0..i {
+            data[(r0 + j) * stride + c0 + i] = data[(r0 + i) * stride + c0 + j];
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn blocked_mirror_is_the_elementwise_loop_and_writes_only_the_upper_triangle(
+        n in proptest::sample::select(vec![0usize, 1, 2, 3, 31, 32, 33, 257]),
+        interior in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        // Either the whole buffer, or an interior view with a margin on
+        // every side (row stride n + 7).
+        let (r0, c0, rows, cols) = if interior == 1 { (2, 3, n + 5, n + 7) } else { (0, 0, n, n) };
+        let buf = gen::standard::<f64>(seed, rows, cols).into_vec();
+        let mut expected = buf.clone();
+        mirror_elementwise(&mut expected, cols, r0, c0, n);
+        let mut got = buf;
+        {
+            let whole = MatMut::from_slice(&mut got, rows, cols);
+            whole.into_block(r0, r0 + n, c0, c0 + n).mirror_lower_to_upper();
+        }
+        // Bitwise over the whole buffer: the lower triangle and every
+        // element outside the view are untouched.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&expected), "n = {}, interior = {}", n, interior);
+    }
+}

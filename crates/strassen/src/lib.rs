@@ -19,11 +19,14 @@
 //!   `split_at_mut`, so the compute phase performs no heap allocation;
 //! * [`alloc::strassen_allocating`] is the naive variant that allocates
 //!   temporaries at every level — kept as the ablation baseline of
-//!   Figure 4, which shows the benefit of pre-allocation.
+//!   Figure 4, which shows the benefit of pre-allocation;
+//! * [`calibrate`] measures the cache budget at which one more level
+//!   stops paying for its block sums, against the `gemm_tn` it replaces.
 
 #![forbid(unsafe_code)]
 
 pub mod alloc;
+pub mod calibrate;
 pub mod fast;
 pub(crate) mod pad;
 pub mod pool;

@@ -65,6 +65,7 @@ use ata_kernels::{CacheConfig, KernelConfig};
 use ata_mat::{MatMut, MatRef, Matrix, Scalar, SymPacked};
 use ata_mpisim::{run, CostModel};
 use ata_strassen::ArenaPool;
+use rayon::prelude::*;
 
 // ---------------------------------------------------------------------
 // Backend and output selectors.
@@ -120,11 +121,7 @@ impl<T: Scalar> AtaOutput<T> {
     pub fn into_dense(self) -> Matrix<T> {
         match self {
             AtaOutput::Dense(c) => c,
-            AtaOutput::Packed(p) => {
-                let mut full = p.to_full();
-                full.mirror_lower_to_upper();
-                full
-            }
+            AtaOutput::Packed(p) => p.to_full(),
         }
     }
 
@@ -814,17 +811,40 @@ impl<T: Scalar + 'static> PlanCore<T> {
         }
     }
 
+    /// Copy `c`'s lower triangle onto its strict upper one. A plan that
+    /// runs on the context's pool also mirrors there: the top quadrant
+    /// split's three independent parts — `C11`, `C12 ← C21ᵀ` and `C22` —
+    /// go to the workers in that order, so two workers each copy about a
+    /// quarter of `C` (`C11` and `C22` on one, the transpose on the
+    /// other).
+    fn mirror(&self, inner: &ContextInner, c: &mut MatMut<'_, T>) {
+        let pool = match (self.flavor, &inner.pool) {
+            (PlanFlavor::Auto, Some(pool)) => pool,
+            _ => return c.mirror_lower_to_upper(),
+        };
+        let (c11, c12, c21, c22) = c.rb_mut().quad_split_mut();
+        let parts = vec![(c11, None), (c12, Some(c21.into_ref())), (c22, None)];
+        pool.install(|| {
+            parts.into_par_iter().for_each(|(mut dst, src)| match src {
+                Some(src) => dst.transpose_from(src),
+                None => dst.mirror_lower_to_upper(),
+            })
+        });
+    }
+
     fn execute_into(&self, inner: &ContextInner, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
         self.check_shapes(a, c);
-        c.fill_zero();
+        if self.output == Output::Gram {
+            // The mirror overwrites the strict upper triangle.
+            for i in 0..self.n {
+                c.row_mut(i)[..=i].fill(T::ZERO);
+            }
+        } else {
+            c.fill_zero();
+        }
         self.accumulate_lower(inner, T::ONE, a, c);
         if self.output == Output::Gram {
-            // Mirror in place: C is symmetric by construction.
-            for i in 0..self.n {
-                for j in (i + 1)..self.n {
-                    c[(i, j)] = c[(j, i)];
-                }
-            }
+            self.mirror(inner, c);
         }
     }
 
@@ -833,7 +853,7 @@ impl<T: Scalar + 'static> PlanCore<T> {
         self.accumulate_lower(inner, T::ONE, a, &mut c.as_mut());
         match self.output {
             Output::Gram => {
-                c.mirror_lower_to_upper();
+                self.mirror(inner, &mut c.as_mut());
                 AtaOutput::Dense(c)
             }
             Output::Lower => AtaOutput::Dense(c),

@@ -254,3 +254,47 @@ fn simulated_cluster_reports_consistent_metrics() {
     // The root must have sent A's blocks: nonzero traffic.
     assert!(report.metrics[0].words_sent > 0);
 }
+
+#[test]
+fn gram_execute_into_mirrors_the_accumulated_lower_triangle_bitwise() {
+    use ata::Output;
+    for (m, n) in [(70usize, 97usize), (40, 300)] {
+        let a = gen::standard::<f64>(m as u64 * 7 + n as u64, m, n);
+        for threads in [0usize, 2, 3] {
+            let ctx = match NonZeroUsize::new(threads) {
+                None => AtaContext::serial(),
+                Some(t) => AtaContext::shared(t),
+            };
+            let plan = ctx.plan_with::<f64>(m, n, Output::Gram);
+            let mut lower = Matrix::zeros(n, n);
+            plan.execute_accumulate(a.as_ref(), &mut lower.as_mut());
+            // Stale contents everywhere: execute_into must overwrite all.
+            let mut c = gen::standard::<f64>(99, n, n);
+            plan.execute_into(a.as_ref(), &mut c.as_mut());
+            for i in 0..n {
+                for j in 0..=i {
+                    assert_eq!(
+                        c[(i, j)].to_bits(),
+                        lower[(i, j)].to_bits(),
+                        "({m}, {n}) threads {threads}: lower ({i}, {j})"
+                    );
+                    assert_eq!(
+                        c[(j, i)].to_bits(),
+                        c[(i, j)].to_bits(),
+                        "({m}, {n}) threads {threads}: mirror ({j}, {i})"
+                    );
+                }
+            }
+            let fresh = plan.execute(a.as_ref()).into_dense();
+            assert_eq!(
+                fresh
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "({m}, {n}) threads {threads}: execute and execute_into differ"
+            );
+        }
+    }
+}
