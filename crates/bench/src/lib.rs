@@ -43,7 +43,7 @@ impl Cli {
     }
 
     /// Parse an explicit argument list (testable).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    pub(crate) fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut cli = Cli::default();
         let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {

@@ -1,4 +1,4 @@
-//! Instrumented walks of the workspace's algorithms over [`CachedMem`].
+//! Instrumented walks of the workspace's algorithms over `CachedMem`.
 //!
 //! Each walker mirrors the *address behaviour* of its real counterpart —
 //! the same quadrant splits, the same arena slot carving, the same

@@ -9,7 +9,7 @@
 //!
 //! * [`lru::IdealCache`] — a fully-associative LRU cache with capacity
 //!   `M` words and lines of `b` words (the ideal-cache machine);
-//! * [`mem::CachedMem`] / [`mem::Region`] — simulated memory whose every
+//! * `mem::CachedMem` / [`mem::Region`] — simulated memory whose every
 //!   access goes through the cache, plus the block-addressing mirror of
 //!   the workspace's matrix views;
 //! * [`algs`] — instrumented walks of naive `syrk`, RecursiveGEMM
@@ -47,4 +47,4 @@ pub use algs::{
     prop31_expression, run_ata, run_naive_syrk, run_recursive_gemm, run_strassen, CacheStats,
 };
 pub use lru::IdealCache;
-pub use mem::{CachedMem, Region};
+pub use mem::Region;

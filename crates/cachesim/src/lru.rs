@@ -67,11 +67,6 @@ impl IdealCache {
         self.line_words
     }
 
-    /// Capacity in lines (`M / b`).
-    pub fn max_lines(&self) -> usize {
-        self.max_lines
-    }
-
     /// Total accesses so far.
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
@@ -94,7 +89,7 @@ impl IdealCache {
     }
 
     /// Reset statistics, keeping the resident set.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
     }
@@ -288,7 +283,7 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             c.access(x % 4096);
-            assert!(c.resident() <= c.max_lines());
+            assert!(c.resident() <= 256 / 4, "at most M / b lines resident");
         }
         assert_eq!(c.accesses(), 10_000);
         assert_eq!(c.hits() + c.misses(), 10_000);

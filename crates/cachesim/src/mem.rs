@@ -12,14 +12,14 @@ use ata_mat::Scalar;
 /// result — every walker is oracle-checked in its tests, which makes the
 /// miss counts trustworthy.
 #[derive(Debug, Clone)]
-pub struct CachedMem<T> {
+pub(crate) struct CachedMem<T> {
     data: Vec<T>,
     cache: IdealCache,
 }
 
 impl<T: Scalar> CachedMem<T> {
     /// Zero-initialized memory of `words` words with the given cache.
-    pub fn new(words: usize, cache: IdealCache) -> Self {
+    pub(crate) fn new(words: usize, cache: IdealCache) -> Self {
         Self {
             data: vec![T::ZERO; words],
             cache,
@@ -28,14 +28,14 @@ impl<T: Scalar> CachedMem<T> {
 
     /// Read the word at `addr`.
     #[inline]
-    pub fn read(&mut self, addr: usize) -> T {
+    pub(crate) fn read(&mut self, addr: usize) -> T {
         self.cache.access(addr as u64);
         self.data[addr]
     }
 
     /// Write the word at `addr`.
     #[inline]
-    pub fn write(&mut self, addr: usize, v: T) {
+    pub(crate) fn write(&mut self, addr: usize, v: T) {
         self.cache.access(addr as u64);
         self.data[addr] = v;
     }
@@ -43,49 +43,29 @@ impl<T: Scalar> CachedMem<T> {
     /// `mem[addr] += v` — one access in the ideal model (the line is
     /// resident for the write after the read).
     #[inline]
-    pub fn add(&mut self, addr: usize, v: T) {
+    pub(crate) fn add(&mut self, addr: usize, v: T) {
         self.cache.access(addr as u64);
         self.data[addr] += v;
     }
 
     /// Bypass the cache (test setup / result extraction).
-    pub fn poke(&mut self, addr: usize, v: T) {
+    pub(crate) fn poke(&mut self, addr: usize, v: T) {
         self.data[addr] = v;
     }
 
     /// Bypass the cache (test setup / result extraction).
-    pub fn peek(&self, addr: usize) -> T {
+    pub(crate) fn peek(&self, addr: usize) -> T {
         self.data[addr]
     }
 
     /// Miss count so far.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.cache.misses()
     }
 
     /// Access count so far.
-    pub fn accesses(&self) -> u64 {
+    pub(crate) fn accesses(&self) -> u64 {
         self.cache.accesses()
-    }
-
-    /// The cache itself.
-    pub fn cache(&self) -> &IdealCache {
-        &self.cache
-    }
-
-    /// Reset cache statistics (resident set kept).
-    pub fn reset_stats(&mut self) {
-        self.cache.reset_stats();
-    }
-
-    /// Cold-start the cache.
-    pub fn flush_cache(&mut self) {
-        self.cache.flush();
-    }
-
-    /// Total words of backing storage.
-    pub fn words(&self) -> usize {
-        self.data.len()
     }
 }
 
@@ -106,7 +86,7 @@ pub struct Region {
 
 impl Region {
     /// Contiguous region (`stride == cols`) at `base`.
-    pub fn contiguous(base: usize, rows: usize, cols: usize) -> Self {
+    pub(crate) fn contiguous(base: usize, rows: usize, cols: usize) -> Self {
         Self {
             base,
             rows,

@@ -238,15 +238,6 @@ pub fn strassen_bound_factor(n: usize, n0: usize) -> f64 {
     levels_factor * (n0 as f64 * n0 as f64 + 5.0 * n0 as f64) - 5.0 * n as f64
 }
 
-/// Strict upper triangle is ignored by [`gram_forward_error`]; mirror a
-/// lower triangle into a full symmetric matrix when a downstream
-/// consumer needs one.
-pub fn mirror_lower<T: Scalar>(c: &Matrix<T>) -> Matrix<T> {
-    let n = c.rows();
-    assert_eq!(c.shape(), (n, n), "mirror_lower needs a square matrix");
-    Matrix::from_fn(n, n, |i, j| if j <= i { c[(i, j)] } else { c[(j, i)] })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,7 +428,8 @@ mod tests {
         c[(1, 0)] = 5.0;
         c[(2, 1)] = 7.0;
         c[(0, 0)] = 1.0;
-        let full = mirror_lower(&c);
+        let mut full = c.clone();
+        full.mirror_lower_to_upper();
         assert_eq!(full[(0, 1)], 5.0);
         assert_eq!(full[(1, 2)], 7.0);
         assert!(full.is_symmetric(0.0));

@@ -56,13 +56,6 @@ pub fn effective_gflops(r: f64, m: usize, n: usize, seconds: f64) -> f64 {
     r * (m as f64) * (n as f64) * (n as f64) / (seconds * 1e9)
 }
 
-/// Classical flop count of the `A^T A` product (`~ m n^2` multiply-adds,
-/// counting the lower triangle once): used for the %-of-theoretical-peak
-/// metric of Figure 6.
-pub fn classical_ata_flops(m: usize, n: usize) -> f64 {
-    (m as f64) * (n as f64) * (n as f64 + 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,7 +166,10 @@ mod tests {
 
     #[test]
     fn classical_flops_scale() {
-        assert_eq!(classical_ata_flops(10, 10), 10.0 * 10.0 * 11.0);
+        // Without recursion AtA is the classical triangle: m n (n + 1)
+        // flops, counting a multiply-add as two.
+        let cfg = CacheConfig::default();
+        assert_eq!(2 * ata_mults(10, 10, &cfg), 10 * 10 * 11);
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub use accuracy::{
     abs_gram, compensated_gram, componentwise_factor, gram_forward_error, ErrorStats,
 };
 pub use analysis::{ata_mults, effective_gflops};
-pub use naive::{ata_naive, recursive_gemm};
-pub use parallel::{ata_s, ata_s_planned, plan_workspace_elems, task_workspace_elems};
+pub use naive::ata_naive;
+pub use parallel::{ata_s, ata_s_planned, plan_workspace_elems};
 pub use serial::{
     ata_into, ata_into_with_kind, ata_workspace_elems, chunk_rows_for_budget, StrassenKind,
 };

@@ -18,30 +18,8 @@ use ata_mat::{half_up, MatMut, MatRef, Scalar};
 /// (`m*n + m*k <= cache words`), where the blocked `gemm_tn` kernel runs.
 ///
 /// Shapes: `A: m x n`, `B: m x k`, `C: n x k`.
-///
-/// # Panics
-/// On inconsistent shapes.
-pub fn recursive_gemm<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cfg: &CacheConfig,
-) {
-    let (m, n) = a.shape();
-    let (mb, k) = b.shape();
-    assert_eq!(m, mb, "recursive_gemm: A is {m}x{n} but B has {mb} rows");
-    assert_eq!(
-        c.shape(),
-        (n, k),
-        "recursive_gemm: C must be {n}x{k}, got {:?}",
-        c.shape()
-    );
-    rec_gemm(alpha, a, b, c, cfg);
-}
-
 #[allow(clippy::needless_range_loop)] // the [l][i]/[l][j] indexing mirrors Algorithm 2
-fn rec_gemm<T: Scalar>(
+fn recursive_gemm<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
@@ -72,13 +50,13 @@ fn rec_gemm<T: Scalar>(
             let (q0, q1) = if j == 0 { (0, k1) } else { (k1, k) };
             for l in 0..2 {
                 let mut cij = c.block_mut(r0, r1, q0, q1);
-                rec_gemm(alpha, a_halves[l][i], b_halves[l][j], &mut cij, cfg);
+                recursive_gemm(alpha, a_halves[l][i], b_halves[l][j], &mut cij, cfg);
             }
         }
     }
 }
 
-/// `AtANaive`: Algorithm 1 with [`recursive_gemm`] for the off-diagonal
+/// `AtANaive`: Algorithm 1 with `RecursiveGEMM` for the off-diagonal
 /// block — the variant whose recursion tree drives the §4.1 scheduler.
 ///
 /// Shapes: `A: m x n`, `C: n x n` (lower triangle only).
@@ -128,21 +106,12 @@ fn rec_naive<T: Scalar>(alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>, cfg: 
     }
     {
         let mut c21 = c.block_mut(n1, n, 0, n1);
-        rec_gemm(alpha, a12, a11, &mut c21, cfg);
+        recursive_gemm(alpha, a12, a11, &mut c21, cfg);
     }
     {
         let mut c21 = c.block_mut(n1, n, 0, n1);
-        rec_gemm(alpha, a22, a21, &mut c21, cfg);
+        recursive_gemm(alpha, a22, a21, &mut c21, cfg);
     }
-}
-
-/// Multiplications performed by [`recursive_gemm`] — exactly the
-/// classical `m*n*k` regardless of the recursion (a test asserts this;
-/// the recursion buys cache behaviour, not flops). Used by the §4.1.2
-/// load-balance discussion: "the computational complexity of
-/// RecursiveGEMM is roughly twice the one of AtA".
-pub fn recursive_gemm_mults(m: usize, n: usize, k: usize) -> u64 {
-    (m as u64) * (n as u64) * (k as u64)
 }
 
 #[cfg(test)]
@@ -202,7 +171,7 @@ mod tests {
             });
             assert_eq!(
                 ops.muls,
-                recursive_gemm_mults(m, n, k),
+                (m * n * k) as u64,
                 "words={words}: classical count must be recursion-invariant"
             );
         }
@@ -213,10 +182,17 @@ mod tests {
         // §4.1.2: "the number of multiplications carried out in T to
         // perform A^T B is twice the one needed to compute A^T A" — on a
         // square n, gemm does n^3 while the triangle costs n^2(n+1)/2.
-        let n = 16u64;
-        let gemm = recursive_gemm_mults(n as usize, n as usize, n as usize);
-        let ata_classical = n * n * (n + 1) / 2;
-        let ratio = gemm as f64 / ata_classical as f64;
+        let n = 16usize;
+        let a = gen::standard::<Tracked>(5, n, n);
+        let cfg = CacheConfig::with_words(64);
+        let mut c = Matrix::<Tracked>::zeros(n, n);
+        let (_, gemm) = measure(|| {
+            recursive_gemm(Tracked(1.0), a.as_ref(), a.as_ref(), &mut c.as_mut(), &cfg);
+        });
+        let mut c = Matrix::<Tracked>::zeros(n, n);
+        let (_, ata) = measure(|| ata_naive(Tracked(1.0), a.as_ref(), &mut c.as_mut(), &cfg));
+        assert_eq!(ata.muls, (n * n * (n + 1) / 2) as u64);
+        let ratio = gemm.muls as f64 / ata.muls as f64;
         assert!((ratio - 2.0).abs() < 0.15, "ratio {ratio}");
     }
 
@@ -233,17 +209,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "recursive_gemm")]
+    #[should_panic(expected = "ata_naive")]
     fn shape_mismatch_panics() {
         let a = Matrix::<f64>::zeros(3, 3);
-        let b = Matrix::<f64>::zeros(4, 3);
-        let mut c = Matrix::<f64>::zeros(3, 3);
-        recursive_gemm(
-            1.0,
-            a.as_ref(),
-            b.as_ref(),
-            &mut c.as_mut(),
-            &CacheConfig::default(),
-        );
+        let mut c = Matrix::<f64>::zeros(4, 4);
+        ata_naive(1.0, a.as_ref(), &mut c.as_mut(), &CacheConfig::default());
     }
 }

@@ -86,7 +86,7 @@ pub fn ata_s<T: Scalar>(
 /// Strassen-workspace requirement (elements) of one shared-plan task —
 /// used to pre-warm arena caches so a plan's first execution is already
 /// allocation-free.
-pub fn task_workspace_elems(
+pub(crate) fn task_workspace_elems(
     task: &SharedLeaf,
     m: usize,
     cfg: &CacheConfig,

@@ -37,12 +37,7 @@
 use ata_kernels::syrk::triangle_row_partition;
 use ata_mat::half_up;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Process-wide count of [`DistTree`] constructions (see
-/// [`DistTree::build_count`]).
-static DIST_TREE_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Build counts keyed by `(m, n, procs)` (see [`DIST_TREE_BUILDS_BY_SHAPE`]).
 type ShapeBuildCounts = HashMap<(usize, usize, usize), u64>;
@@ -402,7 +397,6 @@ impl DistTree {
             alpha > 0.0 && alpha < 1.0,
             "alpha must be in (0, 1), got {alpha}"
         );
-        DIST_TREE_BUILDS.fetch_add(1, Ordering::Relaxed);
         *DIST_TREE_BUILDS_BY_SHAPE
             .lock()
             .expect("build counter poisoned")
@@ -424,11 +418,6 @@ impl DistTree {
             alpha,
         );
         tree
-    }
-
-    /// Process-wide number of [`DistTree`] constructions so far.
-    pub fn build_count() -> u64 {
-        DIST_TREE_BUILDS.load(Ordering::Relaxed)
     }
 
     /// Process-wide number of [`DistTree`] constructions for one
@@ -461,28 +450,6 @@ impl DistTree {
             .iter()
             .filter(|n| n.is_leaf() && n.owner == rank)
             .collect()
-    }
-
-    /// Inner nodes owned by `rank`, deepest first (gather order).
-    pub fn gathers_for(&self, rank: usize) -> Vec<&DistNode> {
-        let mut v: Vec<&DistNode> = self
-            .nodes
-            .iter()
-            .filter(|n| !n.is_leaf() && n.owner == rank)
-            .collect();
-        v.sort_by_key(|n| std::cmp::Reverse(self.depth_of(n.id)));
-        v
-    }
-
-    /// Depth of a node (root = 0).
-    pub fn depth_of(&self, id: usize) -> usize {
-        let mut d = 0;
-        let mut cur = id;
-        while let Some(p) = self.nodes[cur].parent {
-            d += 1;
-            cur = p;
-        }
-        d
     }
 
     #[allow(clippy::too_many_arguments)] // one argument per DistNode field

@@ -13,7 +13,7 @@
 //! 2. **Distribution** (§4.3) — `p0` owns the input; it assembles one
 //!    concatenated operand chunk per rank (every remotely-owned leaf's
 //!    block(s), in tree order) and ships them down a binomial tree with
-//!    [`Comm::tree_scatterv`]. The root pays `O(log P)` latencies
+//!    [`Comm::tree_scatterv_checked`]. The root pays `O(log P)` latencies
 //!    instead of one per leaf block, and transfers overlap down the
 //!    subtrees under the LogGP clock.
 //! 3. **Compute** — every rank executes its leaf tasks locally: `A^T A`
@@ -238,8 +238,8 @@ impl DistPlan {
     }
 
     /// Per-rank scatter payload sizes (words), indexed by rank — the
-    /// `counts` argument of [`Comm::tree_scatterv`].
-    pub fn scatter_counts(&self) -> &[usize] {
+    /// `counts` argument of [`Comm::tree_scatterv_checked`].
+    pub(crate) fn scatter_counts(&self) -> &[usize] {
         &self.counts
     }
 

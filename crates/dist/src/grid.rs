@@ -1,7 +1,7 @@
 //! 2D process grids and the `pdsyrk_`-style 2D baseline.
 //!
 //! ScaLAPACK distributes over a near-square `pr x pc` process grid; the
-//! [`Grid2d`] type reproduces that mapping (row-major rank order, like
+//! `Grid2d` type reproduces that mapping (row-major rank order, like
 //! BLACS' default), and [`pdsyrk_2d`] is the corresponding 2D stand-in
 //! for `pdsyrk` — each grid cell owns one tile of the lower triangle of
 //! `C = A^T A`. Compare with the 1D [`crate::baselines::pdsyrk_like`];
@@ -20,7 +20,7 @@ const TAG_TILE: u64 = 3;
 /// A `rows x cols` process grid over ranks `0 .. rows * cols` in
 /// row-major order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Grid2d {
+pub(crate) struct Grid2d {
     /// Process-grid rows (`pr`).
     pub rows: usize,
     /// Process-grid columns (`pc`).
@@ -33,7 +33,7 @@ impl Grid2d {
     ///
     /// # Panics
     /// If `p == 0`.
-    pub fn square(p: usize) -> Self {
+    pub(crate) fn square(p: usize) -> Self {
         assert!(p > 0, "grid needs at least one process");
         let mut pr = (p as f64).sqrt().floor() as usize;
         while pr > 1 && !p.is_multiple_of(pr) {
@@ -47,18 +47,13 @@ impl Grid2d {
     }
 
     /// Number of grid cells.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows * self.cols
-    }
-
-    /// True when the grid is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Grid coordinates of `rank`, or `None` if the rank is outside the
     /// grid (ranks beyond `rows * cols` idle, as in BLACS).
-    pub fn coords(&self, rank: usize) -> Option<(usize, usize)> {
+    pub(crate) fn coords(&self, rank: usize) -> Option<(usize, usize)> {
         (rank < self.len()).then(|| (rank / self.cols, rank % self.cols))
     }
 
@@ -66,7 +61,7 @@ impl Grid2d {
     ///
     /// # Panics
     /// If the cell is out of range.
-    pub fn rank_of(&self, i: usize, j: usize) -> usize {
+    pub(crate) fn rank_of(&self, i: usize, j: usize) -> usize {
         assert!(
             i < self.rows && j < self.cols,
             "cell ({i},{j}) outside {self:?}"

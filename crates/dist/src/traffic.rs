@@ -6,7 +6,7 @@
 //! task tree *without running anything*:
 //!
 //! * the **distribution** phase walks the same binomial scatter tree as
-//!   `tree_scatterv`, charging each subtree leader the concatenated
+//!   `tree_scatterv_checked`, charging each subtree leader the concatenated
 //!   operand words it forwards;
 //! * the **retrieval** phase ships every node's `C` block to its
 //!   parent's owner when they differ, in the plan's [`WireFormat`] —
@@ -128,7 +128,7 @@ fn ceil_log2(x: usize) -> u32 {
 }
 
 /// Charge the binomial-tree scatter of `counts` onto `per_rank` —
-/// the exact mirror of `Comm::tree_scatterv`'s recursion.
+/// the exact mirror of `Comm::tree_scatterv_checked`'s recursion.
 fn scatter_traffic(counts: &[usize], per_rank: &mut [RankTraffic]) {
     fn rec(lo: usize, hi: usize, counts: &[usize], per_rank: &mut [RankTraffic]) {
         if hi - lo <= 1 {

@@ -46,7 +46,7 @@ impl WireFormat {
     ///
     /// # Panics
     /// If an [`ComputeKind::AtA`] block is not square.
-    pub fn c_words(self, kind: ComputeKind, rows: usize, cols: usize) -> usize {
+    pub(crate) fn c_words(self, kind: ComputeKind, rows: usize, cols: usize) -> usize {
         match (self, kind) {
             (WireFormat::SymPacked, ComputeKind::AtA) => {
                 assert_eq!(rows, cols, "A^T A blocks are square");
@@ -58,7 +58,7 @@ impl WireFormat {
 }
 
 /// Flatten a view row-major.
-pub fn pack_view<T: Scalar>(v: MatRef<'_, T>) -> Vec<T> {
+pub(crate) fn pack_view<T: Scalar>(v: MatRef<'_, T>) -> Vec<T> {
     let mut out = Vec::with_capacity(v.rows() * v.cols());
     append_view(&mut out, v);
     out
@@ -76,7 +76,7 @@ pub fn append_view<T: Scalar>(dst: &mut Vec<T>, v: MatRef<'_, T>) {
 ///
 /// # Panics
 /// If the payload length does not match the shape.
-pub fn unpack<T: Scalar>(data: Vec<T>, rows: usize, cols: usize) -> Matrix<T> {
+pub(crate) fn unpack<T: Scalar>(data: Vec<T>, rows: usize, cols: usize) -> Matrix<T> {
     assert_eq!(data.len(), rows * cols, "payload shape mismatch");
     Matrix::from_vec(data, rows, cols)
 }
@@ -98,47 +98,20 @@ pub fn read_block<T: Scalar>(data: &[T], off: &mut usize, rows: usize, cols: usi
     m
 }
 
-/// Pack the lower triangle of a square view into a [`SymPacked`]
-/// payload (§4.3.1's encoding for symmetric result blocks).
-///
-/// # Panics
-/// If the view is not square.
-pub fn pack_lower<T: Scalar>(v: MatRef<'_, T>) -> SymPacked<T> {
-    assert_eq!(v.rows(), v.cols(), "pack_lower requires a square block");
-    let n = v.rows();
-    let mut data = Vec::with_capacity(packed_len(n));
-    for i in 0..n {
-        data.extend_from_slice(&v.row(i)[..=i]);
-    }
-    SymPacked::from_vec(data, n)
-}
-
-/// Expand a [`SymPacked`] payload back to a dense block with the
-/// **strict upper triangle zeroed** — exactly the shape `A^T A` result
-/// blocks have before packing, so the round-trip is bit-identical (the
-/// gather-side sums never see a difference between wire formats).
-pub fn unpack_lower<T: Scalar>(p: SymPacked<T>) -> Matrix<T> {
-    let n = p.order();
-    let mut out = Matrix::zeros(n, n);
-    let data = p.as_slice();
-    for i in 0..n {
-        let row = &data[i * (i + 1) / 2..i * (i + 1) / 2 + i + 1];
-        out.row_mut(i)[..=i].copy_from_slice(row);
-    }
-    out
-}
-
 /// Encode a result block for the wire: symmetric (`AtA`) blocks pack
 /// their lower triangle under [`WireFormat::SymPacked`], everything
 /// else ships dense.
 pub fn pack_c<T: Scalar>(block: &Matrix<T>, kind: ComputeKind, format: WireFormat) -> Vec<T> {
     match (format, kind) {
-        (WireFormat::SymPacked, ComputeKind::AtA) => pack_lower(block.as_ref()).into_vec(),
+        (WireFormat::SymPacked, ComputeKind::AtA) => SymPacked::from_lower(block).into_vec(),
         _ => pack_view(block.as_ref()),
     }
 }
 
-/// Decode a result block from the wire (inverse of [`pack_c`]).
+/// Decode a result block from the wire (inverse of [`pack_c`]). A
+/// packed block comes back with its strict upper triangle zero —
+/// exactly the shape `A^T A` result blocks have before packing, so the
+/// gather-side sums never see a difference between wire formats.
 ///
 /// # Panics
 /// If the payload length does not match the declared shape and format.
@@ -152,7 +125,7 @@ pub fn unpack_c<T: Scalar>(
     match (format, kind) {
         (WireFormat::SymPacked, ComputeKind::AtA) => {
             assert_eq!(rows, cols, "A^T A blocks are square");
-            unpack_lower(SymPacked::from_vec(data, rows))
+            SymPacked::from_vec(data, rows).to_lower()
         }
         _ => unpack(data, rows, cols),
     }
@@ -208,9 +181,9 @@ mod tests {
                 blk[(i, j)] = (i * n + j) as f64 * 0.25 - 3.0;
             }
         }
-        let p = pack_lower(blk.as_ref());
+        let p = SymPacked::from_lower(&blk);
         assert_eq!(p.len(), packed_len(n));
-        let back = unpack_lower(p);
+        let back = p.to_lower();
         assert_eq!(back.max_abs_diff(&blk), 0.0);
     }
 

@@ -49,7 +49,7 @@ impl Q64 {
     }
 
     /// Construct the integer `n / 1`.
-    pub const fn from_int(n: i64) -> Self {
+    pub(crate) const fn from_int(n: i64) -> Self {
         Q64 { num: n, den: 1 }
     }
 
@@ -81,11 +81,6 @@ impl Q64 {
                 den: self.num,
             }
         }
-    }
-
-    /// True if the value is an integer (denominator 1).
-    pub const fn is_integer(self) -> bool {
-        self.den == 1
     }
 
     #[track_caller]
@@ -411,8 +406,8 @@ mod tests {
     fn abs_and_is_integer() {
         assert_eq!(q(-5, 2).abs(), q(5, 2));
         assert_eq!(q(5, 2).abs(), q(5, 2));
-        assert!(Q64::from_int(4).is_integer());
-        assert!(!q(1, 2).is_integer());
+        assert_eq!(Q64::from_int(4).denom(), 1);
+        assert_eq!(q(1, 2).denom(), 2);
     }
 
     #[test]

@@ -395,7 +395,7 @@ pub fn measure_kernel<T: Scalar>(quick: bool) -> KernelConfig {
 /// The sizes swept for the micro-vs-blocked crossover; any measured (or
 /// baked) `micro_min_volume` is `s^3 + 1` for a swept `s` (or the
 /// [`MICRO_MIN_VOLUME`] floor when the engine wins everywhere).
-pub const VOLUME_SWEEP_SIZES: &[usize] = &[16, 24, 32, 48, 64, 96, 128, 192];
+pub(crate) const VOLUME_SWEEP_SIZES: &[usize] = &[16, 24, 32, 48, 64, 96, 128, 192];
 
 /// Median-of-three wall-clock seconds of one blocked rank-1
 /// `C += A^T B` run at `m = n = k = size` — the path the engine's
@@ -422,9 +422,9 @@ fn time_blocked<T: Scalar>(size: usize) -> f64 {
 
 /// Locate the volume above which the packed engine under `kernel` beats
 /// the blocked rank-1 loops for `T`, by walking
-/// [`VOLUME_SWEEP_SIZES`] downward: the cutoff is the cube of the
+/// `VOLUME_SWEEP_SIZES` downward: the cutoff is the cube of the
 /// largest size where the blocked loops still win, plus one (or the
-/// [`MICRO_MIN_VOLUME`] packing-overhead floor when the engine wins at
+/// `MICRO_MIN_VOLUME` packing-overhead floor when the engine wins at
 /// every swept size — the f64 situation; portable f32 is the case this
 /// sweep exists for).
 pub fn measure_min_volume<T: Scalar>(kernel: &KernelConfig, quick: bool) -> usize {

@@ -38,16 +38,6 @@ pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     }
 }
 
-/// `y = alpha * x + beta * y` over the common prefix (generalized axpby).
-#[inline]
-pub fn axpby<T: Scalar>(alpha: T, x: &[T], beta: T, y: &mut [T]) {
-    let len = x.len().min(y.len());
-    let (x, y) = (&x[..len], &mut y[..len]);
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * *xi + beta * *yi;
-    }
-}
-
 /// `x *= alpha`.
 #[inline]
 pub fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
@@ -122,9 +112,12 @@ mod tests {
 
     #[test]
     fn axpby_combines() {
+        // `y = alpha x + beta y` needs no kernel of its own: scale y
+        // first, then accumulate (paper §3.1).
         let x = [1.0f64, 1.0];
         let mut y = [2.0f64, 4.0];
-        axpby(3.0, &x, 0.5, &mut y);
+        scal(0.5, &mut y);
+        axpy(3.0, &x, &mut y);
         assert_eq!(y, [4.0, 5.0]);
     }
 

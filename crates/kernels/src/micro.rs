@@ -182,7 +182,7 @@ impl MicroPath {
 /// buffer setup costs more than it saves on sub-microtile products.
 /// This is the default floor; the effective per-scalar cutoff lives in
 /// [`crate::calibrate::Tuned::micro_min_volume`].
-pub const MICRO_MIN_VOLUME: usize = 4096;
+pub(crate) const MICRO_MIN_VOLUME: usize = 4096;
 
 /// The tile path pinned by `ATA_MICRO=intrinsic|portable|scalar`, read
 /// once per process; unset or unknown values pin nothing, so stale
@@ -218,7 +218,7 @@ pub fn micro_path_for<T: Scalar>() -> MicroPath {
 ///
 /// The volume cutoff is the *per-scalar, per-path* calibrated
 /// [`crate::calibrate::Tuned::micro_min_volume`], not the global
-/// [`MICRO_MIN_VOLUME`] floor — f32's portable engine, for instance,
+/// `MICRO_MIN_VOLUME` floor — f32's portable engine, for instance,
 /// loses to the blocked loops up to much larger sizes than f64's and
 /// gets a correspondingly higher cutoff.
 pub fn selected_path<T: Scalar>(m: usize, n: usize, k: usize) -> KernelPath {

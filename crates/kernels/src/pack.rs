@@ -42,7 +42,7 @@
 //!
 //! Packing must not allocate on the hot path (the same discipline as
 //! `ata_strassen::ArenaPool` for recursion arenas). [`PackBufs`] is a
-//! pair of grow-only buffers, and [`with_thread_bufs`] hands out a
+//! pair of grow-only buffers, and `with_thread_bufs` hands out a
 //! per-thread, per-scalar-type cached instance, so repeated kernel calls
 //! — e.g. every Strassen leaf of a plan executed in a serving loop —
 //! reuse one warm allocation per worker thread.
@@ -59,7 +59,7 @@ use std::collections::HashMap;
 /// (mirroring [`crate::level1::axpy`]), and a general `alpha` costs
 /// exactly one multiply per packed element.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PackScale<T> {
+pub(crate) enum PackScale<T> {
     /// Copy verbatim (`alpha == 1`).
     One,
     /// Negate while packing (`alpha == -1`); negation is free in the
@@ -72,7 +72,7 @@ pub enum PackScale<T> {
 impl<T: Scalar> PackScale<T> {
     /// Classify `alpha` into the cheapest packing scale.
     #[inline]
-    pub fn from_alpha(alpha: T) -> Self {
+    pub(crate) fn from_alpha(alpha: T) -> Self {
         if alpha == T::ONE {
             PackScale::One
         } else if alpha == T::NEG_ONE {
@@ -91,7 +91,12 @@ impl<T: Scalar> PackScale<T> {
 ///
 /// # Panics
 /// If `buf` is too small or `r == 0`.
-pub fn pack_panels<T: Scalar>(src: MatRef<'_, T>, r: usize, scale: PackScale<T>, buf: &mut [T]) {
+pub(crate) fn pack_panels<T: Scalar>(
+    src: MatRef<'_, T>,
+    r: usize,
+    scale: PackScale<T>,
+    buf: &mut [T],
+) {
     let (kc, w) = src.shape();
     assert!(r > 0, "panel width must be positive");
     let panels = w.div_ceil(r);
@@ -128,7 +133,7 @@ pub fn pack_panels<T: Scalar>(src: MatRef<'_, T>, r: usize, scale: PackScale<T>,
 
 /// Packed size in elements of a `kc x w` block in `r`-wide panels.
 #[inline]
-pub fn packed_elems(kc: usize, w: usize, r: usize) -> usize {
+pub(crate) fn packed_elems(kc: usize, w: usize, r: usize) -> usize {
     w.div_ceil(r) * kc * r
 }
 
@@ -154,7 +159,7 @@ const PAR_PACK_MIN_ELEMS: usize = 32_768;
 ///
 /// # Panics
 /// If `buf` is too small or `r == 0`.
-pub fn pack_panels_par<T: Scalar>(
+pub(crate) fn pack_panels_par<T: Scalar>(
     src: MatRef<'_, T>,
     r: usize,
     scale: PackScale<T>,
@@ -243,7 +248,7 @@ thread_local! {
 /// kernel invocations (every leaf of a reused plan) pack into warm
 /// memory. The pair is *moved out* of the cache for the duration of `f`:
 /// a nested call on the same thread simply gets a second, transient pair.
-pub fn with_thread_bufs<T: Scalar, R>(f: impl FnOnce(&mut PackBufs<T>) -> R) -> R {
+pub(crate) fn with_thread_bufs<T: Scalar, R>(f: impl FnOnce(&mut PackBufs<T>) -> R) -> R {
     let taken: Option<PackBufs<T>> = THREAD_BUFS.with(|cell| {
         cell.borrow_mut()
             .remove(&TypeId::of::<T>())

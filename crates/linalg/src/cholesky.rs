@@ -13,7 +13,7 @@
 //! streaming kernels in [`crate::update`].
 
 use crate::triangular::{solve_lower_in_place, solve_lower_transposed_in_place};
-use ata_mat::{MatRef, Matrix, Scalar};
+use ata_mat::{Matrix, Scalar};
 
 /// Failure modes of the factorization and its solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +113,7 @@ pub fn cholesky_solve<T: Scalar>(l: &Matrix<T>, b: &[T]) -> Result<Vec<T>, Chole
 ///
 /// # Panics
 /// As [`cholesky_solve`].
-pub fn cholesky_solve_in_place<T: Scalar>(
+pub(crate) fn cholesky_solve_in_place<T: Scalar>(
     l: &Matrix<T>,
     rhs: &mut [T],
 ) -> Result<(), CholeskyError> {
@@ -127,40 +127,6 @@ pub fn cholesky_solve_in_place<T: Scalar>(
     solve_lower_in_place(l.as_ref(), rhs);
     solve_lower_transposed_in_place(l.as_ref(), rhs);
     Ok(())
-}
-
-/// Multi-rhs variant of [`cholesky_solve`]: solve `G X = B` for an
-/// `n × p` right-hand-side block, column by column.
-///
-/// # Errors
-/// [`CholeskyError::ShapeMismatch`] if `b` does not have `n` rows.
-///
-/// # Panics
-/// As [`cholesky_solve`].
-pub fn cholesky_solve_multi<T: Scalar>(
-    l: &Matrix<T>,
-    b: MatRef<'_, T>,
-) -> Result<Matrix<T>, CholeskyError> {
-    let n = l.rows();
-    if b.rows() != n {
-        return Err(CholeskyError::ShapeMismatch {
-            expected: n,
-            got: b.rows(),
-        });
-    }
-    let p = b.cols();
-    let mut out = Matrix::zeros(n, p);
-    let mut col = vec![T::ZERO; n];
-    for c in 0..p {
-        for (i, cv) in col.iter_mut().enumerate() {
-            *cv = *b.at(i, c);
-        }
-        cholesky_solve_in_place(l, &mut col)?;
-        for (i, cv) in col.iter().enumerate() {
-            out[(i, c)] = *cv;
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -252,25 +218,6 @@ mod tests {
         let mut short = [1.0; 3];
         assert!(cholesky_solve_in_place(&l, &mut short).is_err());
         assert_eq!(short, [1.0; 3], "rejected rhs must be untouched");
-    }
-
-    #[test]
-    fn multi_rhs_matches_column_solves() {
-        let n = 6;
-        let g = spd(n, 8);
-        let mut l = g.clone();
-        cholesky_factor(&mut l).expect("SPD");
-        let b = Matrix::from_fn(n, 3, |i, c| ((i * 3 + c) as f64 * 0.31).sin());
-        let xs = cholesky_solve_multi(&l, b.as_ref()).expect("shape");
-        for c in 0..3 {
-            let col: Vec<f64> = (0..n).map(|i| b[(i, c)]).collect();
-            let x = cholesky_solve(&l, &col).expect("shape");
-            for i in 0..n {
-                assert!((xs[(i, c)] - x[i]).abs() < 1e-12);
-            }
-        }
-        let wide = Matrix::<f64>::zeros(n + 1, 2);
-        assert!(cholesky_solve_multi(&l, wide.as_ref()).is_err());
     }
 
     #[test]

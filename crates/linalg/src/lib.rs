@@ -11,11 +11,11 @@
 //! `AtaContext`, which runs Algorithm 1, AtA-S or AtA-D with the
 //! context's plan cache and arenas:
 //!
-//! * [`cholesky`] — `G = L L^T` factorization and SPD solves;
+//! * [`cholesky`] — `G = L L^T` factorization and SPD solves, by
+//!   forward/backward substitution on the factor;
 //! * [`update`] — streaming factorization: rank-k Cholesky/LDLᵀ
 //!   updates and downdates in `O(n²k)`, plus the `O(n²)`-per-shift
-//!   [`update::ShiftedSolver`] behind ridge lambda paths;
-//! * [`triangular`] — forward/backward substitution;
+//!   solver behind [`RidgeSolver::solve_path`];
 //! * [`lstsq`] — normal-equations least squares (`A^T A x = A^T b`);
 //! * [`eigen`] — cyclic Jacobi eigensolver for symmetric matrices;
 //! * [`svd`] — singular values/vectors of `A` from the eigen
@@ -36,18 +36,15 @@ pub mod lstsq;
 pub mod ortho;
 pub mod ridge;
 pub mod svd;
-pub mod triangular;
+mod triangular;
 pub mod update;
 
-pub use cholesky::{
-    cholesky_factor, cholesky_solve, cholesky_solve_in_place, cholesky_solve_multi, CholeskyError,
-};
+pub use cholesky::{cholesky_factor, cholesky_solve, CholeskyError};
 pub use eigen::jacobi_eigen;
 pub use lstsq::solve_normal_equations;
 pub use ortho::{mgs_orthonormalize, orthogonality_defect};
 pub use ridge::RidgeSolver;
-pub use svd::singular_values;
-pub use update::{LdltFactor, ShiftedSolver, UpdateError};
+pub use update::{LdltFactor, UpdateError};
 
 /// Lower triangle of `A^T A` by Algorithm 1 under the default cache
 /// model: how the unit tests build the Grams the consumers take.

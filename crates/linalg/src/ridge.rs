@@ -40,7 +40,6 @@ fn shift_err(e: UpdateError) -> CholeskyError {
 pub struct RidgeSolver<T: Scalar> {
     gram_lower: Matrix<T>,
     atb: Vec<T>,
-    m: usize,
 }
 
 impl<T: Scalar> RidgeSolver<T> {
@@ -64,18 +63,12 @@ impl<T: Scalar> RidgeSolver<T> {
         Self {
             gram_lower: gram,
             atb,
-            m,
         }
     }
 
     /// Number of features (columns of `A`).
     pub fn features(&self) -> usize {
         self.gram_lower.rows()
-    }
-
-    /// Number of observations (rows of `A`).
-    pub fn observations(&self) -> usize {
-        self.m
     }
 
     /// Solve for one regularization strength `lambda >= 0`.
@@ -101,7 +94,7 @@ impl<T: Scalar> RidgeSolver<T> {
     /// Solve for a whole lambda sweep (ascending or not): one Gram
     /// matrix, **one** base factorization. For paths worth the setup
     /// (`>= 4` lambdas, `>= 16` features) the Gram matrix is
-    /// tridiagonalized once ([`ShiftedSolver`], `O(n³)`) and every
+    /// tridiagonalized once (`ShiftedSolver`, `O(n³)`) and every
     /// shifted system `(G + λI)x = Aᵀb` then solves in `O(n²)` —
     /// instead of the `O(n³)` per-lambda refactor the fallback loop
     /// (and every release before the streaming tier) performs. The
@@ -315,7 +308,6 @@ mod tests {
             assert!((u - w).abs() < 1e-9);
         }
         assert_eq!(base.features(), 16);
-        assert_eq!(base.observations(), 64);
     }
 
     #[test]

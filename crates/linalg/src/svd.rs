@@ -20,7 +20,7 @@ use ata_mat::{Matrix, Scalar};
 ///
 /// # Panics
 /// As [`jacobi_eigen`]: if `gram` is not square.
-pub fn singular_values<T: Scalar>(gram: &Matrix<T>) -> Vec<f64> {
+pub(crate) fn singular_values<T: Scalar>(gram: &Matrix<T>) -> Vec<f64> {
     gram_svd(gram).0
 }
 

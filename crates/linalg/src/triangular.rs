@@ -8,21 +8,11 @@
 use ata_mat::{MatRef, Scalar};
 
 /// Solve `L y = b` (forward substitution) where `L` is the lower
-/// triangle of `l`.
+/// triangle of `l`; `b` is overwritten with `y`.
 ///
 /// # Panics
 /// If shapes mismatch or a diagonal entry is zero.
-pub fn solve_lower<T: Scalar>(l: MatRef<'_, T>, b: &[T]) -> Vec<T> {
-    let mut y = b.to_vec();
-    solve_lower_in_place(l, &mut y);
-    y
-}
-
-/// Allocation-free [`solve_lower`]: `b` is overwritten with `y`.
-///
-/// # Panics
-/// If shapes mismatch or a diagonal entry is zero.
-pub fn solve_lower_in_place<T: Scalar>(l: MatRef<'_, T>, b: &mut [T]) {
+pub(crate) fn solve_lower_in_place<T: Scalar>(l: MatRef<'_, T>, b: &mut [T]) {
     let n = l.rows();
     assert_eq!(l.cols(), n, "solve_lower needs a square matrix");
     assert_eq!(b.len(), n, "rhs length mismatch");
@@ -39,22 +29,11 @@ pub fn solve_lower_in_place<T: Scalar>(l: MatRef<'_, T>, b: &mut [T]) {
 }
 
 /// Solve `L^T x = y` (backward substitution with the transposed lower
-/// factor; `L^T` is never materialized).
+/// factor; `L^T` is never materialized); `y` is overwritten with `x`.
 ///
 /// # Panics
 /// If shapes mismatch or a diagonal entry is zero.
-pub fn solve_lower_transposed<T: Scalar>(l: MatRef<'_, T>, y: &[T]) -> Vec<T> {
-    let mut x = y.to_vec();
-    solve_lower_transposed_in_place(l, &mut x);
-    x
-}
-
-/// Allocation-free [`solve_lower_transposed`]: `y` is overwritten with
-/// `x`.
-///
-/// # Panics
-/// If shapes mismatch or a diagonal entry is zero.
-pub fn solve_lower_transposed_in_place<T: Scalar>(l: MatRef<'_, T>, y: &mut [T]) {
+pub(crate) fn solve_lower_transposed_in_place<T: Scalar>(l: MatRef<'_, T>, y: &mut [T]) {
     let n = l.rows();
     assert_eq!(l.cols(), n, "solve_lower_transposed needs a square matrix");
     assert_eq!(y.len(), n, "rhs length mismatch");
@@ -85,7 +64,8 @@ mod tests {
     fn forward_substitution() {
         let l = lower_example();
         // b = L * [1, 2, 3]^T = [2, 7, 32].
-        let y = solve_lower(l.as_ref(), &[2.0, 7.0, 32.0]);
+        let mut y = [2.0, 7.0, 32.0];
+        solve_lower_in_place(l.as_ref(), &mut y);
         assert!((y[0] - 1.0).abs() < 1e-14);
         assert!((y[1] - 2.0).abs() < 1e-14);
         assert!((y[2] - 3.0).abs() < 1e-14);
@@ -95,7 +75,8 @@ mod tests {
     fn backward_substitution_with_transpose() {
         let l = lower_example();
         // L^T * [1, 2, 3]^T = [2*1+1*2+4*3, 3*2+5*3, 6*3] = [16, 21, 18].
-        let x = solve_lower_transposed(l.as_ref(), &[16.0, 21.0, 18.0]);
+        let mut x = [16.0, 21.0, 18.0];
+        solve_lower_transposed_in_place(l.as_ref(), &mut x);
         assert!((x[0] - 1.0).abs() < 1e-14);
         assert!((x[1] - 2.0).abs() < 1e-14);
         assert!((x[2] - 3.0).abs() < 1e-14);
@@ -105,8 +86,9 @@ mod tests {
     fn roundtrip_forward_then_backward() {
         let l = lower_example();
         let b = [5.0, -1.0, 2.5];
-        let y = solve_lower(l.as_ref(), &b);
-        let x = solve_lower_transposed(l.as_ref(), &y);
+        let mut x = b;
+        solve_lower_in_place(l.as_ref(), &mut x);
+        solve_lower_transposed_in_place(l.as_ref(), &mut x);
         // Verify L L^T x = b.
         let mut check = [0.0f64; 3];
         for i in 0..3 {
@@ -128,13 +110,13 @@ mod tests {
     #[should_panic(expected = "zero diagonal")]
     fn singular_factor_rejected() {
         let l = Matrix::from_vec(vec![1.0, 0.0, 0.0, 0.0], 2, 2);
-        let _ = solve_lower(l.as_ref(), &[1.0, 1.0]);
+        solve_lower_in_place(l.as_ref(), &mut [1.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "rhs length")]
     fn rhs_length_checked() {
         let l = lower_example();
-        let _ = solve_lower(l.as_ref(), &[1.0]);
+        solve_lower_in_place(l.as_ref(), &mut [1.0]);
     }
 }

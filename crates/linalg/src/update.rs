@@ -12,16 +12,16 @@
 //!   as `Lᵀ` in row-major order so both the update sweep and the
 //!   substitutions walk contiguous memory. This is the production
 //!   representation behind the facade's `FactoredGram`.
-//! * [`llt_rank_update`] / [`llt_rank1_update`] / [`llt_rank1_downdate`]
-//!   — classical `L Lᵀ` sweeps (Givens rotations for updates,
+//! * [`llt_rank_update`] (with its rank-1 `llt_rank1_update` /
+//!   `llt_rank1_downdate` steps) — classical `L Lᵀ` sweeps (Givens rotations for updates,
 //!   hyperbolic rotations for downdates) operating directly on the
 //!   lower-triangular factor produced by
 //!   [`crate::cholesky::cholesky_factor`], for callers that already
 //!   hold an `L Lᵀ` factor.
-//! * [`ShiftedSolver`] — a one-time Householder tridiagonalization
+//! * `ShiftedSolver` — a one-time Householder tridiagonalization
 //!   `C = Q T Qᵀ` after which *any* shifted system `(C + λI)x = b`
 //!   solves in `O(n²)`; this is the kernel behind
-//!   `RidgeSolver::solve_path` reusing one base factorization across a
+//!   [`crate::RidgeSolver::solve_path`] reusing one base factorization across a
 //!   whole λ sweep.
 //!
 //! Downdating can fail: subtracting rows may make the implied matrix
@@ -449,7 +449,10 @@ impl<T: Scalar> LdltFactor<T> {
 ///
 /// # Panics
 /// If `l` is not square.
-pub fn llt_rank1_update<T: Scalar>(l: &mut Matrix<T>, w: &mut [T]) -> Result<(), UpdateError> {
+pub(crate) fn llt_rank1_update<T: Scalar>(
+    l: &mut Matrix<T>,
+    w: &mut [T],
+) -> Result<(), UpdateError> {
     let n = l.rows();
     assert_eq!(l.cols(), n, "rank-1 update needs a square factor");
     if w.len() != n {
@@ -492,7 +495,10 @@ pub fn llt_rank1_update<T: Scalar>(l: &mut Matrix<T>, w: &mut [T]) -> Result<(),
 ///
 /// # Panics
 /// If `l` is not square.
-pub fn llt_rank1_downdate<T: Scalar>(l: &mut Matrix<T>, w: &mut [T]) -> Result<(), UpdateError> {
+pub(crate) fn llt_rank1_downdate<T: Scalar>(
+    l: &mut Matrix<T>,
+    w: &mut [T],
+) -> Result<(), UpdateError> {
     let n = l.rows();
     assert_eq!(l.cols(), n, "rank-1 downdate needs a square factor");
     if w.len() != n {
@@ -576,20 +582,21 @@ pub fn llt_rank_update<T: Scalar>(
 ///
 /// This is what lets a ridge λ-path reuse a single base factorization:
 /// `P` regularization values cost `O(n³ + P·n²)` instead of `P·O(n³)`.
+/// Callers reach it through [`crate::RidgeSolver::solve_path`]:
 ///
 /// ```
-/// use ata_linalg::update::ShiftedSolver;
-/// use ata_mat::Matrix;
+/// use ata_linalg::RidgeSolver;
+/// use ata_mat::{gen, reference};
 ///
-/// let g = Matrix::from_vec(vec![4.0, 1.0, 1.0, 3.0], 2, 2);
-/// let base = ShiftedSolver::new(g.as_ref());
-/// for lambda in [0.0, 0.5, 10.0] {
-///     let x = base.solve_shifted(lambda, &[1.0, 2.0]).unwrap();
-///     assert_eq!(x.len(), 2); // each solve is O(n²), no refactor
-/// }
+/// let a = gen::standard::<f64>(1, 40, 16);
+/// let b: Vec<f64> = (0..40).map(|i| i as f64).collect();
+/// let ridge = RidgeSolver::new(a.as_ref(), &b, reference::gram(a.as_ref()));
+/// // 16 features, 4 lambdas: one tridiagonalization, then O(n²) per shift.
+/// let xs = ridge.solve_path(&[0.0, 0.5, 1.0, 10.0]).unwrap();
+/// assert_eq!(xs.len(), 4);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ShiftedSolver<T: Scalar> {
+pub(crate) struct ShiftedSolver<T: Scalar> {
     n: usize,
     /// Householder vectors: row `j` holds `v_j` supported on
     /// `j+1..n` with the pivot element normalized to 1.
@@ -610,7 +617,7 @@ impl<T: Scalar> ShiftedSolver<T> {
     ///
     /// # Panics
     /// If `g` is not square.
-    pub fn new(g: MatRef<'_, T>) -> Self {
+    pub(crate) fn new(g: MatRef<'_, T>) -> Self {
         let n = g.rows();
         assert_eq!(g.cols(), n, "tridiagonalization needs a square matrix");
         // Dense symmetric working copy (both triangles, so the
@@ -692,11 +699,6 @@ impl<T: Scalar> ShiftedSolver<T> {
         }
     }
 
-    /// Order `n` of the factored matrix.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Solve `(C + λI) x = rhs` in `O(n²)`.
     ///
     /// # Errors
@@ -704,7 +706,7 @@ impl<T: Scalar> ShiftedSolver<T> {
     /// * [`UpdateError::Indefinite`] if `C + λI` is not positive
     ///   definite (checked pivot-by-pivot on the tridiagonal form,
     ///   before any division).
-    pub fn solve_shifted(&self, lambda: T, rhs: &[T]) -> Result<Vec<T>, UpdateError> {
+    pub(crate) fn solve_shifted(&self, lambda: T, rhs: &[T]) -> Result<Vec<T>, UpdateError> {
         let mut x = rhs.to_vec();
         self.solve_shifted_in_place(lambda, &mut x)?;
         Ok(x)
@@ -714,7 +716,11 @@ impl<T: Scalar> ShiftedSolver<T> {
     ///
     /// # Errors
     /// As [`ShiftedSolver::solve_shifted`].
-    pub fn solve_shifted_in_place(&self, lambda: T, rhs: &mut [T]) -> Result<(), UpdateError> {
+    pub(crate) fn solve_shifted_in_place(
+        &self,
+        lambda: T,
+        rhs: &mut [T],
+    ) -> Result<(), UpdateError> {
         let n = self.n;
         if rhs.len() != n {
             return Err(UpdateError::ShapeMismatch {

@@ -1,6 +1,7 @@
 //! Public-API signature extraction: the `ata-lint api` subsystem.
 //!
-//! Walks a crate's `src/` tree and records every `pub` item signature
+//! Walks a crate's library sources (`src/` without the binary targets'
+//! `main.rs` and `bin/`) and records every `pub` item signature
 //! at token level — functions, structs (with their `pub` fields), enums
 //! (with all variants), traits (with their items), impl blocks (trait
 //! impl headers plus `pub fn` methods), type aliases, consts, statics,
@@ -20,15 +21,36 @@
 //! exactly what a tripwire wants: renames and signature changes show up
 //! as diffs even when re-export wiring hides them from rustdoc.
 
-use crate::lex::{lex, Tok, TokKind};
-use std::collections::BTreeSet;
+use crate::lex::{Lexed, Tok, TokKind};
+use std::ops::Range;
 
-/// Extract public-API entries from one file. `mod_path` is the
-/// file-derived module prefix (empty for `lib.rs`/`main.rs`,
-/// `["a", "b"]` for `src/a/b.rs`).
-pub fn extract(mod_path: &[String], src: &str) -> BTreeSet<String> {
-    let lx = lex(src);
-    let mut out = BTreeSet::new();
+/// One recorded public-API entry, with what the `unused-pub` lint needs
+/// to judge it.
+pub(crate) struct Item {
+    /// The snapshot line: the rendered signature, prefixed by `[ctx]`
+    /// (the module path, or the path of the type or trait whose body
+    /// holds the entry) unless the entry sits at the crate root.
+    pub(crate) entry: String,
+    /// Identifiers of the signature.
+    pub(crate) idents: Vec<String>,
+    /// 1-based line the entry starts on.
+    pub(crate) line: usize,
+    /// The defined name of a fn, method, struct, enum, trait, const,
+    /// static or type alias: the entries `unused-pub` checks.
+    pub(crate) name: Option<String>,
+    /// The type or trait whose body holds a method, field, variant or
+    /// trait member: such an entry is public only while its owner is.
+    pub(crate) owner: Option<String>,
+    /// Whether the signature can keep a type public. Impl headers,
+    /// `pub use`, `pub mod` and macros cannot.
+    pub(crate) keeps: bool,
+}
+
+/// Extract the public-API entries of one lexed file. `mod_path` is the
+/// file-derived module prefix (empty for `lib.rs`, `["a", "b"]` for
+/// `src/a/b.rs`).
+pub(crate) fn items(mod_path: &[String], lx: &Lexed) -> Vec<Item> {
+    let mut out = Vec::new();
     let mut p = Parser {
         t: &lx.toks,
         out: &mut out,
@@ -38,21 +60,27 @@ pub fn extract(mod_path: &[String], src: &str) -> BTreeSet<String> {
     out
 }
 
-/// Module path for a file under `src/`: `lib.rs`, `main.rs` and
-/// `mod.rs` map to their directory, `a/b.rs` to `a::b`.
-pub fn mod_path_of(rel_in_src: &str) -> Vec<String> {
+/// Module path for a file under `src/`: `lib.rs` and `mod.rs` map to
+/// their directory, `a/b.rs` to `a::b`.
+pub(crate) fn mod_path_of(rel_in_src: &str) -> Vec<String> {
     let mut parts: Vec<&str> = rel_in_src.split('/').collect();
     let last = parts.pop().unwrap_or("");
     let stem = last.strip_suffix(".rs").unwrap_or(last);
-    if !matches!(stem, "lib" | "main" | "mod") {
+    if !matches!(stem, "lib" | "mod") {
         parts.push(stem);
     }
     parts.iter().map(|s| s.to_string()).collect()
 }
 
+/// Whether a file under `src/` belongs to a binary target (`main.rs`
+/// or anything under `bin/`), which no crate can import.
+pub(crate) fn is_bin_source(rel_in_src: &str) -> bool {
+    rel_in_src == "main.rs" || rel_in_src.starts_with("bin/")
+}
+
 struct Parser<'a> {
     t: &'a [Tok],
-    out: &'a mut BTreeSet<String>,
+    out: &'a mut Vec<Item>,
 }
 
 impl Parser<'_> {
@@ -94,27 +122,7 @@ impl Parser<'_> {
             if i >= end {
                 break;
             }
-            // Modifiers before the item keyword. `const` only counts as
-            // a modifier when another modifier or `fn` follows (a
-            // `const NAME: ..` item keeps `const` as its keyword).
-            let mut j = i;
-            while let Some(tok) = self.t.get(j) {
-                let const_modifier = tok.is_ident("const")
-                    && self.t.get(j + 1).is_some_and(|x| {
-                        ["fn", "unsafe", "async", "extern"]
-                            .iter()
-                            .any(|m| x.is_ident(m))
-                    });
-                if tok.is_ident("unsafe") || tok.is_ident("async") || const_modifier {
-                    j += 1;
-                } else if tok.is_ident("extern")
-                    && self.t.get(j + 1).is_some_and(|x| x.kind == TokKind::Str)
-                {
-                    j += 2; // extern "C"
-                } else {
-                    break;
-                }
-            }
+            let j = self.keyword_at(i);
             let kw = self.t.get(j).map(|x| x.text.as_str()).unwrap_or("");
             match kw {
                 "impl" => {
@@ -133,14 +141,15 @@ impl Parser<'_> {
                     i = self.item_enum(start, end, ctx);
                 }
                 "fn" | "type" | "use" | "macro" if is_pub => {
-                    let (sig, next) = self.signature(start, end);
-                    self.record(ctx, &sig);
+                    let (stop, next) = self.sig_stop(start, end, false);
+                    let name = matches!(kw, "fn" | "type").then(|| self.name_at(j + 1));
+                    self.record(ctx, start..stop, name, None);
                     i = next;
                 }
                 "const" | "static" if is_pub => {
                     // Stop the signature at `=`: the value is not API.
-                    let (sig, next) = self.signature_until_eq(start, end);
-                    self.record(ctx, &sig);
+                    let (stop, next) = self.sig_stop(start, end, true);
+                    self.record(ctx, start..stop, Some(self.name_at(j + 1)), None);
                     i = next;
                 }
                 _ => {
@@ -150,13 +159,59 @@ impl Parser<'_> {
         }
     }
 
-    fn record(&mut self, ctx: &str, sig: &str) {
-        let entry = if ctx.is_empty() {
-            sig.to_string()
-        } else {
-            format!("[{ctx}] {sig}")
-        };
-        self.out.insert(entry);
+    /// Record the entry spanning `span`. `name` is set for the items
+    /// `unused-pub` checks, `owner` for the members of a type or trait.
+    fn record(&mut self, ctx: &str, span: Range<usize>, name: Option<String>, owner: Option<&str>) {
+        let toks = &self.t[span];
+        let sig = render(toks);
+        let keeps = name.is_some() || owner.is_some();
+        self.out.push(Item {
+            entry: if ctx.is_empty() {
+                sig
+            } else {
+                format!("[{ctx}] {sig}")
+            },
+            idents: toks
+                .iter()
+                .filter(|x| x.kind == TokKind::Ident)
+                .map(|x| x.text.clone())
+                .collect(),
+            line: toks.first().map_or(0, |x| x.line),
+            name,
+            owner: owner.map(str::to_string),
+            keeps,
+        });
+    }
+
+    /// Index of the item keyword at or after `j`, past the modifiers.
+    /// `const` only counts as a modifier when another modifier or `fn`
+    /// follows (a `const NAME: ..` item keeps `const` as its keyword).
+    fn keyword_at(&self, mut j: usize) -> usize {
+        while let Some(tok) = self.t.get(j) {
+            let const_modifier = tok.is_ident("const")
+                && self.t.get(j + 1).is_some_and(|x| {
+                    ["fn", "unsafe", "async", "extern"]
+                        .iter()
+                        .any(|m| x.is_ident(m))
+                });
+            if tok.is_ident("unsafe") || tok.is_ident("async") || const_modifier {
+                j += 1;
+            } else if tok.is_ident("extern")
+                && self.t.get(j + 1).is_some_and(|x| x.kind == TokKind::Str)
+            {
+                j += 2; // extern "C"
+            } else {
+                break;
+            }
+        }
+        j
+    }
+
+    /// The name at `j`, right after an item keyword (past a `static`'s
+    /// `mut`).
+    fn name_at(&self, j: usize) -> String {
+        let j = j + usize::from(self.t.get(j).is_some_and(|x| x.is_ident("mut")));
+        self.t.get(j).map(|x| x.text.clone()).unwrap_or_default()
     }
 
     /// Whether the attribute whose `#` sits at `i` is `#[doc(hidden)]`
@@ -227,18 +282,6 @@ impl Parser<'_> {
         end
     }
 
-    /// Render tokens from `i` to the item's body `{` or terminating `;`
-    /// (exclusive); returns the signature and the index after the item.
-    fn signature(&self, i: usize, end: usize) -> (String, usize) {
-        let (stop, after) = self.sig_stop(i, end, false);
-        (render(&self.t[i..stop]), after)
-    }
-
-    fn signature_until_eq(&self, i: usize, end: usize) -> (String, usize) {
-        let (stop, after) = self.sig_stop(i, end, true);
-        (render(&self.t[i..stop]), after)
-    }
-
     /// Find where the signature stops: a top-level `{`, `;`, or (when
     /// `at_eq`) `=`. Returns `(stop_index, index_after_item)`.
     fn sig_stop(&self, mut i: usize, end: usize, at_eq: bool) -> (usize, usize) {
@@ -272,7 +315,7 @@ impl Parser<'_> {
         let (header_stop, _) = self.sig_stop(i, end, false);
         let header = render_generics_stripped(&self.t[i..header_stop]);
         if header.contains(" for ") {
-            self.record(ctx, &render(&self.t[i..header_stop]));
+            self.record(ctx, i..header_stop, None, None);
         }
         let Some(body) = self.body_range(header_stop, end) else {
             return self.skip_item(i, end);
@@ -284,17 +327,17 @@ impl Parser<'_> {
             None => header.strip_prefix("impl ").unwrap_or(&header).to_string(),
         };
         let sub = if ctx.is_empty() {
-            target
+            target.clone()
         } else {
             format!("{ctx}::{target}")
         };
-        self.impl_body(body.0, body.1, &sub);
+        self.impl_body(body.0, body.1, &sub, &target);
         body.1 + 1
     }
 
     /// Methods inside an impl body: record `pub fn`/`pub const` items
     /// unless marked `#[doc(hidden)]`.
-    fn impl_body(&mut self, mut i: usize, end: usize, ctx: &str) {
+    fn impl_body(&mut self, mut i: usize, end: usize, ctx: &str, owner: &str) {
         while i < end {
             let mut hidden = false;
             while self.at_attr(i) {
@@ -312,8 +355,9 @@ impl Parser<'_> {
                     i = self.skip_group(i + 1, end, "(", ")");
                     i = self.skip_item(i, end);
                 } else {
-                    let (sig, next) = self.signature(i, end);
-                    self.record(ctx, &sig);
+                    let (stop, next) = self.sig_stop(i, end, false);
+                    let name = self.name_at(self.keyword_at(i + 1) + 1);
+                    self.record(ctx, i..stop, Some(name), Some(owner));
                     i = next;
                 }
             } else {
@@ -333,7 +377,7 @@ impl Parser<'_> {
             .map(|x| x.text.clone())
             .unwrap_or_default();
         if is_pub {
-            self.record(ctx, &render(&self.t[i..stop]));
+            self.record(ctx, i..stop, None, None);
         }
         match self.body_range(stop, end) {
             Some((b0, b1)) => {
@@ -353,14 +397,13 @@ impl Parser<'_> {
     /// are public through the trait).
     fn item_trait(&mut self, i: usize, end: usize, ctx: &str) -> usize {
         let (stop, _) = self.sig_stop(i, end, false);
-        let header = render(&self.t[i..stop]);
-        self.record(ctx, &header);
+        let name = name_after(&self.t[i..stop], "trait");
+        self.record(ctx, i..stop, Some(name.clone()), None);
         let Some((mut j, b1)) = self.body_range(stop, end) else {
             return self.skip_item(i, end);
         };
-        let name = trait_name(&self.t[i..stop]);
         let sub = if ctx.is_empty() {
-            name
+            name.clone()
         } else {
             format!("{ctx}::{name}")
         };
@@ -374,9 +417,9 @@ impl Parser<'_> {
             if j >= b1 {
                 break;
             }
-            let (sig, next) = self.signature(j, b1);
-            if !sig.is_empty() && !hidden {
-                self.record(&sub, &sig);
+            let (stop, next) = self.sig_stop(j, b1, false);
+            if stop > j && !hidden {
+                self.record(&sub, j..stop, None, Some(&name));
             }
             if next == j {
                 break;
@@ -390,19 +433,17 @@ impl Parser<'_> {
     /// (tuple structs keep their full field list in the header).
     fn item_struct(&mut self, i: usize, end: usize, ctx: &str) -> usize {
         let (stop, after_semi) = self.sig_stop(i, end, false);
+        let name = name_after(&self.t[i..stop], "struct");
+        self.record(ctx, i..stop, Some(name.clone()), None);
         // Tuple struct / unit struct: everything up to `;` is the header.
         if !self.t.get(stop).is_some_and(|x| x.is_punct("{")) {
-            self.record(ctx, &render(&self.t[i..stop]));
             return after_semi;
         }
-        let header = render(&self.t[i..stop]);
-        self.record(ctx, &header);
         let Some((mut j, b1)) = self.body_range(stop, end) else {
             return self.skip_item(i, end);
         };
-        let name = struct_name(&self.t[i..stop]);
         let sub = if ctx.is_empty() {
-            name
+            name.clone()
         } else {
             format!("{ctx}::{name}")
         };
@@ -422,7 +463,7 @@ impl Parser<'_> {
             {
                 let f0 = j;
                 j = self.field_end(j, b1);
-                self.record(&sub, &render(&self.t[f0..j]));
+                self.record(&sub, f0..j, None, Some(&name));
             } else {
                 j = self.field_end(j, b1);
             }
@@ -436,13 +477,13 @@ impl Parser<'_> {
     /// `pub enum`: the header plus every variant (variants are public).
     fn item_enum(&mut self, i: usize, end: usize, ctx: &str) -> usize {
         let (stop, _) = self.sig_stop(i, end, false);
-        self.record(ctx, &render(&self.t[i..stop]));
+        let name = name_after(&self.t[i..stop], "enum");
+        self.record(ctx, i..stop, Some(name.clone()), None);
         let Some((mut j, b1)) = self.body_range(stop, end) else {
             return self.skip_item(i, end);
         };
-        let name = enum_name(&self.t[i..stop]);
         let sub = if ctx.is_empty() {
-            name
+            name.clone()
         } else {
             format!("{ctx}::{name}")
         };
@@ -458,9 +499,8 @@ impl Parser<'_> {
             }
             let v0 = j;
             j = self.field_end(j, b1);
-            let v = render(&self.t[v0..j]);
-            if !v.is_empty() && !hidden {
-                self.record(&sub, &v);
+            if j > v0 && !hidden {
+                self.record(&sub, v0..j, None, Some(&name));
             }
             if self.t.get(j).is_some_and(|x| x.is_punct(",")) {
                 j += 1;
@@ -502,16 +542,6 @@ impl Parser<'_> {
     }
 }
 
-fn trait_name(header: &[Tok]) -> String {
-    name_after(header, "trait")
-}
-fn struct_name(header: &[Tok]) -> String {
-    name_after(header, "struct")
-}
-fn enum_name(header: &[Tok]) -> String {
-    name_after(header, "enum")
-}
-
 fn name_after(toks: &[Tok], kw: &str) -> String {
     toks.iter()
         .position(|t| t.is_ident(kw))
@@ -542,7 +572,7 @@ fn render_generics_stripped(toks: &[Tok]) -> String {
 }
 
 /// Deterministically render tokens as one line of Rust-ish text.
-pub fn render(toks: &[Tok]) -> String {
+fn render(toks: &[Tok]) -> String {
     let mut out = String::new();
     for (i, t) in toks.iter().enumerate() {
         let text = t.text.as_str();
@@ -587,7 +617,13 @@ mod tests {
     use super::*;
 
     fn entries(src: &str) -> Vec<String> {
-        extract(&[], src).into_iter().collect()
+        let mut e: Vec<String> = items(&[], &crate::lex::lex(src))
+            .into_iter()
+            .map(|it| it.entry)
+            .collect();
+        e.sort();
+        e.dedup();
+        e
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 /// What kind of lexeme a [`Tok`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword (`unsafe`, `fn`, `spawn`, ...).
     Ident,
     /// Punctuation; multi-character operators `::`, `->`, `=>` and `..`
@@ -33,7 +33,7 @@ pub enum TokKind {
 
 /// One token with its 1-based starting line.
 #[derive(Debug, Clone)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// Lexeme kind.
     pub kind: TokKind,
     /// Verbatim text of the lexeme.
@@ -44,19 +44,19 @@ pub struct Tok {
 
 impl Tok {
     /// True if this token is the identifier/keyword `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
 
     /// True if this token is the punctuation `s`.
-    pub fn is_punct(&self, s: &str) -> bool {
+    pub(crate) fn is_punct(&self, s: &str) -> bool {
         self.kind == TokKind::Punct && self.text == s
     }
 }
 
 /// One comment (line or block), with the lines it spans.
 #[derive(Debug, Clone)]
-pub struct Comment {
+pub(crate) struct Comment {
     /// 1-based line the comment starts on.
     pub start_line: usize,
     /// 1-based line the comment ends on (same as `start_line` for `//`).
@@ -67,14 +67,14 @@ pub struct Comment {
 
 impl Comment {
     /// Whether the comment covers 1-based line `l`.
-    pub fn covers(&self, l: usize) -> bool {
+    pub(crate) fn covers(&self, l: usize) -> bool {
         self.start_line <= l && l <= self.end_line
     }
 }
 
 /// A lexed source file: the token stream plus the comment side table.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// All code tokens in source order.
     pub toks: Vec<Tok>,
     /// All comments in source order.
@@ -88,25 +88,25 @@ pub struct Lexed {
 
 impl Lexed {
     /// True if 1-based line `l` has a code token on it.
-    pub fn has_code(&self, l: usize) -> bool {
+    pub(crate) fn has_code(&self, l: usize) -> bool {
         self.code_lines.get(l).copied().unwrap_or(false)
     }
 
     /// True if any comment covering line `l` contains `needle`.
-    pub fn comment_on_line_contains(&self, l: usize, needle: &str) -> bool {
+    pub(crate) fn comment_on_line_contains(&self, l: usize, needle: &str) -> bool {
         self.comments
             .iter()
             .any(|c| c.covers(l) && c.text.contains(needle))
     }
 
     /// True if line `l` is covered by some comment (of any content).
-    pub fn comment_covers_line(&self, l: usize) -> bool {
+    pub(crate) fn comment_covers_line(&self, l: usize) -> bool {
         self.comments.iter().any(|c| c.covers(l))
     }
 }
 
 /// Lex `src` into tokens and comments.
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     Lexer::new(src).run()
 }
 

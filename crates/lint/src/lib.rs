@@ -10,13 +10,14 @@
 //! BLIS-style kernel methodology work.
 //!
 //! Two subsystems, both dependency-free (the build is fully offline,
-//! so no `syn` — a hand-rolled lexer in [`lex`] provides token-level
+//! so no `syn` — a hand-rolled lexer in `lex` provides token-level
 //! structure):
 //!
-//! - [`lints`] / [`check`]: five repo-specific lints over every
+//! - [`lints`] / [`check`]: six repo-specific lints over every
 //!   workspace source file, each with an inline
-//!   `// ata-lint: allow(<lint>)` escape hatch.
-//! - [`api`] / [`write_api`] / [`verify_api`]: per-crate public-API
+//!   `// ata-lint: allow(<lint>)` escape hatch. Five look at one file
+//!   at a time; `unused-pub` reads the whole tree.
+//! - `api` / [`write_api`] / [`verify_api`]: per-crate public-API
 //!   signature snapshots committed under `API/`, so any unacknowledged
 //!   public-surface change fails CI (`ata-lint api --verify`).
 //!
@@ -30,11 +31,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod api;
-pub mod lex;
+mod api;
+mod lex;
 pub mod lints;
+mod unused;
 
-pub use lints::{lint_file, Diagnostic, LINT_NAMES, UNSAFE_ALLOWLIST};
+pub use lints::{lint_file, Diagnostic};
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -44,10 +46,10 @@ use std::path::{Path, PathBuf};
 /// Directory names never descended into: VCS state, build output, the
 /// vendored stand-ins (not ours to lint), lint test fixtures
 /// (intentionally bad), and the snapshot directory itself.
-pub const SKIP_DIRS: [&str; 5] = [".git", "target", "third_party", "fixtures", "API"];
+pub(crate) const SKIP_DIRS: [&str; 5] = [".git", "target", "third_party", "fixtures", "API"];
 
 /// All workspace-relative `/`-separated paths of `.rs` files under
-/// `root`, sorted, skipping [`SKIP_DIRS`].
+/// `root`, sorted, skipping `SKIP_DIRS`.
 pub fn rust_sources(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
     visit(root, root, &mut out)?;
@@ -84,18 +86,24 @@ fn rel_str(root: &Path, path: &Path) -> String {
 
 /// Run every lint over every workspace source file.
 pub fn check(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    let mut diags = Vec::new();
+    let mut files = Vec::new();
     for rel in rust_sources(root)? {
         let src = fs::read_to_string(root.join(&rel))?;
-        diags.extend(lint_file(&rel, &src));
+        files.push((rel, src));
     }
+    let mut diags: Vec<Diagnostic> = files
+        .iter()
+        .flat_map(|(rel, src)| lint_file(rel, src))
+        .collect();
+    diags.extend(unused::unused_pub(&files));
+    diags.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
     Ok(diags)
 }
 
 /// The workspace's own crates as `(name, src_dir)`, facade first, then
 /// `crates/*` sorted by directory. Vendored `third_party/*` stand-ins
 /// are excluded: their API is not ours to snapshot.
-pub fn workspace_crates(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+pub(crate) fn workspace_crates(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();
     if let Some(name) = crate_name(&root.join("Cargo.toml"))? {
         out.push((name, root.join("src")));
@@ -140,15 +148,19 @@ fn crate_name(manifest: &Path) -> io::Result<Option<String>> {
     Ok(None)
 }
 
-/// Extract one crate's public-API entries from its `src_dir`.
-pub fn crate_api(src_dir: &Path) -> io::Result<BTreeSet<String>> {
+/// Extract one crate's public-API entries from its `src_dir`, skipping
+/// the binary targets' sources.
+pub(crate) fn crate_api(src_dir: &Path) -> io::Result<BTreeSet<String>> {
     let mut entries = BTreeSet::new();
     let mut files = Vec::new();
     visit(src_dir, src_dir, &mut files)?;
-    files.sort();
-    for rel in files {
-        let src = fs::read_to_string(src_dir.join(&rel))?;
-        entries.extend(api::extract(&api::mod_path_of(&rel), &src));
+    for rel in files.iter().filter(|rel| !api::is_bin_source(rel)) {
+        let lx = lex::lex(&fs::read_to_string(src_dir.join(rel))?);
+        entries.extend(
+            api::items(&api::mod_path_of(rel), &lx)
+                .into_iter()
+                .map(|it| it.entry),
+        );
     }
     Ok(entries)
 }
@@ -231,4 +243,16 @@ pub fn verify_api(root: &Path) -> io::Result<Vec<String>> {
         }
     }
     Ok(problems)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn bin_targets_stay_out_of_the_snapshot() {
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/unused_pub/crates/alpha/src");
+        let api = super::crate_api(&src).expect("fixture readable");
+        assert!(api.contains("pub fn unused_anywhere()"));
+        assert!(!api.iter().any(|e| e.contains("bin_helper")), "{api:?}");
+    }
 }

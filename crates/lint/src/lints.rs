@@ -1,6 +1,6 @@
 //! The repo-invariant lints.
 //!
-//! Every lint works on the token stream from [`crate::lex`], so comments
+//! Every lint works on the token stream from `crate::lex`, so comments
 //! and string literals can never trigger a false positive. Each lint has
 //! an inline escape hatch: a comment containing
 //! `ata-lint: allow(<lint-name>)` on the diagnostic's line or the line
@@ -19,6 +19,8 @@
 //! - `no-unwrap-in-lib`: the facade `src/`, `crates/dist/src/`,
 //!   `crates/kernels/src/`, `crates/linalg/src/`; `#[cfg(test)]` spans
 //!   are exempt.
+//! - `unused-pub`: the library sources of every crate under `crates/`
+//!   (the `unused` module).
 
 use crate::lex::{lex, Lexed, Tok, TokKind};
 
@@ -29,7 +31,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Lint name (one of [`LINT_NAMES`], or `unknown-allow`).
+    /// Lint name (one of `LINT_NAMES`, or `unknown-allow`).
     pub lint: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -46,17 +48,18 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// All lint names recognised by `ata-lint: allow(..)`.
-pub const LINT_NAMES: [&str; 5] = [
+pub(crate) const LINT_NAMES: [&str; 6] = [
     "safety-comment",
     "unsafe-allowlist",
     "no-raw-spawn",
     "lock-across-blocking",
     "no-unwrap-in-lib",
+    "unused-pub",
 ];
 
 /// Files in which `unsafe` is permitted (plus anything under
 /// `third_party/`, which the workspace walker skips entirely).
-pub const UNSAFE_ALLOWLIST: [&str; 4] = [
+pub(crate) const UNSAFE_ALLOWLIST: [&str; 4] = [
     "crates/mat/src/view.rs",
     "crates/core/src/parallel.rs",
     "crates/kernels/src/simd/mod.rs",
@@ -126,30 +129,8 @@ impl<'a> FileCtx<'a> {
             .any(|seg| seg == "tests" || seg == "benches" || seg == "examples" || seg == "build.rs")
     }
 
-    /// Is the diagnostic at `line` suppressed by an
-    /// `ata-lint: allow(<name>)` comment on that line or anywhere in
-    /// the contiguous comment block directly above it (so the reason
-    /// may wrap over several comment lines)?
-    fn allowed(&self, line: usize, name: &str) -> bool {
-        let needle = format!("ata-lint: allow({name})");
-        if self.lx.comment_on_line_contains(line, &needle) {
-            return true;
-        }
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            if !self.lx.comment_covers_line(l) || self.lx.has_code(l) {
-                return false;
-            }
-            if self.lx.comment_on_line_contains(l, &needle) {
-                return true;
-            }
-        }
-        false
-    }
-
     fn emit(&self, out: &mut Vec<Diagnostic>, line: usize, lint: &'static str, msg: String) {
-        if !self.allowed(line, lint) {
+        if !allowed(self.lx, line, lint) {
             out.push(Diagnostic {
                 path: self.path.to_string(),
                 line,
@@ -374,6 +355,28 @@ impl<'a> FileCtx<'a> {
             }
         }
     }
+}
+
+/// Is the diagnostic at `line` suppressed by an
+/// `ata-lint: allow(<name>)` comment on that line or anywhere in the
+/// contiguous comment block directly above it (so the reason may wrap
+/// over several comment lines)?
+pub(crate) fn allowed(lx: &Lexed, line: usize, name: &str) -> bool {
+    let needle = format!("ata-lint: allow({name})");
+    if lx.comment_on_line_contains(line, &needle) {
+        return true;
+    }
+    let mut l = line;
+    while l > 1 {
+        l -= 1;
+        if !lx.comment_covers_line(l) || lx.has_code(l) {
+            return false;
+        }
+        if lx.comment_on_line_contains(l, &needle) {
+            return true;
+        }
+    }
+    false
 }
 
 /// Inclusive line spans of `#[cfg(test)]` items (attribute line through

@@ -4,6 +4,8 @@
 //! ata-lint check                  lint every workspace source file
 //! ata-lint api                    regenerate API/<crate>.txt snapshots
 //! ata-lint api --verify           fail (exit 1) on snapshot drift
+//!                                 (both print each snapshot's entry
+//!                                 count, its non-comment lines)
 //!     --root <DIR>                workspace root (default: found by
 //!                                 walking up to a [workspace] manifest)
 //! ```
@@ -96,12 +98,32 @@ fn run_check(root: &std::path::Path) -> std::io::Result<ExitCode> {
     }
 }
 
+/// Print each committed `API/<crate>.txt`'s entry count (its
+/// non-comment lines) and the total.
+fn print_counts(root: &std::path::Path) -> std::io::Result<()> {
+    let mut paths = std::fs::read_dir(root.join("API"))?
+        .map(|e| e.map(|e| e.path()))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    paths.sort();
+    let mut total = 0;
+    for path in paths {
+        let text = std::fs::read_to_string(&path)?;
+        let n = text.lines().filter(|l| !l.starts_with('#')).count();
+        total += n;
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        println!("API/{name}: {n} entries");
+    }
+    println!("API total: {total} entries");
+    Ok(())
+}
+
 fn run_api(root: &std::path::Path, verify: bool) -> std::io::Result<ExitCode> {
     if verify {
         let problems = ata_lint::verify_api(root)?;
         for p in &problems {
             println!("{p}");
         }
+        print_counts(root)?;
         if problems.is_empty() {
             println!("ata-lint: API snapshots match the sources");
             Ok(ExitCode::SUCCESS)
@@ -116,6 +138,7 @@ fn run_api(root: &std::path::Path, verify: bool) -> std::io::Result<ExitCode> {
         for path in ata_lint::write_api(root)? {
             println!("wrote {path}");
         }
+        print_counts(root)?;
         Ok(ExitCode::SUCCESS)
     }
 }

@@ -125,3 +125,27 @@ fn allow_comment_silences_each_bad_fixture() {
     let d = diags("crates/core/src/tracked.rs", &silenced);
     assert!(d.is_empty(), "allow did not silence: {d:?}");
 }
+
+#[test]
+fn unused_pub_fires_only_where_nothing_names_the_item() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unused_pub");
+    let d: Vec<(String, usize, &str)> = ata_lint::check(&root)
+        .expect("fixture readable")
+        .into_iter()
+        .map(|d| (d.path, d.line, d.lint))
+        .collect();
+    // Silent: the items only beta, the bin, `tests/`, `perfbench/src`
+    // or `kept_signature`'s return type name; the allowed keep; and the
+    // facade's own unused items.
+    let lib = "crates/alpha/src/lib.rs".to_string();
+    let want = vec![
+        (lib.clone(), 3, "unused-pub"),     // named nowhere else
+        (lib.clone(), 16, "unused-pub"),    // named only by a finding
+        (lib.clone(), 18, "unused-pub"),    // that finding
+        (lib.clone(), 22, "unused-pub"),    // a finding whose field...
+        (lib.clone(), 26, "unused-pub"),    // ...or trait impl keeps nothing
+        (lib.clone(), 32, "unknown-allow"), // the misspelt allow...
+        (lib, 33, "unused-pub"),            // ...suppresses nothing
+    ];
+    assert_eq!(d, want);
+}

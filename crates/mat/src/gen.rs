@@ -9,7 +9,13 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 /// Uniform random matrix with entries in `[lo, hi)`.
-pub fn uniform<T: Scalar>(seed: u64, rows: usize, cols: usize, lo: f64, hi: f64) -> Matrix<T> {
+pub(crate) fn uniform<T: Scalar>(
+    seed: u64,
+    rows: usize,
+    cols: usize,
+    lo: f64,
+    hi: f64,
+) -> Matrix<T> {
     assert!(lo < hi, "uniform: empty range [{lo}, {hi})");
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(rows, cols, |_, _| T::from_f64(rng.random_range(lo..hi)))

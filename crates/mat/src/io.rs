@@ -99,7 +99,7 @@ pub fn read_csv<T: Scalar>(r: impl Read) -> Result<Matrix<T>, IoError> {
 }
 
 /// Write the binary `.atm` format.
-pub fn write_binary<T: Scalar>(m: &Matrix<T>, w: impl Write) -> Result<(), IoError> {
+pub(crate) fn write_binary<T: Scalar>(m: &Matrix<T>, w: impl Write) -> Result<(), IoError> {
     let mut w = BufWriter::new(w);
     w.write_all(MAGIC)?;
     w.write_all(&[VERSION, std::mem::size_of::<T>() as u8])?;
@@ -123,7 +123,7 @@ pub fn write_binary<T: Scalar>(m: &Matrix<T>, w: impl Write) -> Result<(), IoErr
 ///
 /// # Errors
 /// [`IoError::Format`] on bad magic/version/width or truncation.
-pub fn read_binary<T: Scalar>(mut r: impl Read) -> Result<Matrix<T>, IoError> {
+pub(crate) fn read_binary<T: Scalar>(mut r: impl Read) -> Result<Matrix<T>, IoError> {
     let mut head = [0u8; 6];
     r.read_exact(&mut head)?;
     if &head[..4] != MAGIC {

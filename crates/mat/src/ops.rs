@@ -37,38 +37,6 @@ pub fn axpy_assign<T: Scalar>(dst: &mut MatMut<'_, T>, alpha: T, src: MatRef<'_,
     }
 }
 
-/// `dst = a + b`, elementwise.
-///
-/// # Panics
-/// If any shape differs.
-pub fn add_into<T: Scalar>(dst: &mut MatMut<'_, T>, a: MatRef<'_, T>, b: MatRef<'_, T>) {
-    assert_eq!(a.shape(), b.shape(), "add_into operand shape mismatch");
-    assert_eq!(dst.shape(), a.shape(), "add_into output shape mismatch");
-    for i in 0..dst.rows() {
-        let d = dst.row_mut(i);
-        let (ar, br) = (a.row(i), b.row(i));
-        for ((dv, av), bv) in d.iter_mut().zip(ar).zip(br) {
-            *dv = *av + *bv;
-        }
-    }
-}
-
-/// `dst = a - b`, elementwise.
-///
-/// # Panics
-/// If any shape differs.
-pub fn sub_into<T: Scalar>(dst: &mut MatMut<'_, T>, a: MatRef<'_, T>, b: MatRef<'_, T>) {
-    assert_eq!(a.shape(), b.shape(), "sub_into operand shape mismatch");
-    assert_eq!(dst.shape(), a.shape(), "sub_into output shape mismatch");
-    for i in 0..dst.rows() {
-        let d = dst.row_mut(i);
-        let (ar, br) = (a.row(i), b.row(i));
-        for ((dv, av), bv) in d.iter_mut().zip(ar).zip(br) {
-            *dv = *av - *bv;
-        }
-    }
-}
-
 /// Scale every element of `dst` by `s`.
 pub fn scale<T: Scalar>(dst: &mut MatMut<'_, T>, s: T) {
     for i in 0..dst.rows() {
@@ -118,13 +86,6 @@ mod tests {
     fn add_sub_axpy() {
         let a = m(2, 3, |i, j| (i + j) as f64);
         let b = m(2, 3, |i, j| (i * j) as f64);
-        let mut out = Matrix::zeros(2, 3);
-        add_into(&mut out.as_mut(), a.as_ref(), b.as_ref());
-        assert_eq!(out[(1, 2)], 3.0 + 2.0);
-
-        sub_into(&mut out.as_mut(), a.as_ref(), b.as_ref());
-        assert_eq!(out[(1, 2)], 3.0 - 2.0);
-
         let mut acc = a.clone();
         axpy_assign(&mut acc.as_mut(), 2.0, b.as_ref());
         assert_eq!(acc[(1, 2)], 3.0 + 2.0 * 2.0);

@@ -117,21 +117,6 @@ impl<T: Scalar> SymPacked<T> {
         self.data[r * (r + 1) / 2 + c]
     }
 
-    /// Write the lower-triangle element `(i, j)`, `i >= j`.
-    ///
-    /// # Panics
-    /// If `i < j` (the strictly-upper part is not stored) or out of bounds.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: T) {
-        assert!(
-            i < self.n && j < self.n,
-            "index ({i},{j}) out of bounds for order {}",
-            self.n
-        );
-        assert!(i >= j, "set({i},{j}): only the lower triangle is stored");
-        self.data[i * (i + 1) / 2 + j] = v;
-    }
-
     /// Accumulate `v` onto element `(i, j)`, `i >= j`.
     #[inline]
     pub fn add(&mut self, i: usize, j: usize, v: T) {
@@ -144,13 +129,21 @@ impl<T: Scalar> SymPacked<T> {
         self.data[i * (i + 1) / 2 + j] += v;
     }
 
-    /// Expand to a full symmetric [`Matrix`].
-    pub fn to_full(&self) -> Matrix<T> {
+    /// Expand to a dense [`Matrix`] holding the lower triangle with the
+    /// strict upper triangle zero: the inverse of
+    /// [`SymPacked::from_lower`] on an `A^T A` block, bit for bit.
+    pub fn to_lower(&self) -> Matrix<T> {
         let mut out = Matrix::zeros(self.n, self.n);
         for i in 0..self.n {
             let start = i * (i + 1) / 2;
             out.row_mut(i)[..=i].copy_from_slice(&self.data[start..start + i + 1]);
         }
+        out
+    }
+
+    /// Expand to a full symmetric [`Matrix`].
+    pub fn to_full(&self) -> Matrix<T> {
+        let mut out = self.to_lower();
         out.mirror_lower_to_upper();
         out
     }
@@ -192,7 +185,7 @@ mod tests {
     #[test]
     fn symmetric_get() {
         let mut p = SymPacked::zeros(3);
-        p.set(2, 0, 7.0f64);
+        p.add(2, 0, 7.0f64);
         assert_eq!(p.get(2, 0), 7.0);
         assert_eq!(p.get(0, 2), 7.0);
         p.add(2, 0, 1.0);
@@ -203,7 +196,7 @@ mod tests {
     #[should_panic(expected = "lower triangle")]
     fn set_upper_panics() {
         let mut p = SymPacked::<f64>::zeros(3);
-        p.set(0, 2, 1.0);
+        p.add(0, 2, 1.0);
     }
 
     #[test]

@@ -71,34 +71,6 @@ pub fn gram<T: Scalar>(a: MatRef<'_, T>) -> Matrix<T> {
     c
 }
 
-/// `C += alpha * A B` (naive, no transposition); used by the CAPS-like
-/// baseline which multiplies untransposed operands.
-///
-/// Shapes: `A: m x k`, `B: k x n`, `C: m x n`.
-///
-/// # Panics
-/// On inconsistent shapes.
-pub fn gemm_nn<T: Scalar>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-    let (m, ka) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(ka, kb, "gemm_nn: inner dimensions differ ({ka} vs {kb})");
-    assert_eq!(
-        c.shape(),
-        (m, n),
-        "gemm_nn: C must be {m}x{n}, got {:?}",
-        c.shape()
-    );
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = T::ZERO;
-            for l in 0..ka {
-                acc += *a.at(i, l) * *b.at(l, j);
-            }
-            *c.at_mut(i, j) += alpha * acc;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,15 +116,6 @@ mod tests {
         for i in 0..4 {
             assert!(g[(i, i)] >= 0.0);
         }
-    }
-
-    #[test]
-    fn gemm_nn_identity() {
-        let a = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
-        let id = Matrix::identity(3);
-        let mut c = Matrix::zeros(3, 3);
-        gemm_nn(1.0, a.as_ref(), id.as_ref(), &mut c.as_mut());
-        assert_eq!(c.max_abs_diff(&a), 0.0);
     }
 
     #[test]

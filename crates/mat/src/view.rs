@@ -90,7 +90,12 @@ impl<'a, T> MatRef<'a, T> {
     /// # Panics
     /// If the last addressable element would fall outside `data`.
     #[inline]
-    pub fn from_slice_strided(data: &'a [T], rows: usize, cols: usize, row_stride: usize) -> Self {
+    pub(crate) fn from_slice_strided(
+        data: &'a [T],
+        rows: usize,
+        cols: usize,
+        row_stride: usize,
+    ) -> Self {
         check_dims(data.len(), rows, cols, row_stride);
         Self {
             ptr: data.as_ptr(),
@@ -111,12 +116,6 @@ impl<'a, T> MatRef<'a, T> {
     #[inline]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Distance in elements between the starts of consecutive rows.
-    #[inline]
-    pub fn row_stride(&self) -> usize {
-        self.row_stride
     }
 
     /// `(rows, cols)`.
@@ -198,24 +197,6 @@ impl<'a, T> MatRef<'a, T> {
             self.block(m1, self.rows, n1, self.cols),
         )
     }
-
-    /// Left/right column strips split at `c` (Fig. 2's vertical tiling).
-    #[inline]
-    pub fn split_at_col(&self, c: usize) -> (MatRef<'a, T>, MatRef<'a, T>) {
-        (
-            self.block(0, self.rows, 0, c),
-            self.block(0, self.rows, c, self.cols),
-        )
-    }
-
-    /// Top/bottom row strips split at `r` (Fig. 2's horizontal tiling).
-    #[inline]
-    pub fn split_at_row(&self, r: usize) -> (MatRef<'a, T>, MatRef<'a, T>) {
-        (
-            self.block(0, r, 0, self.cols),
-            self.block(r, self.rows, 0, self.cols),
-        )
-    }
 }
 
 impl<'a, T: Scalar> MatRef<'a, T> {
@@ -267,7 +248,7 @@ impl<'a, T> MatMut<'a, T> {
     /// # Panics
     /// If the last addressable element would fall outside `data`.
     #[inline]
-    pub fn from_slice_strided(
+    pub(crate) fn from_slice_strided(
         data: &'a mut [T],
         rows: usize,
         cols: usize,
@@ -293,12 +274,6 @@ impl<'a, T> MatMut<'a, T> {
     #[inline]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Distance in elements between the starts of consecutive rows.
-    #[inline]
-    pub fn row_stride(&self) -> usize {
-        self.row_stride
     }
 
     /// `(rows, cols)`.
@@ -366,7 +341,7 @@ impl<'a, T> MatMut<'a, T> {
 
     /// Mutable reference to element `(i, j)`.
     #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut T {
+    pub(crate) fn at_mut(&mut self, i: usize, j: usize) -> &mut T {
         assert!(
             i < self.rows && j < self.cols,
             "index ({i},{j}) out of bounds for {}x{}",
@@ -781,7 +756,7 @@ mod tests {
         assert!(a.is_empty());
         let b = MatRef::from_slice(&data, 5, 0);
         assert!(b.is_empty());
-        let (l, r) = b.split_at_col(0);
+        let (l, _, r, _) = b.quad_split();
         assert!(l.is_empty() && r.is_empty());
     }
 }

@@ -5,11 +5,8 @@
 //! paper's distribute-compute-retrieve structure where `p0` owns the
 //! input and the result (§4.3).
 //!
-//! Broadcast and reduction use binomial trees (`ceil(log2 P)` rounds);
-//! the plain [`Comm::gather_to_root`] is linear at the root.
-//!
 //! The *tree-pipelined* variable-count pair
-//! [`Comm::tree_scatterv`] / [`Comm::tree_gatherv`] is what the
+//! [`Comm::tree_scatterv_checked`] / [`Comm::tree_gatherv`] is what the
 //! refactored distributed stack builds on — AtA-D's distribution phase
 //! scatters its per-rank operand chunks, and the `pdsyrk` baseline's
 //! band retrieval gathers — a recursive-halving binomial tree over
@@ -38,150 +35,6 @@ impl<T: Send + 'static> Comm<T> {
         COLLECTIVE_TAG_BASE + round as u64
     }
 
-    /// Block until all ranks reach the barrier.
-    pub fn barrier(&mut self) {
-        // Reduce an empty payload to root, then broadcast the release
-        // down the same binomial tree (mirrored manually because the
-        // payload type need not be `Clone` — payloads here are empty).
-        let _ = self.reduce_to_root(Vec::new(), |_, _| {});
-        let rank = self.rank();
-        let size = self.size();
-        let levels = ceil_log2(size);
-        for t in 0..levels {
-            let stride = 1usize << t;
-            let tag = self.coll_tag(u32::MAX - 40 - t);
-            if rank < stride {
-                if rank + stride < size {
-                    self.send_impl(rank + stride, tag, Vec::new());
-                }
-            } else if rank < stride * 2 {
-                let _ = self.recv_impl(rank - stride, tag);
-            }
-        }
-    }
-
-    /// Broadcast from rank 0: the root passes `Some(data)`, everyone
-    /// else `None`; all ranks return the data.
-    ///
-    /// # Panics
-    /// If the root passes `None` or a non-root passes `Some`.
-    pub fn bcast_from_root(&mut self, data: Option<Vec<T>>) -> Vec<T>
-    where
-        T: Clone,
-    {
-        let rank = self.rank();
-        let size = self.size();
-        if rank == 0 {
-            assert!(data.is_some(), "root must provide broadcast data");
-        } else {
-            assert!(data.is_none(), "non-root rank {rank} must pass None");
-        }
-        let mut held = data;
-        let levels = ceil_log2(size);
-        for t in 0..levels {
-            let stride = 1usize << t;
-            let tag = self.coll_tag(t);
-            if rank < stride {
-                if rank + stride < size {
-                    let payload = held.as_ref().expect("sender must hold data").clone();
-                    self.send_impl(rank + stride, tag, payload);
-                }
-            } else if rank < stride * 2 {
-                held = Some(self.recv_impl(rank - stride, tag));
-            }
-        }
-        held.expect("every rank holds the data after the last round")
-    }
-
-    /// Gather every rank's payload at rank 0; returns `Some(vec indexed
-    /// by rank)` at the root, `None` elsewhere.
-    pub fn gather_to_root(&mut self, data: Vec<T>) -> Option<Vec<Vec<T>>> {
-        let rank = self.rank();
-        let size = self.size();
-        let tag = self.coll_tag(u32::MAX - 1);
-        if rank == 0 {
-            let mut all = Vec::with_capacity(size);
-            all.push(data);
-            for src in 1..size {
-                all.push(self.recv_impl(src, tag));
-            }
-            Some(all)
-        } else {
-            self.send_impl(0, tag, data);
-            None
-        }
-    }
-
-    /// Binomial-tree reduction to rank 0. `combine(acc, other)` merges a
-    /// child's contribution into the local accumulator; returns
-    /// `Some(result)` at the root, `None` elsewhere.
-    ///
-    /// All ranks must contribute equal-length payloads.
-    pub fn reduce_to_root(
-        &mut self,
-        data: Vec<T>,
-        combine: impl Fn(&mut Vec<T>, Vec<T>),
-    ) -> Option<Vec<T>> {
-        let rank = self.rank();
-        let size = self.size();
-        let mut acc = data;
-        let levels = ceil_log2(size);
-        for t in 0..levels {
-            let mask = 1usize << t;
-            let tag = self.coll_tag(u32::MAX - 2 - t);
-            if rank & mask != 0 {
-                self.send_impl(rank - mask, tag, acc);
-                return None;
-            }
-            let peer = rank | mask;
-            if peer < size && peer != rank {
-                let other = self.recv_impl(peer, tag);
-                combine(&mut acc, other);
-            }
-        }
-        Some(acc)
-    }
-
-    /// Reduction delivered to *every* rank (`MPI_Allreduce`): a binomial
-    /// reduce to the root followed by a binomial broadcast — `2 log P`
-    /// rounds.
-    pub fn allreduce(&mut self, data: Vec<T>, combine: impl Fn(&mut Vec<T>, Vec<T>)) -> Vec<T>
-    where
-        T: Clone,
-    {
-        let reduced = self.reduce_to_root(data, combine);
-        // Only rank 0 holds Some; bcast's contract is exactly that.
-        self.bcast_from_root(reduced)
-    }
-
-    /// Rooted scatter (`MPI_Scatterv`): rank 0 passes one chunk per rank
-    /// (`chunks[r]` goes to rank `r`, chunks may differ in length);
-    /// everyone returns their chunk. Linear at the root, mirroring the
-    /// distribution phase of AtA-D where `p0` owns all of `A`.
-    ///
-    /// # Panics
-    /// If the root passes `None` / a wrong-length list, or a non-root
-    /// passes `Some`.
-    pub fn scatter_from_root(&mut self, chunks: Option<Vec<Vec<T>>>) -> Vec<T> {
-        let rank = self.rank();
-        let size = self.size();
-        let tag = self.coll_tag(u32::MAX - 80);
-        if rank == 0 {
-            let mut chunks = chunks.expect("root must provide scatter chunks");
-            assert_eq!(chunks.len(), size, "need exactly one chunk per rank");
-            // Send in reverse so we can pop without shifting; delivery
-            // order per peer is irrelevant (distinct destinations).
-            for r in (1..size).rev() {
-                let chunk = chunks.pop().expect("length checked");
-                self.send_impl(r, tag, chunk);
-            }
-            chunks.pop().expect("rank 0's own chunk")
-        } else {
-            assert!(chunks.is_none(), "non-root rank {rank} must pass None");
-            self.recv_impl(0, tag)
-        }
-    }
-
     /// Tree-pipelined rooted scatter (`MPI_Scatterv` on a binomial
     /// tree): rank 0 passes one chunk per rank (`chunks[r]` goes to rank
     /// `r`); every rank returns its chunk. `counts[r]` must equal
@@ -192,58 +45,17 @@ impl<T: Send + 'static> Comm<T> {
     /// leader of `[lo, hi)` ships the concatenated chunks of the upper
     /// half `[mid, hi)` to rank `mid`, which forwards within its own
     /// half concurrently. The root therefore sends `ceil(log2 P)`
-    /// messages (vs one per rank for [`Comm::scatter_from_root`]) and
-    /// the same total words; interior ranks pay forwarding bandwidth,
-    /// which the LogGP clock overlaps across subtrees.
+    /// messages (a linear scatter sends one per rank) and the same
+    /// total words; interior ranks pay forwarding bandwidth, which the
+    /// LogGP clock overlaps across subtrees.
+    ///
+    /// # Errors
+    /// Injected faults surface as `Err(CommError)`.
     ///
     /// # Panics
     /// If the root passes `None` / wrong-shape chunks, a non-root passes
-    /// `Some`, or `counts` disagrees with the universe size.
-    pub fn tree_scatterv(&mut self, chunks: Option<Vec<Vec<T>>>, counts: &[usize]) -> Vec<T> {
-        let rank = self.rank();
-        let size = self.size();
-        assert_eq!(counts.len(), size, "need one count per rank");
-        let mut held: Vec<T> = if rank == 0 {
-            let chunks = chunks.expect("root must provide scatter chunks");
-            assert_eq!(chunks.len(), size, "need exactly one chunk per rank");
-            for (r, c) in chunks.iter().enumerate() {
-                assert_eq!(c.len(), counts[r], "chunk {r} disagrees with counts");
-            }
-            chunks.into_iter().flatten().collect()
-        } else {
-            assert!(chunks.is_none(), "non-root rank {rank} must pass None");
-            Vec::new()
-        };
-        let (mut lo, mut hi) = (0usize, size);
-        let mut round = 0u32;
-        while hi - lo > 1 {
-            let span = hi - lo;
-            let mid = lo + (1usize << (ceil_log2(span) - 1));
-            let tag = self.coll_tag(u32::MAX - 200 - round);
-            if rank < mid {
-                if rank == lo {
-                    let keep: usize = counts[lo..mid].iter().sum();
-                    let tail = held.split_off(keep);
-                    self.send_impl(mid, tag, tail);
-                }
-                hi = mid;
-            } else {
-                if rank == mid {
-                    held = self.recv_impl(lo, tag);
-                }
-                lo = mid;
-            }
-            round += 1;
-        }
-        debug_assert_eq!(held.len(), counts[rank], "rank {rank} chunk size");
-        held
-    }
-
-    /// Fault-aware [`Comm::tree_scatterv`]: identical tree, tags and
-    /// LogGP charges, but injected faults surface as `Err(CommError)`
-    /// instead of panics. Shape errors (wrong chunk count, counts
-    /// mismatch) remain panics — they are programming errors, not
-    /// faults.
+    /// `Some`, or `counts` disagrees with the universe size — programming
+    /// errors, not faults.
     pub fn tree_scatterv_checked(
         &mut self,
         chunks: Option<Vec<Vec<T>>>,
@@ -293,7 +105,7 @@ impl<T: Send + 'static> Comm<T> {
     /// all ranks); the root returns `Some(vec indexed by rank)`,
     /// everyone else `None`.
     ///
-    /// The exact mirror of [`Comm::tree_scatterv`]: subtree leaders
+    /// The exact mirror of [`Comm::tree_scatterv_checked`]: subtree leaders
     /// accumulate their half before forwarding down-tree, so the root
     /// receives `ceil(log2 P)` messages instead of `P - 1` — the
     /// retrieval-phase analogue of the distribution pipelining.
@@ -349,58 +161,6 @@ impl<T: Send + 'static> Comm<T> {
         }
     }
 
-    /// Fault-aware [`Comm::tree_gatherv`]: identical tree, tags and
-    /// LogGP charges, with injected faults surfacing as
-    /// `Err(CommError)` instead of panics.
-    pub fn tree_gatherv_checked(
-        &mut self,
-        data: Vec<T>,
-        counts: &[usize],
-    ) -> Result<Option<Vec<Vec<T>>>, CommError> {
-        let rank = self.rank();
-        let size = self.size();
-        assert_eq!(counts.len(), size, "need one count per rank");
-        assert_eq!(
-            data.len(),
-            counts[rank],
-            "rank {rank} payload disagrees with counts"
-        );
-        let mut splits: Vec<(usize, usize, u32)> = Vec::new();
-        let (mut lo, mut hi) = (0usize, size);
-        let mut round = 0u32;
-        while hi - lo > 1 {
-            let span = hi - lo;
-            let mid = lo + (1usize << (ceil_log2(span) - 1));
-            splits.push((lo, mid, round));
-            if rank < mid {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-            round += 1;
-        }
-        let mut held = data;
-        for &(lo, mid, round) in splits.iter().rev() {
-            let tag = self.coll_tag(u32::MAX - 300 - round);
-            if rank == mid {
-                self.send_impl_checked(lo, tag, std::mem::take(&mut held))?;
-            } else if rank == lo {
-                let tail = self.recv_impl_checked(mid, tag)?;
-                held.extend(tail);
-            }
-        }
-        if rank == 0 {
-            let mut out = Vec::with_capacity(size);
-            let mut iter = held.into_iter();
-            for &c in counts {
-                out.push(iter.by_ref().take(c).collect());
-            }
-            Ok(Some(out))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// All-gather (`MPI_Allgatherv`): every rank contributes a payload
     /// and every rank returns the list indexed by rank. Payload lengths
     /// may differ per rank — receivers learn them from the messages
@@ -438,26 +198,9 @@ mod tests {
     use crate::{run, CostModel};
 
     #[test]
-    fn bcast_delivers_to_all() {
-        for size in [1usize, 2, 3, 5, 8, 13] {
-            let report = run(size, CostModel::zero(), |comm| {
-                let data = if comm.rank() == 0 {
-                    Some(vec![3.5f64, 4.5])
-                } else {
-                    None
-                };
-                comm.bcast_from_root(data)
-            });
-            for r in &report.results {
-                assert_eq!(r, &vec![3.5, 4.5], "size={size}");
-            }
-        }
-    }
-
-    #[test]
     fn gather_collects_in_rank_order() {
         let report = run(5, CostModel::zero(), |comm| {
-            comm.gather_to_root(vec![comm.rank() as f64])
+            comm.tree_gatherv(vec![comm.rank() as f64], &[1; 5])
         });
         let gathered = report.results[0].as_ref().expect("root gathers");
         assert_eq!(gathered.len(), 5);
@@ -468,31 +211,13 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sums_across_ranks() {
-        for size in [1usize, 2, 4, 7, 16] {
-            let report = run(size, CostModel::zero(), |comm| {
-                let local = vec![comm.rank() as f64, 1.0];
-                comm.reduce_to_root(local, |acc, other| {
-                    for (a, b) in acc.iter_mut().zip(other) {
-                        *a += b;
-                    }
-                })
-            });
-            let total = report.results[0].as_ref().expect("root reduces");
-            let expect0 = (0..size).sum::<usize>() as f64;
-            assert_eq!(total[0], expect0, "size={size}");
-            assert_eq!(total[1], size as f64, "size={size}");
-        }
-    }
-
-    #[test]
     fn barrier_synchronizes_clocks_loosely() {
-        // After a barrier, every rank's clock is at least the slowest
-        // rank's pre-barrier clock.
+        // After an all-gather, which hears from every rank, every
+        // rank's clock is at least the slowest rank's clock before it.
         let model = CostModel::new(0.0, 0.0, 1.0);
         let report = run::<f64, _, _>(4, model, |comm| {
             comm.add_compute_flops(comm.rank() as f64); // rank r: r seconds
-            comm.barrier();
+            let _ = comm.allgather(Vec::new());
             comm.clock()
         });
         for (i, c) in report.results.iter().enumerate() {
@@ -503,7 +228,7 @@ mod tests {
     #[test]
     fn reduce_tree_is_logarithmic_in_messages() {
         let report = run(16, CostModel::zero(), |comm| {
-            let _ = comm.reduce_to_root(vec![1.0f64], |acc, o| acc[0] += o[0]);
+            let _ = comm.tree_gatherv(vec![1.0f64], &[1; 16]);
         });
         // Binomial tree: exactly size - 1 messages in total.
         assert_eq!(report.total_msgs(), 15);
@@ -520,31 +245,18 @@ mod tests {
     #[test]
     fn mixed_collectives_in_sequence() {
         let report = run(6, CostModel::zero(), |comm| {
-            let b = comm.bcast_from_root(if comm.rank() == 0 {
-                Some(vec![2.0f64])
-            } else {
-                None
-            });
-            comm.barrier();
-            let r = comm.reduce_to_root(vec![b[0] * comm.rank() as f64], |acc, o| acc[0] += o[0]);
-            comm.barrier();
-            r
+            let chunks = (comm.rank() == 0).then(|| vec![vec![2.0f64]; 6]);
+            let b = comm
+                .tree_scatterv_checked(chunks, &[1; 6])
+                .expect("fault-free");
+            let all = comm.allgather(vec![b[0] * comm.rank() as f64]);
+            let sum = all.iter().map(|v| v[0]).sum::<f64>();
+            comm.tree_gatherv(vec![sum], &[1; 6])
         });
-        let sum = report.results[0].as_ref().expect("root");
-        assert_eq!(sum[0], 2.0 * (1 + 2 + 3 + 4 + 5) as f64);
-    }
-
-    #[test]
-    fn allreduce_delivers_the_sum_everywhere() {
-        for size in [1usize, 2, 5, 8] {
-            let report = run(size, CostModel::zero(), |comm| {
-                comm.allreduce(vec![comm.rank() as f64 + 1.0], |acc, o| acc[0] += o[0])
-            });
-            let want = (1..=size).sum::<usize>() as f64;
-            for (r, v) in report.results.iter().enumerate() {
-                assert_eq!(v[0], want, "size={size}, rank={r}");
-            }
-        }
+        let sums = report.results[0].as_ref().expect("root");
+        assert!(sums
+            .iter()
+            .all(|s| s[0] == 2.0 * (1 + 2 + 3 + 4 + 5) as f64));
     }
 
     #[test]
@@ -555,7 +267,8 @@ mod tests {
                     .map(|r| vec![r as f64; r + 1]) // ragged on purpose
                     .collect::<Vec<_>>()
             });
-            comm.scatter_from_root(chunks)
+            comm.tree_scatterv_checked(chunks, &[1, 2, 3, 4])
+                .expect("fault-free")
         });
         for (r, chunk) in report.results.iter().enumerate() {
             assert_eq!(chunk, &vec![r as f64; r + 1], "rank {r}");
@@ -570,7 +283,8 @@ mod tests {
             let report = run(size, CostModel::zero(), move |comm| {
                 let chunks = (comm.rank() == 0)
                     .then(|| (0..size).map(|r| vec![r as f64; r + 1]).collect::<Vec<_>>());
-                comm.tree_scatterv(chunks, counts_ref)
+                comm.tree_scatterv_checked(chunks, counts_ref)
+                    .expect("fault-free")
             });
             for (r, chunk) in report.results.iter().enumerate() {
                 assert_eq!(chunk, &vec![r as f64; r + 1], "size={size} rank={r}");
@@ -604,7 +318,7 @@ mod tests {
         let counts_ref = &counts;
         let report = run(size, CostModel::zero(), move |comm| {
             let chunks = (comm.rank() == 0).then(|| (0..size).map(|r| vec![r as f64; 4]).collect());
-            let _ = comm.tree_scatterv(chunks, counts_ref);
+            let _ = comm.tree_scatterv_checked(chunks, counts_ref);
         });
         // Binomial tree: P - 1 messages in total, only log2(P) from the
         // root (vs P - 1 root messages for the linear scatter).
@@ -646,7 +360,9 @@ mod tests {
                     .map(|(r, &c)| vec![r as f64 * 10.0; c])
                     .collect()
             });
-            let mine = comm.tree_scatterv(chunks, counts_ref);
+            let mine = comm
+                .tree_scatterv_checked(chunks, counts_ref)
+                .expect("fault-free");
             comm.tree_gatherv(mine, counts_ref)
         });
         let back = report.results[0].as_ref().expect("root");
@@ -657,7 +373,7 @@ mod tests {
 
     #[test]
     fn tree_scatter_pipelines_under_loggp() {
-        // With latency-only costs, the linear scatter's root pays
+        // With latency-only costs, a linear scatter's root pays
         // alpha * (P - 1); the tree's critical path is O(log P) alphas
         // per branch. At P = 16 the tree must finish strictly sooner.
         let model = CostModel::new(1.0, 0.0, 0.0);
@@ -666,17 +382,13 @@ mod tests {
         let counts_ref = &counts;
         let tree = run(size, model, move |comm| {
             let chunks = (comm.rank() == 0).then(|| (0..size).map(|r| vec![r as f64]).collect());
-            let _ = comm.tree_scatterv(chunks, counts_ref);
+            let _ = comm.tree_scatterv_checked(chunks, counts_ref);
         });
-        let linear = run(size, model, move |comm| {
-            let chunks = (comm.rank() == 0).then(|| (0..size).map(|r| vec![r as f64]).collect());
-            let _ = comm.scatter_from_root(chunks);
-        });
+        let linear = (size - 1) as f64;
         assert!(
-            tree.critical_path() < linear.critical_path(),
-            "tree {} !< linear {}",
-            tree.critical_path(),
-            linear.critical_path()
+            tree.critical_path() < linear,
+            "tree {} !< linear {linear}",
+            tree.critical_path()
         );
     }
 
@@ -686,7 +398,7 @@ mod tests {
         let _ = run(2, CostModel::zero(), |comm| {
             let counts = vec![1usize, 1];
             let chunks = (comm.rank() == 0).then(|| vec![vec![0.0f64; 2], vec![0.0]]);
-            comm.tree_scatterv(chunks, &counts);
+            let _ = comm.tree_scatterv_checked(chunks, &counts);
         });
     }
 
@@ -715,16 +427,16 @@ mod tests {
         let _ = run(3, CostModel::zero(), |comm| {
             let chunks = (comm.rank() == 0).then(|| vec![vec![0.0f64]; 2]);
             if comm.rank() == 0 {
-                comm.scatter_from_root(chunks);
+                let _ = comm.tree_scatterv_checked(chunks, &[1; 3]);
             }
         });
     }
 
     #[test]
     fn collectives_compose_with_point_to_point() {
-        // allreduce, then a p2p exchange that depends on its value.
+        // An all-gathered sum, then a p2p exchange that depends on it.
         let report = run(4, CostModel::zero(), |comm| {
-            let total = comm.allreduce(vec![1.0f64], |a, o| a[0] += o[0])[0];
+            let total: f64 = comm.allgather(vec![1.0f64]).iter().map(|v| v[0]).sum();
             if comm.rank() == 0 {
                 comm.send(1, 3, vec![total * 10.0]);
                 total

@@ -14,7 +14,7 @@ pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 62;
 
 /// A typed message between ranks.
 #[derive(Debug, Clone)]
-pub struct Message<T> {
+pub(crate) struct Message<T> {
     /// Sending rank.
     pub src: usize,
     /// User (or collective) tag.
@@ -264,12 +264,6 @@ impl<T: Send + 'static> Comm<T> {
     #[inline]
     pub fn recv_deadline(&self) -> Option<f64> {
         self.recv_deadline
-    }
-
-    /// True once this rank's scheduled crash has fired.
-    #[inline]
-    pub fn is_crashed(&self) -> bool {
-        self.crashed.is_some()
     }
 
     /// Advance the simulated clock by `flops` of local computation.
@@ -564,37 +558,6 @@ impl<T: Send + 'static> Comm<T> {
         self.mailbox.iter().any(|m| m.src == from && m.tag == tag)
     }
 
-    /// Blocking receive from *any* source with the given tag
-    /// (`MPI_ANY_SOURCE`); returns `(source, payload)`. Among buffered
-    /// candidates the earliest-buffered wins (FIFO fairness).
-    ///
-    /// # Panics
-    /// If no matching message arrives within the deadlock-guard timeout,
-    /// on a reserved tag, or if an injected fault surfaces on this
-    /// receive.
-    pub fn recv_any(&mut self, tag: u64) -> (usize, Vec<T>) {
-        assert!(
-            tag < COLLECTIVE_TAG_BASE,
-            "tag {tag} collides with reserved collective tags"
-        );
-        self.op_guard_infallible("receiving (any source)");
-        loop {
-            if let Some(pos) = self.mailbox.iter().position(|m| m.tag == tag) {
-                let msg = self.mailbox.remove(pos).expect("position valid");
-                let src = msg.src;
-                return (src, self.consume(msg));
-            }
-            if let Some(&(s, _)) = self.tombstones.iter().find(|&&(_, t)| t == tag) {
-                panic!(
-                    "rank {}: message (src={s}, tag={tag}) was dropped by the \
-                     fault plan (recv_any has no checked variant)",
-                    self.rank
-                );
-            }
-            self.pump(&|| format!("waiting for (any src, tag={tag})"));
-        }
-    }
-
     pub(crate) fn metrics(&self) -> crate::universe::RankMetrics {
         crate::universe::RankMetrics {
             rank: self.rank,
@@ -770,44 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_matches_any_source() {
-        let report = run(4, CostModel::zero(), |comm| {
-            if comm.rank() == 0 {
-                let mut from = Vec::new();
-                for _ in 0..3 {
-                    let (src, payload) = comm.recv_any(9);
-                    assert_eq!(payload, vec![src as f64]);
-                    from.push(src);
-                }
-                from.sort_unstable();
-                from
-            } else {
-                comm.send(0, 9, vec![comm.rank() as f64]);
-                vec![]
-            }
-        });
-        assert_eq!(report.results[0], vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn recv_any_leaves_other_tags_buffered() {
-        let report = run(2, CostModel::zero(), |comm| {
-            if comm.rank() == 0 {
-                let (src, v) = comm.recv_any(11);
-                assert_eq!(src, 1);
-                // The tag-10 message must still be receivable.
-                let w = comm.recv(1, 10);
-                vec![v[0], w[0]]
-            } else {
-                comm.send(0, 10, vec![1.0f64]);
-                comm.send(0, 11, vec![2.0f64]);
-                vec![]
-            }
-        });
-        assert_eq!(report.results[0], vec![2.0, 1.0]);
-    }
-
-    #[test]
     fn try_recv_advances_clock_to_arrival() {
         let model = CostModel::new(0.0, 1.0, 0.0); // 1 s per word
         let report = run::<f64, _, _>(2, model, |comm| {
@@ -918,7 +843,6 @@ mod tests {
                 1 => {
                     let first = comm.send_checked(0, 7, vec![1.0f64]);
                     let later = comm.send_checked(2, 7, vec![1.0f64]);
-                    assert!(comm.is_crashed());
                     (first.err(), later.err())
                 }
                 _ => {

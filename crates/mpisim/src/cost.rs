@@ -59,7 +59,7 @@ impl CostModel {
     /// Transfer time of a `words`-element payload (excluding the latency
     /// already charged to the sender).
     #[inline]
-    pub fn transfer_time(&self, words: usize) -> f64 {
+    pub(crate) fn transfer_time(&self, words: usize) -> f64 {
         self.alpha + self.beta * words as f64
     }
 

@@ -126,8 +126,8 @@ impl FaultSpec {
 
 /// A deterministic schedule of injected faults (see the module docs).
 ///
-/// Build one explicitly with the `drop_message` / `delay_message` /
-/// `crash_rank` builders, or draw one from a seed with
+/// Build one explicitly with [`FaultPlan::crash_rank`] (this crate's
+/// tests also drop and delay single messages), or draw one from a seed with
 /// [`FaultPlan::seeded`], then install it on a
 /// [`crate::Universe`](crate::universe::Universe).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -155,14 +155,20 @@ impl FaultPlan {
     }
 
     /// Drop the `nth` (0-based) message sent from `from` to `to`.
-    pub fn drop_message(mut self, from: usize, to: usize, nth: u64) -> Self {
+    pub(crate) fn drop_message(mut self, from: usize, to: usize, nth: u64) -> Self {
         self.drops.insert((from, to, nth));
         self
     }
 
     /// Delay the `nth` (0-based) message from `from` to `to` by
     /// `extra_secs` of simulated arrival latency.
-    pub fn delay_message(mut self, from: usize, to: usize, nth: u64, extra_secs: f64) -> Self {
+    pub(crate) fn delay_message(
+        mut self,
+        from: usize,
+        to: usize,
+        nth: u64,
+        extra_secs: f64,
+    ) -> Self {
         assert!(extra_secs >= 0.0, "negative delay");
         self.delays.insert((from, to, nth), extra_secs);
         self

@@ -44,7 +44,7 @@ pub mod cost;
 pub mod fault;
 pub mod universe;
 
-pub use comm::{Comm, Message};
+pub use comm::Comm;
 pub use cost::CostModel;
 pub use fault::{CommError, FaultPlan, FaultSpec};
 pub use universe::{run, RankMetrics, RunReport, Universe};

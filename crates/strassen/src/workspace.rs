@@ -73,13 +73,13 @@ impl<T: Scalar> StrassenWorkspace<T> {
     }
 
     /// Grow (never shrink) to cover a `(m, n, k)` problem.
-    pub fn reserve_for(&mut self, m: usize, n: usize, k: usize, cfg: &CacheConfig) {
+    pub(crate) fn reserve_for(&mut self, m: usize, n: usize, k: usize, cfg: &CacheConfig) {
         self.reserve_elems(required_elems(m, n, k, cfg));
     }
 
     /// Grow (never shrink) to an explicit element count — used by the
     /// Winograd variant, whose per-level slot layout differs.
-    pub fn reserve_elems(&mut self, need: usize) {
+    pub(crate) fn reserve_elems(&mut self, need: usize) {
         if need > self.buf.len() {
             self.buf.resize(need, T::ZERO);
         }

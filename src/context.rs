@@ -116,6 +116,19 @@ pub enum AtaOutput<T: Scalar> {
 }
 
 impl<T: Scalar> AtaOutput<T> {
+    /// Shape a lower triangle (strict upper zero) into `output`'s
+    /// representation; a Gram is mirrored on the calling thread.
+    pub(crate) fn from_lower(mut c: Matrix<T>, output: Output) -> Self {
+        match output {
+            Output::Gram => {
+                c.mirror_lower_to_upper();
+                AtaOutput::Dense(c)
+            }
+            Output::Lower => AtaOutput::Dense(c),
+            Output::Packed => AtaOutput::Packed(SymPacked::from_lower(&c)),
+        }
+    }
+
     /// The output as a dense matrix; packed results are expanded (both
     /// triangles filled).
     pub fn into_dense(self) -> Matrix<T> {
@@ -553,10 +566,10 @@ impl AtaContext {
     /// One-shot lower-triangular `A^T A` through this context.
     pub fn lower<T: Scalar + 'static>(&self, a: MatRef<'_, T>) -> Matrix<T> {
         let (m, n) = a.shape();
-        match self.plan_with::<T>(m, n, Output::Lower).execute(a) {
-            AtaOutput::Dense(c) => c,
-            AtaOutput::Packed(p) => p.to_full(),
-        }
+        let mut c = Matrix::zeros(n, n);
+        self.plan_with::<T>(m, n, Output::Lower)
+            .execute_accumulate(a, &mut c.as_mut());
+        c
     }
 
     /// One-shot packed `A^T A` through this context.

@@ -49,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ata_dist::{plan_traffic, DistPlan, RoutePrice};
-use ata_mat::{Matrix, Scalar, SymPacked};
+use ata_mat::{Matrix, Scalar};
 use ata_mpisim::{CostModel, FaultPlan, FaultSpec, Universe};
 use crossbeam::channel::{self, TrySendError};
 
@@ -657,26 +657,13 @@ fn split_worker<T: Scalar + 'static>(
             shared
                 .simulated_root_recv_words
                 .fetch_add(root_recv_words, Ordering::SeqCst);
-            let _ = resp.send(Ok(shape_output(lower, shared.output)));
+            let _ = resp.send(Ok(AtaOutput::from_lower(lower, shared.output)));
             answered = true;
             break;
         }
         if !answered {
             degrade(&shared, &a, &resp);
         }
-    }
-}
-
-/// Shape the cluster's lower triangle into the service's output
-/// representation.
-fn shape_output<T: Scalar>(mut lower: Matrix<T>, output: Output) -> AtaOutput<T> {
-    match output {
-        Output::Gram => {
-            lower.mirror_lower_to_upper();
-            AtaOutput::Dense(lower)
-        }
-        Output::Lower => AtaOutput::Dense(lower),
-        Output::Packed => AtaOutput::Packed(SymPacked::from_lower(&lower)),
     }
 }
 

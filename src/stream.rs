@@ -22,7 +22,7 @@
 
 use ata_core::chunk_rows_for_budget;
 use ata_kernels::syrk_ln_beta;
-use ata_mat::{MatRef, Matrix, Scalar, SymPacked};
+use ata_mat::{MatRef, Matrix, Scalar};
 use ata_strassen::ArenaStats;
 
 use crate::context::{AtaContext, AtaOutput, Output};
@@ -291,25 +291,13 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
     /// [`Output`] selector; streaming continues unaffected — the
     /// serving pattern for periodic checkpoints of a live estimator.
     pub fn snapshot(&self) -> AtaOutput<T> {
-        finish_lower(self.c.clone(), self.output)
+        AtaOutput::from_lower(self.c.clone(), self.output)
     }
 
     /// Consume the accumulator and return the accumulated result, per
     /// its [`Output`] selector.
     pub fn finish(self) -> AtaOutput<T> {
-        finish_lower(self.c, self.output)
-    }
-}
-
-/// Shape a lower-triangle accumulator buffer into the requested output.
-fn finish_lower<T: Scalar>(mut c: Matrix<T>, output: Output) -> AtaOutput<T> {
-    match output {
-        Output::Gram => {
-            c.mirror_lower_to_upper();
-            AtaOutput::Dense(c)
-        }
-        Output::Lower => AtaOutput::Dense(c),
-        Output::Packed => AtaOutput::Packed(SymPacked::from_lower(&c)),
+        AtaOutput::from_lower(self.c, self.output)
     }
 }
 
