@@ -159,7 +159,13 @@ fn time_call(mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
-/// Measure all engines of `gemm_tn` and `syrk_ln` for one scalar type.
+/// Leaf orders of the Strassen recursion, recorded on the intrinsic path
+/// only: the portable, scalar and blocked engines take seconds per call
+/// there.
+const LEAF_SIZES: [usize; 2] = [768, 1024];
+
+/// Measure all engines of `gemm_tn` and `syrk_ln` for one scalar type
+/// at `sizes`, and the intrinsic engine alone at [`LEAF_SIZES`].
 ///
 /// Every micro-engine tile path is measured explicitly through the
 /// forced `*_micro_path` entry points with its own tuned config: the
@@ -185,7 +191,8 @@ fn record_dtype<T: Scalar>(sizes: &[usize], recs: &mut Vec<Rec>) {
     for path in [MicroPath::Portable, MicroPath::Scalar] {
         paths.push((detected, path, tuned_for_path::<T>(path).kernel));
     }
-    for &n in sizes {
+    for &n in sizes.iter().chain(&LEAF_SIZES) {
+        let leaf = LEAF_SIZES.contains(&n);
         let a = gen::standard::<T>(1, n, n);
         let b = gen::standard::<T>(2, n, n);
         let mut out = Matrix::<T>::zeros(n, n);
@@ -205,7 +212,10 @@ fn record_dtype<T: Scalar>(sizes: &[usize], recs: &mut Vec<Rec>) {
             });
         };
 
-        for &(isa, path, cfg) in &paths {
+        for &(isa, path, cfg) in paths
+            .iter()
+            .filter(|p| !leaf || p.1 == MicroPath::Intrinsic)
+        {
             let secs = time_call(|| {
                 gemm_tn_micro_path(
                     path,
@@ -220,6 +230,9 @@ fn record_dtype<T: Scalar>(sizes: &[usize], recs: &mut Vec<Rec>) {
             let secs =
                 time_call(|| syrk_ln_micro_path(path, T::ONE, a.as_ref(), &mut out.as_mut(), &cfg));
             push(recs, "syrk_ln", "micro", isa, path.name(), secs, syrk_flops);
+        }
+        if leaf {
+            continue;
         }
         let secs = time_call(|| {
             gemm_tn_blocked(
@@ -243,8 +256,8 @@ fn record_dtype<T: Scalar>(sizes: &[usize], recs: &mut Vec<Rec>) {
 }
 
 /// Geomean of `blocked_time / micro_time` over f64 `gemm_tn` + `syrk_ln`
-/// at every measured size, on the tile path and ISA the dispatcher
-/// resolves — the acceptance headline of the packed engine.
+/// at every size with a blocked entry, on the tile path and ISA the
+/// dispatcher resolves — the acceptance headline of the packed engine.
 fn geomean_speedup(recs: &[Rec]) -> f64 {
     let resolved = micro_path_for::<f64>().name();
     let isa = simd::detected().name();
@@ -254,12 +267,11 @@ fn geomean_speedup(recs: &[Rec]) -> f64 {
         if r.engine != "micro" || r.path != resolved || r.isa != isa {
             continue;
         }
-        let blocked = recs
-            .iter()
-            .find(|b| {
-                b.dtype == "f64" && b.kernel == r.kernel && b.n == r.n && b.engine == "blocked"
-            })
-            .expect("every micro point has a blocked twin");
+        let Some(blocked) = recs.iter().find(|b| {
+            b.dtype == "f64" && b.kernel == r.kernel && b.n == r.n && b.engine == "blocked"
+        }) else {
+            continue;
+        };
         log_sum += (blocked.secs_per_call / r.secs_per_call).ln();
         count += 1;
     }

@@ -150,17 +150,18 @@ const TUNED_F32_FMA: Tuned = Tuned {
 /// Fused-kernel row for f64 under [`Isa::Avx512`], measured on a
 /// 2-vCPU Intel Xeon host with AVX-512F (single thread) by `ata
 /// calibrate`. The 8 x 16 tile (16 accumulator vectors, 2 B vectors, 1
-/// broadcast) and `nc = 256` come from six runs that swept tiles at
-/// 192 and 256, and won again in ten runs that also swept 768 (8 and 9
-/// of the ten). Those ten moved `kc` from 128 to 256 (six of ten); `mc`
-/// stays 128, since they split it 64 / 128 / 32 four, four and two.
+/// broadcast) won six runs that swept tiles at 192 and 256 and 8 of ten
+/// that also swept 768, which moved `kc` from 128 to 256. Of ten runs
+/// that also swept `nc` 512 and 1024, eight moved `nc` to 1024 and seven
+/// kept `mc`; the tile tied 8 x 16 / 8 x 24 five-five, and `kc` stays
+/// 256, the choice of three of the five runs 8 x 16 won.
 const TUNED_F64_AVX512: Tuned = Tuned {
     kernel: KernelConfig {
         mr: 8,
         nr: 16,
         kc: 256,
         mc: 128,
-        nc: 256,
+        nc: 1024,
     },
     // 2 * 768^2: the mode (five of ten runs at this blocking) of the
     // Strassen cutoff sweep, where one level first beat `gemm_tn` by 5%
@@ -174,17 +175,18 @@ const TUNED_F64_AVX512: Tuned = Tuned {
 };
 
 /// Fused-kernel row for f32 under [`Isa::Avx512`] (see
-/// [`TUNED_F64_AVX512`]): the 8 x 32 tile and `nc = 256` won the six
-/// earlier runs and again 6 and 9 of the ten runs that swept 768,
-/// which also moved `kc` from 128 to 256 (six of ten) and split `mc`
-/// 32 / 128 / 64 five, four and one (kept at 128).
+/// [`TUNED_F64_AVX512`]): the 8 x 32 tile won the six earlier runs and
+/// 6 of the ten that swept 768, which moved `kc` from 128 to 256. The
+/// ten runs that also swept `nc` 512 and 1024 kept the tile (six of ten)
+/// and `kc` (nine), and moved `nc` to 1024 (nine) and `mc` from 128 to 64
+/// (five, against four for 32 and one for 128).
 const TUNED_F32_AVX512: Tuned = Tuned {
     kernel: KernelConfig {
         mr: 8,
         nr: 32,
         kc: 256,
-        mc: 128,
-        nc: 256,
+        mc: 64,
+        nc: 1024,
     },
     // 2 * 1024^2: the mode (three of ten runs at this blocking) of the
     // cutoff sweep, a first 5% win at g* = 1536.
@@ -370,7 +372,11 @@ pub fn measure_kernel<T: Scalar>(quick: bool) -> KernelConfig {
     let sizes: &[usize] = if quick { &[64] } else { KERNEL_SWEEP_SIZES };
     let kcs: &[usize] = if quick { &[128] } else { &[128, 256] };
     let mcs: &[usize] = if quick { &[64] } else { &[32, 64, 128] };
-    let ncs: &[usize] = if quick { &[256] } else { &[128, 256] };
+    let ncs: &[usize] = if quick {
+        &[256]
+    } else {
+        &[128, 256, 512, 1024]
+    };
     let mut bufs = PackBufs::new();
     let mut best = (f64::INFINITY, KernelConfig::for_scalar::<T>());
     for &(mr, nr) in menu_for::<T>() {

@@ -87,7 +87,8 @@ impl<T: Scalar> PackScale<T> {
 ///
 /// `src` is the block view (`kc` rows, `w` columns); `buf` must hold at
 /// least [`packed_elems`]`(kc, w, r)` elements. Columns beyond `w` in the
-/// last panel are zero-filled.
+/// last panel are zero-filled. Source rows are the outer loop, so each
+/// is read once, front to back.
 ///
 /// # Panics
 /// If `buf` is too small or `r == 0`.
@@ -99,34 +100,29 @@ pub(crate) fn pack_panels<T: Scalar>(
 ) {
     let (kc, w) = src.shape();
     assert!(r > 0, "panel width must be positive");
-    let panels = w.div_ceil(r);
-    let need = panels * kc * r;
+    let need = packed_elems(kc, w, r);
     assert!(
         buf.len() >= need,
         "pack buffer holds {} elements, block needs {need}",
         buf.len()
     );
-    for u in 0..panels {
-        let c0 = u * r;
-        let width = r.min(w - c0);
-        let panel = &mut buf[u * kc * r..(u + 1) * kc * r];
-        for p in 0..kc {
-            let srow = &src.row(p)[c0..c0 + width];
-            let drow = &mut panel[p * r..p * r + r];
+    for p in 0..kc {
+        for (u, srow) in src.row(p).chunks(r).enumerate() {
+            let (live, pad) = buf[u * kc * r + p * r..][..r].split_at_mut(srow.len());
             match scale {
-                PackScale::One => drow[..width].copy_from_slice(srow),
+                PackScale::One => live.copy_from_slice(srow),
                 PackScale::NegOne => {
-                    for (d, s) in drow[..width].iter_mut().zip(srow) {
+                    for (d, s) in live.iter_mut().zip(srow) {
                         *d = -*s;
                     }
                 }
                 PackScale::Factor(alpha) => {
-                    for (d, s) in drow[..width].iter_mut().zip(srow) {
+                    for (d, s) in live.iter_mut().zip(srow) {
                         *d = alpha * *s;
                     }
                 }
             }
-            drow[width..].fill(T::ZERO);
+            pad.fill(T::ZERO);
         }
     }
 }
@@ -168,7 +164,7 @@ pub(crate) fn pack_panels_par<T: Scalar>(
     let (kc, w) = src.shape();
     assert!(r > 0, "panel width must be positive");
     let panels = w.div_ceil(r);
-    let need = panels * kc * r;
+    let need = packed_elems(kc, w, r);
     assert!(
         buf.len() >= need,
         "pack buffer holds {} elements, block needs {need}",
@@ -200,7 +196,8 @@ pub(crate) fn pack_panels_par<T: Scalar>(
 ///
 /// Buffers only ever grow, so a warm pair serves any sequence of kernel
 /// calls without further allocation — the packing counterpart of
-/// `ata_strassen::StrassenWorkspace`.
+/// `ata_strassen::StrassenWorkspace`. Each buffer carries one cache line
+/// of slack, so that a 512-bit panel load never straddles two lines.
 #[derive(Debug, Default)]
 pub struct PackBufs<T> {
     a: Vec<T>,
@@ -208,6 +205,19 @@ pub struct PackBufs<T> {
 }
 
 impl<T: Scalar> PackBufs<T> {
+    /// Elements of slack per buffer: one 64-byte cache line.
+    const PAD: usize = 64usize.div_ceil(std::mem::size_of::<T>());
+
+    /// Grow `v` to `elems` plus the slack and return `elems` of it from its
+    /// first 64-byte boundary (from the front if `T` cannot reach one).
+    fn aligned(v: &mut Vec<T>, elems: usize) -> &mut [T] {
+        if v.len() < elems + Self::PAD {
+            v.resize(elems + Self::PAD, T::ZERO);
+        }
+        let off = Some(v.as_ptr().align_offset(64)).filter(|&o| o <= Self::PAD);
+        &mut v[off.unwrap_or(0)..][..elems]
+    }
+
     /// Fresh, empty buffer pair.
     pub fn new() -> Self {
         Self {
@@ -217,21 +227,18 @@ impl<T: Scalar> PackBufs<T> {
     }
 
     /// Grow (never shrink) both buffers and return them as disjoint
-    /// mutable slices of the requested sizes.
+    /// mutable slices of the requested sizes, each 64-byte aligned.
     pub fn split(&mut self, a_elems: usize, b_elems: usize) -> (&mut [T], &mut [T]) {
-        if self.a.len() < a_elems {
-            self.a.resize(a_elems, T::ZERO);
-        }
-        if self.b.len() < b_elems {
-            self.b.resize(b_elems, T::ZERO);
-        }
-        (&mut self.a[..a_elems], &mut self.b[..b_elems])
+        (
+            Self::aligned(&mut self.a, a_elems),
+            Self::aligned(&mut self.b, b_elems),
+        )
     }
 
-    /// Current capacity in elements (`A`-side + `B`-side) — the warm
-    /// footprint of this pair.
+    /// Current capacity in usable elements (`A`-side + `B`-side, slack
+    /// excluded) — the warm footprint of this pair.
     pub fn capacity(&self) -> usize {
-        self.a.len() + self.b.len()
+        self.a.len().saturating_sub(Self::PAD) + self.b.len().saturating_sub(Self::PAD)
     }
 }
 
@@ -280,6 +287,7 @@ pub fn thread_buf_elems<T: Scalar>() -> usize {
 mod tests {
     use super::*;
     use ata_mat::{gen, Matrix};
+    use proptest::prelude::*;
 
     #[test]
     fn packs_panels_with_zero_padding() {
@@ -393,6 +401,97 @@ mod tests {
             (kc * w) as u64,
             "Tracked packs serially so no ops scatter onto pool threads"
         );
+    }
+
+    /// Every panel width a tile on any menu asks for.
+    fn menu_widths() -> Vec<usize> {
+        let mut widths: Vec<usize> = crate::simd::INTRINSIC_MENUS
+            .into_iter()
+            .chain([crate::micro::KernelConfig::MENU])
+            .flat_map(|menu| menu.iter().flat_map(|&(mr, nr)| [mr, nr]))
+            .collect();
+        widths.sort_unstable();
+        widths.dedup();
+        widths
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both passes write exactly the layout the module doc states,
+        /// `buf[u*kc*r + p*r + i] = scale * src[p, u*r + i]`, with zeros
+        /// past the block's last column, on strided sub-views.
+        #[test]
+        fn packs_follow_the_documented_layout(
+            kc in 0usize..260,
+            w in 1usize..300,
+            r in prop::sample::select(menu_widths()),
+            scale_ix in 0usize..3,
+            (r0, c0, extra) in (0usize..5, 0usize..7, 0usize..9),
+        ) {
+            let big = gen::standard::<f64>(kc as u64 * 1000 + w as u64, kc + r0, c0 + w + extra);
+            let src = big.as_ref().block(r0, r0 + kc, c0, c0 + w);
+            let (scale, factor) = [
+                (PackScale::One, 1.0),
+                (PackScale::NegOne, -1.0),
+                (PackScale::Factor(0.375), 0.375),
+            ][scale_ix];
+            let need = packed_elems(kc, w, r);
+            let want: Vec<f64> = (0..need)
+                .map(|e| {
+                    let (u, p, i) = (e / (kc * r), e % (kc * r) / r, e % r);
+                    if u * r + i < w {
+                        factor * src.row(p)[u * r + i]
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let mut serial = vec![f64::NAN; need];
+            pack_panels(src, r, scale, &mut serial);
+            prop_assert_eq!(&serial, &want, "serial kc {} w {} r {}", kc, w, r);
+            let mut par = vec![f64::NAN; need];
+            crate::par::pool_with_threads(2).install(|| pack_panels_par(src, r, scale, &mut par));
+            prop_assert_eq!(&par, &want, "parallel kc {} w {} r {}", kc, w, r);
+        }
+    }
+
+    #[test]
+    fn split_slices_start_on_cache_lines_across_regrowth() {
+        fn check<T: Scalar>() {
+            let mut bufs = PackBufs::<T>::new();
+            for (a, b) in [(1, 3), (100, 7), (5, 5), (4096, 1000), (10_000, 70_000)] {
+                let (x, y) = bufs.split(a, b);
+                assert_eq!((x.len(), y.len()), (a, b));
+                for (side, ptr) in [("A", x.as_ptr()), ("B", y.as_ptr())] {
+                    assert_eq!(
+                        ptr as usize % 64,
+                        0,
+                        "{} {side}-side at ({a}, {b})",
+                        T::NAME
+                    );
+                }
+            }
+            assert_eq!(bufs.capacity(), 10_000 + 70_000, "slack is not capacity");
+        }
+        check::<f64>();
+        check::<f32>();
+    }
+
+    #[test]
+    fn tracked_pack_counts_one_op_per_live_element() {
+        use ata_mat::tracked::{measure, Tracked};
+        let big = gen::standard::<Tracked>(5, 40, 50);
+        let (kc, w) = (37, 45); // odd, so ragged for every (even) menu width
+        let src = big.as_ref().block(2, 2 + kc, 3, 3 + w);
+        for r in menu_widths() {
+            let mut buf = vec![Tracked(0.0); packed_elems(kc, w, r)];
+            let (_, neg) = measure(|| pack_panels(src, r, PackScale::NegOne, &mut buf));
+            assert_eq!((neg.negs, neg.muls), ((kc * w) as u64, 0), "r {r}");
+            let (_, fac) =
+                measure(|| pack_panels(src, r, PackScale::Factor(Tracked(2.0)), &mut buf));
+            assert_eq!((fac.negs, fac.muls), (0, (kc * w) as u64), "r {r}");
+        }
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //!
 //! Rounding: the fused kernels contract each `a * b + acc` step to one
 //! rounding, so intrinsic results differ from the portable/scalar paths
-//! within the usual product tolerance (never more); portable and scalar
-//! agree bit-for-bit with each other. `crates/kernels/tests/simd_paths.rs`
-//! property-tests all three pairings, for every tile of every ISA the
-//! host supports.
+//! within the usual product tolerance (never more) and equal the fused
+//! scalar chain (`f64::mul_add` / `f32::mul_add`) bit for bit; portable
+//! and scalar agree bit-for-bit with each other.
+//! `crates/kernels/tests/simd_paths.rs` property-tests all three
+//! pairings, for every tile of every ISA the host supports.
 
 use ata_mat::{MatMut, Scalar};
 use std::any::TypeId;
@@ -347,6 +348,49 @@ mod tests {
     fn fused_tile_matches_the_unfused_reference_within_tolerance() {
         check_fused_tiles::<f64>(1e-12);
         check_fused_tiles::<f32>(1e-5);
+    }
+
+    /// Every tile on every supported menu for `T` equals, bit for bit,
+    /// the chain `acc = c; acc = fma(a, b, acc)` over `p` under the
+    /// inherent fused `mul_add` (never `Scalar::mul_add`, which is
+    /// unfused), at depths that leave every remainder of the kernels'
+    /// 4-step unroll.
+    fn check_fused_chain<T: Scalar>(fma: fn(T, T, T) -> T) {
+        for kc in [0usize, 1, 2, 3, 4, 5, 17, 256] {
+            for (isa, menu) in supported_menus::<T>() {
+                for &(mr, nr) in menu {
+                    let ap: Vec<T> = (0..kc * mr)
+                        .map(|i| T::from_f64((i as f64 * 0.7).sin()))
+                        .collect();
+                    let bp: Vec<T> = (0..kc * nr)
+                        .map(|i| T::from_f64((i as f64 * 0.3 + 1.0).cos()))
+                        .collect();
+                    let seed = |i: usize, j: usize| T::from_f64(((i * nr + j) as f64).tan());
+                    let mut c = Matrix::<T>::from_fn(mr, nr, seed);
+                    let tag = format!("{} {} ({mr},{nr}) kc {kc}", isa.name(), T::NAME);
+                    assert!(full_tile(mr, nr, kc, &ap, &bp, &mut c.as_mut()), "{tag}");
+                    for i in 0..mr {
+                        for j in 0..nr {
+                            let want = (0..kc).fold(seed(i, j), |acc, p| {
+                                fma(ap[p * mr + i], bp[p * nr + j], acc)
+                            });
+                            let got = c.as_ref().row(i)[j];
+                            assert_eq!(
+                                got.to_f64().to_bits(),
+                                want.to_f64().to_bits(),
+                                "{tag} at ({i},{j}): {got:?} vs {want:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_tile_is_bitwise_the_fused_scalar_chain() {
+        check_fused_chain::<f64>(f64::mul_add);
+        check_fused_chain::<f32>(f32::mul_add);
     }
 
     #[test]

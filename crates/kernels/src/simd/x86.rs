@@ -27,7 +27,9 @@
 //! unfused [`ata_mat::Scalar::mul_add`] chain of the portable kernel:
 //! intrinsic results agree with the portable path to the usual product
 //! tolerance, not bit-for-bit (`crates/kernels/tests/simd_paths.rs`
-//! pins both properties).
+//! pins both properties). They are bitwise the fused scalar chain
+//! `acc = c; acc = a.mul_add(b, acc)` over `p` with the inherent
+//! `f64::mul_add` / `f32::mul_add` (pinned by the `simd` module tests).
 
 use super::{supports, Isa};
 use ata_mat::MatMut;
@@ -50,7 +52,7 @@ const LANES_F32_512: usize = 16;
 
 /// Generate one fused `MR x (LANES * NRV)` tile kernel: seed the
 /// accumulators from `C`, run `kc` broadcast-FMA steps over the packed
-/// panels, write back once.
+/// panels (unrolled by 4), write back once.
 macro_rules! fma_tile {
     ($name:ident, $features:literal, $elem:ty, $vec:ty, $lanes:expr, $setzero:ident,
      $set1:ident, $loadu:ident, $fmadd:ident, $storeu:ident, $mr:expr, $nrv:expr) => {
@@ -84,19 +86,32 @@ macro_rules! fma_tile {
                 }
                 let mut app = ap.as_ptr();
                 let mut bpp = bp.as_ptr();
-                for _ in 0..kc {
-                    let mut bvec: [$vec; NRV] = [$setzero(); NRV];
-                    for (v, b) in bvec.iter_mut().enumerate() {
-                        *b = $loadu(bpp.add(v * $lanes));
-                    }
-                    for (i, arow) in acc.iter_mut().enumerate() {
-                        let ai = $set1(*app.add(i));
-                        for (v, a) in arow.iter_mut().enumerate() {
-                            *a = $fmadd(ai, bvec[v], *a);
+                // One k-step: the same FMAs in the same order whether it
+                // runs in the 4-step unrolled body or the remainder loop.
+                macro_rules! step {
+                    () => {
+                        let mut bvec: [$vec; NRV] = [$setzero(); NRV];
+                        for (v, b) in bvec.iter_mut().enumerate() {
+                            *b = $loadu(bpp.add(v * $lanes));
                         }
-                    }
-                    app = app.add(MR);
-                    bpp = bpp.add(NR);
+                        for (i, arow) in acc.iter_mut().enumerate() {
+                            let ai = $set1(*app.add(i));
+                            for (v, a) in arow.iter_mut().enumerate() {
+                                *a = $fmadd(ai, bvec[v], *a);
+                            }
+                        }
+                        app = app.add(MR);
+                        bpp = bpp.add(NR);
+                    };
+                }
+                for _ in 0..kc / 4 {
+                    step!();
+                    step!();
+                    step!();
+                    step!();
+                }
+                for _ in 0..kc % 4 {
+                    step!();
                 }
                 for (i, arow) in acc.iter().enumerate() {
                     let dst = c.row_mut(i).as_mut_ptr();

@@ -8,8 +8,10 @@
 //!
 //! - (a) its name is an identifier somewhere outside that crate's
 //!   library sources: another crate, the facade, root `tests/` and
-//!   `examples/`, `perfbench/`, or the crate's own `src/main.rs`,
-//!   `src/bin/`, `tests/`, `benches/` and `examples/`, each a separate
+//!   `examples/`, `perfbench/`, the crate's own `src/main.rs`,
+//!   `src/bin/`, `tests/`, `benches/` and `examples/`, or any doctest
+//!   (a fenced block in a `///` or `//!` comment with no info string or
+//!   only `rust`, `no_run` and `should_panic`), each a separate
 //!   compilation unit;
 //! - (b) its name is an identifier in the signature of another kept
 //!   entry of the same crate, because rustc's `private_interfaces`
@@ -36,6 +38,52 @@ fn library_of<'a>(rel: &'a str, libs: &BTreeSet<&str>) -> Option<&'a str> {
     (libs.contains(dir) && !api::is_bin_source(in_src)).then_some(dir)
 }
 
+/// Identifiers in the doctests of `lx`'s `///` and `//!` comments.
+/// Rustdoc compiles each such block as a crate of its own, so a name in
+/// one is an outside use; `text` and `ignore` blocks are never compiled.
+fn doctest_idents(lx: &Lexed) -> Vec<String> {
+    let mut out = Vec::new();
+    // `Some(compiled)` inside a fence, with the code gathered so far.
+    let (mut fence, mut code, mut last_line) = (None::<bool>, String::new(), 0);
+    for c in &lx.comments {
+        // One-line `///` (but not `////`) or `//!` comments.
+        let doc = (c.start_line == c.end_line)
+            .then_some(&c.text)
+            .and_then(|t| {
+                let outer = t.strip_prefix('/').filter(|t| !t.starts_with('/'));
+                outer.or_else(|| t.strip_prefix('!'))
+            });
+        if doc.is_none() || c.start_line != last_line + 1 {
+            fence = None;
+            code.clear();
+        }
+        last_line = c.start_line;
+        let Some(text) = doc else { continue };
+        match (text.trim_start().strip_prefix("```"), fence) {
+            (Some(_), Some(compiled)) => {
+                if compiled {
+                    let toks = lex(&code).toks.into_iter();
+                    out.extend(toks.filter(|t| t.kind == TokKind::Ident).map(|t| t.text));
+                }
+                fence = None;
+                code.clear();
+            }
+            (Some(info), None) => {
+                fence =
+                    Some(info.split([',', ' ']).all(|attr| {
+                        matches!(attr.trim(), "" | "rust" | "no_run" | "should_panic")
+                    }));
+            }
+            (None, Some(_)) => {
+                code.push_str(text);
+                code.push('\n');
+            }
+            (None, None) => {}
+        }
+    }
+    out
+}
+
 /// Run `unused-pub` over the workspace's `(rel_path, source)` files.
 pub(crate) fn unused_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
     let libs: BTreeSet<&str> = files
@@ -49,10 +97,14 @@ pub(crate) fn unused_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
         .iter()
         .map(|(rel, src)| (rel.as_str(), library_of(rel, &libs), lex(src)))
         .collect();
+    let doctests: Vec<Vec<String>> = lexed.iter().map(|f| doctest_idents(&f.2)).collect();
     for (_, lib, lx) in &lexed {
         for t in lx.toks.iter().filter(|t| t.kind == TokKind::Ident) {
             users.entry(&t.text).or_default().insert(*lib);
         }
+    }
+    for name in doctests.iter().flatten() {
+        users.entry(name.as_str()).or_default().insert(None);
     }
     let mut out = Vec::new();
     for &lib in &libs {
@@ -115,4 +167,25 @@ pub(crate) fn unused_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn doctest_idents_read_only_the_fences_rustdoc_compiles() {
+        let src = "//! ```\n//! in_bare();\n//! ```\n\
+                   /// ```rust,no_run\n/// in_no_run();\n/// ```\n\
+                   /// ```should_panic\n/// in_panic();\n/// ```\n\
+                   /// ```ignore\n/// in_ignore();\n/// ```\n\
+                   /// ```text\n/// in_text\n/// ```\n\
+                   // ```\n// in_plain();\n// ```\n\
+                   //// ```\n//// in_four_slashes();\n//// ```\n\
+                   fn f() {}\n";
+        assert_eq!(
+            doctest_idents(&lex(src)),
+            ["in_bare", "in_no_run", "in_panic"]
+        );
+    }
 }

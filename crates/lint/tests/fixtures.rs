@@ -134,9 +134,9 @@ fn unused_pub_fires_only_where_nothing_names_the_item() {
         .into_iter()
         .map(|d| (d.path, d.line, d.lint))
         .collect();
-    // Silent: the items only beta, the bin, `tests/`, `perfbench/src`
-    // or `kept_signature`'s return type name; the allowed keep; and the
-    // facade's own unused items.
+    // Silent: the items only beta, the bin, `tests/`, `perfbench/src`,
+    // `kept_signature`'s return type or the crate's own doctest name; the
+    // allowed keep; and the facade's own unused items.
     let lib = "crates/alpha/src/lib.rs".to_string();
     let want = vec![
         (lib.clone(), 3, "unused-pub"),     // named nowhere else
@@ -145,7 +145,9 @@ fn unused_pub_fires_only_where_nothing_names_the_item() {
         (lib.clone(), 22, "unused-pub"),    // a finding whose field...
         (lib.clone(), 26, "unused-pub"),    // ...or trait impl keeps nothing
         (lib.clone(), 32, "unknown-allow"), // the misspelt allow...
-        (lib, 33, "unused-pub"),            // ...suppresses nothing
+        (lib.clone(), 33, "unused-pub"),    // ...suppresses nothing
+        (lib.clone(), 43, "unused-pub"),    // named in a `//` comment
+        (lib, 50, "unused-pub"),            // named in a `text` block
     ];
     assert_eq!(d, want);
 }

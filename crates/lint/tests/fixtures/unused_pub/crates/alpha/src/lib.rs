@@ -31,3 +31,20 @@ pub fn allowed_keep() {}
 
 // ata-lint: allow(unused-pbu): misspelt lint name
 pub fn misspelt_allow() {}
+
+/// Named only in its own crate's doctest, an outside crate to rustdoc:
+///
+/// ```
+/// alpha::in_own_doctest();
+/// ```
+pub fn in_own_doctest() {}
+
+// Named only in a plain comment: in_plain_comment()
+pub fn in_plain_comment() {}
+
+/// Named only in a block rustdoc never compiles:
+///
+/// ```text
+/// in_text_block()
+/// ```
+pub fn in_text_block() {}

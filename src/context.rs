@@ -637,6 +637,16 @@ pub fn default_context() -> &'static AtaContext {
 // Plan.
 // ---------------------------------------------------------------------
 
+/// Packing buffers `(apack, bpack)` the leaves of an `m x n` plan need:
+/// the tuned blocking clamped to the plan's shape, since no leaf of the
+/// recursion is larger than its input. A small plan thus warms no more
+/// than it packs, however wide the tuned `nc`.
+fn pack_buffer_elems<T: Scalar>(m: usize, n: usize) -> (usize, usize) {
+    let cfg = KernelConfig::for_scalar::<T>();
+    let (kc, mc, nc) = (cfg.kc.min(m), cfg.mc.min(n), cfg.nc.min(n));
+    KernelConfig { kc, mc, nc, ..cfg }.pack_buffer_elems()
+}
+
 /// The context-independent part of a plan: everything pre-computed at
 /// planning time, shared by [`AtaPlan`] and [`OwnedPlan`] — and, through
 /// the context's shape-keyed cache, by every later plan of the same
@@ -690,7 +700,7 @@ impl<T: Scalar + 'static> PlanCore<T> {
         // AVX2+FMA kernels prefer different tiles than the portable
         // ones), so the warmed buffers match whatever tile path
         // `ata_kernels::simd::detected()` dispatches at execute time.
-        let (pack_a, pack_b) = KernelConfig::for_scalar::<T>().pack_buffer_elems();
+        let (pack_a, pack_b) = pack_buffer_elems::<T>(m, n);
         let pack_elems = if dist.is_some() { 0 } else { pack_a + pack_b };
         let core = PlanCore {
             m,
@@ -728,7 +738,7 @@ impl<T: Scalar + 'static> PlanCore<T> {
             self.arenas.warm(arena_count, self.ws_elems);
         }
         if self.pack_elems > 0 {
-            let (pack_a, pack_b) = KernelConfig::for_scalar::<T>().pack_buffer_elems();
+            let (pack_a, pack_b) = pack_buffer_elems::<T>(self.m, self.n);
             ata_kernels::pack::warm_thread::<T>(pack_a, pack_b);
         }
     }
@@ -1245,10 +1255,17 @@ mod tests {
     fn plan_sizes_and_warms_pack_buffers() {
         let ctx = AtaContext::serial();
         let plan = ctx.plan::<f64>(64, 48);
-        let (a_elems, b_elems) = KernelConfig::for_scalar::<f64>().pack_buffer_elems();
+        // The tuned blocking, clamped to the 64 x 48 input.
+        let cfg = KernelConfig::for_scalar::<f64>();
+        let (kc, mc, nc) = (cfg.kc.min(64), cfg.mc.min(48), cfg.nc.min(48));
+        let (a_elems, b_elems) = KernelConfig { kc, mc, nc, ..cfg }.pack_buffer_elems();
         assert_eq!(plan.pack_workspace_elems(), a_elems + b_elems);
-        // Planning warmed this thread's buffers to the full requirement.
-        assert!(ata_kernels::pack::thread_buf_elems::<f64>() >= a_elems + b_elems);
+        // Planning warmed this thread's buffers to the full requirement,
+        // and executing the plan needs no more.
+        let warm = ata_kernels::pack::thread_buf_elems::<f64>();
+        assert!(warm >= a_elems + b_elems);
+        let _ = plan.execute(gen::standard::<f64>(3, 64, 48).as_ref());
+        assert_eq!(ata_kernels::pack::thread_buf_elems::<f64>(), warm);
         // The dist backend packs rank-side; the plan reports zero.
         let dist = AtaContext::simulated_dist(NonZeroUsize::new(2).unwrap(), CostModel::zero());
         assert_eq!(dist.plan::<f64>(16, 8).pack_workspace_elems(), 0);
