@@ -1,49 +1,20 @@
-//! Criterion benchmarks for the AtA algorithms: serial AtA vs the syrk
-//! substitute (Figure 3 in microbenchmark form), AtA-S task
-//! decomposition overhead, and the packed-storage conversion cost.
+//! Criterion benchmarks for the AtA algorithms: AtA-S task
+//! decomposition overhead and the packed-storage conversion cost. Serial
+//! AtA against the syrk substitute (Figure 3) is timed paired, with an
+//! A/A row, by the `fig3` binary.
 //!
-//! The Gram benches run under the calibrated f64 cutoff
-//! (`CacheConfig::for_scalar::<f64>()`) at sizes where it recurses, so
-//! they measure the shipped configuration.
+//! The Gram bench runs under the calibrated f64 cutoff
+//! (`CacheConfig::for_scalar::<f64>()`) at a size where it recurses, so
+//! it measures the shipped configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
 use ata_core::parallel::ata_s;
-use ata_core::serial::{ata_into, ata_into_with_kind, StrassenKind};
-use ata_kernels::{syrk_ln, CacheConfig};
+use ata_core::serial::ata_into;
+use ata_kernels::CacheConfig;
 use ata_mat::{gen, Matrix, SymPacked};
-use ata_strassen::StrassenWorkspace;
-
-fn bench_serial_vs_syrk(c: &mut Criterion) {
-    let mut group = c.benchmark_group("AtA vs syrk (serial)");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(4));
-    let cache = CacheConfig::for_scalar::<f64>();
-    for &n in &[512usize, 1024] {
-        let a = gen::standard::<f64>(1, n, n);
-        let mut out = Matrix::<f64>::zeros(n, n);
-        let mut ws = StrassenWorkspace::<f64>::empty();
-        group.bench_with_input(BenchmarkId::new("AtA", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.as_mut().fill_zero();
-                let kind = StrassenKind::Classic;
-                ata_into_with_kind(1.0, a.as_ref(), &mut out.as_mut(), &cache, kind, &mut ws);
-                black_box(out.as_slice()[0]);
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("syrk", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.as_mut().fill_zero();
-                syrk_ln(1.0, a.as_ref(), &mut out.as_mut());
-                black_box(out.as_slice()[0]);
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_ata_s_decomposition(c: &mut Criterion) {
     // Task-tree construction + disjoint carving overhead across thread
@@ -86,10 +57,5 @@ fn bench_packed_conversion(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_serial_vs_syrk,
-    bench_ata_s_decomposition,
-    bench_packed_conversion
-);
+criterion_group!(benches, bench_ata_s_decomposition, bench_packed_conversion);
 criterion_main!(benches);

@@ -4,30 +4,27 @@
 //! This is the workload the Plan/Context redesign targets — a serving
 //! loop computing many Gram matrices of one shape, where per-call
 //! planning (task-tree build, arena allocation, thread spawn-up) is the
-//! dominant cost at small sizes. The `amortization summary` benchmark
-//! prints the one-shot/reused ratio directly.
+//! dominant cost at small sizes. Each `n` times the one-shot call, a
+//! reused shared plan and a reused serial plan in interleaved rounds
+//! (`ata_kernels::timing`) and prints the median one-shot/reused ratio.
+//! The first `n` also times the shared plan against itself: the A/A row
+//! (`ata_bench::aa_gate`).
 //!
-//! Smoke mode for CI: set `ATA_BENCH_SMOKE=1` to run one timed
-//! iteration per benchmark (the bench then only guards against rot).
+//! Smoke mode for CI: set `ATA_BENCH_SMOKE=1` to run three rounds per
+//! `n` (the bench then only guards against rot).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
-use std::time::Duration;
 
 use ata::core::parallel::ata_s;
+use ata::kernels::timing::time_rounds;
 use ata::kernels::CacheConfig;
 use ata::mat::{gen, MatRef, Matrix};
 use ata::{AtaContext, Output};
+use ata_bench::{aa_gate, smoke};
 
-/// Measurement budget: tiny in smoke mode (CI), seconds otherwise.
-fn budget() -> Duration {
-    if std::env::var_os("ATA_BENCH_SMOKE").is_some_and(|v| v != "0") {
-        Duration::from_millis(1)
-    } else {
-        Duration::from_secs(2)
-    }
-}
+/// Least timed rounds and seconds per `n` in a full run.
+const ROUNDS: (usize, f64) = (200, 1.0);
 
 /// One-shot Gram: AtA-S on the global pool, planning and allocating on
 /// every call.
@@ -39,81 +36,53 @@ fn one_shot_gram(a: MatRef<'_, f64>, threads: usize) -> Matrix<f64> {
     c
 }
 
-fn bench_one_shot_vs_plan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dispatch overhead");
-    group.sample_size(20).measurement_time(budget());
+fn main() {
+    let (rounds, secs) = if smoke() { (3, 0.0) } else { ROUNDS };
     let threads = NonZeroUsize::new(4).expect("4 > 0");
-    for &n in &[16usize, 32, 64] {
+    for (i, n) in [16usize, 32, 64].into_iter().enumerate() {
         let m = 2 * n;
         let a = gen::standard::<f64>(7, m, n);
-        group.bench_with_input(BenchmarkId::new("one-shot ata_s", n), &n, |bch, _| {
-            bch.iter(|| black_box(one_shot_gram(a.as_ref(), threads.get()))[(0, 0)])
-        });
-
         let ctx = AtaContext::shared(threads);
         let plan = ctx.plan_with::<f64>(m, n, Output::Gram);
-        let mut out = Matrix::<f64>::zeros(n, n);
-        group.bench_with_input(BenchmarkId::new("reused plan", n), &n, |bch, _| {
-            bch.iter(|| {
-                plan.execute_into(a.as_ref(), &mut out.as_mut());
-                black_box(out[(0, 0)])
-            })
-        });
-
         let serial_ctx = AtaContext::serial();
         let serial_plan = serial_ctx.plan_with::<f64>(m, n, Output::Gram);
-        group.bench_with_input(BenchmarkId::new("reused serial plan", n), &n, |bch, _| {
-            bch.iter(|| {
-                serial_plan.execute_into(a.as_ref(), &mut out.as_mut());
-                black_box(out[(0, 0)])
-            })
-        });
+        let mut out = Matrix::<f64>::zeros(n, n);
+        // Call 3, at the first `n` only, repeats the reused shared plan
+        // opposite call 1, between the same two neighbours: the A/A row.
+        let r = time_rounds(
+            if i == 0 { 4 } else { 3 },
+            rounds,
+            secs,
+            |call| match call {
+                0 => {
+                    black_box(one_shot_gram(a.as_ref(), threads.get()));
+                }
+                2 => {
+                    serial_plan.execute_into(a.as_ref(), &mut out.as_mut());
+                    black_box(out[(0, 0)]);
+                }
+                _ => {
+                    plan.execute_into(a.as_ref(), &mut out.as_mut());
+                    black_box(out[(0, 0)]);
+                }
+            },
+        );
+        println!(
+            "dispatch (m={m}, n={n}, {} threads, {} rounds): one-shot {:.3e}s/call, \
+             reused plan {:.3e}s/call, reused serial plan {:.3e}s/call, \
+             one-shot/reused {:.2}x",
+            threads.get(),
+            r.rounds(),
+            r.median(0),
+            r.median(1),
+            r.median(2),
+            r.ratio(0, 1).median
+        );
+        if i == 0 {
+            aa_gate(
+                &format!("dispatch (reused plan vs itself, n={n})"),
+                r.ratio(3, 1),
+            );
+        }
     }
-    group.finish();
 }
-
-fn bench_amortization_summary(c: &mut Criterion) {
-    // Direct ratio measurement outside criterion's per-bench loop: run
-    // `reps` back-to-back calls each way and print one-shot / reused.
-    let mut group = c.benchmark_group("amortization summary");
-    group.sample_size(1).measurement_time(budget());
-    let smoke = std::env::var_os("ATA_BENCH_SMOKE").is_some_and(|v| v != "0");
-    let reps = if smoke { 3usize } else { 200 };
-    let threads = NonZeroUsize::new(4).expect("4 > 0");
-    let n = 32usize;
-    let m = 64usize;
-    let a = gen::standard::<f64>(11, m, n);
-
-    // Warm both paths (global pool spawn-up, code paths hot).
-    let _ = one_shot_gram(a.as_ref(), threads.get());
-    let ctx = AtaContext::shared(threads);
-    let plan = ctx.plan_with::<f64>(m, n, Output::Gram);
-    let mut out = Matrix::<f64>::zeros(n, n);
-    plan.execute_into(a.as_ref(), &mut out.as_mut());
-
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        black_box(one_shot_gram(a.as_ref(), threads.get()));
-    }
-    let one_shot = t0.elapsed().as_secs_f64() / reps as f64;
-
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        plan.execute_into(a.as_ref(), &mut out.as_mut());
-        black_box(out[(0, 0)]);
-    }
-    let reused = t0.elapsed().as_secs_f64() / reps as f64;
-
-    println!(
-        "amortization (m={m}, n={n}, {} threads, {reps} reps): \
-         one-shot {one_shot:.3e}s/call, reused plan {reused:.3e}s/call, \
-         ratio {:.2}x",
-        threads.get(),
-        one_shot / reused
-    );
-    group.bench_function("noop anchor", |bch| bch.iter(|| black_box(1 + 1)));
-    group.finish();
-}
-
-criterion_group!(benches, bench_one_shot_vs_plan, bench_amortization_summary);
-criterion_main!(benches);

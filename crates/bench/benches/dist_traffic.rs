@@ -14,24 +14,16 @@
 //! more words through the root fails the gate until the committed
 //! record is refreshed.
 //!
-//! Set `ATA_BENCH_SMOKE=1` to keep the criterion anchor cheap in CI (the
-//! record itself costs a handful of zero-cost-model simulations either
-//! way); `ATA_BENCH_OUT` overrides the output path (smoke runs default
-//! to `target/` so they never clobber the committed record).
+//! The record costs a handful of zero-cost-model simulations either way;
+//! `ATA_BENCH_SMOKE=1` only marks it smoke and sends it under `target/`
+//! (see `ata_bench::write_record`, which `ATA_BENCH_OUT` overrides).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-use std::time::Duration;
-
+use ata_bench::write_record;
 use ata_dist::traffic::ata_d_traffic;
 use ata_dist::{ata_d, AtaDConfig, WireFormat};
 use ata_kernels::CacheConfig;
 use ata_mat::gen;
 use ata_mpisim::{run, CostModel};
-
-fn smoke() -> bool {
-    std::env::var_os("ATA_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
 
 /// The aspect-ratio grid: tall, square-ish, wide.
 const SHAPES: &[(usize, usize)] = &[(512, 64), (96, 80), (64, 512)];
@@ -90,45 +82,30 @@ fn measure(m: usize, n: usize) -> Vec<Rec> {
     recs
 }
 
-fn bench_dist_traffic_record(c: &mut Criterion) {
+fn main() {
     let recs: Vec<Rec> = SHAPES.iter().flat_map(|&(m, n)| measure(m, n)).collect();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"dist-traffic\",\n  \"schema\": 2,\n");
-    json.push_str(&format!("  \"smoke\": {},\n", smoke()));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"m\": {}, \"n\": {}, \"p\": {}, \"wire\": \"{}\", \
-             \"root_recv_words_pred\": {}, \
-             \"root_recv_words_sim\": {}, \"root_sent_words\": {}, \"root_msgs\": {}, \
-             \"total_words\": {}}}{}\n",
-            r.m,
-            r.n,
-            r.p,
-            r.wire,
-            r.root_recv_words_pred,
-            r.root_recv_words_sim,
-            r.root_sent_words,
-            r.root_msgs,
-            r.total_words,
-            if i + 1 == recs.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let out_path = std::env::var("ATA_BENCH_OUT").unwrap_or_else(|_| {
-        if smoke() {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_dist.json").into()
-        } else {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dist.json").into()
-        }
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("dist-traffic record: wrote {out_path}"),
-        Err(e) => eprintln!("dist-traffic record: could not write {out_path}: {e}"),
-    }
+    let results: Vec<String> = recs
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"m\": {}, \"n\": {}, \"p\": {}, \"wire\": \"{}\", \
+                 \"root_recv_words_pred\": {}, \
+                 \"root_recv_words_sim\": {}, \"root_sent_words\": {}, \"root_msgs\": {}, \
+                 \"total_words\": {}}}",
+                r.m,
+                r.n,
+                r.p,
+                r.wire,
+                r.root_recv_words_pred,
+                r.root_recv_words_sim,
+                r.root_sent_words,
+                r.root_msgs,
+                r.total_words
+            )
+        })
+        .collect();
+    write_record("dist", "dist-traffic", 2, &[], &results);
     for r in &recs {
         println!(
             "dist-traffic: {:>3}x{:<3} P={:<2} {:>6}: root recv {:>6} words (pred == sim), \
@@ -165,17 +142,4 @@ fn bench_dist_traffic_record(c: &mut Criterion) {
             );
         }
     }
-
-    let mut group = c.benchmark_group("dist traffic record");
-    let budget = if smoke() {
-        Duration::from_millis(1)
-    } else {
-        Duration::from_millis(200)
-    };
-    group.sample_size(1).measurement_time(budget);
-    group.bench_function("noop anchor", |bch| bch.iter(|| black_box(1 + 1)));
-    group.finish();
 }
-
-criterion_group!(benches, bench_dist_traffic_record);
-criterion_main!(benches);

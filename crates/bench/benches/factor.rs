@@ -18,42 +18,26 @@
 //!   row count grows 128x. Queries run against the factor, never the
 //!   row count, so the series must stay flat.
 //!
-//! Smoke mode for CI: set `ATA_BENCH_SMOKE=1` for one timed iteration
-//! per measurement (rot guard; the JSON goes to `target/` by default so
-//! smoke numbers never clobber the committed record; `ATA_BENCH_OUT`
-//! overrides). The beat-the-refactor and flat-latency assertions run on
-//! full measurements only — single-iteration smoke timings are
-//! statistically meaningless.
+//! Each cycle point times both schemes in alternating rounds
+//! (`ata_kernels::timing`) and takes the speedup as the median
+//! per-round ratio. The first point also times a second, identical
+//! factored cycle: the A/A row, which a full run must hold within 3%
+//! before it writes the record (schema 2 added its `aa_ratio` field; see
+//! `ata_bench::aa_gate`).
+//!
+//! Smoke mode for CI: set `ATA_BENCH_SMOKE=1` for one timed round per
+//! measurement (rot guard; the JSON goes to `target/`, see
+//! `ata_bench::write_record`). The beat-the-refactor and flat-latency
+//! assertions run on full measurements only — one-round smoke timings
+//! are meaningless.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
+use ata::kernels::timing::Quartiles;
 use ata::linalg::{cholesky_factor, cholesky_solve};
 use ata::mat::gen;
 use ata::AtaContext;
-
-fn smoke() -> bool {
-    std::env::var_os("ATA_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
-
-/// Mean seconds/call of `f`, warmed once; smoke mode runs one timed
-/// iteration, otherwise enough to fill ~0.5 s (min 3).
-fn time_call(mut f: impl FnMut()) -> f64 {
-    f();
-    if smoke() {
-        let t0 = Instant::now();
-        f();
-        return t0.elapsed().as_secs_f64();
-    }
-    let mut reps = 0u32;
-    let t0 = Instant::now();
-    while reps < 3 || t0.elapsed() < Duration::from_millis(500) {
-        f();
-        reps += 1;
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
+use ata_bench::{aa_field, aa_gate, record_rounds, smoke, write_record};
 
 /// One measured point. `k` is the pushed chunk height in cycle mode;
 /// `chunk`/`total_rows` carry the latency-series geometry.
@@ -70,64 +54,70 @@ struct Rec {
 const CYCLE_NS: [usize; 3] = [64, 256, 512];
 const CYCLE_KS: [usize; 3] = [1, 8, 64];
 
-/// Push-then-solve cycles at every `(n, k)`; returns the minimum
-/// `refactor / factored` speedup over the grid.
-fn measure_cycles(recs: &mut Vec<Rec>) -> f64 {
+/// Push-then-solve cycles at every `(n, k)`; returns the minimum over
+/// the grid of the median per-round `refactor / factored` time ratio,
+/// and the A/A ratio of the first point's factored cycle against an
+/// identical one.
+fn measure_cycles(recs: &mut Vec<Rec>) -> (f64, Quartiles) {
     let ctx = AtaContext::serial();
     let mut min_speedup = f64::INFINITY;
+    let mut aa = None;
     for &n in &CYCLE_NS {
         for &k in &CYCLE_KS {
             let chunk = gen::standard::<f64>((n + k) as u64, k, n);
             let rhs: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin() + 0.5).collect();
 
-            // Seed both paths with the same tall warm-up mass so the
+            // Seed every path with the same tall warm-up mass so the
             // first timed cycle is steady state, not a cold start.
             let warm = gen::standard::<f64>(n as u64, 2 * n, n);
-
-            let mut fg = ctx.factored_gram::<f64>(n);
-            fg.push(warm.as_ref());
-            let mut x = rhs.clone();
-            fg.solve_in_place(&mut x).expect("warm mass is SPD");
-            let mut buf = vec![0.0f64; n];
-            let secs_factored = time_call(|| {
-                fg.push(chunk.as_ref());
-                buf.copy_from_slice(&rhs);
-                fg.solve_in_place(&mut buf).expect("SPD");
-                black_box(buf[0]);
-            });
-
+            let factored = || {
+                let mut fg = ctx.factored_gram::<f64>(n);
+                fg.push(warm.as_ref());
+                let mut x = rhs.clone();
+                fg.solve_in_place(&mut x).expect("warm mass is SPD");
+                fg
+            };
+            // At the first point only, call 2 runs the A/A cycle on a
+            // second factor.
+            let calls = if aa.is_none() { 3 } else { 2 };
+            let mut fgs: Vec<_> = (0..calls - 1).map(|_| factored()).collect();
             let mut acc = ctx.gram_accumulator::<f64>(n);
             acc.push(warm.as_ref());
-            let secs_refactor = time_call(|| {
-                acc.push(chunk.as_ref());
-                let mut g = acc.snapshot().into_dense();
-                cholesky_factor(&mut g).expect("SPD");
-                let x = cholesky_solve(&g, &rhs).expect("shape");
-                black_box(x[0]);
+            let mut buf = vec![0.0f64; n];
+            let r = record_rounds(calls, |call| {
+                if call == 1 {
+                    acc.push(chunk.as_ref());
+                    let mut g = acc.snapshot().into_dense();
+                    cholesky_factor(&mut g).expect("SPD");
+                    let x = cholesky_solve(&g, &rhs).expect("shape");
+                    black_box(x[0]);
+                } else {
+                    let fg = &mut fgs[call / 2];
+                    fg.push(chunk.as_ref());
+                    buf.copy_from_slice(&rhs);
+                    fg.solve_in_place(&mut buf).expect("SPD");
+                    black_box(buf[0]);
+                }
             });
+            if calls == 3 {
+                aa = Some(r.ratio(2, 0));
+            }
 
-            recs.push(Rec {
-                mode: "cycle",
-                scheme: "factored",
-                n,
-                k,
-                chunk: 0,
-                total_rows: 0,
-                secs_per_call: secs_factored,
-            });
-            recs.push(Rec {
-                mode: "cycle",
-                scheme: "refactor",
-                n,
-                k,
-                chunk: 0,
-                total_rows: 0,
-                secs_per_call: secs_refactor,
-            });
-            min_speedup = min_speedup.min(secs_refactor / secs_factored);
+            for (scheme, call) in [("factored", 0), ("refactor", 1)] {
+                recs.push(Rec {
+                    mode: "cycle",
+                    scheme,
+                    n,
+                    k,
+                    chunk: 0,
+                    total_rows: 0,
+                    secs_per_call: r.median(call),
+                });
+            }
+            min_speedup = min_speedup.min(r.ratio(1, 0).median);
         }
     }
-    min_speedup
+    (min_speedup, aa.expect("the first point times the A/A row"))
 }
 
 const LAT_N: usize = 128;
@@ -149,11 +139,12 @@ fn measure_latency(recs: &mut Vec<Rec>) -> f64 {
             let seed = (i * 1000 + fg.rows()) as u64;
             fg.push(gen::standard::<f64>(seed, LAT_PUSH, LAT_N).as_ref());
         }
-        let secs = time_call(|| {
+        let secs = record_rounds(1, |_| {
             buf.copy_from_slice(&rhs);
             fg.solve_in_place(&mut buf).expect("SPD");
             black_box(buf[0]);
-        });
+        })
+        .median(0);
         recs.push(Rec {
             mode: "latency",
             scheme: "factored",
@@ -170,53 +161,10 @@ fn measure_latency(recs: &mut Vec<Rec>) -> f64 {
     max / min
 }
 
-fn bench_factor_record(c: &mut Criterion) {
+fn main() {
     let mut recs = Vec::new();
-    let min_speedup = measure_cycles(&mut recs);
+    let (min_speedup, aa) = measure_cycles(&mut recs);
     let latency_spread = measure_latency(&mut recs);
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"factor\",\n  \"schema\": 1,\n");
-    json.push_str(&format!("  \"smoke\": {},\n", smoke()));
-    json.push_str(&format!(
-        "  \"min_speedup_factored_over_refactor\": {min_speedup:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"solve_latency_max_over_min\": {latency_spread:.4},\n"
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"scheme\": \"{}\", \"n\": {}, \"k\": {}, \
-             \"chunk\": {}, \"total_rows\": {}, \"secs_per_call\": {:.6e}}}{}\n",
-            r.mode,
-            r.scheme,
-            r.n,
-            r.k,
-            r.chunk,
-            r.total_rows,
-            r.secs_per_call,
-            if i + 1 == recs.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let out_path = std::env::var("ATA_BENCH_OUT").unwrap_or_else(|_| {
-        if smoke() {
-            concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../target/BENCH_factor.json"
-            )
-            .into()
-        } else {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_factor.json").into()
-        }
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("factor record: wrote {out_path}"),
-        Err(e) => eprintln!("factor record: could not write {out_path}: {e}"),
-    }
 
     for r in &recs {
         println!(
@@ -232,6 +180,39 @@ fn bench_factor_record(c: &mut Criterion) {
         "factor: solve latency spread {latency_spread:.2}x (max/min) over \
          {LAT_ROWS:?} streamed rows at n={LAT_N}"
     );
+    aa_gate(
+        &format!(
+            "factor (factored cycle vs itself, n={} k={})",
+            CYCLE_NS[0], CYCLE_KS[0]
+        ),
+        aa,
+    );
+
+    let results: Vec<String> = recs
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"mode\": \"{}\", \"scheme\": \"{}\", \"n\": {}, \"k\": {}, \
+                 \"chunk\": {}, \"total_rows\": {}, \"secs_per_call\": {:.6e}}}",
+                r.mode, r.scheme, r.n, r.k, r.chunk, r.total_rows, r.secs_per_call
+            )
+        })
+        .collect();
+    write_record(
+        "factor",
+        "factor",
+        2,
+        &[
+            (
+                "min_speedup_factored_over_refactor",
+                format!("{min_speedup:.4}"),
+            ),
+            ("solve_latency_max_over_min", format!("{latency_spread:.4}")),
+            aa_field(aa),
+        ],
+        &results,
+    );
+
     if !smoke() {
         assert!(
             min_speedup > 1.0,
@@ -245,17 +226,4 @@ fn bench_factor_record(c: &mut Criterion) {
              got a {latency_spread:.2}x spread"
         );
     }
-
-    let mut group = c.benchmark_group("factor record");
-    let budget = if smoke() {
-        Duration::from_millis(1)
-    } else {
-        Duration::from_millis(200)
-    };
-    group.sample_size(1).measurement_time(budget);
-    group.bench_function("noop anchor", |bch| bch.iter(|| black_box(1 + 1)));
-    group.finish();
 }
-
-criterion_group!(benches, bench_factor_record);
-criterion_main!(benches);

@@ -13,46 +13,29 @@
 //!   Streaming trades a little arithmetic locality for `O(n²)` resident
 //!   memory; the record tracks that the overhead stays modest.
 //!
-//! Smoke mode for CI: set `ATA_BENCH_SMOKE=1` for one timed iteration
-//! per measurement (rot guard; the JSON goes to `target/` by default so
-//! smoke numbers never clobber the committed record; `ATA_BENCH_OUT`
-//! overrides). The ≥ 1.25x assertion runs on full measurements only —
-//! single-iteration smoke timings are statistically meaningless — and
+//! Each shape times its calls in interleaved rounds
+//! (`ata_kernels::timing`) and reports ratios as medians of per-round
+//! ratios. The batch shape also times the serial loop twice: the A/A
+//! row, which a full run must hold within 3% before it writes the record
+//! (schema 2 added its `aa_ratio` field; see `ata_bench::aa_gate`).
+//!
+//! Smoke mode for CI: set `ATA_BENCH_SMOKE=1` for one timed round per
+//! shape (rot guard; the JSON goes to `target/`, see
+//! `ata_bench::write_record`). The ≥ 1.25x assertion runs on full
+//! measurements only — one-round smoke timings are meaningless — and
 //! only where the host can physically express between-problem
 //! parallelism (≥ 2 CPUs): on a single-core host the 4 workers
 //! time-slice one core, so batched throughput is structurally capped at
 //! 1.0x minus dispatch overhead, and the record (which carries
 //! `host_cpus`) documents that instead of asserting the impossible.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
-use std::time::{Duration, Instant};
 
+use ata::kernels::timing::Quartiles;
 use ata::mat::{gen, Matrix};
 use ata::{AtaContext, Output};
-
-fn smoke() -> bool {
-    std::env::var_os("ATA_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
-
-/// Mean seconds/call of `f`, warmed once; smoke mode runs one timed
-/// iteration, otherwise enough to fill ~0.5 s (min 3).
-fn time_call(mut f: impl FnMut()) -> f64 {
-    f();
-    if smoke() {
-        let t0 = Instant::now();
-        f();
-        return t0.elapsed().as_secs_f64();
-    }
-    let mut reps = 0u32;
-    let t0 = Instant::now();
-    while reps < 3 || t0.elapsed() < Duration::from_millis(500) {
-        f();
-        reps += 1;
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
+use ata_bench::{aa_field, aa_gate, record_rounds, smoke, write_record};
 
 /// One measured point. `secs_per_call` is per *problem* (batch) or per
 /// *full pass* (stream), so old/new gate comparisons stay like-for-like
@@ -74,9 +57,10 @@ const BATCH_M: usize = 96;
 const BATCH_N: usize = 48;
 const BATCH_WORKERS: usize = 4;
 
-/// Batched fan-out vs a reused-plan serial loop; returns
-/// `(records, speedup_batched_over_looped)`.
-fn measure_batch(recs: &mut Vec<Rec>) -> f64 {
+/// Batched fan-out vs a reused-plan serial loop; returns the median
+/// per-round `looped / batched` time ratio and the A/A ratio of the
+/// serial loop against itself.
+fn measure_batch(recs: &mut Vec<Rec>) -> (f64, Quartiles) {
     let inputs: Vec<Matrix<f64>> = (0..BATCH_PROBLEMS as u64)
         .map(|s| gen::standard::<f64>(s, BATCH_M, BATCH_N))
         .collect();
@@ -84,20 +68,21 @@ fn measure_batch(recs: &mut Vec<Rec>) -> f64 {
 
     let shared = AtaContext::shared(NonZeroUsize::new(BATCH_WORKERS).expect("4 > 0"));
     let batch = shared.batch_plan::<f64>(&[(BATCH_M, BATCH_N); BATCH_PROBLEMS], Output::Gram);
-    let secs_batched = time_call(|| {
-        let outs = batch.execute_batch(&refs);
-        black_box(outs[0].order());
-    }) / BATCH_PROBLEMS as f64;
-
     let serial = AtaContext::serial();
     let plan = serial.plan_with::<f64>(BATCH_M, BATCH_N, Output::Gram);
     let mut out = Matrix::<f64>::zeros(BATCH_N, BATCH_N);
-    let secs_looped = time_call(|| {
-        for a in &refs {
-            plan.execute_into(*a, &mut out.as_mut());
+    // Calls 1 and 2 are the same serial loop: the A/A pair.
+    let r = record_rounds(3, |call| {
+        if call == 0 {
+            let outs = batch.execute_batch(&refs);
+            black_box(outs[0].order());
+        } else {
+            for a in &refs {
+                plan.execute_into(*a, &mut out.as_mut());
+            }
+            black_box(out[(0, 0)]);
         }
-        black_box(out[(0, 0)]);
-    }) / BATCH_PROBLEMS as f64;
+    });
 
     let base = Rec {
         mode: "batch",
@@ -112,27 +97,47 @@ fn measure_batch(recs: &mut Vec<Rec>) -> f64 {
     };
     recs.push(Rec {
         scheme: "batched",
-        secs_per_call: secs_batched,
+        secs_per_call: r.median(0) / BATCH_PROBLEMS as f64,
         ..base
     });
     recs.push(Rec {
         scheme: "looped",
         workers: 1,
-        secs_per_call: secs_looped,
+        secs_per_call: r.median(1) / BATCH_PROBLEMS as f64,
         ..base
     });
-    secs_looped / secs_batched
+    (r.ratio(1, 0).median, r.ratio(2, 1))
 }
 
 const STREAM_ROWS: usize = 4096;
 const STREAM_N: usize = 64;
 
 /// Accumulator at two chunk sizes vs the one-shot plan on the whole
-/// matrix; returns `oneshot_secs / accumulator_secs` at the larger
-/// chunk (how close streaming gets to resident execution).
+/// matrix; returns the median per-round `oneshot / accumulator` time
+/// ratio at the larger chunk (how close streaming gets to resident
+/// execution).
 fn measure_stream(recs: &mut Vec<Rec>) -> f64 {
+    const CHUNKS: [usize; 2] = [64, 512];
     let a = gen::standard::<f64>(7, STREAM_ROWS, STREAM_N);
     let ctx = AtaContext::serial();
+    let plan = ctx.plan_with::<f64>(STREAM_ROWS, STREAM_N, Output::Gram);
+    let mut out = Matrix::<f64>::zeros(STREAM_N, STREAM_N);
+    // Calls 0 and 1 stream at `CHUNKS`; call 2 is the one-shot plan.
+    let r = record_rounds(3, |call| {
+        if let Some(&chunk) = CHUNKS.get(call) {
+            let mut acc = ctx.gram_accumulator::<f64>(STREAM_N);
+            let mut r0 = 0;
+            while r0 < STREAM_ROWS {
+                let r1 = (r0 + chunk).min(STREAM_ROWS);
+                acc.push(a.as_ref().block(r0, r1, 0, STREAM_N));
+                r0 = r1;
+            }
+            black_box(acc.finish().order());
+        } else {
+            plan.execute_into(a.as_ref(), &mut out.as_mut());
+            black_box(out[(0, 0)]);
+        }
+    });
 
     let base = Rec {
         mode: "stream",
@@ -145,96 +150,29 @@ fn measure_stream(recs: &mut Vec<Rec>) -> f64 {
         total_rows: STREAM_ROWS,
         secs_per_call: 0.0,
     };
-
-    let mut acc_secs_large = 0.0;
-    for chunk in [64usize, 512] {
-        let secs = time_call(|| {
-            let mut acc = ctx.gram_accumulator::<f64>(STREAM_N);
-            let mut r0 = 0;
-            while r0 < STREAM_ROWS {
-                let r1 = (r0 + chunk).min(STREAM_ROWS);
-                acc.push(a.as_ref().block(r0, r1, 0, STREAM_N));
-                r0 = r1;
-            }
-            black_box(acc.finish().order());
-        });
+    for (call, chunk) in CHUNKS.into_iter().enumerate() {
         recs.push(Rec {
             scheme: "accumulator",
             chunk,
-            secs_per_call: secs,
+            secs_per_call: r.median(call),
             ..base
         });
-        acc_secs_large = secs;
     }
-
-    let plan = ctx.plan_with::<f64>(STREAM_ROWS, STREAM_N, Output::Gram);
-    let mut out = Matrix::<f64>::zeros(STREAM_N, STREAM_N);
-    let secs_oneshot = time_call(|| {
-        plan.execute_into(a.as_ref(), &mut out.as_mut());
-        black_box(out[(0, 0)]);
-    });
     recs.push(Rec {
         scheme: "oneshot",
-        secs_per_call: secs_oneshot,
+        secs_per_call: r.median(2),
         ..base
     });
-    secs_oneshot / acc_secs_large
+    r.ratio(2, 1).median
 }
 
-fn bench_serving_record(c: &mut Criterion) {
+fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let mut recs = Vec::new();
-    let batch_speedup = measure_batch(&mut recs);
+    let (batch_speedup, aa) = measure_batch(&mut recs);
     let stream_ratio = measure_stream(&mut recs);
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"serving\",\n  \"schema\": 1,\n");
-    json.push_str(&format!("  \"smoke\": {},\n", smoke()));
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str(&format!(
-        "  \"speedup_batched_over_looped\": {batch_speedup:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"oneshot_over_accumulator\": {stream_ratio:.4},\n"
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"scheme\": \"{}\", \"m\": {}, \"n\": {}, \
-             \"problems\": {}, \"workers\": {}, \"chunk\": {}, \"total_rows\": {}, \
-             \"secs_per_call\": {:.6e}}}{}\n",
-            r.mode,
-            r.scheme,
-            r.m,
-            r.n,
-            r.problems,
-            r.workers,
-            r.chunk,
-            r.total_rows,
-            r.secs_per_call,
-            if i + 1 == recs.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let out_path = std::env::var("ATA_BENCH_OUT").unwrap_or_else(|_| {
-        if smoke() {
-            concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../target/BENCH_serving.json"
-            )
-            .into()
-        } else {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json").into()
-        }
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("serving record: wrote {out_path}"),
-        Err(e) => eprintln!("serving record: could not write {out_path}: {e}"),
-    }
 
     for r in &recs {
         println!(
@@ -251,6 +189,40 @@ fn bench_serving_record(c: &mut Criterion) {
         "serving: one-shot is {stream_ratio:.2}x the 512-row-chunk accumulator \
          ({STREAM_ROWS} rows x {STREAM_N} cols)"
     );
+    aa_gate("serving (reused-plan serial loop vs itself)", aa);
+
+    let results: Vec<String> = recs
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"mode\": \"{}\", \"scheme\": \"{}\", \"m\": {}, \"n\": {}, \
+                 \"problems\": {}, \"workers\": {}, \"chunk\": {}, \"total_rows\": {}, \
+                 \"secs_per_call\": {:.6e}}}",
+                r.mode,
+                r.scheme,
+                r.m,
+                r.n,
+                r.problems,
+                r.workers,
+                r.chunk,
+                r.total_rows,
+                r.secs_per_call
+            )
+        })
+        .collect();
+    write_record(
+        "serving",
+        "serving",
+        2,
+        &[
+            ("host_cpus", host_cpus.to_string()),
+            ("speedup_batched_over_looped", format!("{batch_speedup:.4}")),
+            ("oneshot_over_accumulator", format!("{stream_ratio:.4}")),
+            aa_field(aa),
+        ],
+        &results,
+    );
+
     if !smoke() && host_cpus >= 2 {
         assert!(
             batch_speedup >= 1.25,
@@ -264,17 +236,4 @@ fn bench_serving_record(c: &mut Criterion) {
              multi-core hosts (CI runners, deployments)"
         );
     }
-
-    let mut group = c.benchmark_group("serving record");
-    let budget = if smoke() {
-        Duration::from_millis(1)
-    } else {
-        Duration::from_millis(200)
-    };
-    group.sample_size(1).measurement_time(budget);
-    group.bench_function("noop anchor", |bch| bch.iter(|| black_box(1 + 1)));
-    group.finish();
 }
-
-criterion_group!(benches, bench_serving_record);
-criterion_main!(benches);

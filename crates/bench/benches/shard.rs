@@ -19,20 +19,13 @@
 //! * wall-clock seconds per job, informational only (the container the
 //!   record ships from has one CPU; timings are noise).
 //!
-//! Set `ATA_BENCH_SMOKE=1` for CI (cheap criterion anchor, output under
-//! `target/`); `ATA_BENCH_OUT` overrides the output path.
-
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-use std::time::Duration;
+//! Set `ATA_BENCH_SMOKE=1` for CI (output under `target/`; see
+//! `ata_bench::write_record`, which `ATA_BENCH_OUT` overrides).
 
 use ata::mat::{gen, Matrix};
 use ata::shard::ShardedServiceBuilder;
 use ata::AtaContext;
-
-fn smoke() -> bool {
-    std::env::var_os("ATA_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
+use ata_bench::write_record;
 
 /// Shard counts swept (the ISSUE grid: P in {2, 4, 8, 16}).
 const SHARDS: &[usize] = &[2, 4, 8, 16];
@@ -99,7 +92,7 @@ fn measure(p: usize, threshold: usize, inputs: &[Matrix<f64>]) -> Rec {
     }
 }
 
-fn bench_shard_record(c: &mut Criterion) {
+fn main() {
     let inputs: Vec<Matrix<f64>> = MIX
         .iter()
         .flat_map(|&(count, m, n)| (0..count).map(move |i| (i, m, n)))
@@ -113,41 +106,26 @@ fn bench_shard_record(c: &mut Criterion) {
         .map(|(p, w)| measure(p, w, &inputs))
         .collect();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"shard\",\n  \"schema\": 1,\n");
-    json.push_str(&format!("  \"smoke\": {},\n", smoke()));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"p\": {}, \"threshold\": {}, \"jobs\": {}, \"whole_jobs\": {}, \
-             \"split_jobs\": {}, \"root_recv_words_pred\": {}, \"root_recv_words_sim\": {}, \
-             \"total_words\": {}, \"secs_per_call\": {:e}}}{}\n",
-            r.p,
-            r.threshold,
-            r.jobs,
-            r.whole_jobs,
-            r.split_jobs,
-            r.root_recv_words_pred,
-            r.root_recv_words_sim,
-            r.total_words,
-            r.secs_per_call,
-            if i + 1 == recs.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let out_path = std::env::var("ATA_BENCH_OUT").unwrap_or_else(|_| {
-        if smoke() {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_shard.json").into()
-        } else {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json").into()
-        }
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("shard record: wrote {out_path}"),
-        Err(e) => eprintln!("shard record: could not write {out_path}: {e}"),
-    }
+    let results: Vec<String> = recs
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"p\": {}, \"threshold\": {}, \"jobs\": {}, \"whole_jobs\": {}, \
+                 \"split_jobs\": {}, \"root_recv_words_pred\": {}, \"root_recv_words_sim\": {}, \
+                 \"total_words\": {}, \"secs_per_call\": {:e}}}",
+                r.p,
+                r.threshold,
+                r.jobs,
+                r.whole_jobs,
+                r.split_jobs,
+                r.root_recv_words_pred,
+                r.root_recv_words_sim,
+                r.total_words,
+                r.secs_per_call
+            )
+        })
+        .collect();
+    write_record("shard", "shard", 1, &[], &results);
     for r in &recs {
         println!(
             "shard: P={:<2} threshold={:<5}: {} whole / {} split, split traffic {:>6} words \
@@ -161,17 +139,4 @@ fn bench_shard_record(c: &mut Criterion) {
             r.secs_per_call
         );
     }
-
-    let mut group = c.benchmark_group("shard record");
-    let budget = if smoke() {
-        Duration::from_millis(1)
-    } else {
-        Duration::from_millis(200)
-    };
-    group.sample_size(1).measurement_time(budget);
-    group.bench_function("noop anchor", |bch| bch.iter(|| black_box(1 + 1)));
-    group.finish();
 }
-
-criterion_group!(benches, bench_shard_record);
-criterion_main!(benches);

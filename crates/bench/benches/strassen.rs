@@ -1,105 +1,17 @@
-//! Criterion benchmarks for FastStrassen: the pre-allocation ablation
-//! (§3.3, demonstrated by Figure 4) and the recursion cut-off sweep —
+//! Criterion benchmark for FastStrassen: the recursion cut-off sweep —
 //! the "virtually tuning free" property the paper inherits from
-//! recursive blocked algorithms.
+//! recursive blocked algorithms. The pre-allocation ablation (§3.3,
+//! Figure 4) and the Winograd-vs-classic comparison are timed paired,
+//! with an A/A row, by the `fig4` and `ablation` binaries (e.g. `fig4
+//! --sizes 192,384 --cache-words 1024`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use ata_kernels::{gemm_tn, CacheConfig};
+use ata_kernels::CacheConfig;
 use ata_mat::{gen, Matrix};
-use ata_strassen::alloc::strassen_allocating;
-use ata_strassen::{fast_strassen_with, winograd_strassen_with, StrassenWorkspace};
-
-fn bench_prealloc_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("strassen prealloc ablation");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(4));
-    let cache = CacheConfig::with_words(1024); // force a few levels
-    for &n in &[192usize, 384] {
-        let a = gen::standard::<f64>(1, n, n);
-        let b = gen::standard::<f64>(2, n, n);
-        let mut out = Matrix::<f64>::zeros(n, n);
-        let mut ws = StrassenWorkspace::<f64>::for_problem(n, n, n, &cache);
-        group.bench_with_input(BenchmarkId::new("fast (arena)", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.as_mut().fill_zero();
-                fast_strassen_with(
-                    1.0,
-                    a.as_ref(),
-                    b.as_ref(),
-                    &mut out.as_mut(),
-                    &cache,
-                    &mut ws,
-                );
-                black_box(out.as_slice()[0]);
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("allocating", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.as_mut().fill_zero();
-                strassen_allocating(1.0, a.as_ref(), b.as_ref(), &mut out.as_mut(), &cache);
-                black_box(out.as_slice()[0]);
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("gemm (no strassen)", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.as_mut().fill_zero();
-                gemm_tn(1.0, a.as_ref(), b.as_ref(), &mut out.as_mut());
-                black_box(out.as_slice()[0]);
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_winograd_vs_classic(c: &mut Criterion) {
-    // The 15-vs-18 block-addition trade (19 vs 22 add-volumes in
-    // accumulate form) at ~2x workspace — ablation 5 of `bin/ablation`
-    // as a tracked criterion series.
-    let mut group = c.benchmark_group("strassen winograd vs classic");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(4));
-    let cache = CacheConfig::with_words(1024);
-    for &n in &[192usize, 384] {
-        let a = gen::standard::<f64>(3, n, n);
-        let b = gen::standard::<f64>(4, n, n);
-        let mut out = Matrix::<f64>::zeros(n, n);
-        let mut ws = StrassenWorkspace::<f64>::empty();
-        group.bench_with_input(BenchmarkId::new("classic (18 adds)", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.as_mut().fill_zero();
-                fast_strassen_with(
-                    1.0,
-                    a.as_ref(),
-                    b.as_ref(),
-                    &mut out.as_mut(),
-                    &cache,
-                    &mut ws,
-                );
-                black_box(out.as_slice()[0]);
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("winograd (15 adds)", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.as_mut().fill_zero();
-                winograd_strassen_with(
-                    1.0,
-                    a.as_ref(),
-                    b.as_ref(),
-                    &mut out.as_mut(),
-                    &cache,
-                    &mut ws,
-                );
-                black_box(out.as_slice()[0]);
-            })
-        });
-    }
-    group.finish();
-}
+use ata_strassen::{fast_strassen_with, StrassenWorkspace};
 
 fn bench_cutoff_sweep(c: &mut Criterion) {
     // The cache-oblivious claim: performance should be flat across a
@@ -133,10 +45,5 @@ fn bench_cutoff_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_prealloc_ablation,
-    bench_winograd_vs_classic,
-    bench_cutoff_sweep
-);
+criterion_group!(benches, bench_cutoff_sweep);
 criterion_main!(benches);

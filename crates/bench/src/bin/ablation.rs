@@ -19,10 +19,11 @@
 //! cargo run --release -p ata-bench --bin ablation
 //! ```
 
-use ata_bench::{ata_s_modeled_flops, time_median, Cli, Table};
+use ata_bench::{aa_gate, ata_s_modeled_flops, smoke, Cli, Table};
 use ata_dist::baselines::pdsyrk_like;
 use ata_dist::grid::pdsyrk_2d;
 use ata_dist::{ata_d, AtaDConfig};
+use ata_kernels::timing::time_rounds;
 use ata_kernels::CacheConfig;
 use ata_mat::gen;
 use ata_mat::tracked::{measure, Tracked};
@@ -175,6 +176,10 @@ fn alpha_sweep(cli: &Cli, n: usize) {
     println!("  (* = fastest; §4.1.2's alpha = 1/2 should be at or adjacent to the minimum)");
 }
 
+/// Least seconds of interleaved Strassen-variant rounds per size in a
+/// full run.
+const MIN_SECS: f64 = 3.0;
+
 fn strassen_variant_ablation(cli: &Cli, n: usize) {
     let cache = CacheConfig::with_words(cli.usize("cache-words", CacheConfig::default().words));
     let reps = cli.usize("reps", 3);
@@ -189,38 +194,29 @@ fn strassen_variant_ablation(cli: &Cli, n: usize) {
             "adds_winograd",
         ],
     );
-    for &sz in &cli.usize_list("sizes", &[n / 2, n]) {
+    let min_secs = if smoke() { 0.0 } else { MIN_SECS };
+    let mut aa = None;
+    for (i, &sz) in cli.usize_list("sizes", &[n / 2, n]).iter().enumerate() {
         let a = gen::standard::<f64>(1, sz, sz);
         let b = gen::standard::<f64>(2, sz, sz);
         let mut c = Matrix::<f64>::zeros(sz, sz);
         let mut ws = StrassenWorkspace::<f64>::empty();
-
-        let t_classic = time_median(reps, || {
-            c.as_mut().fill_zero();
-            fast_strassen_with(
-                1.0,
-                a.as_ref(),
-                b.as_ref(),
-                &mut c.as_mut(),
-                &cache,
-                &mut ws,
-            );
+        let (a, b) = (a.as_ref(), b.as_ref());
+        // Call 3, at the first size only, repeats Winograd opposite
+        // call 1, between the same two neighbours: the A/A row.
+        let r = time_rounds(if i == 0 { 4 } else { 3 }, reps, min_secs, |call| {
+            let mut c = c.as_mut();
+            c.fill_zero();
+            match call {
+                0 => fast_strassen_with(1.0, a, b, &mut c, &cache, &mut ws),
+                2 => strassen_allocating(1.0, a, b, &mut c, &cache),
+                _ => winograd_strassen_with(1.0, a, b, &mut c, &cache, &mut ws),
+            }
         });
-        let t_wino = time_median(reps, || {
-            c.as_mut().fill_zero();
-            winograd_strassen_with(
-                1.0,
-                a.as_ref(),
-                b.as_ref(),
-                &mut c.as_mut(),
-                &cache,
-                &mut ws,
-            );
-        });
-        let t_alloc = time_median(reps, || {
-            c.as_mut().fill_zero();
-            strassen_allocating(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut(), &cache);
-        });
+        if i == 0 {
+            aa = Some((sz, r.ratio(3, 1)));
+        }
+        let (t_classic, t_wino, t_alloc) = (r.median(0), r.median(1), r.median(2));
 
         // Measured block-add volume on a smaller tracked instance with a
         // proportionally smaller base, so several levels recurse.
@@ -257,6 +253,9 @@ fn strassen_variant_ablation(cli: &Cli, n: usize) {
             cls.additive().to_string(),
             win.additive().to_string(),
         ]);
+    }
+    if let Some((sz, q)) = aa {
+        aa_gate(&format!("ablation 5 (Winograd vs Winograd, n = {sz})"), q);
     }
     table.emit(cli);
     println!("  (Winograd: fewer block adds per level [19 vs 22 in accumulate form], ~2x arena;");

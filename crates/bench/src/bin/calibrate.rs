@@ -9,8 +9,9 @@
 //! cargo run --release -p ata-bench --bin calibrate
 //! ```
 
-use ata_bench::{time_median, Cli, Table};
+use ata_bench::{Cli, Table};
 use ata_kernels::level1::axpy;
+use ata_kernels::timing::time_rounds;
 use ata_kernels::{gemm_tn, syrk_ln};
 use ata_mat::{gen, Matrix};
 use ata_mpisim::CostModel;
@@ -20,34 +21,34 @@ fn main() {
     let n = cli.usize("n", 512);
     let reps = cli.usize("reps", 3);
 
-    println!("Calibrating kernel rates on this host (n = {n}, reps = {reps})...");
+    println!("Calibrating kernel rates on this host (n = {n}, rounds = {reps})...");
 
     let a = gen::standard::<f64>(1, n, n);
     let b = gen::standard::<f64>(2, n, n);
     let mut c = Matrix::<f64>::zeros(n, n);
 
-    // gemm: 2 n^3 flops.
-    let t_gemm = time_median(reps, || {
-        c.as_mut().fill_zero();
-        gemm_tn(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut());
-    });
-    let gemm_rate = 2.0 * (n as f64).powi(3) / t_gemm;
-
-    // syrk: n^2 (n + 1) flops.
-    let t_syrk = time_median(reps, || {
-        c.as_mut().fill_zero();
-        syrk_ln(1.0, a.as_ref(), &mut c.as_mut());
-    });
-    let syrk_rate = (n as f64) * (n as f64) * (n as f64 + 1.0) / t_syrk;
-
-    // axpy: 2 n flops per call; run n calls over the rows.
+    // Calls, interleaved: gemm (2 n^3 flops), syrk (n^2 (n + 1) flops),
+    // and n axpy calls over the rows (2 n flops each).
     let x = gen::standard::<f64>(3, 1, n);
     let mut y = gen::standard::<f64>(4, 1, n);
-    let t_axpy = time_median(reps, || {
-        for _ in 0..n {
-            axpy(1.000001, x.row(0), y.as_mut().row_mut(0));
+    let r = time_rounds(3, reps, 0.0, |call| match call {
+        0 => {
+            c.as_mut().fill_zero();
+            gemm_tn(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut());
+        }
+        1 => {
+            c.as_mut().fill_zero();
+            syrk_ln(1.0, a.as_ref(), &mut c.as_mut());
+        }
+        _ => {
+            for _ in 0..n {
+                axpy(1.000001, x.row(0), y.as_mut().row_mut(0));
+            }
         }
     });
+    let (t_gemm, t_syrk, t_axpy) = (r.median(0), r.median(1), r.median(2));
+    let gemm_rate = 2.0 * (n as f64).powi(3) / t_gemm;
+    let syrk_rate = (n as f64) * (n as f64) * (n as f64 + 1.0) / t_syrk;
     let axpy_rate = 2.0 * (n as f64) * (n as f64) / t_axpy;
 
     let mut table = Table::new("Measured kernel rates", &["kernel", "time", "GFLOP/s"]);

@@ -6,15 +6,24 @@
 //! track each other on small sizes and AtA pulls ahead as the
 //! `n^(log2 7)` flop count overtakes `n^3` past the base-case size.
 //!
+//! Each size times AtA and `syrk` in alternating rounds and reports the
+//! median per-round time ratio with its quartiles. The first size adds
+//! an A/A row (AtA at a budget where it is one `syrk_ln` call, against
+//! `syrk_ln`); see `ata_bench::aa_gate`.
+//!
 //! ```text
 //! cargo run --release -p ata-bench --bin fig3 [-- --sizes 256,512,... --reps 3 --csv out/]
 //! ```
 
-use ata_bench::{effective_gflops, fmt_secs, time_median, Cli, Table};
+use ata_bench::{aa_gate, effective_gflops, fmt_secs, smoke, Cli, Table};
 use ata_core::serial::{ata_into_with_kind, StrassenKind};
+use ata_kernels::timing::time_rounds;
 use ata_kernels::{syrk_ln, CacheConfig};
 use ata_mat::{gen, Matrix};
 use ata_strassen::StrassenWorkspace;
+
+/// Least seconds of alternating AtA/syrk rounds per size in a full run.
+const MIN_SECS: f64 = 5.0;
 
 fn main() {
     let cli = Cli::from_env();
@@ -24,11 +33,12 @@ fn main() {
         cli.usize_list("sizes", &[256, 512, 768, 1024, 1280, 1536])
     };
     let reps = cli.usize("reps", 3);
+    let min_secs = if smoke() { 0.0 } else { MIN_SECS };
     let cache = CacheConfig::with_words(cli.usize("cache-words", CacheConfig::default().words));
 
     println!("Figure 3: sequential AtA vs dsyrk-substitute (f64, square)");
     println!(
-        "sizes = {sizes:?}, reps = {reps}, cache words = {}",
+        "sizes = {sizes:?}, rounds >= {reps} and >= {min_secs} s per size, cache words = {}",
         cache.words
     );
 
@@ -41,33 +51,52 @@ fn main() {
             "EG_AtA",
             "EG_dsyrk",
             "AtA/dsyrk time",
+            "quartiles",
         ],
     );
-
-    for &n in &sizes {
+    let mut aa_row = None;
+    for (i, &n) in sizes.iter().enumerate() {
         let a = gen::standard::<f64>(n as u64, n, n);
         let mut c = Matrix::<f64>::zeros(n, n);
         let mut ws = StrassenWorkspace::<f64>::empty();
-
-        let t_ata = time_median(reps, || {
+        // The A/A row, at the first size only: AtA under a budget its
+        // whole input fits in is one `syrk_ln` call.
+        let leaf = CacheConfig::with_words(2 * n * n);
+        let r = time_rounds(if i == 0 { 3 } else { 2 }, reps, min_secs, |call| {
             c.as_mut().fill_zero();
-            let kind = StrassenKind::Classic;
-            ata_into_with_kind(1.0, a.as_ref(), &mut c.as_mut(), &cache, kind, &mut ws);
+            if call == 1 {
+                syrk_ln(1.0, a.as_ref(), &mut c.as_mut());
+            } else {
+                let cfg = if call == 0 { &cache } else { &leaf };
+                let kind = StrassenKind::Classic;
+                ata_into_with_kind(1.0, a.as_ref(), &mut c.as_mut(), cfg, kind, &mut ws);
+            }
         });
-        let t_syrk = time_median(reps, || {
-            c.as_mut().fill_zero();
-            syrk_ln(1.0, a.as_ref(), &mut c.as_mut());
-        });
-
-        table.row(vec![
-            n.to_string(),
-            fmt_secs(t_ata),
-            fmt_secs(t_syrk),
-            format!("{:.2}", effective_gflops(1.0, n, n, t_ata)),
-            format!("{:.2}", effective_gflops(1.0, n, n, t_syrk)),
-            format!("{:.3}", t_ata / t_syrk),
-        ]);
+        let mut row = |label: String, ata: usize| {
+            let q = r.ratio(ata, 1);
+            table.row(vec![
+                label,
+                fmt_secs(r.median(ata)),
+                fmt_secs(r.median(1)),
+                format!("{:.2}", effective_gflops(1.0, n, n, r.median(ata))),
+                format!("{:.2}", effective_gflops(1.0, n, n, r.median(1))),
+                format!("{:.3}", q.median),
+                format!("{:.3}-{:.3}", q.q1, q.q3),
+            ]);
+            q
+        };
+        row(n.to_string(), 0);
+        if i == 0 {
+            aa_row = Some((n, row(format!("A/A {n}"), 2)));
+        }
+    }
+    if let Some((n, q)) = aa_row {
+        aa_gate(
+            &format!("fig3 (AtA as one syrk_ln call vs syrk_ln, n = {n})"),
+            q,
+        );
     }
     table.emit(&cli);
-    println!("\nExpected shape (paper Fig. 3): ratio < 1 and decreasing for n well past the base-case size.");
+    println!("\nRatios are medians over alternating rounds, with their quartiles.");
+    println!("Expected shape (paper Fig. 3): ratio < 1 and decreasing for n well past the base-case size.");
 }

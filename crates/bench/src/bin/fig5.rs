@@ -16,13 +16,21 @@
 //! cargo run --release -p ata-bench --bin fig5 [-- --procs 1,2,4,8,16 --reps 1]
 //! ```
 
-use ata_bench::{ata_s_modeled_flops, effective_gflops, fmt_secs, scaled, time_median, Cli, Table};
+use ata_bench::{
+    aa_gate, ata_s_modeled_flops, effective_gflops, fmt_secs, scaled, smoke, Cli, Table,
+};
 use ata_core::parallel::ata_s;
 use ata_kernels::par::{par_syrk_ln, pool_with_threads};
+use ata_kernels::timing::time_rounds;
 use ata_kernels::CacheConfig;
 use ata_mat::{gen, Matrix};
 
-fn run_shape(cli: &Cli, label: &str, m: usize, n: usize) {
+/// Least seconds of interleaved rounds per timing in a full run.
+const MIN_SECS: f64 = 1.0;
+
+/// Time and print one shape. With `aa` set, the first core count also
+/// times `par_syrk_ln` against itself: the A/A row.
+fn run_shape(cli: &Cli, label: &str, m: usize, n: usize, aa: bool) {
     // The paper sweeps every core count 2..16 — the step pattern of
     // Eq. 6 is invisible on powers of two alone.
     let procs = cli.usize_list(
@@ -30,6 +38,7 @@ fn run_shape(cli: &Cli, label: &str, m: usize, n: usize) {
         &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
     );
     let reps = cli.usize("reps", 1);
+    let min_secs = if smoke() { 0.0 } else { MIN_SECS };
     let tasks = cli.usize("tasks", 16); // the paper's fixed 16-thread setup
     let cache = CacheConfig::with_words(cli.usize("cache-words", CacheConfig::default().words));
 
@@ -37,10 +46,11 @@ fn run_shape(cli: &Cli, label: &str, m: usize, n: usize) {
     let mut c = Matrix::<f32>::zeros(n, n);
 
     // Serial reference rate for the modeled column.
-    let t_serial = time_median(reps, || {
+    let t_serial = time_rounds(1, reps, min_secs, |_| {
         c.as_mut().fill_zero();
         ata_s(1.0f32, a.as_ref(), &mut c.as_mut(), 1, &cache);
-    });
+    })
+    .median(0);
     let (flops_total, _) = ata_s_modeled_flops(m, n, 1, &cache);
     let serial_rate = flops_total / t_serial; // flops/s of this host
 
@@ -56,16 +66,25 @@ fn run_shape(cli: &Cli, label: &str, m: usize, n: usize) {
         ],
     );
 
-    for &p in &procs {
+    for (i, &p) in procs.iter().enumerate() {
         let pool = pool_with_threads(p);
-        let t_ata = time_median(reps, || {
+        // Call 2, when asked for, repeats `par_syrk_ln`: the A/A row.
+        let aa_here = aa && i == 0;
+        let r = time_rounds(if aa_here { 3 } else { 2 }, reps, min_secs, |call| {
             c.as_mut().fill_zero();
-            pool.install(|| ata_s(1.0f32, a.as_ref(), &mut c.as_mut(), tasks, &cache));
+            if call == 0 {
+                pool.install(|| ata_s(1.0f32, a.as_ref(), &mut c.as_mut(), tasks, &cache));
+            } else {
+                pool.install(|| par_syrk_ln(1.0f32, a.as_ref(), &mut c.as_mut(), tasks));
+            }
         });
-        let t_syrk = time_median(reps, || {
-            c.as_mut().fill_zero();
-            pool.install(|| par_syrk_ln(1.0f32, a.as_ref(), &mut c.as_mut(), tasks));
-        });
+        if aa_here {
+            aa_gate(
+                &format!("fig5 (par_syrk_ln vs itself, A = {label}, P = {p})"),
+                r.ratio(2, 1),
+            );
+        }
+        let (t_ata, t_syrk) = (r.median(0), r.median(1));
         // Modeled time: the plan built for `p` workers, critical path =
         // slowest thread's flops at the measured serial rate.
         let (_, max_per_thread) = ata_s_modeled_flops(m, n, p, &cache);
@@ -93,8 +112,8 @@ fn main() {
         (scaled(&cli, 1536, 40_000), scaled(&cli, 1536, 40_000)),
         (scaled(&cli, 2048, 60_000), scaled(&cli, 256, 5_000)),
     ];
-    for (m, n) in shapes {
-        run_shape(&cli, &format!("{m}x{n}"), m, n);
+    for (i, (m, n)) in shapes.into_iter().enumerate() {
+        run_shape(&cli, &format!("{m}x{n}"), m, n, i == 0);
     }
     println!("\nExpected shape (paper Fig. 5): modeled AtA-S time drops ~4x per complete level (P = 2, 8, 32, ...),");
     println!("with the step pattern of Eq. 6; ssyrk saturates once memory-bound.");

@@ -18,15 +18,20 @@
 //!
 //! Every binary accepts `--scale <f>` to shrink/grow the default sizes,
 //! `--paper-scale` for the paper's original sizes (hours of runtime —
-//! meant for big machines), `--reps <k>` for timing repetitions, and
-//! `--csv <dir>` to also dump machine-readable CSV.
+//! meant for big machines), `--reps <k>` for the least number of timed
+//! rounds, and `--csv <dir>` to also dump machine-readable CSV.
+//!
+//! Every timing goes through `ata_kernels::timing::time_rounds`, and
+//! every binary that compares two calls also times one A/A row, checked
+//! by [`aa_gate`]. The record benches under `benches/` write their
+//! `BENCH_*.json` through [`write_record`].
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 pub use ata_core::analysis::effective_gflops;
+use ata_kernels::timing::{time_rounds, Quartiles, Rounds};
 
 /// Minimal `--key value` / `--flag` command-line parser (no external
 /// dependencies, which keeps the offline build lean).
@@ -108,19 +113,107 @@ impl Cli {
     }
 }
 
-/// Median wall-clock seconds of `reps` runs of `f` (one warm-up run).
-pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    assert!(reps >= 1);
-    f(); // warm-up
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    times[times.len() / 2]
+/// True when `ATA_BENCH_SMOKE` is set to anything but `0`: a CI smoke
+/// run, which times too few rounds for its numbers to mean anything.
+pub fn smoke() -> bool {
+    std::env::var_os("ATA_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
+/// Time `calls` calls of a record bench in interleaved rounds
+/// ([`time_rounds`]): in a full run at least 7 rounds and 0.5 s per
+/// call, in a smoke run one round.
+pub fn record_rounds(calls: usize, f: impl FnMut(usize)) -> Rounds {
+    if smoke() {
+        time_rounds(calls, 1, 0.0, f)
+    } else {
+        time_rounds(calls, 7, 0.5 * calls as f64, f)
+    }
+}
+
+/// Whether an A/A median ratio lies in the band [0.97, 1.03].
+fn aa_holds(median: f64) -> bool {
+    (0.97..=1.03).contains(&median)
+}
+
+/// Check a harness's A/A row: the same call timed on both sides of a
+/// ratio (see `ata_kernels::timing`), whose median should read 1. In
+/// rounds of more than two calls the repeat must sit between the same
+/// two neighbours as the original (anywhere among three calls, opposite
+/// it among four), or time the A/A pair on its own.
+///
+/// Prints the row. Outside [0.97, 1.03] a full run exits with status 1
+/// before it writes any record or CSV, since its other ratios are then
+/// no better than host drift; a smoke run only warns.
+pub fn aa_gate(label: &str, aa: Quartiles) {
+    let row = format!(
+        "A/A {label}: ratio {:.3} ({:.3}-{:.3})",
+        aa.median, aa.q1, aa.q3
+    );
+    if aa_holds(aa.median) {
+        println!("{row}");
+    } else if smoke() {
+        eprintln!("{row} is outside [0.97, 1.03] (smoke run: report only)");
+    } else {
+        eprintln!("{row} is outside [0.97, 1.03]: writing no record or CSV");
+        std::process::exit(1);
+    }
+}
+
+/// The record field of an A/A row: `"aa_ratio"` with its quartiles.
+pub fn aa_field(aa: Quartiles) -> (&'static str, String) {
+    let value = format!(
+        "{{\"q1\": {:.4}, \"median\": {:.4}, \"q3\": {:.4}}}",
+        aa.q1, aa.median, aa.q3
+    );
+    ("aa_ratio", value)
+}
+
+/// Write the record `BENCH_<file>.json`: the `bench`, `schema` and
+/// `smoke` header, then `fields` (name and rendered JSON value, in
+/// order), then `results` (one rendered JSON object per entry).
+///
+/// It goes to `ATA_BENCH_OUT` when that is set; otherwise a full run
+/// refreshes the committed record at the workspace root and a smoke run
+/// writes under `target/`, so smoke numbers never clobber the committed
+/// record.
+pub fn write_record(
+    file: &str,
+    bench: &str,
+    schema: u32,
+    fields: &[(&str, String)],
+    results: &[String],
+) {
+    let path = std::env::var("ATA_BENCH_OUT").unwrap_or_else(|_| {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let dir = if smoke() { "/target" } else { "" };
+        format!("{root}{dir}/BENCH_{file}.json")
+    });
+    match std::fs::write(&path, render_record(bench, schema, fields, results)) {
+        Ok(()) => println!("{bench} record: wrote {path}"),
+        Err(e) => eprintln!("{bench} record: could not write {path}: {e}"),
+    }
+}
+
+fn render_record(
+    bench: &str,
+    schema: u32,
+    fields: &[(&str, String)],
+    results: &[String],
+) -> String {
+    let mut json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"schema\": {schema},\n  \"smoke\": {},\n",
+        smoke()
+    );
+    for (name, value) in fields {
+        json.push_str(&format!("  \"{name}\": {value},\n"));
+    }
+    json.push_str("  \"results\": [\n");
+    for (i, r) in results.iter().enumerate() {
+        let sep = if i + 1 == results.len() { "" } else { "," };
+        json.push_str(&format!("    {r}{sep}\n"));
+    }
+    json.push_str("  ]\n}\n");
+    json
 }
 
 /// A result table that prints aligned text and optionally CSV.
@@ -287,14 +380,34 @@ mod tests {
     }
 
     #[test]
-    fn timing_returns_positive_median() {
-        let mut n = 0u64;
-        let t = time_median(3, || {
-            n += 1;
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(t >= 0.0);
-        assert_eq!(n, 4, "warm-up plus reps");
+    fn aa_band_includes_its_edges_only() {
+        for (median, holds) in [
+            (0.97, true),
+            (1.0, true),
+            (1.03, true),
+            (0.9699, false),
+            (1.0301, false),
+            (f64::NAN, false),
+        ] {
+            assert_eq!(aa_holds(median), holds, "median {median}");
+        }
+    }
+
+    #[test]
+    fn records_render_header_fields_then_one_line_per_result() {
+        let fields = [
+            ("isa", "\"avx512\"".to_string()),
+            ("ratio", "1.2500".into()),
+        ];
+        let results = ["{\"n\": 1}".to_string(), "{\"n\": 2}".into()];
+        let json = render_record("demo", 3, &fields, &results);
+        let want = format!(
+            "{{\n  \"bench\": \"demo\",\n  \"schema\": 3,\n  \"smoke\": {},\n  \
+             \"isa\": \"avx512\",\n  \"ratio\": 1.2500,\n  \"results\": [\n    \
+             {{\"n\": 1}},\n    {{\"n\": 2}}\n  ]\n}}\n",
+            smoke()
+        );
+        assert_eq!(json, want);
     }
 
     #[test]

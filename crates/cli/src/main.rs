@@ -656,16 +656,21 @@ fn calibrate_row<T: Scalar>(quick: bool) -> Tuned {
     let kernel = calibrate::measure_kernel::<T>(quick);
     let micro_min_volume = calibrate::measure_min_volume::<T>(&kernel, quick);
     let sweep = strassen_calibrate::measure_cutoff::<T>(quick);
-    let ratios: Vec<String> = sweep.iter().map(|(g, r)| format!("{g}: {r:.3}")).collect();
+    let ratios: Vec<String> = sweep
+        .iter()
+        .map(|(g, q)| format!("{g}: {:.3} ({:.3}-{:.3})", q.median, q.q1, q.q3))
+        .collect();
     println!(
-        "{} cutoff sweep, Strassen level / gemm_tn median time (wins at <= {}): {}",
+        "{} cutoff sweep, Strassen level / gemm_tn time per round, median (quartiles) \
+         (wins at <= {}): {}",
         T::NAME,
         strassen_calibrate::LEVEL_WIN,
         ratios.join(", ")
     );
+    let medians: Vec<(usize, f64)> = sweep.iter().map(|&(g, q)| (g, q.median)).collect();
     let t = Tuned {
         kernel,
-        base_words: strassen_calibrate::cutoff_words(&sweep),
+        base_words: strassen_calibrate::cutoff_words(&medians),
         micro_min_volume,
     };
     println!(

@@ -46,9 +46,9 @@ use crate::micro::{
 };
 use crate::pack::PackBufs;
 use crate::simd::Isa;
-use ata_mat::{MatMut, MatRef, Scalar};
+use crate::timing::time_rounds;
+use ata_mat::{gen, Matrix, Scalar};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// One scalar type's measured kernel parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,42 +317,9 @@ fn apply_env(mut t: Tuned) -> Tuned {
 // Measurement.
 // ---------------------------------------------------------------------
 
-/// Fill a buffer with a cheap deterministic pseudo-random pattern
-/// (avoids depending on `gen` and keeps calibration self-contained).
-fn fill_pattern<T: Scalar>(buf: &mut [T], seed: u64) {
-    let mut state = seed | 1;
-    for v in buf.iter_mut() {
-        // xorshift64*
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        let r = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64;
-        *v = T::from_f64(r / (1u64 << 53) as f64 - 0.5);
-    }
-}
-
-/// Median-of-three wall-clock seconds of one `C += A^T B` run at
-/// `m = n = k = size` under `cfg`.
-fn time_gemm<T: Scalar>(size: usize, cfg: &KernelConfig, bufs: &mut PackBufs<T>) -> f64 {
-    let mut a = vec![T::ZERO; size * size];
-    let mut b = vec![T::ZERO; size * size];
-    let mut c = vec![T::ZERO; size * size];
-    fill_pattern(&mut a, 1);
-    fill_pattern(&mut b, 2);
-    let av = MatRef::from_slice(&a, size, size);
-    let bv = MatRef::from_slice(&b, size, size);
-    let path = micro_path_for::<T>();
-    let mut samples = [0.0f64; 3];
-    for s in samples.iter_mut() {
-        let mut cv = MatMut::from_slice(&mut c, size, size);
-        let t0 = Instant::now();
-        gemm_tn_micro_path_with(path, T::ONE, av, bv, &mut cv, cfg, bufs);
-        *s = t0.elapsed().as_secs_f64();
-    }
-    samples.sort_by(f64::total_cmp);
-    std::hint::black_box(&c);
-    samples[1]
-}
+/// Timed rounds per sweep size: every candidate runs once per round
+/// (see [`time_rounds`]).
+const ROUNDS: usize = 3;
 
 /// Square sizes the full tile sweep times each candidate at. 192 is
 /// divisible by every menu tile; tiles that do not divide 256 (`6 x _`,
@@ -363,8 +330,9 @@ fn time_gemm<T: Scalar>(size: usize, cfg: &KernelConfig, bufs: &mut PackBufs<T>)
 const KERNEL_SWEEP_SIZES: &[usize] = &[192, 256, 768];
 
 /// Sweep the register-tile menu and a coarse `KC/MC/NC` grid, returning
-/// the fastest [`KernelConfig`] by square-gemm time summed over
-/// the sweep sizes.
+/// the fastest [`KernelConfig`] by median square-gemm time summed over
+/// the sweep sizes. At each size every candidate runs in the same
+/// interleaved rounds, so host drift moves them alike.
 ///
 /// `quick` trims the grid to one small size for smoke runs (CI,
 /// `ata calibrate --quick`).
@@ -377,25 +345,41 @@ pub fn measure_kernel<T: Scalar>(quick: bool) -> KernelConfig {
     } else {
         &[128, 256, 512, 1024]
     };
-    let mut bufs = PackBufs::new();
-    let mut best = (f64::INFINITY, KernelConfig::for_scalar::<T>());
+    let mut configs = Vec::new();
     for &(mr, nr) in menu_for::<T>() {
         for &kc in kcs {
             for &mc in mcs {
                 for &nc in ncs {
-                    let cfg = KernelConfig::new(mr, nr, kc, mc, nc);
-                    let t: f64 = sizes
-                        .iter()
-                        .map(|&size| time_gemm::<T>(size, &cfg, &mut bufs))
-                        .sum();
-                    if t < best.0 {
-                        best = (t, cfg);
-                    }
+                    configs.push(KernelConfig::new(mr, nr, kc, mc, nc));
                 }
             }
         }
     }
-    best.1
+    let path = micro_path_for::<T>();
+    let mut bufs = PackBufs::new();
+    let mut total = vec![0.0f64; configs.len()];
+    for &size in sizes {
+        let (a, b, mut c) = operands::<T>(size);
+        let (a, b) = (a.as_ref(), b.as_ref());
+        let r = time_rounds(configs.len(), ROUNDS, 0.0, |i| {
+            gemm_tn_micro_path_with(path, T::ONE, a, b, &mut c.as_mut(), &configs[i], &mut bufs);
+        });
+        for (i, t) in total.iter_mut().enumerate() {
+            *t += r.median(i);
+        }
+    }
+    // The first of equally fast configs wins.
+    let best = total.iter().zip(configs).min_by(|a, b| a.0.total_cmp(b.0));
+    best.map_or_else(KernelConfig::for_scalar::<T>, |(_, cfg)| cfg)
+}
+
+/// Order-`size` square operands `A`, `B` and a zero `C`.
+fn operands<T: Scalar>(size: usize) -> (Matrix<T>, Matrix<T>, Matrix<T>) {
+    (
+        gen::standard(1, size, size),
+        gen::standard(2, size, size),
+        Matrix::zeros(size, size),
+    )
 }
 
 /// The sizes swept for the micro-vs-blocked crossover; any measured (or
@@ -403,46 +387,33 @@ pub fn measure_kernel<T: Scalar>(quick: bool) -> KernelConfig {
 /// [`MICRO_MIN_VOLUME`] floor when the engine wins everywhere).
 pub(crate) const VOLUME_SWEEP_SIZES: &[usize] = &[16, 24, 32, 48, 64, 96, 128, 192];
 
-/// Median-of-three wall-clock seconds of one blocked rank-1
-/// `C += A^T B` run at `m = n = k = size` — the path the engine's
-/// volume cutoff competes against.
-fn time_blocked<T: Scalar>(size: usize) -> f64 {
-    let mut a = vec![T::ZERO; size * size];
-    let mut b = vec![T::ZERO; size * size];
-    let mut c = vec![T::ZERO; size * size];
-    fill_pattern(&mut a, 1);
-    fill_pattern(&mut b, 2);
-    let av = MatRef::from_slice(&a, size, size);
-    let bv = MatRef::from_slice(&b, size, size);
-    let mut samples = [0.0f64; 3];
-    for s in samples.iter_mut() {
-        let mut cv = MatMut::from_slice(&mut c, size, size);
-        let t0 = Instant::now();
-        gemm_tn_blocked(T::ONE, av, bv, &mut cv, BlockSizes::default());
-        *s = t0.elapsed().as_secs_f64();
-    }
-    samples.sort_by(f64::total_cmp);
-    std::hint::black_box(&c);
-    samples[1]
-}
-
 /// Locate the volume above which the packed engine under `kernel` beats
 /// the blocked rank-1 loops for `T`, by walking
 /// `VOLUME_SWEEP_SIZES` downward: the cutoff is the cube of the
-/// largest size where the blocked loops still win, plus one (or the
+/// largest size where the blocked loops still win (median per-round
+/// blocked / packed time below 1), plus one (or the
 /// `MICRO_MIN_VOLUME` packing-overhead floor when the engine wins at
 /// every swept size — the f64 situation; portable f32 is the case this
 /// sweep exists for).
 pub fn measure_min_volume<T: Scalar>(kernel: &KernelConfig, quick: bool) -> usize {
     let sizes: &[usize] = if quick { &[32, 64] } else { VOLUME_SWEEP_SIZES };
+    let path = micro_path_for::<T>();
     let mut bufs = PackBufs::new();
     for &s in sizes.iter().rev() {
         if s * s * s < MICRO_MIN_VOLUME {
             break;
         }
-        let t_micro = time_gemm::<T>(s, kernel, &mut bufs);
-        let t_blocked = time_blocked::<T>(s);
-        if t_blocked < t_micro {
+        let (a, b, mut c) = operands::<T>(s);
+        let (a, b) = (a.as_ref(), b.as_ref());
+        let r = time_rounds(2, ROUNDS, 0.0, |i| {
+            let mut cv = c.as_mut();
+            if i == 0 {
+                gemm_tn_micro_path_with(path, T::ONE, a, b, &mut cv, kernel, &mut bufs);
+            } else {
+                gemm_tn_blocked(T::ONE, a, b, &mut cv, BlockSizes::default());
+            }
+        });
+        if r.ratio(1, 0).median < 1.0 {
             return s * s * s + 1;
         }
     }

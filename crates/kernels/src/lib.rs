@@ -23,7 +23,9 @@
 //!   in the Figure 5/6 comparisons;
 //! * [`simd`] — explicit AVX-512 and AVX2/FMA register kernels behind
 //!   one-time runtime CPU-feature detection, with the portable kernels
-//!   as the bit-identical fallback on machines without them.
+//!   as the bit-identical fallback on machines without them;
+//! * [`timing`] — the interleaved-rounds timer every speed comparison
+//!   in the workspace goes through.
 //!
 //! Absolute GFLOPs are below MKL's hand-tuned assembly, but every
 //! algorithm in the workspace — AtA and all baselines — calls these same
@@ -45,6 +47,7 @@ pub mod pack;
 pub mod par;
 pub mod simd;
 pub mod syrk;
+pub mod timing;
 
 pub use gemm::gemm_tn;
 pub use micro::{KernelConfig, KernelPath, MicroPath};

@@ -12,7 +12,8 @@
 //! Scope notes: entries are recorded for `pub` items wherever they sit
 //! (including inside private modules — the facade re-exports those via
 //! `pub use`, so they are part of the surface); `pub(crate)` and
-//! `pub(super)` are *not* public and are skipped; `#[cfg(test)]` and
+//! `pub(super)` are *not* public and are skipped, and so are the `pub`
+//! methods of a type the crate does not declare `pub`; `#[cfg(test)]` and
 //! `#[doc(hidden)]` items are skipped (`doc(hidden)` is the repo's
 //! marker for unsupported escape hatches — test hooks like failure
 //! injection stay out of the frozen surface, so using one in anger is
@@ -22,6 +23,7 @@
 //! as diffs even when re-export wiring hides them from rustdoc.
 
 use crate::lex::{Lexed, Tok, TokKind};
+use std::collections::BTreeSet;
 use std::ops::Range;
 
 /// One recorded public-API entry, with what the `unused-pub` lint needs
@@ -58,6 +60,21 @@ pub(crate) fn items(mod_path: &[String], lx: &Lexed) -> Vec<Item> {
     let end = p.t.len();
     p.items(0, end, &mod_path.join("::"));
     out
+}
+
+/// Keep the member entries (methods, fields, variants, trait items) of
+/// one crate's `items` only where the crate declares the owning type or
+/// trait `pub`: the `pub fn`s of a `pub(crate)` or private type are not
+/// public API. `item` reaches the entry inside each element. This needs
+/// the whole crate, since an impl can sit in another file than its type.
+pub(crate) fn retain_public_members<X>(items: &mut Vec<X>, item: impl Fn(&X) -> &Item) {
+    let public: BTreeSet<String> = items
+        .iter()
+        .map(&item)
+        .filter(|it| it.owner.is_none())
+        .filter_map(|it| it.name.clone())
+        .collect();
+    items.retain(|x| item(x).owner.as_ref().is_none_or(|o| public.contains(o)));
 }
 
 /// Module path for a file under `src/`: `lib.rs` and `mod.rs` map to
@@ -310,7 +327,9 @@ impl Parser<'_> {
     }
 
     /// `impl` blocks: a trait impl's header is itself API; `pub fn`s in
-    /// any impl are recorded under `ctx::<Target>`.
+    /// any impl are recorded under `ctx::<Target>`, owned by the target
+    /// (dropped later unless the crate declares it `pub`; see
+    /// [`retain_public_members`]).
     fn item_impl(&mut self, i: usize, end: usize, ctx: &str) -> usize {
         let (header_stop, _) = self.sig_stop(i, end, false);
         let header = render_generics_stripped(&self.t[i..header_stop]);

@@ -151,18 +151,15 @@ fn crate_name(manifest: &Path) -> io::Result<Option<String>> {
 /// Extract one crate's public-API entries from its `src_dir`, skipping
 /// the binary targets' sources.
 pub(crate) fn crate_api(src_dir: &Path) -> io::Result<BTreeSet<String>> {
-    let mut entries = BTreeSet::new();
+    let mut items = Vec::new();
     let mut files = Vec::new();
     visit(src_dir, src_dir, &mut files)?;
     for rel in files.iter().filter(|rel| !api::is_bin_source(rel)) {
         let lx = lex::lex(&fs::read_to_string(src_dir.join(rel))?);
-        entries.extend(
-            api::items(&api::mod_path_of(rel), &lx)
-                .into_iter()
-                .map(|it| it.entry),
-        );
+        items.extend(api::items(&api::mod_path_of(rel), &lx));
     }
-    Ok(entries)
+    api::retain_public_members(&mut items, |it| it);
+    Ok(items.into_iter().map(|it| it.entry).collect())
 }
 
 /// Rendered `API/<crate>.txt` contents for every workspace crate.
@@ -254,5 +251,13 @@ mod tests {
         let api = super::crate_api(&src).expect("fixture readable");
         assert!(api.contains("pub fn unused_anywhere()"));
         assert!(!api.iter().any(|e| e.contains("bin_helper")), "{api:?}");
+    }
+
+    #[test]
+    fn methods_of_crate_private_types_stay_out_of_the_snapshot() {
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/unused_pub/crates/alpha/src");
+        let api = super::crate_api(&src).expect("fixture readable");
+        assert!(!api.iter().any(|e| e.contains("CrateOnly")), "{api:?}");
     }
 }

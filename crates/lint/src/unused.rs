@@ -115,6 +115,7 @@ pub(crate) fn unused_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
                 mine.push((rel, lx, item));
             }
         }
+        api::retain_public_members(&mut mine, |m| &m.2);
         let used_elsewhere = |name: &str| {
             users
                 .get(name)

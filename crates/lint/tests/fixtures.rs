@@ -136,7 +136,8 @@ fn unused_pub_fires_only_where_nothing_names_the_item() {
         .collect();
     // Silent: the items only beta, the bin, `tests/`, `perfbench/src`,
     // `kept_signature`'s return type or the crate's own doctest name; the
-    // allowed keep; and the facade's own unused items.
+    // allowed keep; the `pub fn` of the `pub(crate)` type; and the
+    // facade's own unused items.
     let lib = "crates/alpha/src/lib.rs".to_string();
     let want = vec![
         (lib.clone(), 3, "unused-pub"),     // named nowhere else

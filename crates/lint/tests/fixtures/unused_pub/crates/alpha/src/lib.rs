@@ -48,3 +48,10 @@ pub fn in_plain_comment() {}
 /// in_text_block()
 /// ```
 pub fn in_text_block() {}
+
+/// A crate-private type: its `pub fn` is neither API nor a finding.
+pub(crate) struct CrateOnly;
+
+impl CrateOnly {
+    pub fn method_of_crate_only_type() {}
+}

@@ -7,11 +7,12 @@
 //! The budget is measured where it acts: [`measure_cutoff`] times one
 //! recursion level of [`fast_strassen_with`] — seven half-size base-case
 //! products plus the block sums — against one `gemm_tn` at each square
-//! order g ∈ {256, 384, 512, 768, 1024, 1536, 2048}, and [`cutoff_words`]
-//! turns the ratios into a budget. Both sides run on the kernels the
-//! recursion calls: the baked `ata_kernels::calibrate` row for the
-//! resolved tile path, plus any `ATA_KERNEL_PARAMS` override (so re-time
-//! the cutoff after re-baking a tile or blocking).
+//! order g ∈ {256, 384, 512, 768, 1024, 1536, 2048}, in alternating
+//! rounds, and [`cutoff_words`] turns the median ratios into a budget.
+//! Both sides run on the kernels the recursion calls: the baked
+//! `ata_kernels::calibrate` row for the resolved tile path, plus any
+//! `ATA_KERNEL_PARAMS` override (so re-time the cutoff after re-baking a
+//! tile or blocking).
 //!
 //! The same budget also sets AtA's syrk leaves
 //! ([`CacheConfig::ata_base`], `m*n <= words`); `ata calibrate` prints
@@ -19,9 +20,9 @@
 
 use crate::fast::fast_strassen_with;
 use crate::workspace::StrassenWorkspace;
+use ata_kernels::timing::{time_rounds, Quartiles};
 use ata_kernels::{gemm_tn, CacheConfig};
 use ata_mat::{gen, half_up, Matrix, Scalar};
-use std::time::Instant;
 
 /// Square orders the full cutoff sweep times, in increasing order.
 /// Consecutive orders differ by at most 2x, so the half of any order is
@@ -31,18 +32,22 @@ const CUTOFF_SWEEP_SIZES: &[usize] = &[256, 384, 512, 768, 1024, 1536, 2048];
 /// Orders of the quick (smoke) sweep.
 const QUICK_SIZES: &[usize] = &[64, 128];
 
-/// Timed rounds per order; each round times both sides, alternating
-/// which goes first, so host drift moves them alike.
-const ROUNDS: usize = 5;
+/// Timed rounds per order and the seconds they must fill at least
+/// (see [`time_rounds`]); a round times each side once, alternating
+/// which goes first.
+const ROUNDS: (usize, f64) = (15, 1.0);
 
-/// A level wins when its median time is at most this fraction of
-/// `gemm_tn`'s: a 5% margin over timing noise.
+/// Rounds of the quick sweep.
+const QUICK_ROUNDS: (usize, f64) = (5, 0.0);
+
+/// A level wins when the median of its per-round time ratio to
+/// `gemm_tn` is at most this: a 5% margin over timing noise.
 pub const LEVEL_WIN: f64 = 0.95;
 
-/// Median time of one `fast_strassen_with` level over median time of
-/// one `gemm_tn`, both computing `C += A^T B` on order-`g` square
-/// operands.
-fn level_over_classical<T: Scalar>(g: usize) -> f64 {
+/// Quartiles over paired rounds of one `fast_strassen_with` level's
+/// time over one `gemm_tn`'s, both computing `C += A^T B` on order-`g`
+/// square operands.
+fn level_over_classical<T: Scalar>(g: usize, (rounds, secs): (usize, f64)) -> Quartiles {
     let a = gen::standard::<T>(1, g, g);
     let b = gen::standard::<T>(2, g, g);
     let mut c = Matrix::<T>::zeros(g, g);
@@ -50,57 +55,33 @@ fn level_over_classical<T: Scalar>(g: usize) -> f64 {
     let half = half_up(g);
     let cfg = CacheConfig::with_words(2 * half * half);
     let mut ws = StrassenWorkspace::for_problem(g, g, g, &cfg);
-    let mut level = |c: &mut Matrix<T>| {
-        fast_strassen_with(
-            T::ONE,
-            a.as_ref(),
-            b.as_ref(),
-            &mut c.as_mut(),
-            &cfg,
-            &mut ws,
-        )
-    };
-    let classical = |c: &mut Matrix<T>| gemm_tn(T::ONE, a.as_ref(), b.as_ref(), &mut c.as_mut());
-    // Untimed warm-up: page in the workspace and the packing buffers.
-    level(&mut c);
-    classical(&mut c);
-    let (mut t_level, mut t_classical) = (Vec::new(), Vec::new());
-    for round in 0..ROUNDS {
-        for side in [round % 2, 1 - round % 2] {
-            let t0 = Instant::now();
-            if side == 0 {
-                level(&mut c);
-                t_level.push(t0.elapsed().as_secs_f64());
-            } else {
-                classical(&mut c);
-                t_classical.push(t0.elapsed().as_secs_f64());
-            }
+    let (a, b) = (a.as_ref(), b.as_ref());
+    time_rounds(2, rounds, secs, |side| {
+        if side == 0 {
+            fast_strassen_with(T::ONE, a, b, &mut c.as_mut(), &cfg, &mut ws);
+        } else {
+            gemm_tn(T::ONE, a, b, &mut c.as_mut());
         }
-    }
-    std::hint::black_box(&c);
-    median(&mut t_level) / median(&mut t_classical)
-}
-
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
+    })
+    .ratio(0, 1)
 }
 
 /// Sweep the cutoff for `T`: `(g, level / gemm_tn time)` for each swept
 /// order g ∈ {256, 384, ..., 2048} in turn, stopping after the first order
-/// whose level wins (ratio at most [`LEVEL_WIN`]). `quick` sweeps two
-/// small orders instead, for smoke runs (`ata calibrate --quick 1`).
-pub fn measure_cutoff<T: Scalar>(quick: bool) -> Vec<(usize, f64)> {
-    let sizes = if quick {
-        QUICK_SIZES
+/// whose level wins (median ratio at most [`LEVEL_WIN`]). `quick` sweeps
+/// two small orders in fewer rounds instead, for smoke runs (`ata
+/// calibrate --quick 1`).
+pub fn measure_cutoff<T: Scalar>(quick: bool) -> Vec<(usize, Quartiles)> {
+    let (sizes, rounds) = if quick {
+        (QUICK_SIZES, QUICK_ROUNDS)
     } else {
-        CUTOFF_SWEEP_SIZES
+        (CUTOFF_SWEEP_SIZES, ROUNDS)
     };
     let mut sweep = Vec::new();
     for &g in sizes {
-        let ratio = level_over_classical::<T>(g);
+        let ratio = level_over_classical::<T>(g, rounds);
         sweep.push((g, ratio));
-        if ratio <= LEVEL_WIN {
+        if ratio.median <= LEVEL_WIN {
             break;
         }
     }
@@ -212,9 +193,10 @@ mod tests {
     fn quick_sweep_stops_at_the_first_win() {
         let sweep = measure_cutoff::<f64>(true);
         assert!(!sweep.is_empty() && sweep.len() <= QUICK_SIZES.len());
-        for (i, &(g, ratio)) in sweep.iter().enumerate() {
+        for (i, &(g, q)) in sweep.iter().enumerate() {
             assert_eq!(g, QUICK_SIZES[i]);
-            assert!(ratio.is_finite() && ratio > 0.0);
+            assert!(q.q1 > 0.0 && q.q1 <= q.median && q.median <= q.q3 && q.q3.is_finite());
+            let ratio = q.median;
             let last = i + 1 == sweep.len();
             assert!(last || ratio > LEVEL_WIN, "sweep went on past a win");
         }
