@@ -57,8 +57,9 @@ struct Rec {
 
 /// Leaf orders of the Strassen recursion, recorded on the intrinsic path
 /// only: the portable, scalar and blocked engines take seconds per call
-/// there.
-const LEAF_SIZES: [usize; 2] = [768, 1024];
+/// there. 2048 is the f64 leaf order of the AVX-512 row's cutoff and
+/// the reduction depth of `gram_square`'s leaves.
+const LEAF_SIZES: [usize; 3] = [768, 1024, 2048];
 
 /// Measure all engines of `gemm_tn` and `syrk_ln` for one scalar type
 /// at `sizes`, and the intrinsic engine alone at [`LEAF_SIZES`].

@@ -13,7 +13,10 @@
 //!    sweep; 1/2 should sit at or near the minimum.
 //! 5. **Strassen variant** — classic 18-add Strassen vs the 15-add
 //!    Strassen–Winograd form vs the per-level-allocating variant:
-//!    wall time and measured block-add volume.
+//!    wall time and measured block-add volume. By default each size
+//!    gets the budget that recurses it exactly one level, whatever the
+//!    calibrated cutoff; a full run exits nonzero if `--cache-words`
+//!    leaves a row without a Strassen level.
 //!
 //! ```text
 //! cargo run --release -p ata-bench --bin ablation
@@ -25,9 +28,8 @@ use ata_dist::grid::pdsyrk_2d;
 use ata_dist::{ata_d, AtaDConfig};
 use ata_kernels::timing::time_rounds;
 use ata_kernels::CacheConfig;
-use ata_mat::gen;
 use ata_mat::tracked::{measure, Tracked};
-use ata_mat::Matrix;
+use ata_mat::{gen, half_up, Matrix};
 use ata_mpisim::{run, CostModel};
 use ata_strassen::alloc::strassen_allocating;
 use ata_strassen::{fast_strassen_with, winograd_strassen_with, StrassenWorkspace};
@@ -181,7 +183,6 @@ fn alpha_sweep(cli: &Cli, n: usize) {
 const MIN_SECS: f64 = 3.0;
 
 fn strassen_variant_ablation(cli: &Cli, n: usize) {
-    let cache = CacheConfig::with_words(cli.usize("cache-words", CacheConfig::default().words));
     let reps = cli.usize("reps", 3);
     let mut table = Table::new(
         "Ablation 5 — Strassen variants (C += A^T B, square f64)",
@@ -196,7 +197,11 @@ fn strassen_variant_ablation(cli: &Cli, n: usize) {
     );
     let min_secs = if smoke() { 0.0 } else { MIN_SECS };
     let mut aa = None;
+    let mut flat = Vec::new();
     for (i, &sz) in cli.usize_list("sizes", &[n / 2, n]).iter().enumerate() {
+        // `sz` exceeds the default budget and its halves fit it: one level.
+        let half = half_up(sz);
+        let cache = CacheConfig::with_words(cli.usize("cache-words", 2 * half * half));
         let a = gen::standard::<f64>(1, sz, sz);
         let b = gen::standard::<f64>(2, sz, sz);
         let mut c = Matrix::<f64>::zeros(sz, sz);
@@ -224,6 +229,9 @@ fn strassen_variant_ablation(cli: &Cli, n: usize) {
         let ta = gen::standard::<Tracked>(1, tn, tn);
         let tb = gen::standard::<Tracked>(2, tn, tn);
         let tcache = CacheConfig::with_words((cache.words / 16).max(2));
+        if cache.gemm_base(sz, sz, sz) || tcache.gemm_base(tn, tn, tn) {
+            flat.push(sz);
+        }
         let mut tc = Matrix::<Tracked>::zeros(tn, tn);
         let (_, cls) = measure(|| {
             ata_strassen::fast_strassen(
@@ -260,6 +268,18 @@ fn strassen_variant_ablation(cli: &Cli, n: usize) {
     table.emit(cli);
     println!("  (Winograd: fewer block adds per level [19 vs 22 in accumulate form], ~2x arena;");
     println!("   the allocating variant pays malloc/free per level — the Fig. 4 prealloc story)");
+    if !flat.is_empty() {
+        let msg = format!(
+            "ablation 5: the budget keeps n = {flat:?} (or its tracked instance) a base case, \
+             so the variants run the same single gemm_tn there"
+        );
+        if smoke() {
+            eprintln!("{msg} (smoke run: report only)");
+        } else {
+            eprintln!("{msg}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn main() {

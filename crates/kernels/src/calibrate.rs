@@ -10,8 +10,9 @@
 //!    `ata calibrate`, after applying the `ATA_KERNEL_PARAMS`
 //!    environment override.
 //! 2. The sweeps behind the kernel half of a row: [`measure_kernel`]
-//!    times the register-tile menu and the `KC/MC/NC` grid at sizes some
-//!    menu tiles leave ragged edges on, and [`measure_min_volume`] finds
+//!    times the register-tile menu against `KC`, then `MC x NC` for the
+//!    winner, at sizes some menu tiles leave ragged edges on and at the
+//!    leaf order, and [`measure_min_volume`] finds
 //!    where the packed engine starts beating the blocked loops. The row's
 //!    [`Tuned::base_words`] is measured by `ata_strassen::calibrate`,
 //!    which owns the recursion that budget gates; `ata calibrate`
@@ -149,28 +150,31 @@ const TUNED_F32_FMA: Tuned = Tuned {
 
 /// Fused-kernel row for f64 under [`Isa::Avx512`], measured on a
 /// 2-vCPU Intel Xeon host with AVX-512F (single thread) by `ata
-/// calibrate`. The 8 x 16 tile (16 accumulator vectors, 2 B vectors, 1
-/// broadcast) won six runs that swept tiles at 192 and 256 and 8 of ten
-/// that also swept 768, which moved `kc` from 128 to 256. Of ten runs
-/// that also swept `nc` 512 and 1024, eight moved `nc` to 1024 and seven
-/// kept `mc`; the tile tied 8 x 16 / 8 x 24 five-five, and `kc` stays
-/// 256, the choice of three of the five runs 8 x 16 won.
+/// calibrate`. Of ten runs of the staged sweep (tile x `kc`, then `mc x
+/// nc`, at 192, 256 and the leaf order 2048), the 12 x 16 tile (24
+/// accumulator vectors, 2 B vectors, 1 broadcast) won five, 8 x 24 four
+/// and 8 x 16 one; `kc` 512 won five, `nc` 1024 (1032 for 8 x 24)
+/// seven, and `mc` 128 rounded to whole tiles (132 here) six. A `kc`
+/// past L1 pays because each `C` tile is then loaded and stored half as
+/// often. Paired on the `gemm_tn(2048, 1024, 1024)` leaf, this blocking
+/// beat `mc` 36, `kc` 384 and both 8 x 24 rows by 4-14%.
 const TUNED_F64_AVX512: Tuned = Tuned {
     kernel: KernelConfig {
-        mr: 8,
+        mr: 12,
         nr: 16,
-        kc: 256,
-        mc: 128,
+        kc: 512,
+        mc: 132,
         nc: 1024,
     },
-    // 2 * 768^2: the mode (five of ten runs at this blocking) of the
-    // Strassen cutoff sweep, where one level first beat `gemm_tn` by 5%
-    // at g* = 1024. Larger than the AVX2 and portable rows, so the
-    // recursion depth, and with it the op counts, differ between ISAs.
-    base_words: 1_179_648,
-    // Most runs measured 24^3 + 1. The packing-overhead floor is kept
-    // anyway so the same products take the blocked loops as under the
-    // AVX2 row.
+    // 2 * 2048^2: no Strassen level beat `gemm_tn` by 5% at any swept
+    // order up to 2048 (see `ata_strassen::calibrate`), so every product
+    // up to 2048 x 2048 stays one `gemm_tn` call. Larger than the AVX2
+    // and portable rows, so the recursion depth, and with it the op
+    // counts, differ between ISAs.
+    base_words: 8_388_608,
+    // The packing-overhead floor: nine of the ten runs measured it (one
+    // 16^3 + 1), and the same products take the blocked loops as under
+    // the AVX2 row.
     micro_min_volume: MICRO_MIN_VOLUME,
 };
 
@@ -323,38 +327,101 @@ const ROUNDS: usize = 3;
 
 /// Square sizes the full tile sweep times each candidate at. 192 is
 /// divisible by every menu tile; tiles that do not divide 256 (`6 x _`,
-/// `_ x 24`, `_ x 48`) pay there for the ragged strip they leave on the
-/// scalar edge kernel, as they do on the power-of-two leaves. 768 is the
-/// f64 leaf order `sqrt(base_words / 2)` of the AVX-512 row: the largest
-/// square product the Strassen recursion keeps as one `gemm_tn` call.
-const KERNEL_SWEEP_SIZES: &[usize] = &[192, 256, 768];
+/// `12 x _`, `_ x 24`, `_ x 48`) leave a ragged strip there, as they do
+/// on the power-of-two leaves. 2048 is the f64 leaf order
+/// `sqrt(base_words / 2)` of the AVX-512 row: the largest square product
+/// the Strassen recursion keeps as one `gemm_tn` call.
+const KERNEL_SWEEP_SIZES: &[usize] = &[192, 256, 2048];
 
-/// Sweep the register-tile menu and a coarse `KC/MC/NC` grid, returning
-/// the fastest [`KernelConfig`] by median square-gemm time summed over
-/// the sweep sizes. At each size every candidate runs in the same
-/// interleaved rounds, so host drift moves them alike.
+/// The blocking values one sweep walks.
+struct Grid {
+    sizes: &'static [usize],
+    kcs: &'static [usize],
+    mcs: &'static [usize],
+    ncs: &'static [usize],
+}
+
+/// The full sweep's grid. `KC` reaches past L1: the deeper the block,
+/// the fewer times each `C` tile is loaded and stored.
+const FULL_GRID: Grid = Grid {
+    sizes: KERNEL_SWEEP_SIZES,
+    kcs: &[128, 256, 384, 512],
+    mcs: &[32, 64, 128],
+    ncs: &[128, 256, 512, 1024],
+};
+
+/// One small size and one value each, for smoke runs (CI, `ata
+/// calibrate --quick`).
+const QUICK_GRID: Grid = Grid {
+    sizes: &[64],
+    kcs: &[128],
+    mcs: &[64],
+    ncs: &[256],
+};
+
+/// `MC` and `NC` rounded up to whole tiles of `cfg`, so that no
+/// candidate leaves a ragged strip in every block that the baked rows,
+/// which keep whole tiles, never pay for.
+fn whole_tiles(cfg: KernelConfig) -> KernelConfig {
+    KernelConfig {
+        mc: cfg.mc.div_ceil(cfg.mr) * cfg.mr,
+        nc: cfg.nc.div_ceil(cfg.nr) * cfg.nr,
+        ..cfg
+    }
+}
+
+/// Stage one of the sweep: every tile of `menu` at every `KC` of
+/// `grid`, at `anchor`'s `MC` and `NC`, rounded to whole tiles.
+fn tile_candidates(
+    menu: &[(usize, usize)],
+    grid: &Grid,
+    anchor: &KernelConfig,
+) -> Vec<KernelConfig> {
+    let mut out = Vec::new();
+    for &(mr, nr) in menu {
+        for &kc in grid.kcs {
+            out.push(whole_tiles(KernelConfig::new(
+                mr, nr, kc, anchor.mc, anchor.nc,
+            )));
+        }
+    }
+    out
+}
+
+/// Stage two: `best`'s tile and `KC` at every `MC x NC` of `grid`,
+/// rounded to whole tiles, without duplicates.
+fn blocking_candidates(best: &KernelConfig, grid: &Grid) -> Vec<KernelConfig> {
+    let mut out = Vec::new();
+    for &mc in grid.mcs {
+        for &nc in grid.ncs {
+            let cfg = whole_tiles(KernelConfig { mc, nc, ..*best });
+            if !out.contains(&cfg) {
+                out.push(cfg);
+            }
+        }
+    }
+    out
+}
+
+/// Sweep the register tiles against `KC`, then `MC x NC` for the
+/// winner, returning the fastest [`KernelConfig`] by median square-gemm
+/// time summed over the sweep sizes. Stage one holds `MC` and `NC` at
+/// the baked row's values. At each size every candidate of a stage runs
+/// in the same interleaved rounds, so host drift moves them alike.
 ///
 /// `quick` trims the grid to one small size for smoke runs (CI,
 /// `ata calibrate --quick`).
 pub fn measure_kernel<T: Scalar>(quick: bool) -> KernelConfig {
-    let sizes: &[usize] = if quick { &[64] } else { KERNEL_SWEEP_SIZES };
-    let kcs: &[usize] = if quick { &[128] } else { &[128, 256] };
-    let mcs: &[usize] = if quick { &[64] } else { &[32, 64, 128] };
-    let ncs: &[usize] = if quick {
-        &[256]
-    } else {
-        &[128, 256, 512, 1024]
-    };
-    let mut configs = Vec::new();
-    for &(mr, nr) in menu_for::<T>() {
-        for &kc in kcs {
-            for &mc in mcs {
-                for &nc in ncs {
-                    configs.push(KernelConfig::new(mr, nr, kc, mc, nc));
-                }
-            }
-        }
-    }
+    let grid = if quick { &QUICK_GRID } else { &FULL_GRID };
+    let anchor = KernelConfig::for_scalar::<T>();
+    let best = fastest::<T>(tile_candidates(menu_for::<T>(), grid, &anchor), grid.sizes);
+    fastest::<T>(blocking_candidates(&best, grid), grid.sizes)
+}
+
+/// The config of `configs` with the least median square-gemm time
+/// summed over `sizes` (the first of equally fast ones; the baked row
+/// if `configs` is empty).
+fn fastest<T: Scalar>(configs: Vec<KernelConfig>, sizes: &[usize]) -> KernelConfig {
     let path = micro_path_for::<T>();
     let mut bufs = PackBufs::new();
     let mut total = vec![0.0f64; configs.len()];
@@ -368,7 +435,6 @@ pub fn measure_kernel<T: Scalar>(quick: bool) -> KernelConfig {
             *t += r.median(i);
         }
     }
-    // The first of equally fast configs wins.
     let best = total.iter().zip(configs).min_by(|a, b| a.0.total_cmp(b.0));
     best.map_or_else(KernelConfig::for_scalar::<T>, |(_, cfg)| cfg)
 }
@@ -543,6 +609,41 @@ mod tests {
             KERNEL_SWEEP_SIZES.contains(&leaf),
             "the sweep includes the f64 leaf order sqrt(base_words / 2) = {leaf}"
         );
+    }
+
+    #[test]
+    fn every_swept_config_keeps_whole_tiles() {
+        // A candidate whose `MC` or `NC` is not a tile multiple leaves a
+        // ragged strip in every block, so every generated config must
+        // divide evenly, on every menu, in both stages, without repeats.
+        let menus = crate::simd::INTRINSIC_MENUS
+            .into_iter()
+            .chain([KernelConfig::MENU]);
+        let anchors = [TUNED_F64, TUNED_F32_FMA, TUNED_F64_AVX512, TUNED_F32_AVX512];
+        for menu in menus {
+            for grid in [&FULL_GRID, &QUICK_GRID] {
+                for anchor in anchors {
+                    let stage1 = tile_candidates(menu, grid, &anchor.kernel);
+                    assert_eq!(stage1.len(), menu.len() * grid.kcs.len());
+                    for best in &stage1 {
+                        let stage2 = blocking_candidates(best, grid);
+                        for cfg in stage1.iter().chain(&stage2) {
+                            assert!(
+                                cfg.mc % cfg.mr == 0 && cfg.nc % cfg.nr == 0,
+                                "{cfg:?} leaves a ragged strip"
+                            );
+                        }
+                        for (i, cfg) in stage2.iter().enumerate() {
+                            assert!(!stage2[..i].contains(cfg), "{cfg:?} swept twice");
+                            assert_eq!((cfg.mr, cfg.nr, cfg.kc), (best.mr, best.nr, best.kc));
+                        }
+                    }
+                }
+            }
+        }
+        // Rounding goes up, to the nearest whole tile.
+        let six = whole_tiles(KernelConfig::new(6, 24, 128, 32, 1000));
+        assert_eq!((six.mc, six.nc), (36, 1008));
     }
 
     #[test]

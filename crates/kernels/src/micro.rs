@@ -42,17 +42,28 @@
 //! Strassen product and every measured-flop validation runs — the
 //! engine performs *exactly* `m * n * k` multiplications and
 //! `m * n * k` additions, the same counts as the rank-1 reference path
-//! (a parity the `micro_props` proptests pin down). Ragged edges are
-//! computed by a bounds-aware scalar tile ([`edge kernel`](self))
-//! rather than with zero-padding arithmetic, which is what keeps the
-//! counts exact for arbitrary shapes. `alpha = -1` stays
-//! multiplication-exact too (`m * n * k` muls) by folding the sign into
-//! the `B`-pack as `m * k` negations — *cheaper* than the rank-1 path,
-//! which re-multiplies by `alpha` per tile, so negated products are not
-//! count-identical across the [`selected_path`] dispatch boundary.
+//! (a parity the `micro_props` proptests pin down). On the portable and
+//! scalar paths ragged edges are computed by a bounds-aware scalar tile
+//! ([`edge kernel`](self)) rather than with zero-padding arithmetic,
+//! which is what keeps the counts exact for arbitrary shapes. `alpha =
+//! -1` stays multiplication-exact too (`m * n * k` muls) by folding the
+//! sign into the `B`-pack as `m * k` negations — *cheaper* than the
+//! rank-1 path, which re-multiplies by `alpha` per tile, so negated
+//! products are not count-identical across the [`selected_path`]
+//! dispatch boundary.
+//!
+//! # The intrinsic contract
+//!
+//! On [`MicroPath::Intrinsic`] every tile a fused kernel exists for runs
+//! it: full tiles in place, ragged edges and diagonal straddles on a
+//! scratch tile seeded from `C`'s live entries, of which only those
+//! entries are written back. Each output element is therefore the fused
+//! chain `acc = c; acc = fma(a_p, b_p, acc)` over the whole reduction,
+//! whatever the tile, `kc`, `mc` or `nc`: a `kc` block ends by storing
+//! `acc` to `C` and the next starts by loading it, which rounds nothing.
 
 use crate::pack::{
-    pack_panels, pack_panels_par, packed_elems, with_thread_bufs, PackBufs, PackScale,
+    pack_panels, pack_panels_par, packed_elems, panel_stride, with_thread_bufs, PackBufs, PackScale,
 };
 use ata_mat::{MatMut, MatRef, Scalar};
 use std::sync::OnceLock;
@@ -106,6 +117,7 @@ impl KernelConfig {
         (8, 16),
         (8, 32),
         (12, 4),
+        (12, 16),
     ];
 
     /// Validated constructor.
@@ -129,11 +141,14 @@ impl KernelConfig {
 
     /// Element counts `(apack, bpack)` of the packing buffers one kernel
     /// invocation under this config needs — what `AtaPlan` warms
-    /// per-thread so steady-state executes allocate nothing.
+    /// per-thread so steady-state executes allocate nothing. The counts
+    /// cover any scalar of at least 4 bytes (every `Scalar` in the
+    /// workspace): they include `f32`'s panel pad, the widest in
+    /// elements.
     pub fn pack_buffer_elems(&self) -> (usize, usize) {
         (
-            packed_elems(self.kc, self.mc, self.mr),
-            packed_elems(self.kc, self.nc, self.nr),
+            packed_elems::<f32>(self.kc, self.mc, self.mr),
+            packed_elems::<f32>(self.kc, self.nc, self.nr),
         )
     }
 }
@@ -154,8 +169,8 @@ pub enum KernelPath {
 /// — the inner dispatch level below the micro-vs-blocked choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroPath {
-    /// Explicit-SIMD fused kernels from [`crate::simd`] (full tiles
-    /// only; ragged edges always stay on the scalar kernel).
+    /// Explicit-SIMD fused kernels from [`crate::simd`], for full and
+    /// partial tiles alike (see the module's intrinsic contract).
     Intrinsic,
     /// The safe const-generic kernels in this module (unfused
     /// `mul_add`, autovectorizer-scheduled).
@@ -310,51 +325,64 @@ fn full_tile<T: Scalar>(
         (8, 16) => kernel::<T, 8, 16>(kc, ap, bp, c),
         (8, 32) => kernel::<T, 8, 32>(kc, ap, bp, c),
         (12, 4) => kernel::<T, 12, 4>(kc, ap, bp, c),
+        (12, 16) => kernel::<T, 12, 16>(kc, ap, bp, c),
         (4, 12) => kernel::<T, 4, 12>(kc, ap, bp, c),
         (6, 4) => kernel::<T, 6, 4>(kc, ap, bp, c),
         _ => edge_tile(kc, mr, nr, mr, nr, ap, bp, c, None),
     }
 }
 
-/// Full-size tile straddling the diagonal of a syrk `C`, on the
-/// intrinsic path: run the fused kernel on the whole tile into a zeroed
-/// scratch, then accumulate only the lower-triangle entries into `C`.
-/// `(ir, jr)` is the tile's top-left position in `C`.
+/// Columns of row `ii` of an `_ x nr_eff` tile that the sweep computes:
+/// all of them, or with `diag = Some((ir, jr))` (tile placed at rows
+/// `ir..`, cols `jr..` of a syrk `C`) only those on or below the
+/// diagonal, `ir + ii >= jr + jj`.
+#[inline]
+fn live_cols(ii: usize, nr_eff: usize, diag: Option<(usize, usize)>) -> usize {
+    match diag {
+        None => nr_eff,
+        Some((ir, jr)) => (ir + ii + 1).saturating_sub(jr).min(nr_eff),
+    }
+}
+
+/// A ragged-edge or diagonal-straddle tile on the intrinsic path: copy
+/// `C`'s live entries into a full `mr x nr` scratch tile, run the fused
+/// kernel on it over the zero-padded panels, and write back only the
+/// live entries. Each live entry thus gets exactly the fused chain a
+/// full tile gives it; the scratch entries outside `C` see only the
+/// packs' zero pad and are dropped.
 ///
-/// This keeps the expensive straddle band — the tiles along the
-/// diagonal — at fused speed instead of scalar speed, at the cost of
-/// one extra add per stored element. Only the intrinsic path takes
-/// it: the portable/scalar paths keep the exact-op [`edge_tile`], so
-/// `Tracked` counts and portable bitwise behavior are unchanged. The
-/// scratch holds the largest tile on any intrinsic menu. `false` means
-/// no fused kernel took the tile and the caller must fall back.
+/// Only the intrinsic path takes it: the portable/scalar paths keep the
+/// exact-op [`edge_tile`], so `Tracked` counts and portable bitwise
+/// behavior are unchanged. The scratch holds the largest tile on any
+/// intrinsic menu. `false` means no fused kernel took the tile (`C` is
+/// untouched) and the caller must fall back.
 #[allow(clippy::too_many_arguments)]
-fn straddle_tile_intrinsic<T: Scalar>(
+fn partial_tile_intrinsic<T: Scalar>(
     mr: usize,
     nr: usize,
     kc: usize,
     ap: &[T],
     bp: &[T],
     c: &mut MatMut<'_, T>,
-    ir: usize,
-    jr: usize,
+    diag: Option<(usize, usize)>,
 ) -> bool {
     use crate::simd::MAX_TILE_ELEMS;
     if mr * nr > MAX_TILE_ELEMS {
         return false;
     }
+    let (mr_eff, nr_eff) = c.shape();
     let mut scratch = [T::ZERO; MAX_TILE_ELEMS];
+    for ii in 0..mr_eff {
+        let live = live_cols(ii, nr_eff, diag);
+        scratch[ii * nr..][..live].copy_from_slice(&c.row(ii)[..live]);
+    }
     let mut sv = MatMut::from_slice(&mut scratch[..mr * nr], mr, nr);
     if !crate::simd::full_tile(mr, nr, kc, ap, bp, &mut sv) {
         return false;
     }
-    for ii in 0..mr {
-        let jj_max = (ir + ii + 1).saturating_sub(jr).min(nr);
-        let srow = &scratch[ii * nr..ii * nr + nr];
-        let crow = c.row_mut(ii);
-        for (cv, sv) in crow.iter_mut().zip(srow).take(jj_max) {
-            *cv += *sv;
-        }
+    for ii in 0..mr_eff {
+        let live = live_cols(ii, nr_eff, diag);
+        c.row_mut(ii)[..live].copy_from_slice(&scratch[ii * nr..][..live]);
     }
     true
 }
@@ -385,10 +413,7 @@ fn edge_tile<T: Scalar>(
 ) {
     debug_assert_eq!(c.shape(), (mr_eff, nr_eff));
     for ii in 0..mr_eff {
-        let jj_max = match diag {
-            None => nr_eff,
-            Some((ir, jr)) => (ir + ii + 1).saturating_sub(jr).min(nr_eff),
-        };
+        let jj_max = live_cols(ii, nr_eff, diag);
         let crow = c.row_mut(ii);
         for (jj, cv) in crow.iter_mut().enumerate().take(jj_max) {
             let mut acc = *cv;
@@ -409,7 +434,8 @@ fn edge_tile<T: Scalar>(
 ///
 /// With `lower`, only entries on or below the diagonal of `C` are
 /// touched: each micro-column starts at the first micro-row that reaches
-/// the diagonal, and tiles the diagonal cuts go to the straddle kernels.
+/// the diagonal, and tiles the diagonal cuts go to the partial-tile
+/// kernels.
 #[allow(clippy::too_many_arguments)]
 fn sweep_tiles<T: Scalar>(
     path: MicroPath,
@@ -425,10 +451,11 @@ fn sweep_tiles<T: Scalar>(
     lower: bool,
 ) {
     let (mr, nr) = (cfg.mr, cfg.nr);
+    let (a_stride, b_stride) = (panel_stride::<T>(kc_eff, mr), panel_stride::<T>(kc_eff, nr));
     let mut jr = 0;
     while jr < nc_eff {
         let nr_eff = nr.min(nc_eff - jr);
-        let bp = &bpack[(jr / nr) * kc_eff * nr..][..kc_eff * nr];
+        let bp = &bpack[(jr / nr) * b_stride..][..kc_eff * nr];
         let j = col0 + jr;
         let mut ir = if lower {
             (j.saturating_sub(row0) / mr) * mr
@@ -437,7 +464,7 @@ fn sweep_tiles<T: Scalar>(
         };
         while ir < mc_eff {
             let mr_eff = mr.min(mc_eff - ir);
-            let ap = &apack[(ir / mr) * kc_eff * mr..][..kc_eff * mr];
+            let ap = &apack[(ir / mr) * a_stride..][..kc_eff * mr];
             let i = row0 + ir;
             let mut ctile = c.block_mut(i, i + mr_eff, j, j + nr_eff);
             let full = mr_eff == mr && nr_eff == nr;
@@ -446,13 +473,9 @@ fn sweep_tiles<T: Scalar>(
             let diag = (lower && i + 1 < j + nr_eff).then_some((i, j));
             if full && diag.is_none() {
                 full_tile(path, mr, nr, kc_eff, ap, bp, &mut ctile);
-            } else if full
-                && diag.is_some()
-                && path == MicroPath::Intrinsic
-                && straddle_tile_intrinsic(mr, nr, kc_eff, ap, bp, &mut ctile, i, j)
+            } else if path != MicroPath::Intrinsic
+                || !partial_tile_intrinsic(mr, nr, kc_eff, ap, bp, &mut ctile, diag)
             {
-                // Fused straddle tile handled above.
-            } else {
                 edge_tile(kc_eff, mr, nr, mr_eff, nr_eff, ap, bp, &mut ctile, diag);
             }
             ir += mr;
@@ -485,8 +508,8 @@ fn macro_kernel<T: Scalar>(
         return;
     }
     let scale = PackScale::from_alpha(alpha);
-    let a_elems = packed_elems(cfg.kc.min(m), cfg.mc.min(n), cfg.mr);
-    let b_elems = packed_elems(cfg.kc.min(m), cfg.nc.min(k), cfg.nr);
+    let a_elems = packed_elems::<T>(cfg.kc.min(m), cfg.mc.min(n), cfg.mr);
+    let b_elems = packed_elems::<T>(cfg.kc.min(m), cfg.nc.min(k), cfg.nr);
     let (apack, bpack) = bufs.split(a_elems, b_elems);
 
     let mut jc = 0;
@@ -572,8 +595,9 @@ pub fn gemm_tn_micro<T: Scalar>(
 ///
 /// This is the gemm loop nest with `B = A` under a lower-triangle mask:
 /// tiles below the diagonal run at full speed and straddling tiles
-/// through the straddle kernels, so only `i >= j` entries are read or
-/// written and the flop count stays the exact triangle count.
+/// through the partial-tile kernels, so only `i >= j` entries are read
+/// or written and, on the portable and scalar paths, the flop count
+/// stays the exact triangle count.
 ///
 /// Shapes: `A: m x n`, `C: n x n`.
 ///
@@ -865,8 +889,9 @@ mod tests {
     fn pack_buffer_elems_covers_worst_block() {
         let cfg = KernelConfig::new(8, 4, 16, 20, 24);
         let (ae, be) = cfg.pack_buffer_elems();
-        assert_eq!(ae, packed_elems(16, 20, 8));
-        assert_eq!(be, packed_elems(16, 24, 4));
+        assert_eq!(ae, packed_elems::<f32>(16, 20, 8));
+        assert_eq!(be, packed_elems::<f32>(16, 24, 4));
+        assert!(ae >= packed_elems::<f64>(16, 20, 8) && be >= packed_elems::<f64>(16, 24, 4));
     }
 
     #[test]

@@ -18,12 +18,19 @@
 //! ```text
 //! apack (one KC x MC block of A, MR-wide micro-panels):
 //!   panel u = columns [u*MR, (u+1)*MR) of the block
-//!   apack[u*KC*MR + p*MR + i] = A[pc + p, ic + u*MR + i]
+//!   apack[u*(KC*MR + L) + p*MR + i] = A[pc + p, ic + u*MR + i]
 //!
 //! bpack (one KC x NC block of B, NR-wide micro-panels):
 //!   panel v = columns [v*NR, (v+1)*NR) of the block
-//!   bpack[v*KC*NR + p*NR + j] = alpha * B[pc + p, jc + v*NR + j]
+//!   bpack[v*(KC*NR + L) + p*NR + j] = alpha * B[pc + p, jc + v*NR + j]
 //! ```
+//!
+//! `L` is one 64-byte cache line of elements (8 `f64`, 16 `f32`): a pad
+//! after every panel that no kernel reads or writes. Without it the
+//! panel stride `KC*R` is a power of two times the element size for
+//! every tuned row (16-64 KiB), so the row-by-row pass writes its `R`
+//! chunks of one source row at addresses a multiple of 4 KiB apart,
+//! which all map to the same L1 set.
 //!
 //! A micro-panel interleaves `MR` (resp. `NR`) matrix columns so that one
 //! step `p` of the microkernel's reduction loop reads `MR` consecutive
@@ -83,12 +90,14 @@ impl<T: Scalar> PackScale<T> {
     }
 }
 
-/// Pack one `KC x W` operand block into `R`-wide micro-panels.
+/// Pack one `KC x W` operand block into `R`-wide micro-panels, each
+/// [`panel_stride`]`(kc, r)` elements after the one before.
 ///
 /// `src` is the block view (`kc` rows, `w` columns); `buf` must hold at
 /// least [`packed_elems`]`(kc, w, r)` elements. Columns beyond `w` in the
-/// last panel are zero-filled. Source rows are the outer loop, so each
-/// is read once, front to back.
+/// last panel are zero-filled; the pad after each panel is left as it
+/// was. Source rows are the outer loop, so each is read once, front to
+/// back.
 ///
 /// # Panics
 /// If `buf` is too small or `r == 0`.
@@ -100,15 +109,16 @@ pub(crate) fn pack_panels<T: Scalar>(
 ) {
     let (kc, w) = src.shape();
     assert!(r > 0, "panel width must be positive");
-    let need = packed_elems(kc, w, r);
+    let need = packed_elems::<T>(kc, w, r);
     assert!(
         buf.len() >= need,
         "pack buffer holds {} elements, block needs {need}",
         buf.len()
     );
+    let stride = panel_stride::<T>(kc, r);
     for p in 0..kc {
         for (u, srow) in src.row(p).chunks(r).enumerate() {
-            let (live, pad) = buf[u * kc * r + p * r..][..r].split_at_mut(srow.len());
+            let (live, pad) = buf[u * stride + p * r..][..r].split_at_mut(srow.len());
             match scale {
                 PackScale::One => live.copy_from_slice(srow),
                 PackScale::NegOne => {
@@ -127,10 +137,21 @@ pub(crate) fn pack_panels<T: Scalar>(
     }
 }
 
-/// Packed size in elements of a `kc x w` block in `r`-wide panels.
+/// Bytes of pad after each packed panel: one cache line.
+const PANEL_PAD_BYTES: usize = 64;
+
+/// Elements from the start of one `kc`-deep, `r`-wide packed panel of
+/// `T` to the start of the next: the panel plus one cache line of pad.
 #[inline]
-pub(crate) fn packed_elems(kc: usize, w: usize, r: usize) -> usize {
-    w.div_ceil(r) * kc * r
+pub(crate) fn panel_stride<T>(kc: usize, r: usize) -> usize {
+    kc * r + PANEL_PAD_BYTES.div_ceil(std::mem::size_of::<T>())
+}
+
+/// Packed size in elements of a `kc x w` block of `T` in `r`-wide
+/// panels, pads included.
+#[inline]
+pub(crate) fn packed_elems<T>(kc: usize, w: usize, r: usize) -> usize {
+    w.div_ceil(r) * panel_stride::<T>(kc, r)
 }
 
 /// Panel count below which [`pack_panels_par`] always stays serial: the
@@ -164,7 +185,7 @@ pub(crate) fn pack_panels_par<T: Scalar>(
     let (kc, w) = src.shape();
     assert!(r > 0, "panel width must be positive");
     let panels = w.div_ceil(r);
-    let need = packed_elems(kc, w, r);
+    let need = packed_elems::<T>(kc, w, r);
     assert!(
         buf.len() >= need,
         "pack buffer holds {} elements, block needs {need}",
@@ -179,14 +200,15 @@ pub(crate) fn pack_panels_par<T: Scalar>(
     }
     use rayon::prelude::*;
     let per = panels.div_ceil(threads);
+    let stride = panel_stride::<T>(kc, r);
     buf[..need]
-        .chunks_mut(per * kc * r)
+        .chunks_mut(per * stride)
         .collect::<Vec<_>>()
         .into_par_iter()
         .enumerate()
         .for_each(|(ci, chunk)| {
             let c0 = ci * per * r;
-            let chunk_panels = chunk.len() / (kc * r);
+            let chunk_panels = chunk.len() / stride;
             let c1 = w.min(c0 + chunk_panels * r);
             pack_panels(src.block(0, kc, c0, c1), r, scale, chunk);
         });
@@ -293,33 +315,38 @@ mod tests {
     fn packs_panels_with_zero_padding() {
         // 3 x 5 block, panels of width 4: second panel has one live col.
         let src = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as f64);
-        let mut buf = vec![-1.0f64; packed_elems(3, 5, 4)];
+        let mut buf = vec![-1.0f64; packed_elems::<f64>(3, 5, 4)];
         pack_panels(src.as_ref(), 4, PackScale::One, &mut buf);
         // Panel 0, row 1 = A[1, 0..4].
         assert_eq!(&buf[4..8], &[5.0, 6.0, 7.0, 8.0]);
+        // One cache line (8 f64) of untouched pad after panel 0.
+        let stride = panel_stride::<f64>(3, 4);
+        assert_eq!(stride, 12 + 8);
+        assert_eq!(&buf[12..stride], &[-1.0; 8]);
         // Panel 1, row 2 = A[2, 4], padded with three zeros.
-        assert_eq!(&buf[12 + 2 * 4..12 + 3 * 4], &[14.0, 0.0, 0.0, 0.0]);
+        assert_eq!(&buf[stride + 2 * 4..stride + 3 * 4], &[14.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn scaling_variants() {
         let src = Matrix::from_fn(2, 2, |i, j| (1 + i * 2 + j) as f64);
-        let mut one = vec![0.0; 4];
-        let mut neg = vec![0.0; 4];
-        let mut fac = vec![0.0; 4];
+        let need = packed_elems::<f64>(2, 2, 2);
+        let mut one = vec![0.0; need];
+        let mut neg = vec![0.0; need];
+        let mut fac = vec![0.0; need];
         pack_panels(src.as_ref(), 2, PackScale::One, &mut one);
         pack_panels(src.as_ref(), 2, PackScale::NegOne, &mut neg);
         pack_panels(src.as_ref(), 2, PackScale::Factor(0.5), &mut fac);
-        assert_eq!(one, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(neg, vec![-1.0, -2.0, -3.0, -4.0]);
-        assert_eq!(fac, vec![0.5, 1.0, 1.5, 2.0]);
+        assert_eq!(one[..4], [1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(neg[..4], [-1.0, -2.0, -3.0, -4.0]);
+        assert_eq!(fac[..4], [0.5, 1.0, 1.5, 2.0]);
     }
 
     #[test]
     fn packs_strided_views() {
         let big = gen::standard::<f64>(3, 8, 8);
         let (_, _, _, a22) = big.as_ref().quad_split();
-        let mut buf = vec![0.0; packed_elems(4, 4, 4)];
+        let mut buf = vec![0.0; packed_elems::<f64>(4, 4, 4)];
         pack_panels(a22, 4, PackScale::One, &mut buf);
         for p in 0..4 {
             assert_eq!(&buf[p * 4..(p + 1) * 4], a22.row(p));
@@ -372,11 +399,11 @@ mod tests {
         // Big enough to clear both serial-fallback thresholds.
         let (kc, w, r) = (64, 1021, 8);
         let src = gen::standard::<f64>(42, kc, w);
-        let mut serial = vec![-1.0f64; packed_elems(kc, w, r)];
+        let mut serial = vec![-1.0f64; packed_elems::<f64>(kc, w, r)];
         pack_panels(src.as_ref(), r, PackScale::NegOne, &mut serial);
         let pool = crate::par::pool_with_threads(4);
         for _ in 0..8 {
-            let mut par = vec![-2.0f64; packed_elems(kc, w, r)];
+            let mut par = vec![-1.0f64; packed_elems::<f64>(kc, w, r)];
             pool.install(|| {
                 pack_panels_par(src.as_ref(), r, PackScale::NegOne, &mut par);
             });
@@ -389,7 +416,7 @@ mod tests {
         use ata_mat::tracked::{measure, Tracked};
         let (kc, w, r) = (64, 512, 8);
         let src = gen::standard::<Tracked>(7, kc, w);
-        let mut buf = vec![Tracked(0.0); packed_elems(kc, w, r)];
+        let mut buf = vec![Tracked(0.0); packed_elems::<Tracked>(kc, w, r)];
         let pool = crate::par::pool_with_threads(4);
         let (_, ops) = measure(|| {
             pool.install(|| {
@@ -419,8 +446,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Both passes write exactly the layout the module doc states,
-        /// `buf[u*kc*r + p*r + i] = scale * src[p, u*r + i]`, with zeros
-        /// past the block's last column, on strided sub-views.
+        /// `buf[u*(kc*r + L) + p*r + i] = scale * src[p, u*r + i]`, with
+        /// zeros past the block's last column and the `L`-element pad
+        /// after each panel left untouched, on strided sub-views.
         #[test]
         fn packs_follow_the_documented_layout(
             kc in 0usize..260,
@@ -436,21 +464,28 @@ mod tests {
                 (PackScale::NegOne, -1.0),
                 (PackScale::Factor(0.375), 0.375),
             ][scale_ix];
-            let need = packed_elems(kc, w, r);
+            let need = packed_elems::<f64>(kc, w, r);
+            let stride = panel_stride::<f64>(kc, r);
+            prop_assert_eq!(stride, kc * r + 8);
+            // A value no pack writes, so an unwritten element shows.
+            let untouched = -1e300;
             let want: Vec<f64> = (0..need)
                 .map(|e| {
-                    let (u, p, i) = (e / (kc * r), e % (kc * r) / r, e % r);
-                    if u * r + i < w {
+                    let (u, off) = (e / stride, e % stride);
+                    let (p, i) = (off / r, off % r);
+                    if off >= kc * r {
+                        untouched
+                    } else if u * r + i < w {
                         factor * src.row(p)[u * r + i]
                     } else {
                         0.0
                     }
                 })
                 .collect();
-            let mut serial = vec![f64::NAN; need];
+            let mut serial = vec![untouched; need];
             pack_panels(src, r, scale, &mut serial);
             prop_assert_eq!(&serial, &want, "serial kc {} w {} r {}", kc, w, r);
-            let mut par = vec![f64::NAN; need];
+            let mut par = vec![untouched; need];
             crate::par::pool_with_threads(2).install(|| pack_panels_par(src, r, scale, &mut par));
             prop_assert_eq!(&par, &want, "parallel kc {} w {} r {}", kc, w, r);
         }
@@ -479,13 +514,49 @@ mod tests {
     }
 
     #[test]
+    fn padded_panels_start_on_cache_lines_off_the_page_stride() {
+        // For every tuned panel shape, each panel of an aligned buffer
+        // starts on a cache line, and consecutive panels are not a
+        // multiple of 4 KiB apart, so the row-by-row pack's writes to
+        // one source row's chunks spread over the L1 sets.
+        fn check<T: Scalar>() {
+            let mut bufs = PackBufs::<T>::new();
+            for (kc, r) in [
+                (128, 4),
+                (256, 8),
+                (512, 12),
+                (512, 16),
+                (256, 32),
+                (256, 48),
+            ] {
+                let stride = panel_stride::<T>(kc, r);
+                let bytes = stride * std::mem::size_of::<T>();
+                assert_eq!(
+                    bytes - kc * r * std::mem::size_of::<T>(),
+                    64,
+                    "one line of pad"
+                );
+                assert_ne!(bytes % 4096, 0, "{} kc {kc} r {r}", T::NAME);
+                let (a, b) = bufs.split(packed_elems::<T>(kc, 8 * r, r), 0);
+                assert_eq!(b.len(), 0);
+                for u in 0..8 {
+                    let start = a[u * stride..].as_ptr() as usize;
+                    assert_eq!(start % 64, 0, "{} kc {kc} r {r} panel {u}", T::NAME);
+                }
+            }
+        }
+        check::<f64>();
+        check::<f32>();
+    }
+
+    #[test]
     fn tracked_pack_counts_one_op_per_live_element() {
         use ata_mat::tracked::{measure, Tracked};
         let big = gen::standard::<Tracked>(5, 40, 50);
         let (kc, w) = (37, 45); // odd, so ragged for every (even) menu width
         let src = big.as_ref().block(2, 2 + kc, 3, 3 + w);
         for r in menu_widths() {
-            let mut buf = vec![Tracked(0.0); packed_elems(kc, w, r)];
+            let mut buf = vec![Tracked(0.0); packed_elems::<Tracked>(kc, w, r)];
             let (_, neg) = measure(|| pack_panels(src, r, PackScale::NegOne, &mut buf));
             assert_eq!((neg.negs, neg.muls), ((kc * w) as u64, 0), "r {r}");
             let (_, fac) =

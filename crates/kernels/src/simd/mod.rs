@@ -118,9 +118,9 @@ pub const FMA_MENU_F32: &[(usize, usize)] = &[(6, 16), (4, 16), (8, 8), (8, 16),
 /// Register tiles with a dedicated fused f64 kernel under
 /// [`Isa::Avx512`] (8 lanes per vector). Every `nr` is at least 16,
 /// wider than any [`FMA_MENU_F64`] tile, so the two menus never share a
-/// tile. `8 x 24` fills 28 of the 32 vector registers (24 accumulators
-/// + 3 `B` vectors + 1 broadcast).
-pub const AVX512_MENU_F64: &[(usize, usize)] = &[(8, 16), (6, 16), (4, 16), (8, 24)];
+/// tile. `12 x 16` fills 27 of the 32 vector registers (24 accumulators
+/// + 2 `B` vectors + 1 broadcast), `8 x 24` fills 28 (24 + 3 + 1).
+pub const AVX512_MENU_F64: &[(usize, usize)] = &[(12, 16), (8, 16), (6, 16), (4, 16), (8, 24)];
 
 /// f32 twin of [`AVX512_MENU_F64`] (16 lanes per vector, every `nr` at
 /// least 32, so it is disjoint from [`FMA_MENU_F32`]).
@@ -131,7 +131,8 @@ pub(crate) const INTRINSIC_MENUS: [&[(usize, usize)]; 4] =
     [FMA_MENU_F64, FMA_MENU_F32, AVX512_MENU_F64, AVX512_MENU_F32];
 
 /// The largest `mr * nr` on any intrinsic menu: the size of the scratch
-/// a fused diagonal-straddle tile computes into.
+/// a fused partial tile (ragged edge or diagonal straddle) computes
+/// into.
 pub(crate) const MAX_TILE_ELEMS: usize = {
     let mut max = 0;
     let mut m = 0;

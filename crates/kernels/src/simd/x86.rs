@@ -9,8 +9,9 @@
 //! 8 / 16 at 512 bits), so a tile's accumulators are `MR x NRV`
 //! registers. On 16-register AVX2 the 15-register tiles (`6 x 8` f64,
 //! `6 x 16` f32: 12 accumulators + 2 B vectors + 1 broadcast) are the
-//! expected sweep winners; AVX-512's 32 registers hold up to `8 x 3`
-//! accumulators plus their B vectors and broadcast.
+//! expected sweep winners; AVX-512's 32 registers hold up to 24
+//! accumulators (`12 x 2` or `8 x 3`) plus their B vectors and
+//! broadcast.
 //!
 //! Both instruction sets instantiate the one `fma_tile!` body; only the
 //! target features, the vector type and the intrinsic names differ. The
@@ -18,10 +19,12 @@
 //! 32 f32 columns wide, wider than any AVX2 tile), so the tile shape
 //! alone picks the kernel set.
 //!
-//! Only *full* tiles come through here — ragged edges stay on the
-//! scalar bounds-aware kernel, which is what preserves the engine's
-//! exact-op `Tracked` contract (these kernels are unreachable for
-//! non-`f32`/`f64` scalars; see [`super::full_tile`]).
+//! Each kernel computes a whole `MR x NR` tile. The engine runs ragged
+//! edges and diagonal straddles through them too, on a scratch tile it
+//! seeds from `C`'s live entries and writes back partially; these
+//! kernels are unreachable for non-`f32`/`f64` scalars (see
+//! [`super::full_tile`]), which is what preserves the engine's exact-op
+//! `Tracked` contract.
 //!
 //! The fused accumulation rounds differently from the deliberately
 //! unfused [`ata_mat::Scalar::mul_add`] chain of the portable kernel:
@@ -218,6 +221,7 @@ avx512_tile_f64!(tile_f64_4x16_avx512, 4, 2);
 avx512_tile_f64!(tile_f64_6x16_avx512, 6, 2);
 avx512_tile_f64!(tile_f64_8x16_avx512, 8, 2);
 avx512_tile_f64!(tile_f64_8x24_avx512, 8, 3);
+avx512_tile_f64!(tile_f64_12x16_avx512, 12, 2);
 
 avx512_tile_f32!(tile_f32_4x32_avx512, 4, 2);
 avx512_tile_f32!(tile_f32_6x32_avx512, 6, 2);
@@ -295,6 +299,7 @@ tile_dispatch!(
     (6, 16) => tile_f64_6x16_avx512,
     (8, 16) => tile_f64_8x16_avx512,
     (8, 24) => tile_f64_8x24_avx512,
+    (12, 16) => tile_f64_12x16_avx512,
 );
 
 tile_dispatch!(

@@ -11,6 +11,10 @@
 //! * Every tile on every intrinsic menu the host supports (AVX-512 and
 //!   AVX2 on an AVX-512 host) holds that contract through explicit
 //!   configs, whichever ISA the tuned rows resolve.
+//! * Every intrinsic output element, ragged edges and the syrk diagonal
+//!   band included, is **bit-for-bit** the fused chain
+//!   `acc = c; acc = fma(a_p, b_p, acc)` over the whole reduction, so
+//!   the bits do not depend on the tile, `kc`, `mc` or `nc`.
 //! * The op-counting `Tracked` scalar has no intrinsic kernels: all three
 //!   forced paths must produce the same bits *and* the same op ledger.
 
@@ -141,6 +145,106 @@ fn check_intrinsic_tiles<T: Scalar>(
             }
         }
     }
+}
+
+/// `C + A^T B` element by element as the fused chain
+/// `acc = c[i, j]; acc = fma(a[p, i], b[p, j], acc)` over `p`, with the
+/// inherent fused `mul_add`. With `lower` (`b` is `a`) only `i >= j` is
+/// computed and the strict upper triangle keeps `c`'s bits.
+fn fused_chain<T: Scalar>(
+    fma: fn(T, T, T) -> T,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    c: &Matrix<T>,
+    lower: bool,
+) -> Matrix<T> {
+    let (m, n) = a.shape();
+    let k = b.cols();
+    Matrix::from_fn(n, k, |i, j| {
+        let seed = c.as_ref().row(i)[j];
+        if lower && j > i {
+            return seed;
+        }
+        (0..m).fold(seed, |acc, p| {
+            fma(a.as_ref().row(p)[i], b.as_ref().row(p)[j], acc)
+        })
+    })
+}
+
+/// On a shape every menu tile leaves ragged on both sides, run the
+/// intrinsic `gemm_tn` and `syrk_ln` with every supported tile of `T`,
+/// at `kc` in {1, 7, 256, 512, m + 1} (one to many reduction blocks)
+/// and three `mc x nc` blockings per tile (one tile per block, blocks
+/// that are not tile multiples, and the tile's tuned row), and require
+/// every output to equal the fused chain seeded from `C` bit for bit.
+fn check_fused_chain_whatever_the_blocking<T: Scalar>(
+    fma: fn(T, T, T) -> T,
+    menus: [(Isa, &'static [(usize, usize)]); 2],
+) {
+    let (m, n, k) = (520, 19, 37);
+    let a = gen::standard::<T>(41, m, n);
+    let b = gen::standard::<T>(43, m, k);
+    let seed_gemm = gen::standard::<T>(47, n, k);
+    let seed_syrk = gen::standard::<T>(53, n, n);
+    let want_gemm = fused_chain(fma, &a, &b, &seed_gemm, false);
+    let want_syrk = fused_chain(fma, &a, &a, &seed_syrk, true);
+    let mut bufs = PackBufs::<T>::new();
+    for (isa, (mr, nr)) in supported_tiles(menus) {
+        let tuned = tuned_for_isa::<T>(isa).kernel;
+        for kc in [1, 7, 256, 512, m + 1] {
+            for (mc, nc) in [(mr, nr), (2 * mr + 1, 2 * nr + 3), (tuned.mc, tuned.nc)] {
+                let cfg = KernelConfig::new(mr, nr, kc, mc, nc);
+                let tag = format!("{} {} {cfg:?}", isa.name(), T::NAME);
+                let mut c = seed_gemm.clone();
+                let (av, bv) = (a.as_ref(), b.as_ref());
+                gemm_tn_micro_path_with(
+                    MicroPath::Intrinsic,
+                    T::ONE,
+                    av,
+                    bv,
+                    &mut c.as_mut(),
+                    &cfg,
+                    &mut bufs,
+                );
+                assert!(
+                    bits_eq(&c, &want_gemm),
+                    "gemm is not the fused chain: {tag}"
+                );
+                let mut c = seed_syrk.clone();
+                syrk_ln_micro_path_with(
+                    MicroPath::Intrinsic,
+                    T::ONE,
+                    av,
+                    &mut c.as_mut(),
+                    &cfg,
+                    &mut bufs,
+                );
+                assert!(
+                    bits_eq(&c, &want_syrk),
+                    "syrk is not the fused chain on the lower triangle, or wrote the \
+                     strict upper: {tag}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn intrinsic_output_is_the_fused_chain_whatever_the_tile_and_blocking() {
+    check_fused_chain_whatever_the_blocking::<f64>(
+        f64::mul_add,
+        [
+            (Isa::Avx512, simd::AVX512_MENU_F64),
+            (Isa::Fma, simd::FMA_MENU_F64),
+        ],
+    );
+    check_fused_chain_whatever_the_blocking::<f32>(
+        f32::mul_add,
+        [
+            (Isa::Avx512, simd::AVX512_MENU_F32),
+            (Isa::Fma, simd::FMA_MENU_F32),
+        ],
+    );
 }
 
 proptest! {
@@ -324,7 +428,7 @@ proptest! {
         );
         let diff = c_fused.max_abs_diff_lower(&c_ref);
         prop_assert!(diff <= tol64(m.max(n), n));
-        // The straddle-tile scratch accumulate must never leak writes
+        // The partial-tile scratch write-back must never leak writes
         // into the strict upper triangle.
         prop_assert_eq!(c_fused.max_abs_diff(&c_ref), diff);
     }
