@@ -15,8 +15,10 @@
 //! for jc in steps of NC over k        // C column blocks
 //!   for pc in steps of KC over m      // reduction blocks
 //!     pack B[pc.., jc..]  -> bpack    // NR-wide panels, alpha folded in
+//!                                     // (syrk, alpha = 1: W-wide, shared)
 //!     for ic in steps of MC over n    // C row blocks
 //!       pack A[pc.., ic..] -> apack   // MR-wide panels
+//!                                     // (syrk's diagonal block: none)
 //!       for jr in steps of NR         // micro-tile columns
 //!         for ir in steps of MR       // micro-tile rows
 //!           microkernel: MR x NR accumulators in registers,
@@ -27,6 +29,25 @@
 //! in BLIS `gemmt`: the `ic` loop starts at `jc` (every row above lies
 //! wholly above the diagonal), tiles above the diagonal are skipped, and
 //! tiles the diagonal cuts run a kernel that writes only `i >= j`.
+//!
+//! # The shared pack
+//!
+//! Rows `jc..jn` of a `syrk` column block (its diagonal block) need the
+//! same columns of `A` on both sides. At `alpha = 1` the nest packs them
+//! once per `(jc, pc)`, into panels `W = lcm(MR, NR)` wide (the
+//! `shared` layout in [`crate::pack`]), and reads the `MR`-row
+//! micro-panels and the `NR`-column slivers of the diagonal block from
+//! that one pack: every tile kernel takes its micro-panel strides as
+//! arguments, `W` here and the tile's own `MR`/`NR` in `gemm`. The
+//! diagonal rows step in whole tiles from `jc` (`MC` rounded up to a
+//! multiple of `MR`), so that no micro-panel straddles two panels. Rows
+//! below the diagonal block (`n > NC`) still pack their own `MR`-wide
+//! panels, and read their slivers from the shared pack. Any other
+//! `alpha` belongs to one side only, so there both sides pack as in
+//! `gemm`. Only addressing differs from `gemm`'s: every multiply-add runs
+//! in the same order on the same values, so each path's bits and the
+//! `Tracked` ledgers stay those of the lower triangle of
+//! `gemm_tn(alpha, A, A)`.
 //!
 //! The microkernel keeps an `MR x NR` accumulator array in registers,
 //! seeded from `C` and written back once per `KC` block, so `C` traffic
@@ -63,7 +84,8 @@
 //! `acc` to `C` and the next starts by loading it, which rounds nothing.
 
 use crate::pack::{
-    pack_panels, pack_panels_par, packed_elems, panel_stride, with_thread_bufs, PackBufs, PackScale,
+    micro_panel_len, pack_panels, pack_panels_par, packed_elems, panel_stride, shared_width,
+    with_thread_bufs, PackBufs, PackScale,
 };
 use ata_mat::{MatMut, MatRef, Scalar};
 use std::sync::OnceLock;
@@ -141,14 +163,16 @@ impl KernelConfig {
 
     /// Element counts `(apack, bpack)` of the packing buffers one kernel
     /// invocation under this config needs — what `AtaPlan` warms
-    /// per-thread so steady-state executes allocate nothing. The counts
-    /// cover any scalar of at least 4 bytes (every `Scalar` in the
-    /// workspace): they include `f32`'s panel pad, the widest in
-    /// elements.
+    /// per-thread so steady-state executes allocate nothing. The `B`
+    /// side holds `gemm`'s `nr`-wide pack or `syrk`'s shared
+    /// `lcm(mr, nr)`-wide one, whichever is larger. The counts cover any
+    /// scalar of at least 4 bytes (every `Scalar` in the workspace): they
+    /// include `f32`'s panel pad, the widest in elements.
     pub fn pack_buffer_elems(&self) -> (usize, usize) {
+        let b_side = |width| packed_elems::<f32>(self.kc, self.nc, width);
         (
             packed_elems::<f32>(self.kc, self.mc, self.mr),
-            packed_elems::<f32>(self.kc, self.nc, self.nr),
+            b_side(self.nr).max(b_side(shared_width(self.mr, self.nr))),
         )
     }
 }
@@ -250,7 +274,8 @@ pub fn selected_path<T: Scalar>(m: usize, n: usize, k: usize) -> KernelPath {
 // ---------------------------------------------------------------------
 
 /// The full-tile microkernel: `MR x NR` accumulators seeded from `C`,
-/// one `mul_add` per `(i, j, p)`, written back once.
+/// one `mul_add` per `(i, j, p)`, written back once. Step `p` reads
+/// `ap[p * sa..][..MR]` and `bp[p * sb..][..NR]`.
 ///
 /// Deliberately *not* inlined: each instantiation must stay a
 /// standalone function so LLVM vectorizes its accumulator loops in
@@ -261,7 +286,9 @@ pub fn selected_path<T: Scalar>(m: usize, n: usize, k: usize) -> KernelPath {
 fn kernel<T: Scalar, const MR: usize, const NR: usize>(
     kc: usize,
     ap: &[T],
+    sa: usize,
     bp: &[T],
+    sb: usize,
     c: &mut MatMut<'_, T>,
 ) {
     debug_assert_eq!(c.shape(), (MR, NR));
@@ -269,21 +296,38 @@ fn kernel<T: Scalar, const MR: usize, const NR: usize>(
     for (i, row) in acc.iter_mut().enumerate() {
         row.copy_from_slice(&c.row(i)[..NR]);
     }
-    let ap = &ap[..kc * MR];
-    let bp = &bp[..kc * NR];
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        for (ai, row) in av.iter().zip(acc.iter_mut()) {
-            for (bj, acc_ij) in bv.iter().zip(row.iter_mut()) {
-                *acc_ij = ai.mul_add(*bj, *acc_ij);
-            }
+    // Every step but the last as a whole stride through `chunks_exact`;
+    // the last micro-panel row may end the buffer short of a stride.
+    // Slicing each step apart measured about 1.2x slower here.
+    if let Some(steps) = kc.checked_sub(1) {
+        let (a_body, a_last) = ap.split_at(steps * sa);
+        let (b_body, b_last) = bp.split_at(steps * sb);
+        for (av, bv) in a_body.chunks_exact(sa).zip(b_body.chunks_exact(sb)) {
+            kernel_step::<T, MR, NR>(&mut acc, av, bv);
         }
+        kernel_step::<T, MR, NR>(&mut acc, a_last, b_last);
     }
     for (i, row) in acc.iter().enumerate() {
         c.row_mut(i)[..NR].copy_from_slice(row);
     }
 }
 
-/// Dispatch a full `mr x nr` tile along the resolved [`MicroPath`].
+/// One reduction step of [`kernel`]: `acc[i][j] += av[i] * bv[j]`.
+#[inline(always)]
+fn kernel_step<T: Scalar, const MR: usize, const NR: usize>(
+    acc: &mut [[T; NR]; MR],
+    av: &[T],
+    bv: &[T],
+) {
+    for (ai, row) in av[..MR].iter().zip(acc.iter_mut()) {
+        for (bj, acc_ij) in bv[..NR].iter().zip(row.iter_mut()) {
+            *acc_ij = ai.mul_add(*bj, *acc_ij);
+        }
+    }
+}
+
+/// Dispatch a full `mr x nr` tile along the resolved [`MicroPath`],
+/// its micro-panels read at strides `sa` and `sb`.
 ///
 /// `Intrinsic` tries the fused SIMD kernel first and falls through to
 /// the portable instantiation when none takes the tile (unsupported
@@ -291,6 +335,7 @@ fn kernel<T: Scalar, const MR: usize, const NR: usize>(
 /// fallback. `Scalar` runs the bounds-aware kernel even on full tiles,
 /// which is bit-identical to `Portable` (same per-element accumulation
 /// order) and serves as the ablation baseline.
+#[allow(clippy::too_many_arguments)]
 #[inline]
 fn full_tile<T: Scalar>(
     path: MicroPath,
@@ -298,37 +343,39 @@ fn full_tile<T: Scalar>(
     nr: usize,
     kc: usize,
     ap: &[T],
+    sa: usize,
     bp: &[T],
+    sb: usize,
     c: &mut MatMut<'_, T>,
 ) {
     match path {
         MicroPath::Intrinsic => {
-            if crate::simd::full_tile(mr, nr, kc, ap, bp, c) {
+            if crate::simd::full_tile(mr, nr, kc, ap, sa, bp, sb, c) {
                 return;
             }
         }
         MicroPath::Scalar => {
-            edge_tile(kc, mr, nr, mr, nr, ap, bp, c, None);
+            edge_tile(kc, sa, sb, mr, nr, ap, bp, c, None);
             return;
         }
         MicroPath::Portable => {}
     }
     match (mr, nr) {
-        (4, 4) => kernel::<T, 4, 4>(kc, ap, bp, c),
-        (4, 8) => kernel::<T, 4, 8>(kc, ap, bp, c),
-        (4, 16) => kernel::<T, 4, 16>(kc, ap, bp, c),
-        (6, 8) => kernel::<T, 6, 8>(kc, ap, bp, c),
-        (6, 16) => kernel::<T, 6, 16>(kc, ap, bp, c),
-        (8, 4) => kernel::<T, 8, 4>(kc, ap, bp, c),
-        (8, 6) => kernel::<T, 8, 6>(kc, ap, bp, c),
-        (8, 8) => kernel::<T, 8, 8>(kc, ap, bp, c),
-        (8, 16) => kernel::<T, 8, 16>(kc, ap, bp, c),
-        (8, 32) => kernel::<T, 8, 32>(kc, ap, bp, c),
-        (12, 4) => kernel::<T, 12, 4>(kc, ap, bp, c),
-        (12, 16) => kernel::<T, 12, 16>(kc, ap, bp, c),
-        (4, 12) => kernel::<T, 4, 12>(kc, ap, bp, c),
-        (6, 4) => kernel::<T, 6, 4>(kc, ap, bp, c),
-        _ => edge_tile(kc, mr, nr, mr, nr, ap, bp, c, None),
+        (4, 4) => kernel::<T, 4, 4>(kc, ap, sa, bp, sb, c),
+        (4, 8) => kernel::<T, 4, 8>(kc, ap, sa, bp, sb, c),
+        (4, 16) => kernel::<T, 4, 16>(kc, ap, sa, bp, sb, c),
+        (6, 8) => kernel::<T, 6, 8>(kc, ap, sa, bp, sb, c),
+        (6, 16) => kernel::<T, 6, 16>(kc, ap, sa, bp, sb, c),
+        (8, 4) => kernel::<T, 8, 4>(kc, ap, sa, bp, sb, c),
+        (8, 6) => kernel::<T, 8, 6>(kc, ap, sa, bp, sb, c),
+        (8, 8) => kernel::<T, 8, 8>(kc, ap, sa, bp, sb, c),
+        (8, 16) => kernel::<T, 8, 16>(kc, ap, sa, bp, sb, c),
+        (8, 32) => kernel::<T, 8, 32>(kc, ap, sa, bp, sb, c),
+        (12, 4) => kernel::<T, 12, 4>(kc, ap, sa, bp, sb, c),
+        (12, 16) => kernel::<T, 12, 16>(kc, ap, sa, bp, sb, c),
+        (4, 12) => kernel::<T, 4, 12>(kc, ap, sa, bp, sb, c),
+        (6, 4) => kernel::<T, 6, 4>(kc, ap, sa, bp, sb, c),
+        _ => edge_tile(kc, sa, sb, mr, nr, ap, bp, c, None),
     }
 }
 
@@ -362,7 +409,9 @@ fn partial_tile_intrinsic<T: Scalar>(
     nr: usize,
     kc: usize,
     ap: &[T],
+    sa: usize,
     bp: &[T],
+    sb: usize,
     c: &mut MatMut<'_, T>,
     diag: Option<(usize, usize)>,
 ) -> bool {
@@ -377,7 +426,7 @@ fn partial_tile_intrinsic<T: Scalar>(
         scratch[ii * nr..][..live].copy_from_slice(&c.row(ii)[..live]);
     }
     let mut sv = MatMut::from_slice(&mut scratch[..mr * nr], mr, nr);
-    if !crate::simd::full_tile(mr, nr, kc, ap, bp, &mut sv) {
+    if !crate::simd::full_tile(mr, nr, kc, ap, sa, bp, sb, &mut sv) {
         return false;
     }
     for ii in 0..mr_eff {
@@ -389,7 +438,7 @@ fn partial_tile_intrinsic<T: Scalar>(
 
 /// Bounds-aware tile for ragged edges and diagonal straddles.
 ///
-/// Computes `c[ii, jj] (+)= sum_p ap[p, ii] * bp[p, jj]` for
+/// Computes `c[ii, jj] (+)= sum_p ap[p * sa + ii] * bp[p * sb + jj]` for
 /// `ii < mr_eff`, `jj < jj_max(ii)` where the column cap enforces the
 /// lower-triangle constraint when `diag = Some((ir, jr))` (tile placed at
 /// rows `ir..`, cols `jr..` of a syrk `C`: only `ir + ii >= jr + jj`
@@ -402,8 +451,8 @@ fn partial_tile_intrinsic<T: Scalar>(
 #[inline(never)]
 fn edge_tile<T: Scalar>(
     kc: usize,
-    mr: usize,
-    nr: usize,
+    sa: usize,
+    sb: usize,
     mr_eff: usize,
     nr_eff: usize,
     ap: &[T],
@@ -418,7 +467,7 @@ fn edge_tile<T: Scalar>(
         for (jj, cv) in crow.iter_mut().enumerate().take(jj_max) {
             let mut acc = *cv;
             for p in 0..kc {
-                acc = ap[p * mr + ii].mul_add(bp[p * nr + jj], acc);
+                acc = ap[p * sa + ii].mul_add(bp[p * sb + jj], acc);
             }
             *cv = acc;
         }
@@ -429,7 +478,39 @@ fn edge_tile<T: Scalar>(
 // Loop nest.
 // ---------------------------------------------------------------------
 
-/// Sweep the packed `(apack, bpack)` block over the `C` block at
+/// One operand's packed `(jc, pc)` or `(ic, pc)` block as the sweep
+/// reads it: `width`-wide panels of `kc` rows in `buf` (the tile's `mr`
+/// or `nr`, or the shared pack's `lcm(mr, nr)`), the sweep's first row
+/// (`A` side) or column (`B` side) at packed column `skip`.
+#[derive(Clone, Copy)]
+struct Panels<'a, T> {
+    buf: &'a [T],
+    width: usize,
+    skip: usize,
+}
+
+impl<'a, T> Panels<'a, T> {
+    /// `buf`'s panels, read from packed column 0.
+    fn new(buf: &'a [T], width: usize) -> Self {
+        Self {
+            buf,
+            width,
+            skip: 0,
+        }
+    }
+
+    /// The `r`-wide micro-panel `at` columns past the sweep's first,
+    /// whose step `p` lies at `p * width`. `skip + at` is a multiple of
+    /// `r`, which divides `width`, so the micro-panel lies inside one
+    /// panel.
+    fn micro(&self, kc: usize, at: usize, r: usize) -> &'a [T] {
+        let col = self.skip + at;
+        let start = (col / self.width) * panel_stride::<T>(kc, self.width) + col % self.width;
+        &self.buf[start..][..micro_panel_len(kc, r, self.width)]
+    }
+}
+
+/// Sweep the packed `(a, b)` blocks over the `C` block at
 /// `(row0, col0)` of extent `mc_eff x nc_eff`.
 ///
 /// With `lower`, only entries on or below the diagonal of `C` are
@@ -443,19 +524,19 @@ fn sweep_tiles<T: Scalar>(
     kc_eff: usize,
     mc_eff: usize,
     nc_eff: usize,
-    apack: &[T],
-    bpack: &[T],
+    a: Panels<'_, T>,
+    b: Panels<'_, T>,
     c: &mut MatMut<'_, T>,
     row0: usize,
     col0: usize,
     lower: bool,
 ) {
     let (mr, nr) = (cfg.mr, cfg.nr);
-    let (a_stride, b_stride) = (panel_stride::<T>(kc_eff, mr), panel_stride::<T>(kc_eff, nr));
+    let (sa, sb) = (a.width, b.width);
     let mut jr = 0;
     while jr < nc_eff {
         let nr_eff = nr.min(nc_eff - jr);
-        let bp = &bpack[(jr / nr) * b_stride..][..kc_eff * nr];
+        let bp = b.micro(kc_eff, jr, nr);
         let j = col0 + jr;
         let mut ir = if lower {
             (j.saturating_sub(row0) / mr) * mr
@@ -464,7 +545,7 @@ fn sweep_tiles<T: Scalar>(
         };
         while ir < mc_eff {
             let mr_eff = mr.min(mc_eff - ir);
-            let ap = &apack[(ir / mr) * a_stride..][..kc_eff * mr];
+            let ap = a.micro(kc_eff, ir, mr);
             let i = row0 + ir;
             let mut ctile = c.block_mut(i, i + mr_eff, j, j + nr_eff);
             let full = mr_eff == mr && nr_eff == nr;
@@ -472,11 +553,11 @@ fn sweep_tiles<T: Scalar>(
             // lies above the diagonal entry of its last column.
             let diag = (lower && i + 1 < j + nr_eff).then_some((i, j));
             if full && diag.is_none() {
-                full_tile(path, mr, nr, kc_eff, ap, bp, &mut ctile);
+                full_tile(path, mr, nr, kc_eff, ap, sa, bp, sb, &mut ctile);
             } else if path != MicroPath::Intrinsic
-                || !partial_tile_intrinsic(mr, nr, kc_eff, ap, bp, &mut ctile, diag)
+                || !partial_tile_intrinsic(mr, nr, kc_eff, ap, sa, bp, sb, &mut ctile, diag)
             {
-                edge_tile(kc_eff, mr, nr, mr_eff, nr_eff, ap, bp, &mut ctile, diag);
+                edge_tile(kc_eff, sa, sb, mr_eff, nr_eff, ap, bp, &mut ctile, diag);
             }
             ir += mr;
         }
@@ -490,7 +571,9 @@ fn sweep_tiles<T: Scalar>(
 ///
 /// Each `B` panel is packed once per `(jc, pc)`. Under the mask the `ic`
 /// loop starts at `jc`, since every row above `jc` lies wholly above the
-/// diagonal of the `jc..jn` column block.
+/// diagonal of the `jc..jn` column block, and at `alpha = 1` the
+/// diagonal block's rows read their `A` micro-panels from that `B` pack
+/// (the module's shared pack).
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel<T: Scalar>(
     path: MicroPath,
@@ -508,9 +591,19 @@ fn macro_kernel<T: Scalar>(
         return;
     }
     let scale = PackScale::from_alpha(alpha);
+    // A scaled pack cannot serve the unscaled `A` side too.
+    let shared = lower && scale == PackScale::One;
+    let b_width = if shared {
+        shared_width(cfg.mr, cfg.nr)
+    } else {
+        cfg.nr
+    };
     let a_elems = packed_elems::<T>(cfg.kc.min(m), cfg.mc.min(n), cfg.mr);
-    let b_elems = packed_elems::<T>(cfg.kc.min(m), cfg.nc.min(k), cfg.nr);
+    let b_elems = packed_elems::<T>(cfg.kc.min(m), cfg.nc.min(k), b_width);
     let (apack, bpack) = bufs.split(a_elems, b_elems);
+    // Shared rows step in whole tiles from `jc`, so that no `A`
+    // micro-panel straddles two shared panels.
+    let mc_shared = cfg.mc.next_multiple_of(cfg.mr);
 
     let mut jc = 0;
     while jc < k {
@@ -519,14 +612,21 @@ fn macro_kernel<T: Scalar>(
         while pc < m {
             let pe = (pc + cfg.kc).min(m);
             let kc_eff = pe - pc;
-            pack_panels_par(b.block(pc, pe, jc, jn), cfg.nr, scale, bpack);
+            pack_panels_par(b.block(pc, pe, jc, jn), b_width, scale, bpack);
+            let b_panels = Panels::new(bpack, b_width);
             let mut ic = if lower { jc } else { 0 };
             while ic < n {
-                let im = (ic + cfg.mc).min(n);
-                pack_panels(a.block(pc, pe, ic, im), cfg.mr, PackScale::One, apack);
+                let (im, a_panels) = if shared && ic < jn {
+                    let skip = ic - jc;
+                    ((ic + mc_shared).min(jn), Panels { skip, ..b_panels })
+                } else {
+                    let im = (ic + cfg.mc).min(n);
+                    pack_panels(a.block(pc, pe, ic, im), cfg.mr, PackScale::One, apack);
+                    (im, Panels::new(apack, cfg.mr))
+                };
                 let (mc_eff, nc_eff) = (im - ic, jn - jc);
                 sweep_tiles(
-                    path, cfg, kc_eff, mc_eff, nc_eff, apack, bpack, c, ic, jc, lower,
+                    path, cfg, kc_eff, mc_eff, nc_eff, a_panels, b_panels, c, ic, jc, lower,
                 );
                 ic = im;
             }
@@ -779,15 +879,24 @@ mod tests {
 
     #[test]
     fn syrk_op_counts_are_the_exact_triangle_volume() {
-        let (m, n) = (14, 11);
-        let a = gen::standard::<Tracked>(3, m, n);
-        let mut c = Matrix::<Tracked>::zeros(n, n);
-        let (_, ops) = measure(|| {
-            syrk_ln_micro(Tracked(1.0), a.as_ref(), &mut c.as_mut(), &cfg_small());
-        });
-        let triangle = (m * n * (n + 1) / 2) as u64;
-        assert_eq!(ops.muls, triangle);
-        assert_eq!(ops.adds, triangle);
+        // The triangle's multiply-adds, plus one negation or multiply per
+        // element of `A` where `alpha` is -1 or general (packed once), and
+        // the same whether the column block holds all of `n` (shared
+        // pack) or rows fall below it (`n` > `nc` = 16).
+        for (m, n) in [(14, 11), (9, 37)] {
+            let a = gen::standard::<Tracked>(3, m, n);
+            let (triangle, elems) = ((m * n * (n + 1) / 2) as u64, (m * n) as u64);
+            for (alpha, negs, pack_muls) in [(1.0, 0, 0), (-1.0, elems, 0), (2.5, 0, elems)] {
+                let mut c = Matrix::<Tracked>::zeros(n, n);
+                let (_, ops) = measure(|| {
+                    syrk_ln_micro(Tracked(alpha), a.as_ref(), &mut c.as_mut(), &cfg_small());
+                });
+                let tag = format!("({m}, {n}) alpha {alpha}");
+                assert_eq!(ops.muls, triangle + pack_muls, "{tag}");
+                assert_eq!(ops.adds, triangle, "{tag}");
+                assert_eq!((ops.negs, ops.subs), (negs, 0), "{tag}");
+            }
+        }
     }
 
     #[test]
@@ -890,8 +999,16 @@ mod tests {
         let cfg = KernelConfig::new(8, 4, 16, 20, 24);
         let (ae, be) = cfg.pack_buffer_elems();
         assert_eq!(ae, packed_elems::<f32>(16, 20, 8));
+        // Six 4-wide panels carry more pad than three 8-wide shared ones.
         assert_eq!(be, packed_elems::<f32>(16, 24, 4));
+        assert!(be > packed_elems::<f32>(16, 24, 8));
         assert!(ae >= packed_elems::<f64>(16, 20, 8) && be >= packed_elems::<f64>(16, 24, 4));
+        // A 12 x 16 tile's shared pack pads 24 columns to one 48-wide
+        // panel, more than two 16-wide ones.
+        let (_, be) = KernelConfig::new(12, 16, 16, 20, 24).pack_buffer_elems();
+        assert_eq!(be, packed_elems::<f32>(16, 24, 48));
+        assert!(be > packed_elems::<f32>(16, 24, 16));
+        assert!(be >= packed_elems::<f64>(16, 24, 48));
     }
 
     #[test]

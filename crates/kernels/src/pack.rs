@@ -12,18 +12,36 @@
 //! The engine computes `C += alpha * A^T B` with `A: m x n`, `B: m x k`,
 //! `C: n x k`. In BLIS terms the *M* dimension of the product is `n`
 //! (columns of `A` become rows of `C`), the *N* dimension is `k`, and the
-//! reduction dimension is `m`. Both packed buffers are laid out so the
-//! microkernel reads them with unit stride:
+//! reduction dimension is `m`. The packed buffers are laid out so that
+//! each step of the microkernel's reduction reads a contiguous run of
+//! each operand:
 //!
 //! ```text
-//! apack (one KC x MC block of A, MR-wide micro-panels):
+//! apack (one KC x MC block of A, MR-wide panels):
 //!   panel u = columns [u*MR, (u+1)*MR) of the block
 //!   apack[u*(KC*MR + L) + p*MR + i] = A[pc + p, ic + u*MR + i]
 //!
-//! bpack (one KC x NC block of B, NR-wide micro-panels):
+//! bpack (one KC x NC block of B, NR-wide panels):
 //!   panel v = columns [v*NR, (v+1)*NR) of the block
 //!   bpack[v*(KC*NR + L) + p*NR + j] = alpha * B[pc + p, jc + v*NR + j]
+//!
+//! shared (syrk at alpha = 1: one KC x NC block of A, W = lcm(MR, NR)):
+//!   panel w = columns [w*W, (w+1)*W) of the block
+//!   shared[w*(KC*W + L) + p*W + q] = A[pc + p, jc + w*W + q]
 //! ```
+//!
+//! A micro-panel is `R` consecutive columns of one panel, `R` being the
+//! tile's `MR` (the `A` side) or `NR` (the `B` side); step `p` of the
+//! reduction reads its `R` elements at `p` times the panel's width, and
+//! the kernels take that width as their stride. In `apack` and `bpack`
+//! panel and micro-panel coincide. `syrk`'s diagonal block reads both
+//! sides from the one shared pack: the `MR`-row micro-panel at block
+//! column `o` (a multiple of `MR`) and the `NR`-column sliver at block
+//! column `o` (a multiple of `NR`) both start at
+//! `(o / W)*(KC*W + L) + o % W`, and since `W` is a multiple of both
+//! widths neither straddles two panels. `B` is `A` there, so one pack of
+//! the block replaces its `NR`-wide pack and every `MR`-wide pack of its
+//! rows.
 //!
 //! `L` is one 64-byte cache line of elements (8 `f64`, 16 `f32`): a pad
 //! after every panel that no kernel reads or writes. Without it the
@@ -40,10 +58,11 @@
 //! slice of a source row — packing is pure `memcpy`-shaped traffic.
 //!
 //! Ragged edges are padded with explicit zeros so the microkernel always
-//! sees full panels; the loop nest never *computes* with the padding (the
-//! edge tiles use a bounds-aware kernel), keeping measured flop counts
-//! exact for the op-counting [`Tracked`](ata_mat::tracked::Tracked)
-//! scalar.
+//! sees full panels. Only the intrinsic path computes with the padding
+//! (its partial tiles run on a scratch tile); on the portable and scalar
+//! paths the edge tiles use a bounds-aware kernel, keeping measured flop
+//! counts exact for the op-counting
+//! [`Tracked`](ata_mat::tracked::Tracked) scalar.
 //!
 //! # Buffer reuse
 //!
@@ -154,6 +173,26 @@ pub(crate) fn packed_elems<T>(kc: usize, w: usize, r: usize) -> usize {
     w.div_ceil(r) * panel_stride::<T>(kc, r)
 }
 
+/// Elements a kernel reads from a `kc`-step, `r`-wide micro-panel whose
+/// rows are `stride` apart: `(kc - 1) * stride + r`, none at `kc = 0`.
+/// Saturates rather than wraps, since the intrinsic kernels' bounds
+/// checks rest on it.
+#[inline]
+pub(crate) fn micro_panel_len(kc: usize, r: usize, stride: usize) -> usize {
+    kc.checked_sub(1)
+        .map_or(0, |steps| steps.saturating_mul(stride).saturating_add(r))
+}
+
+/// Panel width of `syrk`'s shared pack for an `mr x nr` tile,
+/// `lcm(mr, nr)`: the narrowest width both micro-panel widths divide.
+pub(crate) fn shared_width(mr: usize, nr: usize) -> usize {
+    let (mut a, mut b) = (mr, nr);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    mr / a * nr
+}
+
 /// Panel count below which [`pack_panels_par`] always stays serial: the
 /// pool round-trip costs more than copying a few panels.
 const PAR_PACK_MIN_PANELS: usize = 8;
@@ -170,8 +209,9 @@ const PAR_PACK_MIN_ELEMS: usize = 32_768;
 /// pass regardless of scheduling. Small blocks, single-thread pools, and
 /// non-`f32`/`f64` scalars stay serial; the latter keeps the op-counting
 /// `Tracked` scalar's thread-local counters on the calling thread.
-/// Inside a pool worker rayon runs nested iterators inline, so packs
-/// issued from already-parallel callers (AtA-S leaves) degrade to the
+/// Inside a pool worker, and in the bucket a submitter runs itself,
+/// rayon runs nested iterators inline, so packs issued from
+/// already-parallel callers (AtA-S leaves, shard threads) degrade to the
 /// serial pass instead of deadlocking or oversubscribing.
 ///
 /// # Panics
@@ -328,6 +368,19 @@ mod tests {
     }
 
     #[test]
+    fn shared_width_is_the_least_common_multiple() {
+        for (mr, nr, w) in [
+            (12, 16, 48),
+            (8, 16, 16),
+            (6, 8, 24),
+            (8, 48, 48),
+            (5, 3, 15),
+        ] {
+            assert_eq!(shared_width(mr, nr), w, "({mr}, {nr})");
+        }
+    }
+
+    #[test]
     fn scaling_variants() {
         let src = Matrix::from_fn(2, 2, |i, j| (1 + i * 2 + j) as f64);
         let need = packed_elems::<f64>(2, 2, 2);
@@ -430,12 +483,16 @@ mod tests {
         );
     }
 
-    /// Every panel width a tile on any menu asks for.
+    /// Every panel width a tile on any menu asks for: its `mr`, its
+    /// `nr`, and syrk's shared `lcm(mr, nr)`.
     fn menu_widths() -> Vec<usize> {
         let mut widths: Vec<usize> = crate::simd::INTRINSIC_MENUS
             .into_iter()
             .chain([crate::micro::KernelConfig::MENU])
-            .flat_map(|menu| menu.iter().flat_map(|&(mr, nr)| [mr, nr]))
+            .flat_map(|menu| {
+                menu.iter()
+                    .flat_map(|&(mr, nr)| [mr, nr, shared_width(mr, nr)])
+            })
             .collect();
         widths.sort_unstable();
         widths.dedup();

@@ -180,16 +180,21 @@ pub fn has_kernels<T: Scalar>() -> bool {
 /// Try to run one full `mr x nr` tile of `C += Ap^T Bp` through an
 /// intrinsic kernel: the AVX-512 one when the host has AVX-512 and the
 /// tile is on that menu, else the AVX2 one when the host has AVX2 + FMA
-/// and the tile is on that menu. Returns `false` when no kernel takes
-/// the tile — the caller must then fall through to the portable kernel
-/// on the same packed operands (the graceful, bit-identical fallback).
+/// and the tile is on that menu. Step `p` of the reduction reads
+/// `ap[p * sa..][..mr]` and `bp[p * sb..][..nr]`. Returns `false` when
+/// no kernel takes the tile — the caller must then fall through to the
+/// portable kernel on the same packed operands (the graceful,
+/// bit-identical fallback).
 #[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn full_tile<T: Scalar>(
     mr: usize,
     nr: usize,
     kc: usize,
     ap: &[T],
+    sa: usize,
     bp: &[T],
+    sb: usize,
     c: &mut MatMut<'_, T>,
 ) -> bool {
     if !supports(Isa::Fma) {
@@ -207,7 +212,8 @@ pub(crate) fn full_tile<T: Scalar>(
                 &mut *(c as *mut MatMut<'_, T> as *mut MatMut<'_, f64>),
             )
         };
-        return x86::tile_f64_avx512(mr, nr, kc, ap, bp, c) || x86::tile_f64(mr, nr, kc, ap, bp, c);
+        return x86::tile_f64_avx512(mr, nr, kc, ap, sa, bp, sb, c)
+            || x86::tile_f64(mr, nr, kc, ap, sa, bp, sb, c);
     }
     if t == TypeId::of::<f32>() {
         // SAFETY: `T` is exactly `f32` (TypeId equality above); same
@@ -219,19 +225,23 @@ pub(crate) fn full_tile<T: Scalar>(
                 &mut *(c as *mut MatMut<'_, T> as *mut MatMut<'_, f32>),
             )
         };
-        return x86::tile_f32_avx512(mr, nr, kc, ap, bp, c) || x86::tile_f32(mr, nr, kc, ap, bp, c);
+        return x86::tile_f32_avx512(mr, nr, kc, ap, sa, bp, sb, c)
+            || x86::tile_f32(mr, nr, kc, ap, sa, bp, sb, c);
     }
     false
 }
 
 /// Non-x86-64 stub: no intrinsic kernels, every tile stays portable.
 #[cfg(not(target_arch = "x86_64"))]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn full_tile<T: Scalar>(
     _mr: usize,
     _nr: usize,
     _kc: usize,
     _ap: &[T],
+    _sa: usize,
     _bp: &[T],
+    _sb: usize,
     _c: &mut MatMut<'_, T>,
 ) -> bool {
     false
@@ -240,6 +250,7 @@ pub(crate) fn full_tile<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::{micro_panel_len, shared_width};
     use ata_mat::tracked::Tracked;
     use ata_mat::Matrix;
 
@@ -308,7 +319,7 @@ mod tests {
         let bp = vec![Tracked(2.0); kc * 4];
         let mut c = Matrix::<Tracked>::zeros(4, 4);
         let mut cv = c.as_mut();
-        assert!(!full_tile(4, 4, kc, &ap, &bp, &mut cv));
+        assert!(!full_tile(4, 4, kc, &ap, 4, &bp, 4, &mut cv));
         assert_eq!(c.as_ref().row(0)[0], Tracked(0.0), "tile left untouched");
     }
 
@@ -328,7 +339,10 @@ mod tests {
                     .collect();
                 let mut c = Matrix::<T>::zeros(mr, nr);
                 let tag = format!("{} {} ({mr},{nr})", isa.name(), T::NAME);
-                assert!(full_tile(mr, nr, kc, &ap, &bp, &mut c.as_mut()), "{tag}");
+                assert!(
+                    full_tile(mr, nr, kc, &ap, mr, &bp, nr, &mut c.as_mut()),
+                    "{tag}"
+                );
                 for i in 0..mr {
                     for j in 0..nr {
                         let want: f64 = (0..kc)
@@ -355,32 +369,50 @@ mod tests {
     /// the chain `acc = c; acc = fma(a, b, acc)` over `p` under the
     /// inherent fused `mul_add` (never `Scalar::mul_add`, which is
     /// unfused), at depths that leave every remainder of the kernels'
-    /// 4-step unroll.
+    /// 4-step unroll, and whatever the micro-panel strides: as wide as
+    /// the tile (gemm), as wide as syrk's shared pack, and odd. Elements
+    /// between micro-panel rows are NaN, so a kernel that read one would
+    /// show.
     fn check_fused_chain<T: Scalar>(fma: fn(T, T, T) -> T) {
         for kc in [0usize, 1, 2, 3, 4, 5, 17, 256] {
             for (isa, menu) in supported_menus::<T>() {
                 for &(mr, nr) in menu {
-                    let ap: Vec<T> = (0..kc * mr)
-                        .map(|i| T::from_f64((i as f64 * 0.7).sin()))
-                        .collect();
-                    let bp: Vec<T> = (0..kc * nr)
-                        .map(|i| T::from_f64((i as f64 * 0.3 + 1.0).cos()))
-                        .collect();
+                    let a = |p: usize, i: usize| T::from_f64(((p * mr + i) as f64 * 0.7).sin());
+                    let b =
+                        |p: usize, j: usize| T::from_f64(((p * nr + j) as f64 * 0.3 + 1.0).cos());
                     let seed = |i: usize, j: usize| T::from_f64(((i * nr + j) as f64).tan());
-                    let mut c = Matrix::<T>::from_fn(mr, nr, seed);
-                    let tag = format!("{} {} ({mr},{nr}) kc {kc}", isa.name(), T::NAME);
-                    assert!(full_tile(mr, nr, kc, &ap, &bp, &mut c.as_mut()), "{tag}");
-                    for i in 0..mr {
-                        for j in 0..nr {
-                            let want = (0..kc).fold(seed(i, j), |acc, p| {
-                                fma(ap[p * mr + i], bp[p * nr + j], acc)
-                            });
-                            let got = c.as_ref().row(i)[j];
-                            assert_eq!(
-                                got.to_f64().to_bits(),
-                                want.to_f64().to_bits(),
-                                "{tag} at ({i},{j}): {got:?} vs {want:?}"
-                            );
+                    let w = shared_width(mr, nr);
+                    for (sa, sb) in [(mr, nr), (w, w), (mr + 3, nr + 5)] {
+                        let strided = |r: usize, s: usize, at: &dyn Fn(usize, usize) -> T| {
+                            (0..micro_panel_len(kc, r, s))
+                                .map(|e| match e % s {
+                                    q if q < r => at(e / s, q),
+                                    _ => T::from_f64(f64::NAN),
+                                })
+                                .collect::<Vec<T>>()
+                        };
+                        let (ap, bp) = (strided(mr, sa, &a), strided(nr, sb, &b));
+                        let mut c = Matrix::<T>::from_fn(mr, nr, seed);
+                        let tag = format!(
+                            "{} {} ({mr},{nr}) kc {kc} strides ({sa},{sb})",
+                            isa.name(),
+                            T::NAME
+                        );
+                        assert!(
+                            full_tile(mr, nr, kc, &ap, sa, &bp, sb, &mut c.as_mut()),
+                            "{tag}"
+                        );
+                        for i in 0..mr {
+                            for j in 0..nr {
+                                let want =
+                                    (0..kc).fold(seed(i, j), |acc, p| fma(a(p, i), b(p, j), acc));
+                                let got = c.as_ref().row(i)[j];
+                                assert_eq!(
+                                    got.to_f64().to_bits(),
+                                    want.to_f64().to_bits(),
+                                    "{tag} at ({i},{j}): {got:?} vs {want:?}"
+                                );
+                            }
                         }
                     }
                 }
@@ -404,15 +436,39 @@ mod tests {
             let short_b = vec![1.0f64; kc * nr - 1];
             let full_b = vec![1.0f64; kc * nr];
             let mut c = Matrix::<f64>::zeros(mr, nr);
-            assert!(!full_tile(mr, nr, kc, &short_a, &full_b, &mut c.as_mut()));
-            assert!(!full_tile(mr, nr, kc, &full_a, &short_b, &mut c.as_mut()));
+            let mut cv = c.as_mut();
+            assert!(!full_tile(mr, nr, kc, &short_a, mr, &full_b, nr, &mut cv));
+            assert!(!full_tile(mr, nr, kc, &full_a, mr, &short_b, nr, &mut cv));
+            // A wider stride needs `(kc - 1) * stride + r` elements.
+            assert!(!full_tile(
+                mr,
+                nr,
+                kc,
+                &full_a,
+                mr + 1,
+                &full_b,
+                nr,
+                &mut cv
+            ));
+            assert!(!full_tile(
+                mr,
+                nr,
+                kc,
+                &full_a,
+                mr,
+                &full_b,
+                nr + 1,
+                &mut cv
+            ));
             let mut wrong = Matrix::<f64>::zeros(mr, nr - 1);
             assert!(!full_tile(
                 mr,
                 nr,
                 kc,
                 &full_a,
+                mr,
                 &full_b,
+                nr,
                 &mut wrong.as_mut()
             ));
             assert_eq!(c.as_ref().row(0)[0], 0.0, "rejected tiles stay untouched");

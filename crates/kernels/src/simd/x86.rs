@@ -19,6 +19,12 @@
 //! 32 f32 columns wide, wider than any AVX2 tile), so the tile shape
 //! alone picks the kernel set.
 //!
+//! Each kernel reads its micro-panels at the strides the engine passes:
+//! step `p` of the reduction reads `ap[p * sa..][..MR]` and
+//! `bp[p * sb..][..NR]`. `gemm` passes `sa = MR` and `sb = NR` (its
+//! panels are as wide as the tile); `syrk`'s diagonal block reads both
+//! from one pack of width `lcm(MR, NR)` (see [`crate::pack`]).
+//!
 //! Each kernel computes a whole `MR x NR` tile. The engine runs ragged
 //! edges and diagonal straddles through them too, on a scratch tile it
 //! seeds from `C`'s live entries and writes back partially; these
@@ -35,6 +41,7 @@
 //! `f64::mul_add` / `f32::mul_add` (pinned by the `simd` module tests).
 
 use super::{supports, Isa};
+use crate::pack::micro_panel_len;
 use ata_mat::MatMut;
 use core::arch::x86_64::{
     __m256, __m256d, __m512, __m512d, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd,
@@ -59,26 +66,41 @@ const LANES_F32_512: usize = 16;
 macro_rules! fma_tile {
     ($name:ident, $features:literal, $elem:ty, $vec:ty, $lanes:expr, $setzero:ident,
      $set1:ident, $loadu:ident, $fmadd:ident, $storeu:ident, $mr:expr, $nrv:expr) => {
-        /// One full register tile of `C += Ap^T Bp`, fused.
+        /// One full register tile of `C += Ap^T Bp`, fused, reading
+        /// step `p` at `ap[p * sa..][..MR]` and `bp[p * sb..][..NR]`.
         ///
         /// # Safety
         /// The CPU must support every feature in the `target_feature`
-        /// list, `ap` must hold at least `kc * MR` elements, `bp` at
-        /// least `kc * NR`, and `c` must be an `MR x NR` tile
-        /// (`NR = LANES * NRV`). The dispatchers below check all four
-        /// before calling.
+        /// list, `ap` must hold at least `micro_panel_len(kc, MR, sa)`
+        /// elements, `bp` at least `micro_panel_len(kc, NR, sb)`, and `c`
+        /// must be an `MR x NR` tile (`NR = LANES * NRV`). The
+        /// dispatchers below check all four before calling.
         #[target_feature(enable = $features)]
-        unsafe fn $name(kc: usize, ap: &[$elem], bp: &[$elem], c: &mut MatMut<'_, $elem>) {
+        unsafe fn $name(
+            kc: usize,
+            ap: &[$elem],
+            sa: usize,
+            bp: &[$elem],
+            sb: usize,
+            c: &mut MatMut<'_, $elem>,
+        ) {
             const MR: usize = $mr;
             const NRV: usize = $nrv;
             const NR: usize = NRV * $lanes;
             debug_assert_eq!(c.shape(), (MR, NR));
-            debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+            debug_assert!(
+                ap.len() >= micro_panel_len(kc, MR, sa) && bp.len() >= micro_panel_len(kc, NR, sb)
+            );
             // SAFETY: the dispatcher verified the feature set via the
-            // cached runtime detection and checked `ap.len() >= kc * MR`,
-            // `bp.len() >= kc * NR`, and `c.shape() == (MR, NR)`, so
-            // every unaligned load/store below stays inside its slice or
-            // row (`p < kc`, lane offsets `< NR`, row indices `< MR`).
+            // cached runtime detection and checked that `ap` holds
+            // `(kc - 1) * sa + MR` elements, `bp` holds
+            // `(kc - 1) * sb + NR` (nothing at `kc = 0`), and
+            // `c.shape() == (MR, NR)`. Step `p < kc` loads at
+            // `p * sa + i` (`i < MR`) and `p * sb + lane` (`lane < NR`),
+            // so every unaligned load/store below stays inside its slice
+            // or row. The pointers advance with `wrapping_add`, since
+            // after the last step they may point past the slice; they are
+            // not read there.
             unsafe {
                 let mut acc: [[$vec; NRV]; MR] = [[$setzero(); NRV]; MR];
                 for (i, arow) in acc.iter_mut().enumerate() {
@@ -103,8 +125,8 @@ macro_rules! fma_tile {
                                 *a = $fmadd(ai, bvec[v], *a);
                             }
                         }
-                        app = app.add(MR);
-                        bpp = bpp.add(NR);
+                        app = app.wrapping_add(sa);
+                        bpp = bpp.wrapping_add(sb);
                     };
                 }
                 for _ in 0..kc / 4 {
@@ -236,15 +258,21 @@ macro_rules! tile_dispatch {
     ($(#[$doc:meta])* $name:ident, $elem:ty, $isa:expr,
      $(($mr:literal, $nr:literal) => $kernel:ident),+ $(,)?) => {
         $(#[$doc])*
+        #[allow(clippy::too_many_arguments)]
         pub(super) fn $name(
             mr: usize,
             nr: usize,
             kc: usize,
             ap: &[$elem],
+            sa: usize,
             bp: &[$elem],
+            sb: usize,
             c: &mut MatMut<'_, $elem>,
         ) -> bool {
-            if !supports($isa) || ap.len() < kc * mr || bp.len() < kc * nr || c.shape() != (mr, nr)
+            if !supports($isa)
+                || ap.len() < micro_panel_len(kc, mr, sa)
+                || bp.len() < micro_panel_len(kc, nr, sb)
+                || c.shape() != (mr, nr)
             {
                 return false;
             }
@@ -252,10 +280,11 @@ macro_rules! tile_dispatch {
             // runtime detection that the CPU has every target feature
             // this dispatcher's kernels enable, and the operand bounds
             // above are exactly the kernels' preconditions (`ap` holds
-            // `kc * mr`, `bp` holds `kc * nr`, `c` is `mr x nr`).
+            // `micro_panel_len(kc, mr, sa)`, `bp` holds
+            // `micro_panel_len(kc, nr, sb)`, `c` is `mr x nr`).
             unsafe {
                 match (mr, nr) {
-                    $(($mr, $nr) => $kernel(kc, ap, bp, c),)+
+                    $(($mr, $nr) => $kernel(kc, ap, sa, bp, sb, c),)+
                     _ => return false,
                 }
             }

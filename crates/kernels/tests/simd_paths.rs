@@ -506,6 +506,65 @@ proptest! {
     }
 }
 
+/// Tiles the shared-pack property draws from; their `lcm(mr, nr)`
+/// panel widths are 48, 24, 48, 16, 24 and 8.
+const SHARED_TILES: [(usize, usize); 6] = [(12, 16), (8, 24), (6, 16), (4, 16), (6, 8), (8, 4)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On every tile path, `syrk_ln`'s lower triangle carries the very
+    /// bits of `gemm_tn(alpha, A, A)` and its strict upper triangle keeps
+    /// `C`'s: `syrk` reads both sides of each diagonal block from one
+    /// shared pack at `alpha = 1`, and `gemm` packs `A` and `B` apart.
+    /// `n` falls below and above a small explicit `nc`, and is mostly
+    /// ragged against the shared panel width; `mc` is never a multiple
+    /// of `mr`, and `A` is a strided view.
+    #[test]
+    fn syrk_is_the_lower_triangle_of_gemm_on_every_path(
+        tile in 0usize..6,
+        m in 1usize..40,
+        n in 1usize..130,
+        nc in 1usize..70,
+        kc_sel in 0usize..3,
+        (mc_tiles, mc_extra) in (0usize..3, 1usize..4),
+        alpha_sel in 0usize..3,
+        (r0, c0) in (0usize..3, 0usize..5),
+    ) {
+        let (mr, nr) = SHARED_TILES[tile];
+        let kc = [1, 7, m + 3][kc_sel];
+        let cfg = KernelConfig::new(mr, nr, kc, mc_tiles * mr + mc_extra, nc);
+        let alpha = [1.0, -1.0, 0.375][alpha_sel];
+        let big = gen::standard::<f64>((m * 131 + n) as u64, m + r0 + 2, n + c0 + 3);
+        let a = big.as_ref().block(r0, r0 + m, c0, c0 + n);
+        let seed = gen::standard::<f64>(n as u64 + 7, n, n);
+        let mut bufs = PackBufs::<f64>::new();
+        for path in [MicroPath::Intrinsic, MicroPath::Portable, MicroPath::Scalar] {
+            let mut syrk = seed.clone();
+            syrk_ln_micro_path_with(path, alpha, a, &mut syrk.as_mut(), &cfg, &mut bufs);
+            let mut gemm = seed.clone();
+            gemm_tn_micro_path_with(path, alpha, a, a, &mut gemm.as_mut(), &cfg, &mut bufs);
+            for i in 0..n {
+                let rows = syrk.as_ref().row(i).iter();
+                let rows = rows.zip(gemm.as_ref().row(i)).zip(seed.as_ref().row(i));
+                for (j, ((got, lower), upper)) in rows.enumerate() {
+                    let want = if j <= i { lower } else { upper };
+                    prop_assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{:?} {:?} alpha {} at ({}, {})",
+                        path,
+                        cfg,
+                        alpha,
+                        i,
+                        j
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn dispatch_is_coherent_with_the_detected_isa() {
     // The one-time detection result, the kernel-availability probe and

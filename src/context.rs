@@ -640,7 +640,9 @@ pub fn default_context() -> &'static AtaContext {
 /// Packing buffers `(apack, bpack)` the leaves of an `m x n` plan need:
 /// the tuned blocking clamped to the plan's shape, since no leaf of the
 /// recursion is larger than its input. A small plan thus warms no more
-/// than it packs, however wide the tuned `nc`.
+/// than it packs, however wide the tuned `nc`. The `B` side covers both
+/// a `gemm_tn` leaf's `nr`-wide pack and a `syrk_ln` leaf's shared
+/// `lcm(mr, nr)`-wide one.
 fn pack_buffer_elems<T: Scalar>(m: usize, n: usize) -> (usize, usize) {
     let cfg = KernelConfig::for_scalar::<T>();
     let (kc, mc, nc) = (cfg.kc.min(m), cfg.mc.min(n), cfg.nc.min(n));
@@ -1265,6 +1267,35 @@ mod tests {
         let warm = ata_kernels::pack::thread_buf_elems::<f64>();
         assert!(warm >= a_elems + b_elems);
         let _ = plan.execute(gen::standard::<f64>(3, 64, 48).as_ref());
+        assert_eq!(ata_kernels::pack::thread_buf_elems::<f64>(), warm);
+        // One column past a tile: syrk's shared pack pads it to one
+        // `lcm(mr, nr)`-wide panel, which outgrows two `nr`-wide gemm
+        // panels once `lcm(mr, nr) >= 3 nr` (the 12 x 16 AVX-512 tile).
+        // The plan warms the larger, and the execute grows nothing.
+        let n = cfg.nr + 1;
+        let plan = ctx.plan::<f64>(64, n);
+        let clamped = KernelConfig {
+            kc: cfg.kc.min(64),
+            mc: cfg.mc.min(n),
+            nc: cfg.nc.min(n),
+            ..cfg
+        };
+        let (a_elems, b_elems) = clamped.pack_buffer_elems();
+        assert_eq!(plan.pack_workspace_elems(), a_elems + b_elems);
+        // With `mr = nr` the shared width is `nr`: the gemm-only size.
+        let gemm_only = KernelConfig {
+            mr: cfg.nr,
+            ..clamped
+        };
+        let gemm_b = gemm_only.pack_buffer_elems().1;
+        let width = (1..).map(|q| q * cfg.nr).find(|w| w % cfg.mr == 0).unwrap();
+        assert!(b_elems >= gemm_b);
+        if width >= 3 * cfg.nr {
+            assert!(b_elems > gemm_b, "{cfg:?}: {b_elems} vs {gemm_b}");
+        }
+        let warm = ata_kernels::pack::thread_buf_elems::<f64>();
+        assert!(warm >= a_elems + b_elems);
+        let _ = plan.execute(gen::standard::<f64>(4, 64, n).as_ref());
         assert_eq!(ata_kernels::pack::thread_buf_elems::<f64>(), warm);
         // The dist backend packs rank-side; the plan reports zero.
         let dist = AtaContext::simulated_dist(NonZeroUsize::new(2).unwrap(), CostModel::zero());
