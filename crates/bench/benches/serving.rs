@@ -1,7 +1,8 @@
 //! Serving-surface benchmark + machine-readable perf record:
 //! `BENCH_serving.json`.
 //!
-//! Two serving shapes, each against its pre-redesign comparator:
+//! Two serving shapes, each against its pre-redesign comparator, and
+//! one flood through the sharded service:
 //!
 //! * **batch** — `execute_batch` (whole problems fanned out one-per-
 //!   worker across the persistent pool) vs a reused-plan serial loop
@@ -12,12 +13,18 @@
 //!   plan on the fully materialized matrix at the same total rows.
 //!   Streaming trades a little arithmetic locality for `O(n²)` resident
 //!   memory; the record tracks that the overhead stays modest.
+//! * **flood** — a fixed mixed window of whole-lane jobs served through
+//!   a warmed 2-shard `ShardedService` over `shared(2)`, split lane off:
+//!   seconds per job, and the minor page faults each job costs
+//!   (`flood_faults_per_job`, from `/proc/self/stat`; absent where that
+//!   cannot be read). A steady state that allocates nothing reads a few.
 //!
 //! Each shape times its calls in interleaved rounds
 //! (`ata_kernels::timing`) and reports ratios as medians of per-round
 //! ratios. The batch shape also times the serial loop twice: the A/A
 //! row, which a full run must hold within 3% before it writes the record
-//! (schema 2 added its `aa_ratio` field; see `ata_bench::aa_gate`).
+//! (schema 2 added its `aa_ratio` field; see `ata_bench::aa_gate`;
+//! schema 3 the flood row and its fault count).
 //!
 //! Smoke mode for CI: set `ATA_BENCH_SMOKE=1` for one timed round per
 //! shape (rot guard; the JSON goes to `target/`, see
@@ -34,6 +41,7 @@ use std::num::NonZeroUsize;
 
 use ata::kernels::timing::Quartiles;
 use ata::mat::{gen, Matrix};
+use ata::shard::ShardedServiceBuilder;
 use ata::{AtaContext, Output};
 use ata_bench::{aa_field, aa_gate, record_rounds, smoke, write_record};
 
@@ -166,6 +174,83 @@ fn measure_stream(recs: &mut Vec<Rec>) -> f64 {
     r.ratio(2, 1).median
 }
 
+/// The flood's window: shapes of `serve_flood`'s menu in its
+/// proportions, mostly ~1 ms `syrk` leaves, four copies per window.
+const FLOOD_MENU: [(usize, usize); 8] = [
+    (24, 12),
+    (96, 48),
+    (384, 256),
+    (384, 256),
+    (512, 192),
+    (512, 192),
+    (1024, 128),
+    (1024, 128),
+];
+const FLOOD_WINDOW: usize = 4 * FLOOD_MENU.len();
+const FLOOD_THREADS: usize = 2;
+/// Windows pushed through the fresh service before timing: they warm
+/// the plans, pack buffers and each shard's spare storage.
+const FLOOD_WARM_WINDOWS: usize = 4;
+
+/// Minor page faults of this process so far: field 10 of
+/// `/proc/self/stat`, or `None` where that cannot be read.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesized command name start at field 3.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Whole-lane flood: each call submits one window and waits on every
+/// job. Returns the minor faults per job over the timed calls, where
+/// they can be read.
+fn measure_flood(recs: &mut Vec<Rec>) -> Option<f64> {
+    let inputs: Vec<Matrix<f64>> = (0..FLOOD_WINDOW)
+        .map(|k| {
+            let (m, n) = FLOOD_MENU[k % FLOOD_MENU.len()];
+            gen::standard::<f64>(k as u64, m, n)
+        })
+        .collect();
+    let ctx = AtaContext::shared(NonZeroUsize::new(FLOOD_THREADS).expect("2 > 0"));
+    let svc = ShardedServiceBuilder::new(&ctx)
+        .shards(2)
+        .split_words(usize::MAX)
+        .build::<f64>();
+    let window = || {
+        let handles: Vec<_> = inputs
+            .iter()
+            .map(|a| svc.submit(a.clone()).expect("the flood's service accepts"))
+            .collect();
+        for h in handles {
+            black_box(h.wait().expect("a flood job completes").order());
+        }
+    };
+    for _ in 0..FLOOD_WARM_WINDOWS {
+        window();
+    }
+    let faults0 = minor_faults();
+    let mut jobs = 0;
+    let r = record_rounds(1, |_| {
+        window();
+        jobs += FLOOD_WINDOW;
+    });
+    let faults = minor_faults().zip(faults0).map(|(f1, f0)| f1 - f0);
+    let per_job = faults.map(|f| f as f64 / jobs as f64);
+    recs.push(Rec {
+        mode: "flood",
+        scheme: "whole",
+        // A mixed window has no one shape.
+        m: 0,
+        n: 0,
+        problems: FLOOD_WINDOW,
+        workers: FLOOD_THREADS,
+        chunk: 0,
+        total_rows: 0,
+        secs_per_call: r.median(0) / FLOOD_WINDOW as f64,
+    });
+    per_job
+}
+
 fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -173,6 +258,7 @@ fn main() {
     let mut recs = Vec::new();
     let (batch_speedup, aa) = measure_batch(&mut recs);
     let stream_ratio = measure_stream(&mut recs);
+    let flood_faults = measure_flood(&mut recs);
 
     for r in &recs {
         println!(
@@ -189,6 +275,10 @@ fn main() {
         "serving: one-shot is {stream_ratio:.2}x the 512-row-chunk accumulator \
          ({STREAM_ROWS} rows x {STREAM_N} cols)"
     );
+    match flood_faults {
+        Some(f) => println!("serving: the whole-lane flood takes {f:.2} minor faults per job"),
+        None => println!("serving: minor faults unreadable here; the record omits them"),
+    }
     aa_gate("serving (reused-plan serial loop vs itself)", aa);
 
     let results: Vec<String> = recs
@@ -210,18 +300,16 @@ fn main() {
             )
         })
         .collect();
-    write_record(
-        "serving",
-        "serving",
-        2,
-        &[
-            ("host_cpus", host_cpus.to_string()),
-            ("speedup_batched_over_looped", format!("{batch_speedup:.4}")),
-            ("oneshot_over_accumulator", format!("{stream_ratio:.4}")),
-            aa_field(aa),
-        ],
-        &results,
-    );
+    let mut fields = vec![
+        ("host_cpus", host_cpus.to_string()),
+        ("speedup_batched_over_looped", format!("{batch_speedup:.4}")),
+        ("oneshot_over_accumulator", format!("{stream_ratio:.4}")),
+    ];
+    if let Some(f) = flood_faults {
+        fields.push(("flood_faults_per_job", format!("{f:.3}")));
+    }
+    fields.push(aa_field(aa));
+    write_record("serving", "serving", 3, &fields, &results);
 
     if !smoke() && host_cpus >= 2 {
         assert!(

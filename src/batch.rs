@@ -17,12 +17,12 @@
 //! pool: there is no fork/join barrier per problem and no cross-worker
 //! traffic inside one product.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ata_mat::{MatRef, Scalar};
 use rayon::prelude::*;
 
-use crate::context::{lock_recover, AtaContext, AtaOutput, Output, PlanCore};
+use crate::context::{AtaContext, AtaOutput, Executed, Output, PlanCore};
 
 /// A reusable plan for a *set* of Gram problems, executed as whole
 /// problems across the context's worker pool.
@@ -123,6 +123,26 @@ impl<T: Scalar + 'static> BatchPlan<T> {
     /// If `inputs.len() != self.len()` or any input is not its slot's
     /// planned shape.
     pub fn execute_batch(&self, inputs: &[MatRef<'_, T>]) -> Vec<AtaOutput<T>> {
+        let storage = inputs.iter().map(|_| Vec::new()).collect();
+        self.execute_batch_in(inputs, storage)
+            .into_iter()
+            .map(|(out, _)| out)
+            .collect()
+    }
+
+    /// [`BatchPlan::execute_batch`], building slot `i`'s output in
+    /// `storage[i]` when that holds at least `n²` elements (fresh zeroed
+    /// storage otherwise). Each storage moves into the pool with its
+    /// slot's item, and each result comes back with the dense scratch a
+    /// packed output was compacted from.
+    ///
+    /// # Panics
+    /// As [`BatchPlan::execute_batch`], or if `storage.len() != self.len()`.
+    pub(crate) fn execute_batch_in(
+        &self,
+        inputs: &[MatRef<'_, T>],
+        storage: Vec<Vec<T>>,
+    ) -> Vec<Executed<T>> {
         assert_eq!(
             inputs.len(),
             self.cores.len(),
@@ -130,30 +150,31 @@ impl<T: Scalar + 'static> BatchPlan<T> {
             self.cores.len(),
             inputs.len()
         );
-        let slots: Vec<Mutex<Option<AtaOutput<T>>>> =
-            (0..inputs.len()).map(|_| Mutex::new(None)).collect();
+        assert_eq!(storage.len(), inputs.len(), "one storage per input");
+        let mut results: Vec<Option<Executed<T>>> = inputs.iter().map(|_| None).collect();
+        let items: Vec<_> = results
+            .iter_mut()
+            .zip(&self.cores)
+            .zip(inputs)
+            .zip(storage)
+            .map(|(((slot, core), &a), storage)| (slot, core, a, storage))
+            .collect();
         let run = || {
-            (0..inputs.len())
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .for_each(|i| {
-                    let out = self.ctx.execute_core(&self.cores[i], inputs[i]);
-                    *lock_recover(&slots[i]) = Some(out);
-                });
+            items.into_par_iter().for_each(|(slot, core, a, storage)| {
+                *slot = Some(self.ctx.execute_core(core, a, storage));
+            });
         };
         match self.ctx.worker_pool() {
             Some(pool) => pool.install(run),
             None => run(),
         }
-        slots
+        results
             .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    // ata-lint: allow(no-unwrap-in-lib): the par_iter
-                    // above filled every slot, or it panicked and this
-                    // line was never reached.
-                    .expect("every slot filled")
+            .map(|r| {
+                // ata-lint: allow(no-unwrap-in-lib): the par_iter above
+                // filled every slot, or it panicked and this line was
+                // never reached.
+                r.expect("every slot filled")
             })
             .collect()
     }

@@ -156,6 +156,10 @@ impl<T: Scalar> AtaOutput<T> {
     }
 }
 
+/// One execution's output and, for [`Output::Packed`], the dense
+/// scratch it was compacted from (storage a caller may reuse).
+pub(crate) type Executed<T> = (AtaOutput<T>, Option<Vec<T>>);
+
 // ---------------------------------------------------------------------
 // Arena cache (type-erased, shared by all plans of a context).
 // ---------------------------------------------------------------------
@@ -604,13 +608,17 @@ impl AtaContext {
         self.inner.pool.as_ref()
     }
 
-    /// Execute a cached plan core through this context (fresh output).
+    /// Execute a cached plan core through this context, building the
+    /// output in `storage` when it holds at least `n²` elements (see
+    /// `PlanCore::execute`); a packed result also returns its dense
+    /// scratch.
     pub(crate) fn execute_core<T: Scalar + 'static>(
         &self,
         core: &PlanCore<T>,
         a: MatRef<'_, T>,
-    ) -> AtaOutput<T> {
-        core.execute(&self.inner, a)
+        storage: Vec<T>,
+    ) -> Executed<T> {
+        core.execute(&self.inner, a, storage)
     }
 
     /// Accumulate a cached plan core's product into `c`'s lower
@@ -857,32 +865,55 @@ impl<T: Scalar + 'static> PlanCore<T> {
         });
     }
 
-    fn execute_into(&self, inner: &ContextInner, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-        self.check_shapes(a, c);
-        if self.output == Output::Gram {
-            // The mirror overwrites the strict upper triangle.
+    /// Zero `c`'s lower triangle, which the accumulate adds into, and
+    /// its strict upper triangle too when `upper` (a Gram's mirror
+    /// overwrites it, and a packed result never reads it).
+    fn zero(&self, c: &mut MatMut<'_, T>, upper: bool) {
+        if upper {
+            c.fill_zero();
+        } else {
             for i in 0..self.n {
                 c.row_mut(i)[..=i].fill(T::ZERO);
             }
-        } else {
-            c.fill_zero();
         }
+    }
+
+    /// Accumulate into zeroed storage and mirror a Gram.
+    fn fill(&self, inner: &ContextInner, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
         self.accumulate_lower(inner, T::ONE, a, c);
         if self.output == Output::Gram {
             self.mirror(inner, c);
         }
     }
 
-    fn execute(&self, inner: &ContextInner, a: MatRef<'_, T>) -> AtaOutput<T> {
-        let mut c = Matrix::zeros(self.n, self.n);
-        self.accumulate_lower(inner, T::ONE, a, &mut c.as_mut());
+    fn execute_into(&self, inner: &ContextInner, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
+        self.check_shapes(a, c);
+        self.zero(c, self.output != Output::Gram);
+        self.fill(inner, a, c);
+    }
+
+    /// Execute into `storage` when it holds at least `n²` elements, whose
+    /// stale values are zeroed where the result reads them, and into
+    /// fresh zeroed storage otherwise; then wrap the dense result per the
+    /// plan's [`Output`]. A packed result also hands back the dense
+    /// scratch it was compacted from.
+    fn execute(&self, inner: &ContextInner, a: MatRef<'_, T>, mut storage: Vec<T>) -> Executed<T> {
+        let n = self.n;
+        let mut c = if storage.len() >= n * n {
+            storage.truncate(n * n);
+            let mut c = Matrix::from_vec(storage, n, n);
+            self.zero(&mut c.as_mut(), self.output == Output::Lower);
+            c
+        } else {
+            Matrix::zeros(n, n)
+        };
+        self.fill(inner, a, &mut c.as_mut());
         match self.output {
-            Output::Gram => {
-                self.mirror(inner, &mut c.as_mut());
-                AtaOutput::Dense(c)
-            }
-            Output::Lower => AtaOutput::Dense(c),
-            Output::Packed => AtaOutput::Packed(SymPacked::from_lower(&c)),
+            Output::Gram | Output::Lower => (AtaOutput::Dense(c), None),
+            Output::Packed => (
+                AtaOutput::Packed(SymPacked::from_lower(&c)),
+                Some(c.into_vec()),
+            ),
         }
     }
 }
@@ -984,7 +1015,7 @@ impl<T: Scalar + 'static> AtaPlan<'_, T> {
     /// # Panics
     /// If `a` is not the planned shape.
     pub fn execute(&self, a: MatRef<'_, T>) -> AtaOutput<T> {
-        self.core.execute(&self.ctx.inner, a)
+        self.core.execute(&self.ctx.inner, a, Vec::new()).0
     }
 
     /// Accumulate into a caller-held buffer: `C_low += A^T A`, the β = 1
@@ -1029,7 +1060,7 @@ impl<T: Scalar + 'static> OwnedPlan<T> {
     /// # Panics
     /// If `a` is not the planned shape.
     pub fn execute(&self, a: MatRef<'_, T>) -> AtaOutput<T> {
-        self.core.execute(&self.ctx.inner, a)
+        self.core.execute(&self.ctx.inner, a, Vec::new()).0
     }
 
     /// See [`AtaPlan::execute_accumulate`].

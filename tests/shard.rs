@@ -8,10 +8,14 @@
 //! (`attempts == 2` under the default budget) — so each poison kills at
 //! most two shards, and with three or more shards every innocent job
 //! still completes, bit-for-bit correct.
+//!
+//! Each shard builds its whole-lane outputs in the storage of inputs it
+//! has answered; the last two tests pin that reuse down: it happens,
+//! it stays within 8x of each output, and it carries no stale values.
 
 use ata::mat::{gen, reference, Matrix};
 use ata::shard::{JobError, ShardedServiceBuilder};
-use ata::AtaContext;
+use ata::{AtaContext, AtaOutput, Output};
 use proptest::prelude::*;
 
 fn oracle(a: &Matrix<f64>) -> Matrix<f64> {
@@ -134,5 +138,117 @@ proptest! {
             stats.predicted_root_recv_words,
             stats.simulated_root_recv_words
         );
+    }
+}
+
+#[test]
+fn outputs_reuse_answered_inputs_within_eight_times_their_size() {
+    let ctx = AtaContext::serial();
+    let svc = ShardedServiceBuilder::new(&ctx).shards(1).build::<f64>();
+    // One job at a time: the output's address and its storage.
+    let serve = |a: Matrix<f64>| {
+        let n = a.cols();
+        let g = svc.submit(a).expect("accepts").wait().expect("completes");
+        let g = g.into_dense();
+        let ptr = g.as_slice().as_ptr();
+        let storage = g.into_vec();
+        assert_eq!(storage.len(), n * n);
+        assert!(
+            storage.capacity() <= 8 * n * n,
+            "an output of order {n} holds {} elements",
+            storage.capacity()
+        );
+        (ptr, storage)
+    };
+
+    // A 40 x 10 donor holds 400 elements, within 8x of the next job's
+    // 15^2 = 225: that output is built in the donor's storage.
+    let donor = gen::standard::<f64>(1, 40, 10);
+    let (ptr, len) = (donor.as_slice().as_ptr(), donor.as_slice().len());
+    serve(donor);
+    let (out, storage) = serve(gen::standard::<f64>(2, 30, 15));
+    assert_eq!(out, ptr, "the output is built in the donor");
+    assert_eq!(storage.capacity(), len);
+
+    // The only spare now is that job's 450-element input, more than 8x
+    // a 5 x 5 output: it stays unused and the output holds exactly n^2.
+    let (_, storage) = serve(gen::standard::<f64>(3, 4, 5));
+    assert_eq!(storage.capacity(), 25);
+
+    // A mixed run: every output within 8x of its n^2.
+    for (k, &(m, n)) in [(64, 8), (8, 24), (200, 3), (16, 16), (9, 40), (40, 9)]
+        .iter()
+        .cycle()
+        .take(30)
+        .enumerate()
+    {
+        serve(gen::standard::<f64>(10 + k as u64, m, n));
+    }
+}
+
+#[test]
+fn reused_storage_leaves_no_stale_values_and_survives_a_poison() {
+    const SPECIAL: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let bits = |out: AtaOutput<f64>| -> Vec<u64> {
+        match out {
+            AtaOutput::Dense(c) => c.as_slice().iter().map(|x| x.to_bits()).collect(),
+            AtaOutput::Packed(p) => p.as_slice().iter().map(|x| x.to_bits()).collect(),
+        }
+    };
+    for output in [Output::Gram, Output::Lower, Output::Packed] {
+        let ctx = AtaContext::serial();
+        let svc = ShardedServiceBuilder::new(&ctx)
+            .shards(3)
+            .max_batch(4)
+            .output(output)
+            .build::<f64>();
+        // Non-finite 64 x 16 inputs become every shard's spares.
+        let bad: Vec<_> = (0..12)
+            .map(|k| Matrix::from_fn(64, 16, |i, j| SPECIAL[(i + j + k) % 3]))
+            .map(|a| svc.submit(a).expect("accepts"))
+            .collect();
+        for h in bad {
+            h.wait().expect("a non-finite job still completes");
+        }
+        // Finite jobs whose n^2 fits those spares within 8x, with a
+        // poison mid-stream that kills up to two of the three shards.
+        let inputs: Vec<Matrix<f64>> = (0..24)
+            .map(|k| gen::standard::<f64>(k, 20 + k as usize, 12 + k as usize % 21))
+            .collect();
+        let mut poison = None;
+        let handles: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(k, a)| {
+                if k == 10 {
+                    poison = Some(svc.submit_poison());
+                }
+                svc.submit(a.clone()).expect("accepts")
+            })
+            .collect();
+        for (h, a) in handles.into_iter().zip(&inputs) {
+            let (m, n) = a.shape();
+            let got = h.wait().expect("an innocent job completes");
+            if let (Output::Lower, AtaOutput::Dense(c)) = (output, &got) {
+                for i in 0..n {
+                    assert!(
+                        c.row(i)[i + 1..].iter().all(|x| x.to_bits() == 0),
+                        "{m}x{n} Lower: strict upper not zero"
+                    );
+                }
+            }
+            let want = ctx.plan_with::<f64>(m, n, output).execute(a.as_ref());
+            assert!(
+                bits(got) == bits(want),
+                "{output:?} {m}x{n}: not bitwise AtaPlan::execute"
+            );
+        }
+        let poison = poison.expect("submitted").wait();
+        assert!(
+            matches!(poison, Err(JobError::Requeued { .. })),
+            "{output:?}: poison must be convicted, got {poison:?}"
+        );
+        let stats = svc.shutdown();
+        assert_eq!(stats.failed_jobs, 1, "{output:?}: only the poison fails");
     }
 }
