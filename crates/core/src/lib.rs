@@ -37,7 +37,7 @@
 //! assert_eq!(c[(0, 1)], 0.0);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod accuracy;
 pub mod analysis;

@@ -1,11 +1,12 @@
 //! AtA-S (Algorithm 3) — the shared-memory parallel algorithm.
 //!
 //! Phase 1 builds the [`SharedPlan`] task tree (§4.1); phase 2 hands each
-//! thread its tasks. Because the plan's `C` regions are pairwise
-//! disjoint by construction, the output buffer can be carved into one
-//! independent `MatMut` per task and the threads run with **no
+//! thread its tasks. The plan gives every `C` block exactly one writer,
+//! so the output buffer is split, by row and column cuts, into one
+//! independent `MatMut` per task, and the threads run with **no
 //! synchronization whatsoever** until the final join — the paper's
-//! "perfect parallelism by preventing memory collisions" (§4.2.1).
+//! "perfect parallelism by preventing memory collisions" (§4.2.1). A
+//! plan whose regions overlap is refused before any task runs.
 //!
 //! Each thread owns a private Strassen arena, sized once before the
 //! parallel phase, and processes its task list sequentially with the
@@ -13,47 +14,80 @@
 //! data throughout its entire lifespan", §4.2.1).
 
 use crate::serial::{ata_into_with_kind, ata_workspace_elems, StrassenKind};
-use crate::tasktree::{ComputeKind, SharedLeaf, SharedPlan};
+use crate::tasktree::{ComputeKind, Region, SharedLeaf, SharedPlan};
 use ata_kernels::CacheConfig;
 use ata_mat::{MatMut, MatRef, Scalar};
 use ata_strassen::ArenaPool;
 use rayon::prelude::*;
 
-/// Carve one disjoint `MatMut` per task out of `c`.
+/// Carve one `MatMut` per task out of `c`, in task order.
 ///
-/// The regions come from [`SharedPlan`], whose construction guarantees
-/// pairwise disjointness (property-tested in `tasktree`); a debug
-/// assertion re-checks here.
-fn carve_tasks<'c, T: Scalar>(
-    c: &'c mut MatMut<'_, T>,
-    tasks: &[SharedLeaf],
-) -> Vec<MatMut<'c, T>> {
-    #[cfg(debug_assertions)]
-    for (i, t1) in tasks.iter().enumerate() {
-        for t2 in &tasks[i + 1..] {
-            debug_assert!(
-                !t1.c.intersects(&t2.c),
-                "shared plan produced overlapping regions: {t1:?} vs {t2:?}"
-            );
-        }
+/// `c` is cut with [`MatMut::split_at_col_mut`] /
+/// [`MatMut::split_at_row_mut`] at a column or row that no task region
+/// crosses, recursively, until each part holds one region. Every split
+/// of the [`SharedPlan`] builder is a quadrant or strip cut, so its
+/// regions always separate this way; the views are disjoint because the
+/// splits make them so.
+///
+/// # Panics
+/// If two regions overlap, cannot be separated by such cuts, or leave
+/// `c` — in every build, before any task runs.
+fn carve_tasks<'c, T>(c: MatMut<'c, T>, tasks: &[SharedLeaf]) -> Vec<MatMut<'c, T>> {
+    let whole = Region::new(0, c.rows(), 0, c.cols());
+    let mut ids: Vec<usize> = (0..tasks.len()).collect();
+    let mut views = Vec::with_capacity(tasks.len());
+    if !ids.is_empty() {
+        carve(c, whole, tasks, &mut ids, &mut views);
     }
-    tasks
-        .iter()
-        .map(|t| {
-            // SAFETY-BY-CONSTRUCTION: each block_mut reborrows `c`, and the
-            // returned views address pairwise-disjoint element sets (checked
-            // above), so extending their lifetimes to 'c is sound. We go
-            // through `rb_mut`/`into_block` which performs the bounds
-            // checks; the transmute-free way to keep all views alive at
-            // once is to derive each from a fresh reborrow.
-            let view = c.rb_mut().into_block(t.c.r0, t.c.r1, t.c.c0, t.c.c1);
-            // SAFETY: the transmute only extends the view's lifetime from
-            // the reborrow to 'c; the element sets are pairwise disjoint
-            // (checked above), so the simultaneous unique views never
-            // alias and `c` itself is not used while they live.
-            unsafe { std::mem::transmute::<MatMut<'_, T>, MatMut<'c, T>>(view) }
-        })
-        .collect()
+    views.sort_unstable_by_key(|&(id, _)| id);
+    views.into_iter().map(|(_, view)| view).collect()
+}
+
+/// Split `view`, which covers `area` of `C`, until each part holds the
+/// region of one task of `ids`; push `(task id, view)` pairs to `out`.
+fn carve<'c, T>(
+    view: MatMut<'c, T>,
+    area: Region,
+    tasks: &[SharedLeaf],
+    ids: &mut [usize],
+    out: &mut Vec<(usize, MatMut<'c, T>)>,
+) {
+    if let [id] = *ids {
+        let r = tasks[id].c;
+        let (r0, r1) = (r.r0 - area.r0, r.r1 - area.r0);
+        out.push((id, view.into_block(r0, r1, r.c0 - area.c0, r.c1 - area.c0)));
+        return;
+    }
+    if let Some((k, at)) = free_cut(ids, |id| (tasks[id].c.c0, tasks[id].c.c1)) {
+        let (left, right) = view.split_at_col_mut(at - area.c0);
+        let (lo, hi) = ids.split_at_mut(k);
+        carve(left, Region { c1: at, ..area }, tasks, lo, out);
+        carve(right, Region { c0: at, ..area }, tasks, hi, out);
+    } else if let Some((k, at)) = free_cut(ids, |id| (tasks[id].c.r0, tasks[id].c.r1)) {
+        let (top, bottom) = view.split_at_row_mut(at - area.r0);
+        let (lo, hi) = ids.split_at_mut(k);
+        carve(top, Region { r1: at, ..area }, tasks, lo, out);
+        carve(bottom, Region { r0: at, ..area }, tasks, hi, out);
+    } else {
+        let regions: Vec<Region> = ids.iter().map(|&id| tasks[id].c).collect();
+        panic!("AtA-S plan regions overlap or no row or column cut separates them: {regions:?}");
+    }
+}
+
+/// A cut along one axis that no span crosses: sorts `ids` by span start
+/// and returns `(k, at)` such that the first `k` spans end at or before
+/// `at` and the rest start at or after it, with `0 < k < ids.len()`.
+fn free_cut(ids: &mut [usize], span: impl Fn(usize) -> (usize, usize)) -> Option<(usize, usize)> {
+    ids.sort_by_key(|&id| span(id).0);
+    let mut end = span(ids[0]).1;
+    for (k, &id) in ids.iter().enumerate().skip(1) {
+        let (start, stop) = span(id);
+        if start >= end {
+            return Some((k, start));
+        }
+        end = end.max(stop);
+    }
+    None
 }
 
 /// Lower triangle of `C += alpha * A^T A` computed by `threads`
@@ -129,8 +163,9 @@ pub fn plan_workspace_elems(
 /// passes an empty pool.
 ///
 /// # Panics
-/// If `plan` was built for a different `n` than `a.cols()`, or on
-/// inconsistent shapes.
+/// If `plan` was built for a different `n` than `a.cols()`, on
+/// inconsistent shapes, or if the plan's `C` regions overlap or no row
+/// and column cuts separate them — before any task runs.
 pub fn ata_s_planned<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -156,7 +191,7 @@ pub fn ata_s_planned<T: Scalar>(
         return;
     }
 
-    let views = carve_tasks(c, &plan.tasks);
+    let views = carve_tasks(c.rb_mut(), &plan.tasks);
 
     // Group (task, view) pairs by owning thread so each worker processes
     // its list sequentially with one private arena — mirroring the
@@ -308,6 +343,82 @@ mod tests {
         // capacity covered all executions.
         assert_eq!(arenas.cached(), threads);
         assert_eq!(arenas.cached_elems(), threads * need);
+    }
+
+    #[test]
+    fn carving_gives_each_task_exactly_its_region() {
+        for n in 1..40usize {
+            for procs in 1..20usize {
+                let plan = SharedPlan::build(n, procs);
+                let mut c = Matrix::<f64>::zeros(n, n);
+                for (id, mut view) in carve_tasks(c.as_mut(), &plan.tasks).into_iter().enumerate() {
+                    let r = plan.tasks[id].c;
+                    assert_eq!(view.shape(), (r.rows(), r.cols()), "n={n} P={procs}");
+                    for i in 0..r.rows() {
+                        view.row_mut(i).fill(id as f64 + 1.0);
+                    }
+                }
+                for (id, t) in plan.tasks.iter().enumerate() {
+                    for i in t.c.r0..t.c.r1 {
+                        for j in t.c.c0..t.c.c1 {
+                            assert_eq!(c[(i, j)], id as f64 + 1.0, "n={n} P={procs} ({i},{j})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_plan_is_refused_before_any_task_runs() {
+        // A second writer of one block, on the other thread: a data race
+        // on `C` if it ran. Carving must refuse it in every build.
+        let n = 64;
+        let mut plan = SharedPlan::build(n, 2);
+        let copy = SharedLeaf {
+            proc_id: 1,
+            ..plan.tasks[0]
+        };
+        plan.tasks.push(copy);
+        let a = gen::standard::<f64>(3, 40, n);
+        let mut c = Matrix::<f64>::zeros(n, n);
+        let arenas = ArenaPool::new();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ata_s_planned(
+                1.0,
+                a.as_ref(),
+                &mut c.as_mut(),
+                &plan,
+                &CacheConfig::default(),
+                StrassenKind::Classic,
+                &arenas,
+            )
+        }));
+        assert!(run.is_err(), "an overlapping plan ran");
+        assert!(c.as_slice().iter().all(|&x| x == 0.0), "a task wrote C");
+    }
+
+    #[test]
+    #[should_panic(expected = "no row or column cut separates them")]
+    fn disjoint_regions_no_cut_separates_are_refused() {
+        // A pinwheel: four blocks around a centre cell, pairwise
+        // disjoint, yet every full row or column cut crosses one.
+        let leaf = |r0, r1, c0, c1| SharedLeaf {
+            proc_id: 0,
+            kind: ComputeKind::AtB,
+            a_cols: (r0, r1),
+            b_cols: (c0, c1),
+            c: Region::new(r0, r1, c0, c1),
+        };
+        let tasks = [
+            leaf(0, 1, 0, 2),
+            leaf(0, 2, 2, 3),
+            leaf(2, 3, 1, 3),
+            leaf(1, 3, 0, 1),
+            leaf(1, 2, 1, 2),
+        ];
+        let mut c = Matrix::<f64>::zeros(3, 3);
+        let _ = carve_tasks(c.as_mut(), &tasks);
     }
 
     #[test]

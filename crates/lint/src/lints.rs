@@ -59,9 +59,8 @@ pub(crate) const LINT_NAMES: [&str; 6] = [
 
 /// Files in which `unsafe` is permitted (plus anything under
 /// `third_party/`, which the workspace walker skips entirely).
-pub(crate) const UNSAFE_ALLOWLIST: [&str; 4] = [
+pub(crate) const UNSAFE_ALLOWLIST: [&str; 3] = [
     "crates/mat/src/view.rs",
-    "crates/core/src/parallel.rs",
     "crates/kernels/src/simd/mod.rs",
     "crates/kernels/src/simd/x86.rs",
 ];

@@ -109,7 +109,7 @@ fn clean_fixture_is_silent_under_strictest_scoping() {
 #[test]
 fn documented_unsafe_fixture_is_silent() {
     let d = diags(
-        "crates/core/src/parallel.rs",
+        "crates/mat/src/view.rs",
         include_str!("fixtures/clean_unsafe.rs"),
     );
     assert!(d.is_empty(), "clean unsafe fixture tripped: {d:?}");

@@ -1,4 +1,4 @@
-//! The plan–execute API: [`AtaContext`], [`AtaPlan`] and [`OwnedPlan`].
+//! The plan–execute API: [`AtaContext`] and [`AtaPlan`].
 //!
 //! The paper's algorithms are built for *repeated* heavy use — Gram
 //! matrices inside least squares, SVD and covariance pipelines (§1) —
@@ -12,19 +12,18 @@
 //!    (backend, cache model, Strassen kind, wire format). Owns the
 //!    persistent worker pool and a cache of reusable Strassen arenas,
 //!    both shared by every plan created from it. Internally the context
-//!    is an `Arc` around its resources, so cloning is cheap and plans
-//!    can outlive the handle they were created from (see
-//!    [`AtaPlan::into_owned`]).
+//!    is an `Arc` around its resources, so cloning is cheap.
 //! 2. **Plan** ([`AtaPlan`]) — built once per `(m, n)` problem shape.
-//!    Pre-computes the §4.1 task tree and the exact workspace layout —
-//!    including, for the simulated-dist backend, the full
-//!    [`ata_dist::DistPlan`] (task tree + distribution layout), so
-//!    repeat executions rebuild nothing — then executes any number of
-//!    times against same-shape inputs, into caller-provided output
-//!    ([`AtaPlan::execute_into`]) or freshly allocated output
-//!    ([`AtaPlan::execute`]). [`AtaPlan::into_owned`] converts the
-//!    borrowed plan into a `'static`, [`Send`]able [`OwnedPlan`] for
-//!    long-lived services that move plans across threads.
+//!    Resolves the backend into one executor — the serial recursion, an
+//!    AtA-S task tree on the pool, or, for the simulated-dist backend,
+//!    the full [`ata_dist::DistPlan`] (task tree + distribution layout) —
+//!    and the exact workspace layout, so repeat executions rebuild
+//!    nothing; then executes any number of times against same-shape
+//!    inputs, into caller-provided output ([`AtaPlan::execute_into`]) or
+//!    freshly allocated output ([`AtaPlan::execute`]). A plan holds its
+//!    own context handle, so it is `'static` and [`Send`]: long-lived
+//!    services move it across threads, and it outlives the handle it
+//!    came from.
 //!
 //! The [`Backend`] enum unifies dispatch: the same plan API fronts the
 //! serial recursion (Algorithm 1), the shared-memory AtA-S (Algorithm 3)
@@ -464,7 +463,7 @@ impl AtaContext {
 
     /// Build a plan for an `m x n` input with the default
     /// [`Output::Gram`] selector.
-    pub fn plan<T: Scalar + 'static>(&self, m: usize, n: usize) -> AtaPlan<'_, T> {
+    pub fn plan<T: Scalar + 'static>(&self, m: usize, n: usize) -> AtaPlan<T> {
         self.plan_with(m, n, Output::Gram)
     }
 
@@ -485,27 +484,8 @@ impl AtaContext {
     /// [`crate::batch::BatchPlan`], [`crate::shard::ShardedService`], the
     /// one-shot conveniences — lean on this to re-plan per call for
     /// free.
-    pub fn plan_with<T: Scalar + 'static>(
-        &self,
-        m: usize,
-        n: usize,
-        output: Output,
-    ) -> AtaPlan<'_, T> {
+    pub fn plan_with<T: Scalar + 'static>(&self, m: usize, n: usize, output: Output) -> AtaPlan<T> {
         AtaPlan {
-            ctx: self,
-            core: self.inner.plan_core(m, n, output, PlanFlavor::Auto),
-        }
-    }
-
-    /// Build an owned, `'static` plan directly — equivalent to
-    /// `plan_with(..).into_owned()`.
-    pub fn plan_owned<T: Scalar + 'static>(
-        &self,
-        m: usize,
-        n: usize,
-        output: Output,
-    ) -> OwnedPlan<T> {
-        OwnedPlan {
             ctx: self.clone(),
             core: self.inner.plan_core(m, n, output, PlanFlavor::Auto),
         }
@@ -657,10 +637,28 @@ fn pack_buffer_elems<T: Scalar>(m: usize, n: usize) -> (usize, usize) {
     KernelConfig { kc, mc, nc, ..cfg }.pack_buffer_elems()
 }
 
+/// How a plan core runs `C_low += alpha * A^T A`: resolved once, at
+/// planning time, from the plan's flavor and the context's backend.
+#[derive(Debug)]
+enum Executor {
+    /// Algorithm 1 on the calling thread: [`Backend::Serial`], and every
+    /// serial-leaf core whatever the backend.
+    Serial,
+    /// AtA-S over a prebuilt task tree on the context's pool
+    /// ([`Backend::Shared`]).
+    Shared(SharedPlan),
+    /// AtA-D over a prebuilt task tree and distribution layout on the
+    /// simulated cluster ([`Backend::SimulatedDist`]).
+    Dist {
+        plan: DistPlan,
+        ranks: NonZeroUsize,
+        loggp: CostModel,
+    },
+}
+
 /// The context-independent part of a plan: everything pre-computed at
-/// planning time, shared by [`AtaPlan`] and [`OwnedPlan`] — and, through
-/// the context's shape-keyed cache, by every later plan of the same
-/// shape.
+/// planning time, shared through the context's shape-keyed cache by
+/// every [`AtaPlan`] of the same shape.
 #[derive(Debug)]
 pub(crate) struct PlanCore<T> {
     m: usize,
@@ -670,12 +668,8 @@ pub(crate) struct PlanCore<T> {
     flavor: PlanFlavor,
     /// The cache model resolved for `T` at planning time.
     cache: CacheConfig,
-    /// Prebuilt AtA-S task tree ([`Backend::Shared`] only).
-    shared: Option<SharedPlan>,
-    /// Prebuilt AtA-D plan — task tree + distribution layout
-    /// ([`Backend::SimulatedDist`] only). `Arc` so owned clones of the
-    /// plan share one tree.
-    dist: Option<Arc<DistPlan>>,
+    /// The engine every execution runs.
+    exec: Executor,
     /// Per-worker Strassen arena requirement, elements.
     ws_elems: usize,
     /// Per-thread packed-kernel buffer requirement, elements.
@@ -687,21 +681,19 @@ pub(crate) struct PlanCore<T> {
 impl<T: Scalar + 'static> PlanCore<T> {
     fn build(inner: &ContextInner, m: usize, n: usize, output: Output, flavor: PlanFlavor) -> Self {
         let cache = inner.cache_for::<T>();
-        let arenas = inner.arenas.pool::<T>();
-        let mut dist = None;
-        let (shared, ws_elems) = match (flavor, inner.backend) {
-            (PlanFlavor::SerialLeaf, _) | (PlanFlavor::Auto, Backend::Serial) => {
-                (None, ata_workspace_elems(m, n, &cache, inner.strassen))
-            }
+        let (exec, ws_elems) = match (flavor, inner.backend) {
+            (PlanFlavor::SerialLeaf, _) | (PlanFlavor::Auto, Backend::Serial) => (
+                Executor::Serial,
+                ata_workspace_elems(m, n, &cache, inner.strassen),
+            ),
             (PlanFlavor::Auto, Backend::Shared { threads }) => {
                 let plan = SharedPlan::build(n, threads.get());
                 let need = plan_workspace_elems(&plan, m, &cache, inner.strassen);
-                (Some(plan), need)
+                (Executor::Shared(plan), need)
             }
-            (PlanFlavor::Auto, Backend::SimulatedDist { ranks, .. }) => {
-                let cfg = inner.dist_config::<T>();
-                dist = Some(Arc::new(DistPlan::build(m, n, ranks.get(), &cfg)));
-                (None, 0)
+            (PlanFlavor::Auto, Backend::SimulatedDist { ranks, loggp }) => {
+                let plan = DistPlan::build(m, n, ranks.get(), &inner.dist_config::<T>());
+                (Executor::Dist { plan, ranks, loggp }, 0)
             }
         };
         // Leaf-kernel packing workspace (BLIS-style engine): sized from
@@ -711,18 +703,20 @@ impl<T: Scalar + 'static> PlanCore<T> {
         // ones), so the warmed buffers match whatever tile path
         // `ata_kernels::simd::detected()` dispatches at execute time.
         let (pack_a, pack_b) = pack_buffer_elems::<T>(m, n);
-        let pack_elems = if dist.is_some() { 0 } else { pack_a + pack_b };
+        let pack_elems = match exec {
+            Executor::Dist { .. } => 0,
+            _ => pack_a + pack_b,
+        };
         let core = PlanCore {
             m,
             n,
             output,
             flavor,
             cache,
-            shared,
-            dist,
+            exec,
             ws_elems,
             pack_elems,
-            arenas,
+            arenas: inner.arenas.pool::<T>(),
         };
         core.warm(inner);
         core
@@ -733,16 +727,16 @@ impl<T: Scalar + 'static> PlanCore<T> {
     /// thread's packing buffers. Idempotent and cheap once warm, so
     /// plan-cache hits re-run it for the benefit of new calling threads.
     fn warm(&self, inner: &ContextInner) {
-        let arena_count = match (self.flavor, inner.backend) {
-            (PlanFlavor::Auto, Backend::SimulatedDist { .. }) => 0,
-            (PlanFlavor::Auto, Backend::Serial) => 1,
-            (PlanFlavor::Auto, Backend::Shared { threads }) => threads.get(),
+        let arena_count = match &self.exec {
+            Executor::Dist { .. } => 0,
+            Executor::Shared(plan) => plan.procs,
             // Batched serving: any pool worker may pick up a whole
             // problem, so each needs its own arena.
-            (PlanFlavor::SerialLeaf, _) => match &inner.pool {
+            Executor::Serial if self.flavor == PlanFlavor::SerialLeaf => match &inner.pool {
                 Some(pool) => pool.current_num_threads(),
                 None => rayon::current_num_threads(),
             },
+            Executor::Serial => 1,
         };
         if arena_count > 0 {
             self.arenas.warm(arena_count, self.ws_elems);
@@ -796,16 +790,13 @@ impl<T: Scalar + 'static> PlanCore<T> {
         c: &mut MatMut<'_, T>,
     ) {
         self.check_shapes(a, c);
-        match (self.flavor, inner.backend) {
-            (PlanFlavor::SerialLeaf, _) | (PlanFlavor::Auto, Backend::Serial) => {
+        match &self.exec {
+            Executor::Serial => {
                 let mut ws = self.arenas.checkout(self.ws_elems);
                 ata_into_with_kind(alpha, a, c, &self.cache, inner.strassen, &mut ws);
                 self.arenas.give_back(ws);
             }
-            (PlanFlavor::Auto, Backend::Shared { .. }) => {
-                // ata-lint: allow(no-unwrap-in-lib): `PlanCore::build`
-                // populates `shared` whenever the backend is Shared.
-                let plan = self.shared.as_ref().expect("shared backend has a plan");
+            Executor::Shared(plan) => {
                 let mut exec =
                     || ata_s_planned(alpha, a, c, plan, &self.cache, inner.strassen, &self.arenas);
                 match &inner.pool {
@@ -813,17 +804,13 @@ impl<T: Scalar + 'static> PlanCore<T> {
                     None => exec(),
                 }
             }
-            (PlanFlavor::Auto, Backend::SimulatedDist { ranks, loggp }) => {
-                // ata-lint: allow(no-unwrap-in-lib): `PlanCore::build`
-                // populates `dist` whenever the backend is SimulatedDist.
-                let plan = self.dist.as_ref().expect("dist backend has a plan");
+            Executor::Dist { plan, ranks, loggp } => {
                 let owned = a.to_matrix();
-                let (input, plan_ref) = (&owned, plan.as_ref());
-                let report = run(ranks.get(), loggp, move |comm| {
+                let input = &owned;
+                let report = run(ranks.get(), *loggp, move |comm| {
                     let input = (comm.rank() == 0).then_some(input);
                     // Fault-free universe: execute cannot return Err.
-                    plan_ref
-                        .execute(input, comm)
+                    plan.execute(input, comm)
                         .unwrap_or_else(|e| panic!("fault-free AtA-D failed: {e}"))
                 });
                 let lower = report
@@ -844,15 +831,15 @@ impl<T: Scalar + 'static> PlanCore<T> {
         }
     }
 
-    /// Copy `c`'s lower triangle onto its strict upper one. A plan that
-    /// runs on the context's pool also mirrors there: the top quadrant
-    /// split's three independent parts — `C11`, `C12 ← C21ᵀ` and `C22` —
-    /// go to the workers in that order, so two workers each copy about a
+    /// Copy `c`'s lower triangle onto its strict upper one. An AtA-S
+    /// plan also mirrors on the context's pool: the top quadrant split's
+    /// three independent parts — `C11`, `C12 ← C21ᵀ` and `C22` — go to
+    /// the workers in that order, so two workers each copy about a
     /// quarter of `C` (`C11` and `C22` on one, the transpose on the
     /// other).
     fn mirror(&self, inner: &ContextInner, c: &mut MatMut<'_, T>) {
-        let pool = match (self.flavor, &inner.pool) {
-            (PlanFlavor::Auto, Some(pool)) => pool,
+        let pool = match (&self.exec, &inner.pool) {
+            (Executor::Shared(_), Some(pool)) => pool,
             _ => return c.mirror_lower_to_upper(),
         };
         let (c11, c12, c21, c22) = c.rb_mut().quad_split_mut();
@@ -920,77 +907,71 @@ impl<T: Scalar + 'static> PlanCore<T> {
 
 /// A reusable execution plan for one `(m, n)` problem shape.
 ///
-/// Created by [`AtaContext::plan`]; borrows its context (whose pool and
-/// arena cache it uses) and can be executed any number of times, from
-/// multiple threads, against inputs of the planned shape. Convert to a
-/// `'static` [`OwnedPlan`] with [`AtaPlan::into_owned`] when the plan
-/// must move across threads or outlive the context handle.
+/// Created by [`AtaContext::plan`] or [`AtaContext::plan_with`]. The plan
+/// holds its own (cheap, `Arc`-backed) context handle, so it is [`Send`]
+/// and `'static`: it can move into a serving loop or another thread and
+/// outlive the handle it came from, while still using that context's
+/// worker pool and arena cache. Execute it any number of times, from
+/// multiple threads, against inputs of the planned shape.
 #[derive(Debug)]
-pub struct AtaPlan<'ctx, T> {
-    ctx: &'ctx AtaContext,
-    core: Arc<PlanCore<T>>,
-}
-
-/// An owned, `'static` execution plan for long-lived services: holds a
-/// clone of its (Arc-backed) [`AtaContext`], so it is [`Send`] and can
-/// move across threads — into a serving loop, a thread pool, or an
-/// `Arc` shared by many workers — while still using the context's
-/// persistent pool and arena cache.
-///
-/// Created by [`AtaPlan::into_owned`] or [`AtaContext::plan_owned`].
-#[derive(Debug)]
-pub struct OwnedPlan<T> {
+pub struct AtaPlan<T> {
     ctx: AtaContext,
     core: Arc<PlanCore<T>>,
 }
 
-macro_rules! plan_accessors {
-    () => {
-        /// Planned input shape `(m, n)`.
-        pub fn shape(&self) -> (usize, usize) {
-            (self.core.m, self.core.n)
-        }
+/// The former name of the owned [`AtaPlan`]. Kept while the end-to-end
+/// benchmark (`perfbench/`) still names it, until it reads the library's
+/// phases (ROADMAP item 8).
+pub type OwnedPlan<T> = AtaPlan<T>;
 
-        /// The plan's output selector.
-        pub fn output(&self) -> Output {
-            self.core.output
-        }
+impl<T: Scalar + 'static> AtaPlan<T> {
+    /// Planned input shape `(m, n)`.
+    pub fn shape(&self) -> (usize, usize) {
+        self.core.planned_shape()
+    }
 
-        /// Exact per-worker Strassen workspace requirement, in elements —
-        /// the size the context's arena cache was warmed to.
-        pub fn workspace_elems(&self) -> usize {
-            self.core.ws_elems
-        }
+    /// The plan's output selector.
+    pub fn output(&self) -> Output {
+        self.core.output
+    }
 
-        /// Per-thread packing-buffer requirement of the leaf microkernel
-        /// engine, in elements (`apack + bpack`; zero for the
-        /// simulated-dist backend, whose ranks size their own). Planning
-        /// warms the calling thread to this size; each pool worker grows
-        /// its own buffers once on first execution and keeps them for
-        /// the life of the pool.
-        pub fn pack_workspace_elems(&self) -> usize {
-            self.core.pack_elems
-        }
+    /// Exact per-worker Strassen workspace requirement, in elements —
+    /// the size the context's arena cache was warmed to.
+    pub fn workspace_elems(&self) -> usize {
+        self.core.ws_elems
+    }
 
-        /// The prebuilt AtA-D plan ([`Backend::SimulatedDist`] only):
-        /// task tree plus distribution layout, built once at planning
-        /// time and reused by every execution.
-        pub fn dist_plan(&self) -> Option<&DistPlan> {
-            self.core.dist.as_deref()
-        }
+    /// Per-thread packing-buffer requirement of the leaf microkernel
+    /// engine, in elements (`apack + bpack`; zero for the simulated-dist
+    /// backend, whose ranks size their own). Planning warms the calling
+    /// thread to this size; each pool worker grows its own buffers once
+    /// on first execution and keeps them for the life of the pool.
+    pub fn pack_workspace_elems(&self) -> usize {
+        self.core.pack_elems
+    }
 
-        /// The cache model this plan's recursion actually uses: the
-        /// context's explicit override when one was configured,
-        /// otherwise the calibrated per-scalar default resolved at
-        /// planning time ([`CacheConfig::for_scalar`]).
-        pub fn cache(&self) -> CacheConfig {
-            self.core.cache
+    /// The prebuilt AtA-D plan ([`Backend::SimulatedDist`] only): task
+    /// tree plus distribution layout, built once at planning time and
+    /// reused by every execution.
+    pub fn dist_plan(&self) -> Option<&DistPlan> {
+        match &self.core.exec {
+            Executor::Dist { plan, .. } => Some(plan),
+            _ => None,
         }
-    };
-}
+    }
 
-impl<T: Scalar + 'static> AtaPlan<'_, T> {
-    plan_accessors!();
+    /// The cache model this plan's recursion actually uses: the
+    /// context's explicit override when one was configured, otherwise
+    /// the calibrated per-scalar default resolved at planning time
+    /// ([`CacheConfig::for_scalar`]).
+    pub fn cache(&self) -> CacheConfig {
+        self.core.cache
+    }
+
+    /// The context handle this plan executes through.
+    pub fn context(&self) -> &AtaContext {
+        &self.ctx
+    }
 
     /// Execute the plan, writing dense output into a caller-provided
     /// `n x n` buffer — the serving-loop entry point. For the
@@ -1032,48 +1013,11 @@ impl<T: Scalar + 'static> AtaPlan<'_, T> {
         self.core.accumulate_lower(&self.ctx.inner, T::ONE, a, c);
     }
 
-    /// Convert into an [`OwnedPlan`] that holds its own (cheap, shared)
-    /// context handle instead of a borrow — nothing is re-planned, and
-    /// the worker pool and arena cache stay shared with the original
-    /// context.
-    pub fn into_owned(self) -> OwnedPlan<T> {
-        OwnedPlan {
-            ctx: self.ctx.clone(),
-            core: self.core,
-        }
-    }
-}
-
-impl<T: Scalar + 'static> OwnedPlan<T> {
-    plan_accessors!();
-
-    /// See [`AtaPlan::execute_into`].
-    ///
-    /// # Panics
-    /// If `a` is not the planned shape or `c` is not `n x n`.
-    pub fn execute_into(&self, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-        self.core.execute_into(&self.ctx.inner, a, c);
-    }
-
-    /// See [`AtaPlan::execute`].
-    ///
-    /// # Panics
-    /// If `a` is not the planned shape.
-    pub fn execute(&self, a: MatRef<'_, T>) -> AtaOutput<T> {
-        self.core.execute(&self.ctx.inner, a, Vec::new()).0
-    }
-
-    /// See [`AtaPlan::execute_accumulate`].
-    ///
-    /// # Panics
-    /// If `a` is not the planned shape or `c` is not `n x n`.
-    pub fn execute_accumulate(&self, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-        self.core.accumulate_lower(&self.ctx.inner, T::ONE, a, c);
-    }
-
-    /// The context handle this plan executes through.
-    pub fn context(&self) -> &AtaContext {
-        &self.ctx
+    /// The plan itself: plans already own their context handle. Kept
+    /// while the end-to-end benchmark (`perfbench/`) still calls it, until
+    /// it reads the library's phases (ROADMAP item 8).
+    pub fn into_owned(self) -> Self {
+        self
     }
 }
 
@@ -1214,14 +1158,13 @@ mod tests {
 
     #[test]
     fn owned_plan_moves_across_threads() {
-        // OwnedPlan must be Send (compile-time check) and produce the
-        // same bits as the borrowed plan it came from.
+        // A plan must be Send (compile-time check) and produce the same
+        // bits on another thread as on the one that planned it.
         fn assert_send<X: Send>(_: &X) {}
         let ctx = AtaContext::builder().cache_words(32).build();
         let a = gen::standard::<f64>(31, 36, 28);
-        let borrowed = ctx.plan_with::<f64>(36, 28, Output::Gram);
-        let baseline = borrowed.execute(a.as_ref()).into_dense();
-        let owned = borrowed.into_owned();
+        let owned = ctx.plan_with::<f64>(36, 28, Output::Gram);
+        let baseline = owned.execute(a.as_ref()).into_dense();
         assert_send(&owned);
         assert_eq!(owned.shape(), (36, 28));
         let a2 = a.clone();
@@ -1236,7 +1179,7 @@ mod tests {
         let a = gen::standard::<f64>(41, 24, 20);
         let (owned, baseline) = {
             let ctx = AtaContext::shared(NonZeroUsize::new(2).unwrap());
-            let plan = ctx.plan_owned::<f64>(24, 20, Output::Lower);
+            let plan = ctx.plan_with::<f64>(24, 20, Output::Lower);
             let baseline = plan.execute(a.as_ref());
             (plan, baseline)
             // `ctx` handle drops here; the Arc keeps the pool alive.
@@ -1254,7 +1197,7 @@ mod tests {
     #[test]
     fn owned_dist_plan_is_send_and_reuses_the_tree() {
         let ctx = AtaContext::simulated_dist(NonZeroUsize::new(4).unwrap(), CostModel::zero());
-        let owned = ctx.plan_owned::<f64>(24, 16, Output::Gram);
+        let owned = ctx.plan_with::<f64>(24, 16, Output::Gram);
         let builds = DistTree::build_count_for(24, 16, 4);
         let a = gen::standard::<f64>(51, 24, 16);
         let handle = std::thread::spawn(move || {

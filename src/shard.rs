@@ -871,8 +871,9 @@ impl ShardedServiceBuilder {
 
     /// The routing threshold, in operand words `m * n`: problems at or
     /// above it split across the ranks via AtA-D, smaller ones run whole
-    /// on one shard. Default 32768 (the f64 L2-ish budget the cache
-    /// model also defaults around); `usize::MAX` disables splitting.
+    /// on one shard. Default 32768: a fixed routing threshold, which the
+    /// cache model does not set (its recursion cutoffs are separate and
+    /// far larger). `usize::MAX` disables splitting.
     pub fn split_words(mut self, words: usize) -> Self {
         self.split_words = words;
         self

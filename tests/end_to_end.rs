@@ -298,3 +298,46 @@ fn gram_execute_into_mirrors_the_accumulated_lower_triangle_bitwise() {
         }
     }
 }
+
+#[test]
+fn gram_without_a_strassen_level_does_not_depend_on_the_thread_split() {
+    // Below the f64 recursion budget a serial Gram is one `syrk_ln`
+    // call, and every AtA-S leaf of these shapes stays at or above the
+    // packed engine's volume cutoff: each element is then the same
+    // chain of products whatever the split, so the serial backend and
+    // every thread count give the same bits.
+    use ata::{AtaOutput, Output};
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let contexts = [0usize, 2, 3, 4].map(|threads| match NonZeroUsize::new(threads) {
+        None => AtaContext::serial(),
+        Some(t) => AtaContext::shared(t),
+    });
+    for (m, n) in [(300usize, 200usize), (777, 150), (401, 257), (129, 333)] {
+        assert!(
+            m * n <= CacheConfig::for_scalar::<f64>().words,
+            "({m}, {n}) recurses"
+        );
+        let a = gen::standard::<f64>(m as u64 * 5 + n as u64, m, n);
+        for output in [Output::Gram, Output::Lower, Output::Packed] {
+            let mut first = None;
+            for (ctx, threads) in contexts.iter().zip([1usize, 2, 3, 4]) {
+                let plan = ctx.plan_with::<f64>(m, n, output);
+                let fresh = match plan.execute(a.as_ref()) {
+                    AtaOutput::Dense(c) => bits(c.as_slice()),
+                    AtaOutput::Packed(p) => bits(p.as_slice()),
+                };
+                // Stale contents: execute_into must overwrite what it reads.
+                let mut into = gen::standard::<f64>(99, n, n);
+                plan.execute_into(a.as_ref(), &mut into.as_mut());
+                let got = (fresh, bits(into.as_slice()));
+                match &first {
+                    None => first = Some(got),
+                    Some(serial) => assert!(
+                        *serial == got,
+                        "({m}, {n}) {output:?}: {threads} threads differ from serial"
+                    ),
+                }
+            }
+        }
+    }
+}
