@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates speed only; this harness adds the standard
 //! forward-error sweep for Strassen-type algorithms (Higham §23.2.2):
-//! for growing `n`, compute `A^T A` with the blocked `syrk` substitute,
+//! for growing `n`, compute `A^T A` with the packed `syrk` substitute,
 //! with AtA (classic-Strassen products) and with AtA's products swapped
 //! to the Strassen–Winograd variant, in both `f32` and `f64`, and
 //! measure the componentwise error against a double-double reference

@@ -1,6 +1,6 @@
 //! Calibrate the simulator's cost model against this machine.
 //!
-//! Measures the real flop rates of the blocked kernels (syrk, gemm,
+//! Measures the real flop rates of the packed kernels (syrk, gemm,
 //! axpy) and prints a `CostModel` whose `flop_time` matches the host,
 //! so Figure 6-style simulations can be re-based on local hardware
 //! instead of the default TeraStat-class constants.

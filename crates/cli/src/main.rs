@@ -637,24 +637,22 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
     let f64_t = calibrate_row::<f64>(quick);
     calibrate_row::<f32>(quick);
     println!(
-        "override per run with ATA_KERNEL_PARAMS=\"mr={},nr={},kc={},mc={},nc={},words={},volume={}\"",
+        "override per run with ATA_KERNEL_PARAMS=\"mr={},nr={},kc={},mc={},nc={},words={}\"",
         f64_t.kernel.mr,
         f64_t.kernel.nr,
         f64_t.kernel.kc,
         f64_t.kernel.mc,
         f64_t.kernel.nc,
-        f64_t.base_words,
-        f64_t.micro_min_volume
+        f64_t.base_words
     );
     Ok(())
 }
 
 /// Measure and print one scalar type's row: the tile and blocking
-/// sweep, the micro-vs-blocked volume crossover, and the Strassen
-/// cutoff with its per-order level / `gemm_tn` time ratios.
+/// sweep, and the Strassen cutoff with its per-order level / `gemm_tn`
+/// time ratios.
 fn calibrate_row<T: Scalar>(quick: bool) -> Tuned {
     let kernel = calibrate::measure_kernel::<T>(quick);
-    let micro_min_volume = calibrate::measure_min_volume::<T>(&kernel, quick);
     let sweep = strassen_calibrate::measure_cutoff::<T>(quick);
     let ratios: Vec<String> = sweep
         .iter()
@@ -671,11 +669,9 @@ fn calibrate_row<T: Scalar>(quick: bool) -> Tuned {
     let t = Tuned {
         kernel,
         base_words: strassen_calibrate::cutoff_words(&medians),
-        micro_min_volume,
     };
     println!(
-        "{} ({} path, {}-tile menu): mr={} nr={} kc={} mc={} nc={} base_words={} \
-         micro_min_volume={}",
+        "{} ({} path, {}-tile menu): mr={} nr={} kc={} mc={} nc={} base_words={}",
         T::NAME,
         ata_kernels::micro::micro_path_for::<T>().name(),
         calibrate::menu_for::<T>().len(),
@@ -684,8 +680,7 @@ fn calibrate_row<T: Scalar>(quick: bool) -> Tuned {
         kernel.kc,
         kernel.mc,
         kernel.nc,
-        t.base_words,
-        t.micro_min_volume
+        t.base_words
     );
     t
 }

@@ -15,7 +15,7 @@ use ata_mat::{half_up, MatMut, MatRef, Scalar};
 /// Algorithm 2: `C += alpha * A^T B` by eight-way recursion.
 ///
 /// Base case per the paper (line 2): both operands fit in cache
-/// (`m*n + m*k <= cache words`), where the blocked `gemm_tn` kernel runs.
+/// (`m*n + m*k <= cache words`), where the packed `gemm_tn` kernel runs.
 ///
 /// Shapes: `A: m x n`, `B: m x k`, `C: n x k`.
 #[allow(clippy::needless_range_loop)] // the [l][i]/[l][j] indexing mirrors Algorithm 2

@@ -10,7 +10,7 @@
 //! C12  = C21^T                     (never computed — symmetry)
 //! ```
 //!
-//! The base case (`m * n` fits the cache budget) calls the blocked
+//! The base case (`m * n` fits the cache budget) calls the packed
 //! `syrk_ln` kernel, exactly as the paper calls BLAS `?syrk`. The
 //! quadrant split rounds *up* (`m1 = ⌈m/2⌉`, `n1 = ⌈n/2⌉`), so `C21` is
 //! always a full rectangle lying entirely inside the lower triangle.

@@ -63,7 +63,7 @@ pub struct AtaDConfig {
     /// Cache model for the leaf recursions' base cases.
     pub cache: CacheConfig,
     /// Run AtA/FastStrassen at the leaves (`true`, §4.3.1's default for
-    /// "larger volumes of data") or the plain blocked kernels (`false`).
+    /// "larger volumes of data") or the plain classical kernels (`false`).
     pub strassen_leaves: bool,
     /// Threads per rank for the leaf computations (> 1 models the hybrid
     /// SM+DM runs of Table 1; the modeled compute time divides by it).
@@ -146,7 +146,7 @@ fn compute_leaf<T: Scalar>(
             let (mb, nb) = a_blk.shape();
             let kb = b_blk.cols();
             // No parallel FastStrassen exists: multi-threaded leaves run
-            // the plain blocked kernel, so charge its flops, not
+            // the plain classical kernel, so charge its flops, not
             // Strassen's.
             let flops = if cfg.strassen_leaves && threads == 1 {
                 2.0 * strassen_mults(mb, nb, kb, &cfg.cache) as f64

@@ -1,6 +1,6 @@
 //! The "any algebraic field" claim, made decidable.
 //!
-//! Every algorithm layer — blocked kernels, the arena Strassen recursion
+//! Every algorithm layer — the packed kernels, the arena Strassen recursion
 //! (including its virtual padding for odd sizes), serial AtA, the
 //! shared-memory AtA-S and the distributed AtA-D on the simulated
 //! cluster — is run over exact rationals ([`Q64`]) and the prime field
@@ -46,7 +46,7 @@ fn assert_matrix_eq<T: Scalar>(got: &Matrix<T>, want: &Matrix<T>, what: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Blocked kernels are exact over both fields.
+// The packed kernels are exact over both fields.
 // ---------------------------------------------------------------------
 
 #[test]

@@ -9,14 +9,12 @@
 //!    It returns a per-scalar [`Tuned`] record from a table measured by
 //!    `ata calibrate`, after applying the `ATA_KERNEL_PARAMS`
 //!    environment override.
-//! 2. The sweeps behind the kernel half of a row: [`measure_kernel`]
+//! 2. The sweep behind the kernel half of a row: [`measure_kernel`]
 //!    times the register-tile menu against `KC`, then `MC x NC` for the
 //!    winner, at sizes some menu tiles leave ragged edges on and at the
-//!    leaf order, and [`measure_min_volume`] finds
-//!    where the packed engine starts beating the blocked loops. The row's
-//!    [`Tuned::base_words`] is measured by `ata_strassen::calibrate`,
-//!    which owns the recursion that budget gates; `ata calibrate`
-//!    assembles the row from both.
+//!    leaf order. The row's [`Tuned::base_words`] is measured by
+//!    `ata_strassen::calibrate`, which owns the recursion that budget
+//!    gates; `ata calibrate` assembles the row from both.
 //!
 //! # Per-ISA tables
 //!
@@ -33,7 +31,7 @@
 //! # Overriding
 //!
 //! `ATA_KERNEL_PARAMS` accepts comma-separated `key=value` pairs with
-//! keys `mr`, `nr`, `kc`, `mc`, `nc`, `words`, `volume`, e.g.
+//! keys `mr`, `nr`, `kc`, `mc`, `nc`, `words`, e.g.
 //! `ATA_KERNEL_PARAMS="mr=8,nr=4,kc=128,words=16384"`. Unknown keys and
 //! malformed pairs are ignored; the override applies to every scalar
 //! type. An AVX2-menu tile (e.g. `mr=4,nr=8`) runs the AVX2 kernels on
@@ -41,10 +39,7 @@
 //! `ATA_MICRO` selects the tile path (`intrinsic|portable|scalar`; see
 //! [`crate::micro::micro_path_for`]).
 
-use crate::gemm::{gemm_tn_blocked, BlockSizes};
-use crate::micro::{
-    gemm_tn_micro_path_with, micro_path_for, KernelConfig, MicroPath, MICRO_MIN_VOLUME,
-};
+use crate::micro::{gemm_tn_micro_path_with, micro_path_for, KernelConfig, MicroPath};
 use crate::pack::PackBufs;
 use crate::simd::Isa;
 use crate::timing::time_rounds;
@@ -62,10 +57,6 @@ pub struct Tuned {
     /// `ata_strassen::calibrate`: `2 g²` for the largest square order
     /// `g` that a Strassen level does not beat `gemm_tn` at.
     pub base_words: usize,
-    /// Minimum flop volume (`m * n * k`) at which the packed engine
-    /// beats the blocked rank-1 loops for this scalar/path — below it
-    /// [`crate::micro::selected_path`] keeps the blocked loops.
-    pub micro_min_volume: usize,
 }
 
 /// Measured on the development container (Intel Xeon @ 2.10 GHz,
@@ -85,7 +76,6 @@ const TUNED_F64: Tuned = Tuned {
     // blocks exceed ~256 x 256 (validated end to end at n = 1024, where
     // this cutoff beats both 32768 and no-recursion).
     base_words: 131_072,
-    micro_min_volume: MICRO_MIN_VOLUME,
 };
 
 /// See [`TUNED_F64`]; f32 packs twice the lanes per register, so the
@@ -99,20 +89,13 @@ const TUNED_F32: Tuned = Tuned {
         nc: 256,
     },
     base_words: 131_072,
-    // The portable f32 engine loses to the blocked loops up to n = 128
-    // (14.3 vs 18.9 GF/s gemm in BENCH_kernels.json) and only wins from
-    // n = 256 up, so its cutoff sits between those sizes: 128^3 < v <=
-    // 192^3 measured, baked as the first losing size cubed plus one.
-    micro_min_volume: 128 * 128 * 128 + 1,
 };
 
 /// Fused-kernel row for f64 under [`crate::simd::Isa::Fma`], measured
 /// on the same container with the cross-size sweep (`ata calibrate`
 /// plus 128/256/512 spot checks): the 4 x 8 tile (8 fused accumulator
 /// vectors, 2 B vectors, 1 broadcast) beat the deeper 6 x 8 / 8 x 8
-/// tiles at every size (33-38 GF/s gemm vs 13.5 portable), and the
-/// fused kernel beats the blocked loops from the smallest packed sizes,
-/// so the volume floor stays at the packing-overhead default.
+/// tiles at every size (33-38 GF/s gemm vs 13.5 portable).
 const TUNED_F64_FMA: Tuned = Tuned {
     kernel: KernelConfig {
         mr: 4,
@@ -126,14 +109,11 @@ const TUNED_F64_FMA: Tuned = Tuned {
     // machine's resolution); keep the end-to-end-validated portable
     // value at the top of that band.
     base_words: 131_072,
-    micro_min_volume: MICRO_MIN_VOLUME,
 };
 
 /// Fused-kernel row for f32 under [`crate::simd::Isa::Fma`] (see
 /// [`TUNED_F64_FMA`]): 8 lanes per vector, same 4-row accumulator
-/// block, twice the tile width (59-69 GF/s gemm, 34-51 syrk measured —
-/// above the blocked loops at every benched size, unlike the portable
-/// f32 engine).
+/// block, twice the tile width (59-69 GF/s gemm, 34-51 syrk measured).
 const TUNED_F32_FMA: Tuned = Tuned {
     kernel: KernelConfig {
         mr: 4,
@@ -143,9 +123,6 @@ const TUNED_F32_FMA: Tuned = Tuned {
         nc: 256,
     },
     base_words: 131_072,
-    // Measured crossover: the blocked loops still edge out the fused
-    // f32 engine below 24^3 (packing overhead on narrow panels).
-    micro_min_volume: 24 * 24 * 24 + 1,
 };
 
 /// Fused-kernel row for f64 under [`Isa::Avx512`], measured on a
@@ -172,10 +149,6 @@ const TUNED_F64_AVX512: Tuned = Tuned {
     // and portable rows, so the recursion depth, and with it the op
     // counts, differ between ISAs.
     base_words: 8_388_608,
-    // The packing-overhead floor: nine of the ten runs measured it (one
-    // 16^3 + 1), and the same products take the blocked loops as under
-    // the AVX2 row.
-    micro_min_volume: MICRO_MIN_VOLUME,
 };
 
 /// Fused-kernel row for f32 under [`Isa::Avx512`] (see
@@ -195,9 +168,6 @@ const TUNED_F32_AVX512: Tuned = Tuned {
     // 2 * 1024^2: the mode (three of ten runs at this blocking) of the
     // cutoff sweep, a first 5% win at g* = 1536.
     base_words: 2_097_152,
-    // Measured in every run: 32-column tiles leave a 16-column ragged
-    // strip at n = 48, where the blocked loops still win.
-    micro_min_volume: 48 * 48 * 48 + 1,
 };
 
 /// The baked parameters for scalar type `T` on `isa`'s intrinsic
@@ -270,7 +240,6 @@ struct EnvOverride {
     mc: Option<usize>,
     nc: Option<usize>,
     words: Option<usize>,
-    volume: Option<usize>,
 }
 
 fn env_override() -> &'static Option<EnvOverride> {
@@ -295,7 +264,6 @@ fn env_override() -> &'static Option<EnvOverride> {
                 "mc" => ov.mc = Some(v),
                 "nc" => ov.nc = Some(v),
                 "words" => ov.words = Some(v),
-                "volume" => ov.volume = Some(v),
                 _ => {}
             }
         }
@@ -312,7 +280,6 @@ fn apply_env(mut t: Tuned) -> Tuned {
         k.mc = ov.mc.unwrap_or(k.mc);
         k.nc = ov.nc.unwrap_or(k.nc);
         t.base_words = ov.words.unwrap_or(t.base_words);
-        t.micro_min_volume = ov.volume.unwrap_or(t.micro_min_volume);
     }
     t
 }
@@ -448,44 +415,6 @@ fn operands<T: Scalar>(size: usize) -> (Matrix<T>, Matrix<T>, Matrix<T>) {
     )
 }
 
-/// The sizes swept for the micro-vs-blocked crossover; any measured (or
-/// baked) `micro_min_volume` is `s^3 + 1` for a swept `s` (or the
-/// [`MICRO_MIN_VOLUME`] floor when the engine wins everywhere).
-pub(crate) const VOLUME_SWEEP_SIZES: &[usize] = &[16, 24, 32, 48, 64, 96, 128, 192];
-
-/// Locate the volume above which the packed engine under `kernel` beats
-/// the blocked rank-1 loops for `T`, by walking
-/// `VOLUME_SWEEP_SIZES` downward: the cutoff is the cube of the
-/// largest size where the blocked loops still win (median per-round
-/// blocked / packed time below 1), plus one (or the
-/// `MICRO_MIN_VOLUME` packing-overhead floor when the engine wins at
-/// every swept size — the f64 situation; portable f32 is the case this
-/// sweep exists for).
-pub fn measure_min_volume<T: Scalar>(kernel: &KernelConfig, quick: bool) -> usize {
-    let sizes: &[usize] = if quick { &[32, 64] } else { VOLUME_SWEEP_SIZES };
-    let path = micro_path_for::<T>();
-    let mut bufs = PackBufs::new();
-    for &s in sizes.iter().rev() {
-        if s * s * s < MICRO_MIN_VOLUME {
-            break;
-        }
-        let (a, b, mut c) = operands::<T>(s);
-        let (a, b) = (a.as_ref(), b.as_ref());
-        let r = time_rounds(2, ROUNDS, 0.0, |i| {
-            let mut cv = c.as_mut();
-            if i == 0 {
-                gemm_tn_micro_path_with(path, T::ONE, a, b, &mut cv, kernel, &mut bufs);
-            } else {
-                gemm_tn_blocked(T::ONE, a, b, &mut cv, BlockSizes::default());
-            }
-        });
-        if r.ratio(1, 0).median < 1.0 {
-            return s * s * s + 1;
-        }
-    }
-    MICRO_MIN_VOLUME
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,22 +446,7 @@ mod tests {
             );
         }
         // The base-case budgets are checked against their sweep in
-        // `ata_strassen::calibrate`; the volume cutoffs against theirs.
-        let vol_hi = VOLUME_SWEEP_SIZES.last().unwrap().pow(3) + 1;
-        for t in [
-            TUNED_F64,
-            TUNED_F32,
-            TUNED_F64_FMA,
-            TUNED_F32_FMA,
-            TUNED_F64_AVX512,
-            TUNED_F32_AVX512,
-        ] {
-            assert!(
-                (MICRO_MIN_VOLUME..=vol_hi).contains(&t.micro_min_volume),
-                "baked volume cutoff {} outside [{MICRO_MIN_VOLUME}, {vol_hi}]",
-                t.micro_min_volume
-            );
-        }
+        // `ata_strassen::calibrate`.
     }
 
     #[test]
@@ -674,6 +588,5 @@ mod tests {
         // hardware-dependent and not asserted.)
         let kernel = measure_kernel::<f32>(true);
         assert!(menu_for::<f32>().contains(&(kernel.mr, kernel.nr)));
-        assert!(measure_min_volume::<f32>(&kernel, true) >= MICRO_MIN_VOLUME);
     }
 }

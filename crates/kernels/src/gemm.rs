@@ -1,54 +1,20 @@
-//! Cache-blocked `C += alpha * A^T B` — the workspace's `?gemm('T','N')`.
+//! `C += alpha * A^T B` — the workspace's `?gemm('T','N')`.
 //!
 //! The product of a transposed left operand is the only general product
 //! the paper's algorithms need (Algorithm 1 line 11, Algorithm 2 line 3),
 //! and it is the hard case for row-major storage: naive column access of
-//! `A` misses cache on every element. The scheme here never touches `A`
-//! column-wise:
-//!
-//! For each row `l` of `A` and `B`, the update
-//! `C[i, :] += (alpha * A[l, i]) * B[l, :]` is a contiguous `axpy`. Rows
-//! `l` stream once per `(MC, NC)` tile of `C`, the tile itself stays hot
-//! in L1/L2, and the inner loop is unit-stride over `NC` elements — the
-//! autovectorizer turns it into packed FMAs.
-//!
-//! Tiles default to `MC = 32`, `NC = 256` (a 64 KiB f64 C-tile) and can be
-//! overridden through [`BlockSizes`] for the blocking-ablation bench.
+//! `A` misses cache on every element. [`gemm_tn`] runs the packed engine
+//! of [`crate::micro`], whose packing reads only contiguous row fragments
+//! of `A` and `B` and never materializes `A^T`.
 
+use crate::micro::{gemm_tn_micro_path, micro_path_for, KernelConfig};
 use ata_mat::{MatMut, MatRef, Scalar};
-
-/// Loop-blocking parameters of [`gemm_tn_blocked`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockSizes {
-    /// Rows of the C tile (columns of `A` handled per sweep).
-    pub mc: usize,
-    /// Columns of the C tile (columns of `B` handled per sweep).
-    pub nc: usize,
-}
-
-impl Default for BlockSizes {
-    fn default() -> Self {
-        Self { mc: 32, nc: 256 }
-    }
-}
-
-impl BlockSizes {
-    /// Validated constructor.
-    ///
-    /// # Panics
-    /// If either block size is zero.
-    pub fn new(mc: usize, nc: usize) -> Self {
-        assert!(mc > 0 && nc > 0, "block sizes must be positive");
-        Self { mc, nc }
-    }
-}
 
 /// `C += alpha * A^T B` — the workspace's default `?gemm('T','N')`.
 ///
-/// Dispatches to the packed register-blocked engine
-/// ([`crate::micro::gemm_tn_micro`]) with the measured per-scalar
-/// blocking from [`crate::calibrate`]; tiny products fall back to
-/// [`gemm_tn_blocked`] — see [`crate::micro::selected_path`].
+/// Runs the packed register-blocked engine on the tile path
+/// [`micro_path_for`] resolves, with the measured per-scalar blocking
+/// from [`crate::calibrate`], at every size.
 ///
 /// Shapes: `A: m x n`, `B: m x k`, `C: n x k`.
 ///
@@ -56,85 +22,8 @@ impl BlockSizes {
 /// On inconsistent shapes.
 #[inline]
 pub fn gemm_tn<T: Scalar>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-    let (m, n) = a.shape();
-    let k = b.cols();
-    match crate::micro::selected_path::<T>(m, n, k) {
-        crate::micro::KernelPath::Micro => {
-            let cfg = crate::micro::KernelConfig::for_scalar::<T>();
-            crate::micro::gemm_tn_micro(alpha, a, b, c, &cfg);
-        }
-        crate::micro::KernelPath::Blocked => gemm_tn_blocked(alpha, a, b, c, BlockSizes::default()),
-    }
-}
-
-/// `C += alpha * A^T B` with explicit blocking parameters.
-///
-/// # Panics
-/// On inconsistent shapes.
-pub fn gemm_tn_blocked<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    bs: BlockSizes,
-) {
-    let (m, n) = a.shape();
-    let (mb, k) = b.shape();
-    assert_eq!(m, mb, "gemm_tn: A is {m}x{n} but B has {mb} rows");
-    assert_eq!(
-        c.shape(),
-        (n, k),
-        "gemm_tn: C must be {n}x{k}, got {:?}",
-        c.shape()
-    );
-    blocked_nest(alpha, a, b, c, bs, false);
-}
-
-/// The tile loop behind [`gemm_tn_blocked`] and
-/// [`crate::syrk::syrk_ln_blocked`]: `C += alpha * A^T B`, or with
-/// `lower` (`B` is `A`, `C` is square) only its `i >= j` entries — each
-/// row of a tile stops at the diagonal, and the row tiles start at `jc`.
-pub(crate) fn blocked_nest<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    bs: BlockSizes,
-    lower: bool,
-) {
-    let (m, n) = a.shape();
-    let k = b.cols();
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let alpha_is_one = alpha == T::ONE;
-
-    let mut jc = 0;
-    while jc < k {
-        let jn = (jc + bs.nc).min(k);
-        let mut ic = if lower { jc } else { 0 };
-        while ic < n {
-            let im = (ic + bs.mc).min(n);
-            // C tile rows ic..im, cols jc..jn accumulate while A and B rows
-            // stream through once. The `alpha == 1` unswitch keeps the hot
-            // path multiplication-exact (important both for speed and for
-            // the measured-flop tests in `ata-core::analysis`).
-            for l in 0..m {
-                let arow = &a.row(l)[ic..im];
-                let brow = &b.row(l)[jc..jn];
-                for (i, &ali) in arow.iter().enumerate() {
-                    let s = if alpha_is_one { ali } else { alpha * ali };
-                    let end = if lower { jn.min(ic + i + 1) } else { jn };
-                    let crow = &mut c.row_mut(ic + i)[jc..end];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += s * bv;
-                    }
-                }
-            }
-            ic = im;
-        }
-        jc = jn;
-    }
+    let cfg = KernelConfig::for_scalar::<T>();
+    gemm_tn_micro_path(micro_path_for::<T>(), alpha, a, b, c, &cfg);
 }
 
 #[cfg(test)]
@@ -142,18 +31,18 @@ mod tests {
     use super::*;
     use ata_mat::{gen, reference, Matrix};
 
-    fn check_against_oracle(m: usize, n: usize, k: usize, alpha: f64, bs: BlockSizes) {
+    fn check_against_oracle(m: usize, n: usize, k: usize, alpha: f64) {
         let a = gen::standard::<f64>(1000 + m as u64, m, n);
         let b = gen::standard::<f64>(2000 + k as u64, m, k);
         let mut c_fast = gen::standard::<f64>(3000, n, k);
         let mut c_ref = c_fast.clone();
-        gemm_tn_blocked(alpha, a.as_ref(), b.as_ref(), &mut c_fast.as_mut(), bs);
+        gemm_tn(alpha, a.as_ref(), b.as_ref(), &mut c_fast.as_mut());
         reference::gemm_tn(alpha, a.as_ref(), b.as_ref(), &mut c_ref.as_mut());
         let tol = ata_mat::ops::product_tol::<f64>(m.max(n), k, m as f64);
         let diff = c_fast.max_abs_diff(&c_ref);
         assert!(
             diff <= tol,
-            "({m},{n},{k}) blocked gemm differs from oracle by {diff} > {tol}"
+            "({m},{n},{k}) gemm differs from oracle by {diff} > {tol}"
         );
     }
 
@@ -164,24 +53,18 @@ mod tests {
             (2, 3, 4),
             (7, 5, 3),
             (16, 16, 16),
-            (33, 31, 29), // primes exceed one MC block
+            (33, 31, 29), // primes leave ragged tiles
             (64, 1, 64),
             (1, 64, 64),
-            (100, 37, 300), // k spans multiple NC tiles
+            (100, 37, 300),
         ] {
-            check_against_oracle(m, n, k, 1.0, BlockSizes::default());
+            check_against_oracle(m, n, k, 1.0);
         }
     }
 
     #[test]
     fn alpha_scaling_and_accumulation() {
-        check_against_oracle(20, 20, 20, -2.5, BlockSizes::default());
-    }
-
-    #[test]
-    fn tiny_blocks_still_correct() {
-        check_against_oracle(19, 23, 17, 1.0, BlockSizes::new(1, 1));
-        check_against_oracle(19, 23, 17, 1.0, BlockSizes::new(2, 3));
+        check_against_oracle(20, 20, 20, -2.5);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper builds on Intel MKL: `?gemm` for general products, `?syrk`
 //! for the `A^T A` base case, `?axpy` for block sums (§3.1). MKL is not
 //! available to a pure-Rust reproduction, so this crate provides the same
-//! contracts with cache-blocked, autovectorizer-friendly implementations:
+//! contracts on one packed, register-blocked kernel engine:
 //!
 //! * [`level1`] — `axpy`, `scal`, `dot`, `nrm2` on slices;
 //! * [`gemm`] — `C += alpha * A^T B` without materializing `A^T`
@@ -12,13 +12,11 @@
 //!   (the `?syrk('L','T')` case), run as the gemm loop nest with
 //!   `B = A` under a lower-triangle mask;
 //! * [`pack`] / [`micro`] — the BLIS-style packed, register-blocked
-//!   engine both of the above dispatch to (Huang et al.'s prescription
-//!   for making Strassen leaves competitive), with the pre-engine
-//!   blocked loops kept for products below the calibrated volume
-//!   cutoff;
+//!   engine both of the above run at every size (Huang et al.'s
+//!   prescription for making Strassen leaves competitive);
 //! * [`calibrate`] — the measured per-scalar blocking and cutoff table
-//!   behind the engine's defaults, with the tile and volume sweeps that
-//!   measure its kernel half (`ata-strassen` measures the cutoff);
+//!   behind the engine's defaults, with the tile sweep that measures its
+//!   kernel half (`ata-strassen` measures the cutoff);
 //! * [`par`] — rayon-parallel versions standing in for multi-threaded MKL
 //!   in the Figure 5/6 comparisons;
 //! * [`simd`] — explicit AVX-512 and AVX2/FMA register kernels behind
@@ -50,7 +48,7 @@ pub mod syrk;
 pub mod timing;
 
 pub use gemm::gemm_tn;
-pub use micro::{KernelConfig, KernelPath, MicroPath};
+pub use micro::{KernelConfig, MicroPath};
 pub use syrk::{syrk_ln, syrk_ln_beta};
 
 /// Cache-size model driving the base-case tests of the recursive

@@ -1,9 +1,7 @@
 //! The register-blocked microkernel engine (BLIS-style `GEMM`/`SYRK`).
 //!
-//! [`crate::gemm::gemm_tn`] and [`crate::syrk::syrk_ln`] dispatch onto
-//! this module by default (see [`selected_path`]); below the calibrated
-//! volume cutoff they keep the pre-engine loops `gemm_tn_blocked` /
-//! `syrk_ln_blocked`.
+//! [`crate::gemm::gemm_tn`] and [`crate::syrk::syrk_ln`] run this
+//! engine at every size, on the tile path [`micro_path_for`] resolves.
 //!
 //! # Anatomy
 //!
@@ -62,16 +60,14 @@
 //! from the existing `C` value: with `alpha = 1` — the hot path every
 //! Strassen product and every measured-flop validation runs — the
 //! engine performs *exactly* `m * n * k` multiplications and
-//! `m * n * k` additions, the same counts as the rank-1 reference path
-//! (a parity the `micro_props` proptests pin down). On the portable and
-//! scalar paths ragged edges are computed by a bounds-aware scalar tile
-//! ([`edge kernel`](self)) rather than with zero-padding arithmetic,
-//! which is what keeps the counts exact for arbitrary shapes. `alpha =
-//! -1` stays multiplication-exact too (`m * n * k` muls) by folding the
-//! sign into the `B`-pack as `m * k` negations — *cheaper* than the
-//! rank-1 path, which re-multiplies by `alpha` per tile, so negated
-//! products are not count-identical across the [`selected_path`]
-//! dispatch boundary.
+//! `m * n * k` additions, and no subtraction or negation (the ledger
+//! the `micro_props` proptests pin down, from empty shapes up). On the
+//! portable and scalar paths ragged edges are computed by a bounds-aware
+//! scalar tile ([`edge kernel`](self)) rather than with zero-padding
+//! arithmetic, which is what keeps the counts exact for arbitrary
+//! shapes. `alpha = -1` stays multiplication-exact too (`m * n * k`
+//! muls) by folding the sign into the `B`-pack as `m * k` negations; any
+//! other `alpha` folds in as `m * k` multiplications.
 //!
 //! # The intrinsic contract
 //!
@@ -177,20 +173,20 @@ impl KernelConfig {
     }
 }
 
-/// Which implementation a kernel entry point selects for a given problem
-/// (the dispatch is observable so CI can guard against silent fallback
-/// regressions).
+/// The engine a kernel entry point runs, as [`selected_path`] reports
+/// it: always [`KernelPath::Micro`].
+///
+/// Kept only because the end-to-end benchmark (`perfbench/src/serve.rs`)
+/// names `KernelPath::Blocked`; it goes once that import does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
     /// The packed register-blocked engine in this module.
     Micro,
-    /// The legacy cache-blocked rank-1 loops
-    /// ([`crate::gemm::gemm_tn_blocked`]).
+    /// Never returned: no other engine exists.
     Blocked,
 }
 
-/// Which tile implementation the engine runs inside [`KernelPath::Micro`]
-/// — the inner dispatch level below the micro-vs-blocked choice.
+/// Which tile implementation the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroPath {
     /// Explicit-SIMD fused kernels from [`crate::simd`], for full and
@@ -216,12 +212,6 @@ impl MicroPath {
         }
     }
 }
-
-/// Problems below this flop volume (`m * n * k`) skip packing: the
-/// buffer setup costs more than it saves on sub-microtile products.
-/// This is the default floor; the effective per-scalar cutoff lives in
-/// [`crate::calibrate::Tuned::micro_min_volume`].
-pub(crate) const MICRO_MIN_VOLUME: usize = 4096;
 
 /// The tile path pinned by `ATA_MICRO=intrinsic|portable|scalar`, read
 /// once per process; unset or unknown values pin nothing, so stale
@@ -251,22 +241,11 @@ pub fn micro_path_for<T: Scalar>() -> MicroPath {
     }
 }
 
-/// The implementation [`crate::gemm::gemm_tn`] / [`crate::syrk::syrk_ln`]
-/// will run for an `(m, n, k)` product of scalar type `T` (for `syrk`,
-/// `k == n`).
-///
-/// The volume cutoff is the *per-scalar, per-path* calibrated
-/// [`crate::calibrate::Tuned::micro_min_volume`], not the global
-/// `MICRO_MIN_VOLUME` floor — f32's portable engine, for instance,
-/// loses to the blocked loops up to much larger sizes than f64's and
-/// gets a correspondingly higher cutoff.
-pub fn selected_path<T: Scalar>(m: usize, n: usize, k: usize) -> KernelPath {
-    let volume = m.saturating_mul(n).saturating_mul(k);
-    if volume < crate::calibrate::tuned_for::<T>().micro_min_volume {
-        KernelPath::Blocked
-    } else {
-        KernelPath::Micro
-    }
+/// The engine [`crate::gemm::gemm_tn`] / [`crate::syrk::syrk_ln`] run for
+/// an `(m, n, k)` product of scalar type `T`: [`KernelPath::Micro`] at
+/// every shape. A shim kept for the benchmark, like [`KernelPath`].
+pub fn selected_path<T: Scalar>(_m: usize, _n: usize, _k: usize) -> KernelPath {
+    KernelPath::Micro
 }
 
 // ---------------------------------------------------------------------
@@ -678,18 +657,6 @@ pub fn gemm_tn_micro_path<T: Scalar>(
     with_thread_bufs(|bufs| gemm_tn_micro_path_with(path, alpha, a, b, c, cfg, bufs));
 }
 
-/// [`gemm_tn_micro_path`] on the tile path resolved by
-/// [`micro_path_for`].
-pub fn gemm_tn_micro<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cfg: &KernelConfig,
-) {
-    gemm_tn_micro_path(micro_path_for::<T>(), alpha, a, b, c, cfg);
-}
-
 /// Lower-triangular `C += alpha * A^T A` through the packed engine on an
 /// explicit tile path, with caller-provided packing buffers.
 ///
@@ -733,17 +700,6 @@ pub fn syrk_ln_micro_path<T: Scalar>(
     with_thread_bufs(|bufs| syrk_ln_micro_path_with(path, alpha, a, c, cfg, bufs));
 }
 
-/// [`syrk_ln_micro_path`] on the tile path resolved by
-/// [`micro_path_for`].
-pub fn syrk_ln_micro<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cfg: &KernelConfig,
-) {
-    syrk_ln_micro_path(micro_path_for::<T>(), alpha, a, c, cfg);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,7 +717,15 @@ mod tests {
         let b = gen::standard::<f64>(20_000 + k as u64, m, k);
         let mut c_fast = gen::standard::<f64>(5, n, k);
         let mut c_ref = c_fast.clone();
-        gemm_tn_micro(alpha, a.as_ref(), b.as_ref(), &mut c_fast.as_mut(), cfg);
+        let path = micro_path_for::<f64>();
+        gemm_tn_micro_path(
+            path,
+            alpha,
+            a.as_ref(),
+            b.as_ref(),
+            &mut c_fast.as_mut(),
+            cfg,
+        );
         reference::gemm_tn(alpha, a.as_ref(), b.as_ref(), &mut c_ref.as_mut());
         let tol = ata_mat::ops::product_tol::<f64>(m.max(n), k, m as f64);
         let diff = c_fast.max_abs_diff(&c_ref);
@@ -819,12 +783,13 @@ mod tests {
 
     #[test]
     fn syrk_matches_oracle_and_preserves_upper() {
+        let path = micro_path_for::<f64>();
         for &(m, n) in &[(1, 1), (5, 7), (16, 16), (40, 33), (33, 80), (128, 35)] {
             let cfg = cfg_small();
             let a = gen::standard::<f64>(77 + m as u64, m, n);
             let mut c_fast = gen::standard::<f64>(6, n, n);
             let mut c_ref = c_fast.clone();
-            syrk_ln_micro(1.0, a.as_ref(), &mut c_fast.as_mut(), &cfg);
+            syrk_ln_micro_path(path, 1.0, a.as_ref(), &mut c_fast.as_mut(), &cfg);
             reference::syrk_ln(1.0, a.as_ref(), &mut c_ref.as_mut());
             let tol = ata_mat::ops::product_tol::<f64>(m.max(n), n, m as f64);
             let diff = c_fast.max_abs_diff_lower(&c_ref);
@@ -839,12 +804,13 @@ mod tests {
 
     #[test]
     fn syrk_alpha_and_menu_tiles() {
+        let path = micro_path_for::<f64>();
         for &(mr, nr) in &[(4, 4), (8, 4), (4, 8), (6, 8)] {
             let cfg = KernelConfig::new(mr, nr, 8, 3 * mr, 3 * nr);
             let a = gen::standard::<f64>(9, 30, 26);
             let mut c_fast = Matrix::zeros(26, 26);
             let mut c_ref = Matrix::zeros(26, 26);
-            syrk_ln_micro(-1.5, a.as_ref(), &mut c_fast.as_mut(), &cfg);
+            syrk_ln_micro_path(path, -1.5, a.as_ref(), &mut c_fast.as_mut(), &cfg);
             reference::syrk_ln(-1.5, a.as_ref(), &mut c_ref.as_mut());
             assert!(
                 c_fast.max_abs_diff_lower(&c_ref) < 1e-10,
@@ -855,14 +821,16 @@ mod tests {
 
     #[test]
     fn gemm_op_counts_match_reference_volume_at_unit_alpha() {
-        // Exactly m*n*k muls and adds, like the rank-1 path: the measured
-        // flop validations of the paper's claims hold on the fast path.
+        // Exactly m*n*k muls and adds: the measured flop validations of
+        // the paper's claims hold on the fast path.
+        let path = micro_path_for::<Tracked>();
         for &(m, n, k) in &[(8, 8, 8), (13, 7, 9), (20, 5, 30)] {
             let a = gen::standard::<Tracked>(1, m, n);
             let b = gen::standard::<Tracked>(2, m, k);
             let mut c = Matrix::<Tracked>::zeros(n, k);
             let (_, ops) = measure(|| {
-                gemm_tn_micro(
+                gemm_tn_micro_path(
+                    path,
                     Tracked(1.0),
                     a.as_ref(),
                     b.as_ref(),
@@ -883,13 +851,14 @@ mod tests {
         // element of `A` where `alpha` is -1 or general (packed once), and
         // the same whether the column block holds all of `n` (shared
         // pack) or rows fall below it (`n` > `nc` = 16).
+        let (path, cfg) = (micro_path_for::<Tracked>(), cfg_small());
         for (m, n) in [(14, 11), (9, 37)] {
             let a = gen::standard::<Tracked>(3, m, n);
             let (triangle, elems) = ((m * n * (n + 1) / 2) as u64, (m * n) as u64);
             for (alpha, negs, pack_muls) in [(1.0, 0, 0), (-1.0, elems, 0), (2.5, 0, elems)] {
                 let mut c = Matrix::<Tracked>::zeros(n, n);
                 let (_, ops) = measure(|| {
-                    syrk_ln_micro(Tracked(alpha), a.as_ref(), &mut c.as_mut(), &cfg_small());
+                    syrk_ln_micro_path(path, Tracked(alpha), a.as_ref(), &mut c.as_mut(), &cfg);
                 });
                 let tag = format!("({m}, {n}) alpha {alpha}");
                 assert_eq!(ops.muls, triangle + pack_muls, "{tag}");
@@ -906,7 +875,8 @@ mod tests {
         let b = gen::standard::<Tracked>(5, m, k);
         let mut c = Matrix::<Tracked>::zeros(n, k);
         let (_, ops) = measure(|| {
-            gemm_tn_micro(
+            gemm_tn_micro_path(
+                micro_path_for::<Tracked>(),
                 Tracked(-1.0),
                 a.as_ref(),
                 b.as_ref(),
@@ -924,7 +894,8 @@ mod tests {
         let big = gen::standard::<f64>(9, 16, 16);
         let (a11, _, _, a22) = big.as_ref().quad_split();
         let mut c = Matrix::zeros(8, 8);
-        gemm_tn_micro(1.0, a11, a22, &mut c.as_mut(), &cfg_small());
+        let path = micro_path_for::<f64>();
+        gemm_tn_micro_path(path, 1.0, a11, a22, &mut c.as_mut(), &cfg_small());
         let mut c_ref = Matrix::zeros(8, 8);
         reference::gemm_tn(1.0, a11, a22, &mut c_ref.as_mut());
         assert!(c.max_abs_diff(&c_ref) < 1e-12);
@@ -936,24 +907,11 @@ mod tests {
         let a = gen::standard::<f32>(11, 40, 30);
         let b = gen::standard::<f32>(12, 40, 35);
         let mut c = Matrix::<f32>::zeros(30, 35);
-        gemm_tn_micro(2.0f32, a.as_ref(), b.as_ref(), &mut c.as_mut(), &cfg);
+        let path = micro_path_for::<f32>();
+        gemm_tn_micro_path(path, 2.0f32, a.as_ref(), b.as_ref(), &mut c.as_mut(), &cfg);
         let mut c_ref = Matrix::<f32>::zeros(30, 35);
         reference::gemm_tn(2.0f32, a.as_ref(), b.as_ref(), &mut c_ref.as_mut());
         assert!(c.max_abs_diff(&c_ref) < 1e-3);
-    }
-
-    #[test]
-    fn selection_guard_micro_is_default_for_f64() {
-        // CI guard: the engine must actually be selected for real
-        // problems at the default config — a silent fallback to the
-        // rank-1 loops would regress every backend at once. Sizes are
-        // above every per-scalar, per-path calibrated cutoff so the
-        // guard holds across the ATA_MICRO CI matrix.
-        assert_eq!(selected_path::<f64>(256, 128, 128), KernelPath::Micro);
-        assert_eq!(selected_path::<f64>(181, 181, 181), KernelPath::Micro);
-        assert_eq!(selected_path::<f32>(512, 256, 256), KernelPath::Micro);
-        // Tiny products stay on the cheap path by design.
-        assert_eq!(selected_path::<f64>(4, 4, 4), KernelPath::Blocked);
     }
 
     #[test]
@@ -1017,6 +975,14 @@ mod tests {
         let a = Matrix::<f64>::zeros(3, 2);
         let b = Matrix::<f64>::zeros(4, 2);
         let mut c = Matrix::<f64>::zeros(2, 2);
-        gemm_tn_micro(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut(), &cfg_small());
+        let path = micro_path_for::<f64>();
+        gemm_tn_micro_path(
+            path,
+            1.0,
+            a.as_ref(),
+            b.as_ref(),
+            &mut c.as_mut(),
+            &cfg_small(),
+        );
     }
 }

@@ -6,23 +6,20 @@
 //! halving the flops of a general product, exactly like the BLAS routine
 //! it replaces.
 //!
-//! Both engines run their gemm loop nest with `B = A` under a
-//! lower-triangle mask, as BLIS `gemmt` does: the packed engine through
-//! [`crate::micro::syrk_ln_micro_path_with`], the blocked loops through
-//! [`syrk_ln_blocked`]. Tiles wholly above the diagonal are never
-//! visited, and tiles the diagonal cuts touch only their `i >= j`
-//! entries.
+//! [`syrk_ln`] runs the packed engine's gemm loop nest with `B = A` under
+//! a lower-triangle mask, as BLIS `gemmt` does (see
+//! [`crate::micro::syrk_ln_micro_path_with`]). Tiles wholly above the
+//! diagonal are never visited, and tiles the diagonal cuts touch only
+//! their `i >= j` entries.
 
-use crate::gemm::{blocked_nest, BlockSizes};
+use crate::micro::{micro_path_for, syrk_ln_micro_path, KernelConfig};
 use ata_mat::{MatMut, MatRef, Scalar};
 
 /// `C_low += alpha * A^T A` — the workspace's default `?syrk('L','T')`.
 ///
-/// Dispatches to the packed register-blocked engine
-/// ([`crate::micro::syrk_ln_micro`], diagonal tiles included) with the
-/// measured per-scalar blocking from [`crate::calibrate`]; tiny updates
-/// fall back to [`syrk_ln_blocked`] — see
-/// [`crate::micro::selected_path`].
+/// Runs the packed register-blocked engine (diagonal tiles included) on
+/// the tile path [`micro_path_for`] resolves, with the measured
+/// per-scalar blocking from [`crate::calibrate`], at every size.
 ///
 /// Shapes: `A: m x n`, `C: n x n` (only `i >= j` entries touched).
 ///
@@ -30,14 +27,8 @@ use ata_mat::{MatMut, MatRef, Scalar};
 /// On inconsistent shapes.
 #[inline]
 pub fn syrk_ln<T: Scalar>(alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-    let (m, n) = a.shape();
-    match crate::micro::selected_path::<T>(m, n, n) {
-        crate::micro::KernelPath::Micro => {
-            let cfg = crate::micro::KernelConfig::for_scalar::<T>();
-            crate::micro::syrk_ln_micro(alpha, a, c, &cfg);
-        }
-        crate::micro::KernelPath::Blocked => syrk_ln_blocked(alpha, a, c, BlockSizes::default()),
-    }
+    let cfg = KernelConfig::for_scalar::<T>();
+    syrk_ln_micro_path(micro_path_for::<T>(), alpha, a, c, &cfg);
 }
 
 /// `C_low = alpha * A^T A + beta * C_low` — the full `?syrk('L','T')`
@@ -86,28 +77,6 @@ pub fn syrk_ln_beta<T: Scalar>(alpha: T, beta: T, a: MatRef<'_, T>, c: &mut MatM
     syrk_ln(alpha, a, c);
 }
 
-/// `C_low += alpha * A^T A` with explicit blocking parameters: the
-/// [`crate::gemm::gemm_tn_blocked`] tile loop with `B = A`, each tile
-/// row stopping at the diagonal.
-///
-/// # Panics
-/// On inconsistent shapes.
-pub fn syrk_ln_blocked<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    bs: BlockSizes,
-) {
-    let n = a.cols();
-    assert_eq!(
-        c.shape(),
-        (n, n),
-        "syrk_ln: C must be {n}x{n}, got {:?}",
-        c.shape()
-    );
-    blocked_nest(alpha, a, a, c, bs, true);
-}
-
 /// Balanced partition of the rows of an `n x n` lower triangle into `p`
 /// contiguous row ranges of (approximately) equal area.
 ///
@@ -138,11 +107,11 @@ mod tests {
     use super::*;
     use ata_mat::{gen, reference, Matrix};
 
-    fn check(m: usize, n: usize, alpha: f64, bs: BlockSizes) {
+    fn check(m: usize, n: usize, alpha: f64) {
         let a = gen::standard::<f64>(500 + m as u64 * 7 + n as u64, m, n);
         let mut c_fast = gen::standard::<f64>(42, n, n);
         let mut c_ref = c_fast.clone();
-        syrk_ln_blocked(alpha, a.as_ref(), &mut c_fast.as_mut(), bs);
+        syrk_ln(alpha, a.as_ref(), &mut c_fast.as_mut());
         reference::syrk_ln(alpha, a.as_ref(), &mut c_ref.as_mut());
         let tol = ata_mat::ops::product_tol::<f64>(m.max(n), n, m as f64);
         let diff = c_fast.max_abs_diff_lower(&c_ref);
@@ -169,20 +138,14 @@ mod tests {
             (33, 80),
             (128, 35),
         ] {
-            check(m, n, 1.0, BlockSizes::default());
+            check(m, n, 1.0);
         }
     }
 
     #[test]
     fn alpha_and_accumulation() {
-        check(24, 24, 0.5, BlockSizes::default());
-        check(24, 24, -3.0, BlockSizes::default());
-    }
-
-    #[test]
-    fn degenerate_blocking() {
-        check(17, 19, 1.0, BlockSizes::new(1, 1));
-        check(17, 19, 1.0, BlockSizes::new(5, 4));
+        check(24, 24, 0.5);
+        check(24, 24, -3.0);
     }
 
     #[test]

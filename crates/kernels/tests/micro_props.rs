@@ -1,12 +1,10 @@
 //! Property-based coverage for the packed microkernel engine
 //! (`ata_kernels::micro`): oracle agreement on adversarial shapes,
-//! strided `quad_split` views, both float precisions, and exact
-//! operation-count parity with the pre-engine reference kernels under
-//! the op-counting `Tracked` scalar.
+//! strided `quad_split` views, both float precisions, and the exact
+//! operation-count ledger under the op-counting `Tracked` scalar, from
+//! empty shapes up.
 
-use ata_kernels::gemm::{gemm_tn_blocked, BlockSizes};
-use ata_kernels::micro::{gemm_tn_micro, syrk_ln_micro, KernelConfig};
-use ata_kernels::syrk::syrk_ln_blocked;
+use ata_kernels::micro::{gemm_tn_micro_path, micro_path_for, syrk_ln_micro_path, KernelConfig};
 use ata_mat::tracked::{measure, Tracked};
 use ata_mat::{gen, reference, Matrix, Scalar};
 use proptest::prelude::*;
@@ -56,7 +54,8 @@ proptest! {
         let mut fast = gen::standard::<f64>(3, n, k);
         let mut slow = fast.clone();
         let cfg = config::<f64>(class % 2 == 0);
-        gemm_tn_micro(1.0, a.as_ref(), b.as_ref(), &mut fast.as_mut(), &cfg);
+        let path = micro_path_for::<f64>();
+        gemm_tn_micro_path(path, 1.0, a.as_ref(), b.as_ref(), &mut fast.as_mut(), &cfg);
         reference::gemm_tn(1.0, a.as_ref(), b.as_ref(), &mut slow.as_mut());
         prop_assert!(fast.max_abs_diff(&slow) <= tol(m.max(n), n.max(k), 2.0));
     }
@@ -73,7 +72,8 @@ proptest! {
         let mut fast = gen::standard::<f64>(5, n, k);
         let mut slow = fast.clone();
         let cfg = config::<f64>(true);
-        gemm_tn_micro(alpha, a.as_ref(), b.as_ref(), &mut fast.as_mut(), &cfg);
+        let path = micro_path_for::<f64>();
+        gemm_tn_micro_path(path, alpha, a.as_ref(), b.as_ref(), &mut fast.as_mut(), &cfg);
         reference::gemm_tn(alpha, a.as_ref(), b.as_ref(), &mut slow.as_mut());
         prop_assert!(fast.max_abs_diff(&slow) <= tol(m.max(n), n.max(k), 4.0));
     }
@@ -97,14 +97,15 @@ proptest! {
         let k = b21.cols();
         let mut fast = Matrix::zeros(n, k);
         let mut slow = Matrix::zeros(n, k);
-        gemm_tn_micro(1.0, a21, b21, &mut fast.as_mut(), &cfg);
+        let path = micro_path_for::<f64>();
+        gemm_tn_micro_path(path, 1.0, a21, b21, &mut fast.as_mut(), &cfg);
         reference::gemm_tn(1.0, a21, b21, &mut slow.as_mut());
         prop_assert!(fast.max_abs_diff(&slow) <= tol(m.max(n), n.max(k), 2.0));
         // And with mismatched quadrants (different column offsets).
         let k2 = b22.cols();
         let mut fast2 = Matrix::zeros(n, k2);
         let mut slow2 = Matrix::zeros(n, k2);
-        gemm_tn_micro(1.0, a21, b22, &mut fast2.as_mut(), &cfg);
+        gemm_tn_micro_path(path, 1.0, a21, b22, &mut fast2.as_mut(), &cfg);
         reference::gemm_tn(1.0, a21, b22, &mut slow2.as_mut());
         prop_assert!(fast2.max_abs_diff(&slow2) <= tol(m.max(n), n.max(k2), 2.0));
     }
@@ -121,7 +122,8 @@ proptest! {
         let mut fast = Matrix::<f32>::zeros(n, k);
         let mut slow = Matrix::<f32>::zeros(n, k);
         let cfg = config::<f32>(tiny == 1);
-        gemm_tn_micro(1.0f32, a.as_ref(), b.as_ref(), &mut fast.as_mut(), &cfg);
+        let path = micro_path_for::<f32>();
+        gemm_tn_micro_path(path, 1.0f32, a.as_ref(), b.as_ref(), &mut fast.as_mut(), &cfg);
         reference::gemm_tn(1.0f32, a.as_ref(), b.as_ref(), &mut slow.as_mut());
         let tol32 = ata_mat::ops::product_tol::<f32>(m.max(n), n.max(k), m as f64) * 2.0;
         prop_assert!((fast.max_abs_diff(&slow)) <= tol32);
@@ -138,7 +140,8 @@ proptest! {
         let mut fast = gen::standard::<f64>(9, n, n);
         let mut slow = fast.clone();
         let cfg = config::<f64>(class % 2 == 1);
-        syrk_ln_micro(1.0, a.as_ref(), &mut fast.as_mut(), &cfg);
+        let path = micro_path_for::<f64>();
+        syrk_ln_micro_path(path, 1.0, a.as_ref(), &mut fast.as_mut(), &cfg);
         reference::syrk_ln(1.0, a.as_ref(), &mut slow.as_mut());
         let diff = fast.max_abs_diff_lower(&slow);
         prop_assert!(diff <= tol(m.max(n), n, 2.0));
@@ -149,63 +152,42 @@ proptest! {
 
     #[test]
     fn tracked_op_counts_match_the_reference_kernels(
-        m in 1usize..28,
-        n in 1usize..28,
-        k in 1usize..28,
+        m in 0usize..28,
+        n in 0usize..28,
+        k in 0usize..28,
     ) {
-        // Exact parity on the alpha = 1 hot path (the one every Strassen
-        // product and every measured-flop validation runs): the packed
-        // engine must cost precisely the same multiplications and
-        // additions as the pre-engine blocked kernel, on any shape.
+        // The exact ledger on the alpha = 1 hot path (the one every
+        // Strassen product and every measured-flop validation runs): one
+        // multiplication and one addition per (i, j, p) of the product,
+        // on any shape, empty ones included.
         let a = gen::standard::<Tracked>(1, m, n);
         let b = gen::standard::<Tracked>(2, m, k);
         let cfg = config::<Tracked>(true);
-
-        let mut c_micro = Matrix::<Tracked>::zeros(n, k);
-        let (_, micro_ops) = measure(|| {
-            gemm_tn_micro(Tracked(1.0), a.as_ref(), b.as_ref(), &mut c_micro.as_mut(), &cfg);
+        let mut c = Matrix::<Tracked>::zeros(n, k);
+        let path = micro_path_for::<Tracked>();
+        let (_, ops) = measure(|| {
+            gemm_tn_micro_path(path, Tracked(1.0), a.as_ref(), b.as_ref(), &mut c.as_mut(), &cfg);
         });
-        let mut c_ref = Matrix::<Tracked>::zeros(n, k);
-        let (_, ref_ops) = measure(|| {
-            gemm_tn_blocked(
-                Tracked(1.0),
-                a.as_ref(),
-                b.as_ref(),
-                &mut c_ref.as_mut(),
-                BlockSizes::default(),
-            );
-        });
-        prop_assert_eq!(micro_ops, ref_ops);
-        prop_assert_eq!(micro_ops.muls, (m * n * k) as u64);
-
-        // And the results are bit-identical only up to reassociation —
-        // but on the op ledger both paths are pure mul/add.
-        prop_assert_eq!(micro_ops.subs, 0);
-        prop_assert_eq!(micro_ops.negs, 0);
+        let volume = (m * n * k) as u64;
+        prop_assert_eq!((ops.muls, ops.adds), (volume, volume));
+        prop_assert_eq!((ops.subs, ops.negs), (0, 0));
     }
 
     #[test]
     fn tracked_syrk_op_counts_match_the_reference_kernel(
-        m in 1usize..24,
-        n in 1usize..24,
+        m in 0usize..24,
+        n in 0usize..24,
     ) {
+        // The lower triangle's multiply-adds, and nothing else.
         let a = gen::standard::<Tracked>(5, m, n);
         let cfg = config::<Tracked>(true);
-
-        let mut c_micro = Matrix::<Tracked>::zeros(n, n);
-        let (_, micro_ops) = measure(|| {
-            syrk_ln_micro(Tracked(1.0), a.as_ref(), &mut c_micro.as_mut(), &cfg);
+        let mut c = Matrix::<Tracked>::zeros(n, n);
+        let path = micro_path_for::<Tracked>();
+        let (_, ops) = measure(|| {
+            syrk_ln_micro_path(path, Tracked(1.0), a.as_ref(), &mut c.as_mut(), &cfg);
         });
-        let mut c_ref = Matrix::<Tracked>::zeros(n, n);
-        let (_, ref_ops) = measure(|| {
-            syrk_ln_blocked(
-                Tracked(1.0),
-                a.as_ref(),
-                &mut c_ref.as_mut(),
-                BlockSizes::default(),
-            );
-        });
-        prop_assert_eq!(micro_ops, ref_ops);
-        prop_assert_eq!(micro_ops.muls, (m * n * (n + 1) / 2) as u64);
+        let triangle = (m * n * (n + 1) / 2) as u64;
+        prop_assert_eq!((ops.muls, ops.adds), (triangle, triangle));
+        prop_assert_eq!((ops.subs, ops.negs), (0, 0));
     }
 }

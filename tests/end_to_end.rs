@@ -7,11 +7,11 @@ use std::num::NonZeroUsize;
 
 use ata::dist::baselines::{caps_like, cosma_like, pdsyrk_like};
 use ata::dist::{ata_d, AtaDConfig};
-use ata::kernels::CacheConfig;
+use ata::kernels::{syrk_ln, CacheConfig};
 use ata::linalg::{solve_normal_equations, RidgeSolver};
 use ata::mat::{gen, reference, Matrix};
 use ata::mpisim::{run, CostModel};
-use ata::AtaContext;
+use ata::{AtaContext, Scalar};
 
 fn oracle_lower(a: &Matrix<f64>) -> Matrix<f64> {
     let n = a.cols();
@@ -299,45 +299,116 @@ fn gram_execute_into_mirrors_the_accumulated_lower_triangle_bitwise() {
     }
 }
 
+/// Assert that serial and `shared(2..4)` Grams of one seeded `m x n`
+/// input carry the same bits (through `bits`) for `Gram`, `Lower` and
+/// `Packed` output, through `execute` and `execute_into`.
+fn assert_split_invariant<T: Scalar>(
+    contexts: &[AtaContext],
+    m: usize,
+    n: usize,
+    bits: fn(T) -> u64,
+) {
+    use ata::{AtaOutput, Output};
+    assert!(
+        m * n <= CacheConfig::for_scalar::<T>().words,
+        "{} ({m}, {n}) recurses",
+        T::NAME
+    );
+    let bits = |v: &[T]| v.iter().map(|&x| bits(x)).collect::<Vec<_>>();
+    let a = gen::standard::<T>(m as u64 * 5 + n as u64, m, n);
+    for output in [Output::Gram, Output::Lower, Output::Packed] {
+        let mut first = None;
+        for (ctx, threads) in contexts.iter().zip([1usize, 2, 3, 4]) {
+            let plan = ctx.plan_with::<T>(m, n, output);
+            let fresh = match plan.execute(a.as_ref()) {
+                AtaOutput::Dense(c) => bits(c.as_slice()),
+                AtaOutput::Packed(p) => bits(p.as_slice()),
+            };
+            // Stale contents: execute_into must overwrite what it reads.
+            let mut into = gen::standard::<T>(99, n, n);
+            plan.execute_into(a.as_ref(), &mut into.as_mut());
+            let got = (fresh, bits(into.as_slice()));
+            match &first {
+                None => first = Some(got),
+                Some(serial) => assert!(
+                    *serial == got,
+                    "{} ({m}, {n}) {output:?}: {threads} threads differ from serial",
+                    T::NAME
+                ),
+            }
+        }
+    }
+}
+
 #[test]
 fn gram_without_a_strassen_level_does_not_depend_on_the_thread_split() {
-    // Below the f64 recursion budget a serial Gram is one `syrk_ln`
-    // call, and every AtA-S leaf of these shapes stays at or above the
-    // packed engine's volume cutoff: each element is then the same
-    // chain of products whatever the split, so the serial backend and
-    // every thread count give the same bits.
-    use ata::{AtaOutput, Output};
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // Below the recursion budget a serial Gram is one `syrk_ln` call and
+    // every AtA-S leaf is a packed-engine call over all rows of `A`: each
+    // element is then the same chain of products whatever the split, so
+    // the serial backend and every thread count give the same bits. The
+    // small shapes split into leaves of a few thousand multiply-adds.
     let contexts = [0usize, 2, 3, 4].map(|threads| match NonZeroUsize::new(threads) {
         None => AtaContext::serial(),
         Some(t) => AtaContext::shared(t),
     });
-    for (m, n) in [(300usize, 200usize), (777, 150), (401, 257), (129, 333)] {
+    for (m, n) in [
+        (300usize, 200usize),
+        (777, 150),
+        (401, 257),
+        (129, 333),
+        (40, 16),
+        (30, 20),
+        (100, 8),
+        (64, 16),
+        (16, 33),
+    ] {
+        assert_split_invariant::<f64>(&contexts, m, n, f64::to_bits);
+    }
+    assert_split_invariant::<f32>(&contexts, 200, 40, |x| u64::from(x.to_bits()));
+}
+
+#[test]
+fn ata_level_with_classical_c21_products_is_bitwise_syrk_ln() {
+    // At `m·n/2 + 1` words AtA recurses once on even shapes, and its
+    // quadrant Grams and `C21` products are all leaves. Each leaf extends
+    // its entries' chains over its half of the rows, top half first, so
+    // every lower entry is the chain `syrk_ln` computes in one call.
+    fn check<T: Scalar>(m: usize, n: usize, bits: fn(T) -> u64) {
+        use ata::{AtaOutput, Output};
+        let words = m * n / 2 + 1;
+        let cache = CacheConfig::with_words(words);
         assert!(
-            m * n <= CacheConfig::for_scalar::<f64>().words,
-            "({m}, {n}) recurses"
+            !cache.ata_base(m, n) && cache.gemm_base(m / 2, n / 2, n / 2),
+            "({m}, {n}) must recurse exactly one level with classical C21 products"
         );
-        let a = gen::standard::<f64>(m as u64 * 5 + n as u64, m, n);
-        for output in [Output::Gram, Output::Lower, Output::Packed] {
-            let mut first = None;
-            for (ctx, threads) in contexts.iter().zip([1usize, 2, 3, 4]) {
-                let plan = ctx.plan_with::<f64>(m, n, output);
-                let fresh = match plan.execute(a.as_ref()) {
-                    AtaOutput::Dense(c) => bits(c.as_slice()),
-                    AtaOutput::Packed(p) => bits(p.as_slice()),
-                };
-                // Stale contents: execute_into must overwrite what it reads.
-                let mut into = gen::standard::<f64>(99, n, n);
-                plan.execute_into(a.as_ref(), &mut into.as_mut());
-                let got = (fresh, bits(into.as_slice()));
-                match &first {
-                    None => first = Some(got),
-                    Some(serial) => assert!(
-                        *serial == got,
-                        "({m}, {n}) {output:?}: {threads} threads differ from serial"
-                    ),
-                }
+        let a = gen::standard::<T>(m as u64 * 3 + n as u64, m, n);
+        let ctx = AtaContext::builder().cache_words(words).build();
+        let AtaOutput::Dense(c) = ctx.plan_with::<T>(m, n, Output::Lower).execute(a.as_ref())
+        else {
+            panic!("Lower output is dense");
+        };
+        let mut want = Matrix::<T>::zeros(n, n);
+        syrk_ln(T::ONE, a.as_ref(), &mut want.as_mut());
+        for i in 0..n {
+            for j in 0..=i {
+                assert_eq!(
+                    bits(c[(i, j)]),
+                    bits(want[(i, j)]),
+                    "{} ({m}, {n}): lower ({i}, {j})",
+                    T::NAME
+                );
             }
         }
+    }
+    for (m, n) in [
+        (40, 16),
+        (30, 20),
+        (64, 16),
+        (100, 8),
+        (300, 200),
+        (700, 64),
+    ] {
+        check::<f64>(m, n, f64::to_bits);
+        check::<f32>(m, n, |x| u64::from(x.to_bits()));
     }
 }

@@ -28,7 +28,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn blocked_gemm_matches_oracle(
+    fn gemm_tn_matches_oracle(
         m in 1usize..48,
         n in 1usize..48,
         k in 1usize..48,
