@@ -9,10 +9,11 @@
 //! Each size times AtA and `syrk` in alternating rounds and reports the
 //! median per-round time ratio with its quartiles. The first size adds
 //! an A/A row (AtA at a budget where it is one `syrk_ln` call, against
-//! `syrk_ln`); see `ata_bench::aa_gate`.
+//! `syrk_ln`); see `ata_bench::aa_gate`. `--rows M` times tall or wide
+//! `M x n` inputs for each `--sizes` entry `n` instead of squares.
 //!
 //! ```text
-//! cargo run --release -p ata-bench --bin fig3 [-- --sizes 256,512,... --reps 3 --csv out/]
+//! cargo run --release -p ata-bench --bin fig3 [-- --sizes 256,512,... --rows M --reps 3 --csv out/]
 //! ```
 
 use ata_bench::{aa_gate, effective_gflops, fmt_secs, smoke, Cli, Table};
@@ -32,11 +33,17 @@ fn main() {
     } else {
         cli.usize_list("sizes", &[256, 512, 768, 1024, 1280, 1536])
     };
+    // Rows of every input; 0 (the default) times squares.
+    let rows = cli.usize("rows", 0);
     let reps = cli.usize("reps", 3);
     let min_secs = if smoke() { 0.0 } else { MIN_SECS };
     let cache = CacheConfig::with_words(cli.usize("cache-words", CacheConfig::default().words));
 
-    println!("Figure 3: sequential AtA vs dsyrk-substitute (f64, square)");
+    let (shape, label) = match rows {
+        0 => ("square".to_string(), "n"),
+        m => (format!("{m} rows"), "m x n"),
+    };
+    println!("Figure 3: sequential AtA vs dsyrk-substitute (f64, {shape})");
     println!(
         "sizes = {sizes:?}, rounds >= {reps} and >= {min_secs} s per size, cache words = {}",
         cache.words
@@ -45,7 +52,7 @@ fn main() {
     let mut table = Table::new(
         "Fig 3 — AtA vs dsyrk (sequential, f64)",
         &[
-            "n",
+            label,
             "t_AtA",
             "t_dsyrk",
             "EG_AtA",
@@ -56,12 +63,13 @@ fn main() {
     );
     let mut aa_row = None;
     for (i, &n) in sizes.iter().enumerate() {
-        let a = gen::standard::<f64>(n as u64, n, n);
+        let m = if rows == 0 { n } else { rows };
+        let a = gen::standard::<f64>(n as u64, m, n);
         let mut c = Matrix::<f64>::zeros(n, n);
         let mut ws = StrassenWorkspace::<f64>::empty();
         // The A/A row, at the first size only: AtA under a budget its
         // whole input fits in is one `syrk_ln` call.
-        let leaf = CacheConfig::with_words(2 * n * n);
+        let leaf = CacheConfig::with_words(2 * m * n);
         let r = time_rounds(if i == 0 { 3 } else { 2 }, reps, min_secs, |call| {
             c.as_mut().fill_zero();
             if call == 1 {
@@ -78,21 +86,27 @@ fn main() {
                 label,
                 fmt_secs(r.median(ata)),
                 fmt_secs(r.median(1)),
-                format!("{:.2}", effective_gflops(1.0, n, n, r.median(ata))),
-                format!("{:.2}", effective_gflops(1.0, n, n, r.median(1))),
+                format!("{:.2}", effective_gflops(1.0, m, n, r.median(ata))),
+                format!("{:.2}", effective_gflops(1.0, m, n, r.median(1))),
                 format!("{:.3}", q.median),
                 format!("{:.3}-{:.3}", q.q1, q.q3),
             ]);
             q
         };
-        row(n.to_string(), 0);
+        let size = if rows == 0 {
+            n.to_string()
+        } else {
+            format!("{m}x{n}")
+        };
+        row(size.clone(), 0);
         if i == 0 {
-            aa_row = Some((n, row(format!("A/A {n}"), 2)));
+            let aa = row(format!("A/A {size}"), 2);
+            aa_row = Some((size, aa));
         }
     }
-    if let Some((n, q)) = aa_row {
+    if let Some((size, q)) = aa_row {
         aa_gate(
-            &format!("fig3 (AtA as one syrk_ln call vs syrk_ln, n = {n})"),
+            &format!("fig3 (AtA as one syrk_ln call vs syrk_ln, {label} = {size})"),
             q,
         );
     }

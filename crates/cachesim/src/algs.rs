@@ -11,7 +11,8 @@
 //! Base cases use the naive register-accumulator kernels, which realize
 //! the `O(base^2 / b)` base-case transfer count the cache-oblivious
 //! analysis assumes (all operand lines stay resident once the base block
-//! fits in `M`).
+//! fits in `M`). The walks stop where that analysis does, at the paper's
+//! cache-fit rule, not at the library's calibrated recursion gate.
 
 use crate::lru::IdealCache;
 use crate::mem::{CachedMem, Region};
@@ -26,14 +27,15 @@ pub struct CacheStats {
     pub accesses: u64,
 }
 
-/// Base-case predicate of the `A^T B` recursions — mirrors
-/// `ata-strassen::workspace::is_base`.
+/// Base-case predicate of the `A^T B` recursions: the paper's Prop. 3.1
+/// cache-fit rule, both operands fit in `base_words`.
 #[inline]
 fn gemm_base(m: usize, n: usize, k: usize, base_words: usize) -> bool {
     m * n + m * k <= base_words || (m <= 1 && n <= 1 && k <= 1)
 }
 
-/// Base-case predicate of AtA — mirrors `CacheConfig::ata_base`.
+/// Base-case predicate of AtA: the paper's Prop. 3.1 cache-fit rule, the
+/// input block fits in `base_words`.
 #[inline]
 fn ata_base(m: usize, n: usize, base_words: usize) -> bool {
     m * n <= base_words

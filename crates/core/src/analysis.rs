@@ -21,13 +21,13 @@ use ata_strassen::strassen_mults;
 /// Scalar multiplications performed by the AtA recursion (Algorithm 1)
 /// on an `m x n` input under cache config `cfg`.
 ///
-/// Base case: `syrk_ln` does `m * n(n+1)/2` multiplications. Recursive
-/// case: four AtA quadrant calls plus two Strassen products
-/// (`(m1, n2, n1)` and `(m2, n2, n1)`).
+/// Base case ([`CacheConfig::ata_base`], the live gate): `syrk_ln` does
+/// `m * n(n+1)/2` multiplications. Recursive case: four AtA quadrant
+/// calls plus two Strassen products (`(m1, n2, n1)` and `(m2, n2, n1)`).
+/// A level over classical `C21` products does as many multiplications as
+/// one `syrk_ln`, so on square powers of two this still equals Table 1's
+/// closed form [`ata_mults_closed_form`] at the fully recursive budget.
 pub fn ata_mults(m: usize, n: usize, cfg: &CacheConfig) -> u64 {
-    if m == 0 || n == 0 {
-        return 0;
-    }
     if cfg.ata_base(m, n) {
         return (m as u64) * (n as u64) * (n as u64 + 1) / 2;
     }

@@ -53,9 +53,7 @@ pub use accuracy::{
 pub use analysis::{ata_mults, effective_gflops};
 pub use naive::ata_naive;
 pub use parallel::{ata_s, ata_s_planned, plan_workspace_elems};
-pub use serial::{
-    ata_into, ata_into_with_kind, ata_workspace_elems, chunk_rows_for_budget, StrassenKind,
-};
+pub use serial::{ata_into, ata_into_with_kind, ata_workspace_elems, StrassenKind};
 
 #[cfg(test)]
 mod tests {

@@ -14,8 +14,8 @@ use ata_mat::{half_up, MatMut, MatRef, Scalar};
 
 /// Algorithm 2: `C += alpha * A^T B` by eight-way recursion.
 ///
-/// Base case per the paper (line 2): both operands fit in cache
-/// (`m*n + m*k <= cache words`), where the packed `gemm_tn` kernel runs.
+/// Base case (the paper's line 2): [`CacheConfig::gemm_base`], where the
+/// packed `gemm_tn` kernel runs.
 ///
 /// Shapes: `A: m x n`, `B: m x k`, `C: n x k`.
 #[allow(clippy::needless_range_loop)] // the [l][i]/[l][j] indexing mirrors Algorithm 2
@@ -31,7 +31,7 @@ fn recursive_gemm<T: Scalar>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if cfg.gemm_base(m, n, k) || (m <= 1 && n <= 1 && k <= 1) {
+    if cfg.gemm_base(m, n, k) {
         gemm_tn(alpha, a, b, c);
         return;
     }

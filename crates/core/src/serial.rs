@@ -10,10 +10,11 @@
 //! C12  = C21^T                     (never computed — symmetry)
 //! ```
 //!
-//! The base case (`m * n` fits the cache budget) calls the packed
-//! `syrk_ln` kernel, exactly as the paper calls BLAS `?syrk`. The
-//! quadrant split rounds *up* (`m1 = ⌈m/2⌉`, `n1 = ⌈n/2⌉`), so `C21` is
-//! always a full rectangle lying entirely inside the lower triangle.
+//! The base case ([`CacheConfig::ata_base`]: no `C21` product would run
+//! a Strassen level) calls the packed `syrk_ln` kernel, exactly as the
+//! paper calls BLAS `?syrk`. The quadrant split rounds *up* (`m1 =
+//! ⌈m/2⌉`, `n1 = ⌈n/2⌉`), so `C21` is always a full rectangle lying
+//! entirely inside the lower triangle.
 //!
 //! All Strassen calls share one [`StrassenWorkspace`] (§3.3): the serial
 //! recursion never runs two products concurrently, so a single arena
@@ -116,7 +117,7 @@ pub fn ata_into<T: Scalar>(alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>, cf
 /// Plan construction (the `ata` facade's `AtaPlan`) uses this to warm
 /// the context's arena cache before the first execution.
 pub fn ata_workspace_elems(m: usize, n: usize, cfg: &CacheConfig, kind: StrassenKind) -> usize {
-    if m == 0 || n == 0 || cfg.ata_base(m, n) {
+    if cfg.ata_base(m, n) {
         return 0;
     }
     let (m1, n1) = (half_up(m), half_up(n));
@@ -134,22 +135,6 @@ pub fn ata_workspace_elems(m: usize, n: usize, cfg: &CacheConfig, kind: Strassen
     .into_iter()
     .max()
     .unwrap_or(0)
-}
-
-/// Tallest row-chunk height that still hits the `syrk` base case for an
-/// `n`-column input under `cfg` — the thin/tall threshold of streaming
-/// Gram accumulation.
-///
-/// A chunk of at most this many rows satisfies `cfg.ata_base(rows, n)`,
-/// so `C += Aᵢᵀ Aᵢ` runs as one direct β = 1 `syrk_ln` rank update with
-/// no recursion and no Strassen workspace; taller chunks are worth the
-/// full AtA recursion. Always at least 1 (a single row is a rank-1
-/// update no matter how wide), and saturates to `usize::MAX` for `n = 0`.
-pub fn chunk_rows_for_budget(n: usize, cfg: &CacheConfig) -> usize {
-    if n == 0 {
-        return usize::MAX;
-    }
-    (cfg.words / n).max(1)
 }
 
 fn rec<T: Scalar>(
@@ -338,32 +323,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn chunk_threshold_matches_base_case_predicate() {
-        for words in [4usize, 64, 1024, 131_072] {
-            let cfg = CacheConfig::with_words(words);
-            for n in [1usize, 7, 32, 100] {
-                let rows = chunk_rows_for_budget(n, &cfg);
-                assert!(rows >= 1);
-                if rows < usize::MAX && rows * n <= words {
-                    assert!(cfg.ata_base(rows, n), "({words},{n}): {rows} not base");
-                }
-                if rows.saturating_mul(n) > words {
-                    // Only possible through the >= 1 floor.
-                    assert_eq!(rows, 1, "({words},{n})");
-                }
-                // One more row must overflow the budget (or be the floor).
-                if rows < usize::MAX && rows > 1 {
-                    assert!(!cfg.ata_base(rows + 1, n), "({words},{n}) not maximal");
-                }
-            }
-        }
-        assert_eq!(
-            chunk_rows_for_budget(0, &CacheConfig::with_words(16)),
-            usize::MAX
-        );
     }
 
     #[test]

@@ -29,8 +29,7 @@
 //! algorithm in the workspace — AtA and all baselines — calls these same
 //! kernels, so the *relative* comparisons the paper makes are preserved.
 //!
-//! [`CacheConfig`] centralizes the "fits in cache" predicate that decides
-//! the recursion base cases of Algorithms 1 and 2.
+//! [`CacheConfig`] holds the one recursion gate of Algorithms 1 and 2.
 
 // Unsafe is confined to `simd` (pointer-based intrinsics behind runtime
 // feature detection); everything else stays safe and `ata-lint`'s
@@ -51,15 +50,14 @@ pub use gemm::gemm_tn;
 pub use micro::{KernelConfig, MicroPath};
 pub use syrk::{syrk_ln, syrk_ln_beta};
 
-/// Cache-size model driving the base-case tests of the recursive
-/// algorithms (Algorithm 1 line 2; Algorithm 2 line 2).
-///
-/// The paper stops recursing "when the number of entries of the
-/// sub-matrix fits in the cache". `words` is that capacity measured in
-/// matrix elements.
+use ata_mat::{half_down, half_up};
+
+/// The recursion gate of Algorithms 1 and 2 (line 2: stop once the block
+/// "fits in the cache"), in the words the cutoff calibration measures on
+/// squares: an order-`g` product is one kernel call when `2·g² <= words`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Number of elements assumed to fit in the last-level private cache.
+    /// Twice the square of the largest order kept as one kernel call.
     pub words: usize,
 }
 
@@ -86,18 +84,23 @@ impl CacheConfig {
         Self::with_words(calibrate::tuned_for::<T>().base_words)
     }
 
-    /// Base-case predicate of AtA (Algorithm 1): the `m x n` input block
-    /// fits in cache.
-    #[inline]
-    pub fn ata_base(&self, m: usize, n: usize) -> bool {
-        m.saturating_mul(n) <= self.words
-    }
-
-    /// Base-case predicate of the general `A^T B` recursion (Algorithm 2):
-    /// both operands fit together.
+    /// Base case of `C += alpha * A^T B` (`A: m x n`, `B: m x k`), the
+    /// library's only recursion gate: the smallest side `s` has `s <= 1`
+    /// (empty products included) or `2·s² <= words`, since a Strassen level
+    /// pays only when all three sides are large (Huang et al., "Strassen's
+    /// Algorithm with BLIS").
     #[inline]
     pub fn gemm_base(&self, m: usize, n: usize, k: usize) -> bool {
-        m.saturating_mul(n).saturating_add(m.saturating_mul(k)) <= self.words
+        let s = m.min(n).min(k);
+        s <= 1 || s.saturating_mul(s).saturating_mul(2) <= self.words
+    }
+
+    /// Base case of AtA on an `m x n` input: its larger `C21` product
+    /// `(⌈m/2⌉, ⌊n/2⌋, ⌈n/2⌉)` runs no Strassen level, so a level would
+    /// only split one `syrk_ln` call into smaller leaves.
+    #[inline]
+    pub fn ata_base(&self, m: usize, n: usize) -> bool {
+        self.gemm_base(half_up(m), half_down(n), half_up(n))
     }
 }
 
@@ -110,24 +113,53 @@ mod tests {
         let c = CacheConfig::default();
         let words = calibrate::tuned_for::<f64>().base_words;
         assert_eq!(c.words, words);
-        // The ata_base boundary sits exactly at sqrt(words).
-        let s = (words as f64).sqrt() as usize;
-        assert!(c.ata_base(s, words / s.max(1)));
-        assert!(!c.ata_base(s + 1, words / s.max(1) + 1));
+        // The square boundary sits exactly at g = sqrt(words / 2), and
+        // AtA's at the input order whose C21 products reach it.
+        let g = ((words / 2) as f64).sqrt() as usize;
+        assert!(c.gemm_base(g, g, g));
+        assert!(!c.gemm_base(g + 1, g + 1, g + 1));
+        assert!(c.ata_base(2 * g + 1, 2 * g + 1));
+        assert!(!c.ata_base(2 * g + 2, 2 * g + 2));
     }
 
     #[test]
-    fn gemm_base_counts_both_operands() {
-        let c = CacheConfig::with_words(100);
-        assert!(c.gemm_base(5, 10, 10)); // 50 + 50
-        assert!(!c.gemm_base(5, 10, 11)); // 50 + 55
+    fn gemm_base_reads_the_smallest_side() {
+        let c = CacheConfig::with_words(200); // 2·10² = 200
+        assert!(c.gemm_base(10, 10, 10));
+        assert!(!c.gemm_base(11, 11, 11));
+        // A skinny product is one call however long its other sides are.
+        assert!(c.gemm_base(100_000, 10, 500));
+        assert!(c.gemm_base(500, 100_000, 10));
+        assert!(c.gemm_base(11, 11, 10));
+        // Sides of 1 never recurse, whatever the budget.
+        let tiny = CacheConfig::with_words(1);
+        assert!(tiny.gemm_base(1, 1, 1));
+        assert!(tiny.gemm_base(1_000, 1, 1_000));
+        assert!(!tiny.gemm_base(2, 2, 2));
+    }
+
+    #[test]
+    fn ata_base_reads_its_larger_c21_product() {
+        let c = CacheConfig::with_words(200);
+        // (⌈m/2⌉, ⌊n/2⌋, ⌈n/2⌉) = (11, 10, 11): base.
+        assert!(c.ata_base(21, 21));
+        // (11, 11, 11): recurses.
+        assert!(!c.ata_base(22, 22));
+        // A tall input recurses only once its C21 products are wide.
+        assert!(c.ata_base(1 << 20, 21));
+        assert!(!c.ata_base(1 << 20, 22));
+        // Too few rows or columns to split never recurse.
+        assert!(c.ata_base(1, 1 << 20));
+        assert!(c.ata_base(1 << 20, 1));
     }
 
     #[test]
     fn saturating_dimensions_do_not_overflow() {
         let c = CacheConfig::default();
-        assert!(!c.ata_base(usize::MAX, 2));
-        assert!(!c.gemm_base(usize::MAX, 2, 2));
+        assert!(!c.ata_base(usize::MAX, usize::MAX));
+        assert!(!c.gemm_base(usize::MAX, usize::MAX, usize::MAX));
+        assert!(c.ata_base(usize::MAX, 2));
+        assert!(c.gemm_base(usize::MAX, 2, 2));
     }
 
     #[test]

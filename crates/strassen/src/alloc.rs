@@ -8,7 +8,6 @@
 //! Figure 4 harness benches both to reproduce the paper's demonstration
 //! that pre-allocation pays.
 
-use crate::workspace::is_base;
 use ata_kernels::level1::{axpy, copy_padded};
 use ata_kernels::{gemm_tn, CacheConfig};
 use ata_mat::{half_up, MatMut, MatRef, Matrix, Scalar};
@@ -81,7 +80,7 @@ fn rec<T: Scalar>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if is_base(m, n, k, cfg) {
+    if cfg.gemm_base(m, n, k) {
         gemm_tn(alpha, a, b, c);
         return;
     }

@@ -2,8 +2,9 @@
 //! stays one `gemm_tn` call.
 //!
 //! [`CacheConfig::gemm_base`] gates the recursion in [`crate::fast`]: an
-//! `(m, n, k)` product recurses while `m*n + m*k` exceeds the budget, so a
-//! square order-`g` product is a base case exactly when `2 g² <= words`.
+//! `(m, n, k)` product with smallest side `s` recurses while `2 s²`
+//! exceeds the budget, so a square order-`g` product is a base case
+//! exactly when `2 g² <= words`.
 //! The budget is measured where it acts: [`measure_cutoff`] times one
 //! recursion level of [`fast_strassen_with`] — seven half-size base-case
 //! products plus the block sums — against one `gemm_tn` at each square
@@ -14,9 +15,9 @@
 //! `ATA_KERNEL_PARAMS` override (so re-time the cutoff after re-baking a
 //! tile or blocking).
 //!
-//! The same budget also sets AtA's syrk leaves
-//! ([`CacheConfig::ata_base`], `m*n <= words`); `ata calibrate` prints
-//! the ratios and the resulting row.
+//! AtA's syrk leaves follow from the same gate: [`CacheConfig::ata_base`]
+//! recurses only when AtA's larger `C21` product would run a Strassen
+//! level. `ata calibrate` prints the ratios and the resulting row.
 
 use crate::fast::fast_strassen_with;
 use crate::workspace::StrassenWorkspace;

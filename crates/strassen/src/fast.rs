@@ -15,7 +15,7 @@
 //! to the recursion directly without copying.
 
 use crate::pad::{accumulate, direct_or_pad, pad_sum};
-use crate::workspace::{is_base, StrassenWorkspace};
+use crate::workspace::StrassenWorkspace;
 use ata_kernels::{gemm_tn, CacheConfig};
 use ata_mat::{half_up, MatMut, MatRef, Scalar};
 
@@ -34,7 +34,7 @@ fn rec<T: Scalar>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if is_base(m, n, k, cfg) {
+    if cfg.gemm_base(m, n, k) {
         gemm_tn(alpha, a, b, c);
         return;
     }
@@ -174,10 +174,7 @@ pub fn fast_strassen<T: Scalar>(
 /// exactly `7^q = n^(log2 7)` — Strassen's count, which the measured-flop
 /// tests compare against.
 pub fn strassen_mults(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> u64 {
-    if m == 0 || n == 0 || k == 0 {
-        return 0;
-    }
-    if is_base(m, n, k, cfg) {
+    if cfg.gemm_base(m, n, k) {
         return (m as u64) * (n as u64) * (k as u64);
     }
     7 * strassen_mults(half_up(m), half_up(n), half_up(k), cfg)

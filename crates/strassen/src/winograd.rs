@@ -42,7 +42,7 @@
 //! quantifies the trade on real workloads.
 
 use crate::pad::{accumulate, direct_or_pad, pad_sum, rsub_padded, sub_padded};
-use crate::workspace::{is_base, StrassenWorkspace};
+use crate::workspace::StrassenWorkspace;
 use ata_kernels::level1::axpy;
 use ata_kernels::{gemm_tn, CacheConfig};
 use ata_mat::{half_up, MatMut, MatRef, Scalar};
@@ -51,7 +51,7 @@ use ata_mat::{half_up, MatMut, MatRef, Scalar};
 /// `(m, n, k)` problem consumes (counterpart of
 /// [`crate::workspace::required_elems`]).
 pub fn required_elems_winograd(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> usize {
-    if m == 0 || n == 0 || k == 0 || is_base(m, n, k, cfg) {
+    if cfg.gemm_base(m, n, k) {
         return 0;
     }
     let (m1, n1, k1) = (half_up(m), half_up(n), half_up(k));
@@ -73,7 +73,7 @@ fn rec<T: Scalar>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if is_base(m, n, k, cfg) {
+    if cfg.gemm_base(m, n, k) {
         gemm_tn(alpha, a, b, c);
         return;
     }

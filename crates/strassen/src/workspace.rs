@@ -16,20 +16,11 @@
 use ata_kernels::CacheConfig;
 use ata_mat::{half_up, Scalar};
 
-/// Decide whether a `(m, n, k)` transposed-left product is a recursion
-/// base case. Must be used identically by the size simulation and the
-/// actual recursion (a mismatch would over- or under-allocate).
-#[inline]
-pub(crate) fn is_base(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> bool {
-    // The 1x1x1 guard keeps the recursion terminating even for absurdly
-    // small cache budgets used in counting tests.
-    cfg.gemm_base(m, n, k) || (m <= 1 && n <= 1 && k <= 1)
-}
-
 /// Exact number of workspace elements the recursion on a `(m, n, k)`
-/// problem consumes.
+/// problem consumes. It simulates the recursion's dimension sequence
+/// under the same [`CacheConfig::gemm_base`] gate the recursion reads.
 pub fn required_elems(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> usize {
-    if m == 0 || n == 0 || k == 0 || is_base(m, n, k, cfg) {
+    if cfg.gemm_base(m, n, k) {
         return 0;
     }
     let (m1, n1, k1) = (half_up(m), half_up(n), half_up(k));

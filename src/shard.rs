@@ -327,7 +327,6 @@ struct Shared<T: Scalar> {
     max_batch: usize,
     output: Output,
     retry_budget: usize,
-    loggp: CostModel,
     clock: Arc<dyn Clock>,
     retry: RetryPolicy,
     chaos: Option<SplitChaos>,
@@ -595,7 +594,8 @@ fn shard_worker<T: Scalar + 'static>(
     }
 }
 
-/// The per-attempt fault schedule: deterministic in the chaos seed, the
+/// The per-attempt simulated cluster, under [`CostModel::zero`] (pure
+/// counting). Its fault schedule is deterministic in the chaos seed, the
 /// dispatch number and the attempt number, so retries see *different*
 /// faults (a transient drop clears on retry) while replays of the same
 /// service run see identical ones.
@@ -605,7 +605,7 @@ fn attempt_universe<T: Scalar>(
     dispatch: u64,
     attempt: u64,
 ) -> Universe {
-    let mut universe = Universe::new(procs, shared.loggp);
+    let mut universe = Universe::new(procs, CostModel::zero());
     if let Some(chaos) = &shared.chaos {
         let seed = chaos.seed
             ^ dispatch.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -804,7 +804,6 @@ pub struct ShardedServiceBuilder {
     split_words: usize,
     retry_budget: usize,
     admission_words: Option<u64>,
-    loggp: CostModel,
     clock: Arc<dyn Clock>,
     retry: RetryPolicy,
     chaos: Option<SplitChaos>,
@@ -825,7 +824,6 @@ impl ShardedServiceBuilder {
             split_words: 32 * 1024,
             retry_budget: 2,
             admission_words: None,
-            loggp: CostModel::zero(),
             clock: Arc::new(WallClock::new()),
             retry: RetryPolicy::default(),
             chaos: None,
@@ -897,13 +895,6 @@ impl ShardedServiceBuilder {
         self
     }
 
-    /// LogGP cost model of the simulated cluster the split lane runs
-    /// on. Default [`CostModel::zero`] (pure counting).
-    pub fn loggp(mut self, model: CostModel) -> Self {
-        self.loggp = model;
-        self
-    }
-
     /// The time source deadlines and retry backoff are measured on.
     /// Default [`WallClock`]; tests and chaos drills inject
     /// [`crate::clock::ManualClock`] so modeled backoff costs no wall
@@ -965,7 +956,6 @@ impl ShardedServiceBuilder {
             max_batch: self.max_batch,
             output: self.output,
             retry_budget: self.retry_budget,
-            loggp: self.loggp,
             clock: self.clock,
             retry: self.retry,
             chaos: self.chaos,

@@ -10,18 +10,16 @@
 //! chunk into a running `n x n` lower triangle and throws the chunk
 //! away, so a billion-row Gram costs `O(n²)` resident memory.
 //!
-//! Each chunk is routed by height: chunks that fit the calibrated cache
-//! budget run as one direct β = 1 [`ata_kernels::syrk_ln_beta`] rank
-//! update (no recursion, no workspace); taller chunks go through the
-//! full Strassen/AtA machinery of the owning context — its backend,
-//! worker pool, arena cache and shape-keyed plan cache — via the plans'
-//! accumulate mode ([`crate::AtaPlan::execute_accumulate`]). At steady
+//! Each chunk is routed by height: chunks of at most `words / n` rows
+//! run as one direct β = 1 [`ata_kernels::syrk_ln_beta`] rank update on
+//! the calling thread; taller chunks go through the owning context — its
+//! backend, worker pool, arena cache and shape-keyed plan cache — via the
+//! plans' accumulate mode ([`crate::AtaPlan::execute_accumulate`]). At steady
 //! state (a stable chunk shape) a push allocates nothing: arenas come
 //! from the context pool, packing buffers are thread-cached, and the
 //! accumulator buffer is fixed at construction.
 
-use ata_core::chunk_rows_for_budget;
-use ata_kernels::syrk_ln_beta;
+use ata_kernels::{syrk_ln_beta, CacheConfig};
 use ata_mat::{MatRef, Matrix, Scalar};
 use ata_strassen::ArenaStats;
 
@@ -77,6 +75,15 @@ pub struct GramAccumulator<T: Scalar> {
     tall_pushes: usize,
 }
 
+/// Tallest chunk folded by a direct `syrk_ln_beta` call on the calling
+/// thread rather than the context's plan: `words / n` rows, at least 1.
+/// A dispatch threshold, not the recursion gate.
+fn thin_rows_for(n: usize, cfg: &CacheConfig) -> usize {
+    cfg.words
+        .checked_div(n)
+        .map_or(usize::MAX, |rows| rows.max(1))
+}
+
 impl AtaContext {
     /// Create a streaming accumulator for `n`-column row chunks with the
     /// default [`Output::Gram`] selector. See [`GramAccumulator`].
@@ -95,7 +102,7 @@ impl AtaContext {
             ctx: self.clone(),
             n,
             output,
-            thin_rows: chunk_rows_for_budget(n, &self.cache_for::<T>()),
+            thin_rows: thin_rows_for(n, &self.cache_for::<T>()),
             pad: Matrix::zeros(0, 0),
             c: Matrix::zeros(n, n),
             rows: 0,
@@ -111,10 +118,10 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
     /// Fold a row chunk into the running Gram matrix:
     /// `C_low += chunk^T chunk`.
     ///
-    /// Thin chunks (up to [`GramAccumulator::thin_rows`] rows, the
-    /// calibrated cache budget) run as one direct β = 1 syrk rank
-    /// update; taller chunks run through the context's Strassen engine
-    /// in accumulate mode, zero-padded to the next power-of-two height
+    /// Thin chunks (up to [`GramAccumulator::thin_rows`] rows) run as
+    /// one direct β = 1 syrk rank update on the calling thread; taller
+    /// chunks run through the context's plan in accumulate mode,
+    /// zero-padded to the next power-of-two height
     /// bucket so the context's plan cache stays bounded no matter how
     /// irregular the stream's chunk heights are. Empty chunks are
     /// no-ops.
@@ -262,7 +269,7 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
     }
 
     /// The thin/tall routing threshold in rows: chunks up to this height
-    /// run as one direct syrk rank update.
+    /// run as one direct syrk rank update on the calling thread.
     pub fn thin_rows(&self) -> usize {
         self.thin_rows
     }
@@ -326,6 +333,22 @@ mod tests {
             r0 += ch.rows();
         }
         a
+    }
+
+    #[test]
+    fn chunk_threshold_matches_base_case_predicate() {
+        for words in [4usize, 64, 1024, 131_072] {
+            let cfg = CacheConfig::with_words(words);
+            for n in [1usize, 7, 32, 100] {
+                let rows = thin_rows_for(n, &cfg);
+                assert_eq!(rows, (words / n).max(1), "({words},{n})");
+                // A direct call runs the leaf a serial plan would.
+                assert!(cfg.ata_base(rows, n), "({words},{n}): {rows} recurses");
+                // One more row leaves the budget.
+                assert!((rows + 1) * n > words, "({words},{n}) not maximal");
+            }
+        }
+        assert_eq!(thin_rows_for(0, &CacheConfig::with_words(16)), usize::MAX);
     }
 
     #[test]

@@ -367,38 +367,71 @@ fn gram_without_a_strassen_level_does_not_depend_on_the_thread_split() {
     assert_split_invariant::<f32>(&contexts, 200, 40, |x| u64::from(x.to_bits()));
 }
 
+/// Lower triangles of `c` and `want` carry the same bits.
+fn assert_lower_bits<T: Scalar>(c: &Matrix<T>, want: &Matrix<T>, bits: fn(T) -> u64, what: &str) {
+    let n = want.rows();
+    for i in 0..n {
+        for j in 0..=i {
+            assert_eq!(
+                bits(c[(i, j)]),
+                bits(want[(i, j)]),
+                "{} {what}: lower ({i}, {j})",
+                T::NAME
+            );
+        }
+    }
+}
+
+/// `alpha * A^T A` into a zero lower triangle by one `syrk_ln` call.
+fn syrk_gram<T: Scalar>(alpha: T, a: &Matrix<T>) -> Matrix<T> {
+    let n = a.cols();
+    let mut c = Matrix::<T>::zeros(n, n);
+    syrk_ln(alpha, a.as_ref(), &mut c.as_mut());
+    c
+}
+
 #[test]
 fn ata_level_with_classical_c21_products_is_bitwise_syrk_ln() {
-    // At `m·n/2 + 1` words AtA recurses once on even shapes, and its
-    // quadrant Grams and `C21` products are all leaves. Each leaf extends
-    // its entries' chains over its half of the rows, top half first, so
-    // every lower entry is the chain `syrk_ln` computes in one call.
+    // At `m·n/2 + 1` words the paper's cache-fit rule (`m·n <= words`)
+    // recurses once on these even shapes, into quadrant Grams and `C21`
+    // products that are all leaves. The gate keeps such a level one
+    // `syrk_ln` call, so this checks both that the level is bitwise
+    // `syrk_ln` and that the plan gives those bits. Each leaf extends its
+    // entries' chains over its half of the rows, top half first, so every
+    // lower entry is the chain `syrk_ln` computes in one call.
     fn check<T: Scalar>(m: usize, n: usize, bits: fn(T) -> u64) {
+        use ata::kernels::gemm_tn;
+        use ata::mat::half_up;
         use ata::{AtaOutput, Output};
         let words = m * n / 2 + 1;
         let cache = CacheConfig::with_words(words);
         assert!(
-            !cache.ata_base(m, n) && cache.gemm_base(m / 2, n / 2, n / 2),
-            "({m}, {n}) must recurse exactly one level with classical C21 products"
+            m * n > words && cache.gemm_base(m / 2, n / 2, n / 2),
+            "({m}, {n}) must be one cache-fit level with classical C21 products"
         );
         let a = gen::standard::<T>(m as u64 * 3 + n as u64, m, n);
+        for alpha in [T::ONE, T::NEG_ONE, T::from_f64(0.5)] {
+            let want = syrk_gram(alpha, &a);
+            // One level of Algorithm 1 over classical leaves: six calls.
+            let n1 = half_up(n);
+            let (a11, a12, a21, a22) = a.as_ref().quad_split();
+            let mut level = Matrix::<T>::zeros(n, n);
+            let mut c = level.as_mut();
+            syrk_ln(alpha, a11, &mut c.block_mut(0, n1, 0, n1));
+            syrk_ln(alpha, a21, &mut c.block_mut(0, n1, 0, n1));
+            syrk_ln(alpha, a12, &mut c.block_mut(n1, n, n1, n));
+            syrk_ln(alpha, a22, &mut c.block_mut(n1, n, n1, n));
+            gemm_tn(alpha, a12, a11, &mut c.block_mut(n1, n, 0, n1));
+            gemm_tn(alpha, a22, a21, &mut c.block_mut(n1, n, 0, n1));
+            assert_lower_bits(&level, &want, bits, &format!("({m}, {n}) level"));
+        }
         let ctx = AtaContext::builder().cache_words(words).build();
         let AtaOutput::Dense(c) = ctx.plan_with::<T>(m, n, Output::Lower).execute(a.as_ref())
         else {
             panic!("Lower output is dense");
         };
-        let mut want = Matrix::<T>::zeros(n, n);
-        syrk_ln(T::ONE, a.as_ref(), &mut want.as_mut());
-        for i in 0..n {
-            for j in 0..=i {
-                assert_eq!(
-                    bits(c[(i, j)]),
-                    bits(want[(i, j)]),
-                    "{} ({m}, {n}): lower ({i}, {j})",
-                    T::NAME
-                );
-            }
-        }
+        let want = syrk_gram(T::ONE, &a);
+        assert_lower_bits(&c, &want, bits, &format!("({m}, {n}) plan"));
     }
     for (m, n) in [
         (40, 16),
@@ -410,5 +443,76 @@ fn ata_level_with_classical_c21_products_is_bitwise_syrk_ln() {
     ] {
         check::<f64>(m, n, f64::to_bits);
         check::<f32>(m, n, |x| u64::from(x.to_bits()));
+    }
+}
+
+#[test]
+fn tall_gram_without_a_strassen_level_is_one_syrk_ln() {
+    // Tall inputs whose `C21` products are skinny: their smallest side is
+    // at the square cutoff, so no Strassen level runs and AtA is one
+    // `syrk_ln` call, on every backend, with no workspace and exactly
+    // `syrk_ln`'s operations.
+    use ata::core::serial::{ata_into_with_kind, ata_workspace_elems, StrassenKind};
+    use ata::mat::tracked::{measure, Tracked};
+    use ata::strassen::StrassenWorkspace;
+    use ata::{AtaOutput, Output};
+    const KINDS: [StrassenKind; 2] = [StrassenKind::Classic, StrassenKind::Winograd];
+    fn check<T: Scalar>(m: usize, n: usize, words: usize, bits: fn(T) -> u64) {
+        let cfg = CacheConfig::with_words(words);
+        let a = gen::standard::<T>(m as u64 * 7 + n as u64, m, n);
+        for kind in KINDS {
+            assert_eq!(
+                ata_workspace_elems(m, n, &cfg, kind),
+                0,
+                "({m}, {n}) {kind:?}"
+            );
+            for alpha in [T::ONE, T::NEG_ONE, T::from_f64(0.5)] {
+                let mut c = Matrix::<T>::zeros(n, n);
+                let mut ws = StrassenWorkspace::empty();
+                ata_into_with_kind(alpha, a.as_ref(), &mut c.as_mut(), &cfg, kind, &mut ws);
+                let what = format!("({m}, {n}) {kind:?}");
+                assert_lower_bits(&c, &syrk_gram(alpha, &a), bits, &what);
+            }
+        }
+        let want = syrk_gram(T::ONE, &a);
+        let two = NonZeroUsize::new(2).unwrap();
+        for (ctx, backend) in [
+            (AtaContext::builder().cache(cfg).build(), "serial"),
+            (
+                AtaContext::builder().threads(two).cache(cfg).build(),
+                "shared(2)",
+            ),
+        ] {
+            let AtaOutput::Dense(c) = ctx.plan_with::<T>(m, n, Output::Lower).execute(a.as_ref())
+            else {
+                panic!("Lower output is dense");
+            };
+            assert_lower_bits(&c, &want, bits, &format!("({m}, {n}) {backend} plan"));
+        }
+    }
+    for (m, n, words) in [(1024, 16, 128), (512, 16, 128), (4000, 24, 288)] {
+        check::<f64>(m, n, words, f64::to_bits);
+        check::<f32>(m, n, words, |x| u64::from(x.to_bits()));
+        let cfg = CacheConfig::with_words(words);
+        let a = gen::standard::<Tracked>(m as u64 + n as u64, m, n);
+        let (_, want) = measure(|| syrk_gram(Tracked::ONE, &a));
+        for kind in KINDS {
+            let (_, got) = measure(|| {
+                let mut c = Matrix::<Tracked>::zeros(n, n);
+                let mut ws = StrassenWorkspace::empty();
+                ata_into_with_kind(
+                    Tracked::ONE,
+                    a.as_ref(),
+                    &mut c.as_mut(),
+                    &cfg,
+                    kind,
+                    &mut ws,
+                );
+            });
+            assert_eq!(
+                got, want,
+                "({m}, {n}) {kind:?}: ledger differs from syrk_ln's"
+            );
+        }
     }
 }

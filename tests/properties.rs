@@ -45,6 +45,21 @@ proptest! {
     }
 
     #[test]
+    fn recursion_gate_never_adds_a_level(
+        m in 0usize..5000,
+        n in 0usize..5000,
+        k in 0usize..5000,
+        slack in 0usize..64,
+    ) {
+        // Wherever the paper's cache-fit rule (the operands fit) stops
+        // recursing, the gate stops too: it never adds a level.
+        let both = CacheConfig::with_words((m * n + m * k + slack).max(1));
+        prop_assert!(both.gemm_base(m, n, k), "({m}, {n}, {k}) at {} words", both.words);
+        let input = CacheConfig::with_words((m * n + slack).max(1));
+        prop_assert!(input.ata_base(m, n), "({m}, {n}) at {} words", input.words);
+    }
+
+    #[test]
     fn strassen_matches_oracle_any_shape(
         m in 1usize..40,
         n in 1usize..40,
