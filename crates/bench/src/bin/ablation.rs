@@ -22,7 +22,7 @@
 //! cargo run --release -p ata-bench --bin ablation
 //! ```
 
-use ata_bench::{aa_gate, ata_s_modeled_flops, smoke, Cli, Table};
+use ata_bench::{ata_s_modeled_flops, smoke, Cli, Table};
 use ata_dist::baselines::pdsyrk_like;
 use ata_dist::grid::pdsyrk_2d;
 use ata_dist::{ata_d, AtaDConfig};
@@ -262,10 +262,8 @@ fn strassen_variant_ablation(cli: &Cli, n: usize) {
             win.additive().to_string(),
         ]);
     }
-    if let Some((sz, q)) = aa {
-        aa_gate(&format!("ablation 5 (Winograd vs Winograd, n = {sz})"), q);
-    }
-    table.emit(cli);
+    let aa = aa.map(|(sz, q)| (format!("ablation 5 (Winograd vs Winograd, n = {sz})"), q));
+    table.emit_gated(cli, aa);
     println!("  (Winograd: fewer block adds per level [19 vs 22 in accumulate form], ~2x arena;");
     println!("   the allocating variant pays malloc/free per level — the Fig. 4 prealloc story)");
     if !flat.is_empty() {

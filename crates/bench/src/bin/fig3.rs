@@ -16,7 +16,7 @@
 //! cargo run --release -p ata-bench --bin fig3 [-- --sizes 256,512,... --rows M --reps 3 --csv out/]
 //! ```
 
-use ata_bench::{aa_gate, effective_gflops, fmt_secs, smoke, Cli, Table};
+use ata_bench::{effective_gflops, fmt_secs, smoke, Cli, Table};
 use ata_core::serial::{ata_into_with_kind, StrassenKind};
 use ata_kernels::timing::time_rounds;
 use ata_kernels::{syrk_ln, CacheConfig};
@@ -104,13 +104,11 @@ fn main() {
             aa_row = Some((size, aa));
         }
     }
-    if let Some((size, q)) = aa_row {
-        aa_gate(
-            &format!("fig3 (AtA as one syrk_ln call vs syrk_ln, {label} = {size})"),
-            q,
-        );
-    }
-    table.emit(&cli);
+    let aa_row = aa_row.map(|(size, q)| {
+        let what = format!("fig3 (AtA as one syrk_ln call vs syrk_ln, {label} = {size})");
+        (what, q)
+    });
+    table.emit_gated(&cli, aa_row);
     println!("\nRatios are medians over alternating rounds, with their quartiles.");
     println!("Expected shape (paper Fig. 3): ratio < 1 and decreasing for n well past the base-case size.");
 }

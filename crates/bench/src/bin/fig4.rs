@@ -11,7 +11,7 @@
 //! cargo run --release -p ata-bench --bin fig4 [-- --sizes ... --reps 3]
 //! ```
 
-use ata_bench::{aa_gate, effective_gflops, fmt_secs, smoke, Cli, Table};
+use ata_bench::{effective_gflops, fmt_secs, smoke, Cli, Table};
 use ata_kernels::timing::time_rounds;
 use ata_kernels::{gemm_tn, CacheConfig};
 use ata_mat::{gen, Matrix};
@@ -83,9 +83,7 @@ fn main() {
             format!("{:.3}x", r.ratio(2, 0).median),
         ]);
     }
-    if let Some((n, q)) = aa {
-        aa_gate(&format!("fig4 (gemm_tn vs gemm_tn, n = {n})"), q);
-    }
-    table.emit(&cli);
+    let aa = aa.map(|(n, q)| (format!("fig4 (gemm_tn vs gemm_tn, n = {n})"), q));
+    table.emit_gated(&cli, aa);
     println!("\nExpected shape (paper Fig. 4): Strassen beats dgemm increasingly with n; prealloc gain > 1 everywhere.");
 }

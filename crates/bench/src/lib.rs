@@ -265,7 +265,7 @@ impl Table {
     }
 
     /// Write CSV into `dir/<slug>.csv` (slug derived from the title).
-    pub fn write_csv(&self, dir: &str) -> std::io::Result<()> {
+    fn write_csv(&self, dir: &str) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let slug: String = self
             .title
@@ -288,7 +288,18 @@ impl Table {
 
     /// Print, and also dump CSV when the CLI asked for it.
     pub fn emit(&self, cli: &Cli) {
+        self.emit_gated(cli, None);
+    }
+
+    /// [`Table::emit`] for a table timed with an A/A row, given as its
+    /// label and ratio: print every row first, then check the row with
+    /// [`aa_gate`], and only then write the CSV. A full run whose A/A
+    /// row fails thus still shows its rows, but writes no CSV.
+    pub fn emit_gated(&self, cli: &Cli, aa: Option<(String, Quartiles)>) {
         self.print();
+        if let Some((label, q)) = aa {
+            aa_gate(&label, q);
+        }
         if let Some(dir) = cli.string("csv") {
             self.write_csv(dir).expect("CSV write failed");
         }

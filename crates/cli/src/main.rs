@@ -696,7 +696,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: ata <gen|gram|stream|solve|batch|shard|chaos|verify|info|calibrate|lint> [--key value ...]\n\
+    "usage: ata <gen|gram|stream|solve|batch|shard|chaos|verify|info|calibrate> [--key value ...]\n\
      \n  ata gen    --rows M --cols N [--seed S] --out FILE\
      \n  ata gram   --input FILE --out FILE [--threads T] [--repeat K]\
      \n             [--algo ata|ata-s|ata-d|syrk|naive] [--ranks R]\
@@ -713,82 +713,8 @@ fn usage() -> String {
      \n             [--cols N] [--budget R] [--seed S0]\
      \n  ata verify --input FILE [--threads T]\
      \n  ata info   --input FILE\
-     \n  ata calibrate [--quick 1]\
-     \n  ata lint   [check|api] [--verify]"
+     \n  ata calibrate [--quick 1]"
         .to_string()
-}
-
-/// Passthrough to the in-repo static-analysis tool: `ata lint` runs the
-/// repo lints plus the API snapshot verification (the same pair CI runs),
-/// while `ata lint check` / `ata lint api [--verify]` select one half.
-fn cmd_lint(argv: &[String]) -> Result<(), String> {
-    let mut check = true;
-    let mut api = true;
-    let mut verify_flag = false;
-    for a in argv {
-        match a.as_str() {
-            "check" => api = false,
-            "api" => check = false,
-            "--verify" => verify_flag = true,
-            other => return Err(format!("unrecognised lint argument `{other}`\n{}", usage())),
-        }
-    }
-    // Bare `ata lint` verifies (the CI pair); `ata lint api` regenerates
-    // like `ata-lint api` does, unless `--verify` is passed back in.
-    let verify = verify_flag || check;
-    let root = lint_root()?;
-    let mut findings = 0usize;
-    if check {
-        let diags = ata_lint::check(&root).map_err(|e| e.to_string())?;
-        for d in &diags {
-            println!("{d}");
-        }
-        findings += diags.len();
-        if diags.is_empty() {
-            println!("ata lint: check clean");
-        }
-    }
-    if api {
-        if verify {
-            let problems = ata_lint::verify_api(&root).map_err(|e| e.to_string())?;
-            for p in &problems {
-                println!("{p}");
-            }
-            findings += problems.len();
-            if problems.is_empty() {
-                println!("ata lint: API snapshots match the sources");
-            }
-        } else {
-            for path in ata_lint::write_api(&root).map_err(|e| e.to_string())? {
-                println!("wrote {path}");
-            }
-        }
-    }
-    if findings == 0 {
-        Ok(())
-    } else {
-        Err(format!(
-            "ata lint: {findings} finding(s) — see `cargo run -p ata-lint` for details"
-        ))
-    }
-}
-
-/// Walk up from the current directory to the first `[workspace]` manifest.
-fn lint_root() -> Result<std::path::PathBuf, String> {
-    let mut dir = std::env::current_dir().map_err(|e| e.to_string())?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file()
-            && std::fs::read_to_string(&manifest)
-                .map_err(|e| e.to_string())?
-                .contains("[workspace]")
-        {
-            return Ok(dir);
-        }
-        if !dir.pop() {
-            return Err("no workspace root found above the current directory".to_string());
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -809,7 +735,6 @@ fn main() -> ExitCode {
             "calibrate" => cmd_calibrate(&args),
             _ => cmd_info(&args),
         }),
-        Some("lint") => cmd_lint(&argv[1..]),
         _ => Err(usage()),
     };
     match result {

@@ -156,21 +156,6 @@ impl KernelConfig {
     pub fn for_scalar<T: Scalar>() -> Self {
         crate::calibrate::tuned_for::<T>().kernel
     }
-
-    /// Element counts `(apack, bpack)` of the packing buffers one kernel
-    /// invocation under this config needs — what `AtaPlan` warms
-    /// per-thread so steady-state executes allocate nothing. The `B`
-    /// side holds `gemm`'s `nr`-wide pack or `syrk`'s shared
-    /// `lcm(mr, nr)`-wide one, whichever is larger. The counts cover any
-    /// scalar of at least 4 bytes (every `Scalar` in the workspace): they
-    /// include `f32`'s panel pad, the widest in elements.
-    pub fn pack_buffer_elems(&self) -> (usize, usize) {
-        let b_side = |width| packed_elems::<f32>(self.kc, self.nc, width);
-        (
-            packed_elems::<f32>(self.kc, self.mc, self.mr),
-            b_side(self.nr).max(b_side(shared_width(self.mr, self.nr))),
-        )
-    }
 }
 
 /// The engine a kernel entry point runs, as [`selected_path`] reports
@@ -553,6 +538,11 @@ fn sweep_tiles<T: Scalar>(
 /// diagonal of the `jc..jn` column block, and at `alpha = 1` the
 /// diagonal block's rows read their `A` micro-panels from that `B` pack
 /// (the module's shared pack).
+///
+/// The call sizes its own pack buffers: `bufs` grows to exactly the
+/// blocks this product packs, the blocking clamped to its shape. No
+/// other code sizes them, so `bufs` grows on its first call of a shape
+/// and not on later calls of the same or a smaller one.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel<T: Scalar>(
     path: MicroPath,
@@ -950,23 +940,6 @@ mod tests {
         }
         // Op counting never reaches intrinsics, whatever the host ISA.
         assert_ne!(micro_path_for::<Tracked>(), MicroPath::Intrinsic);
-    }
-
-    #[test]
-    fn pack_buffer_elems_covers_worst_block() {
-        let cfg = KernelConfig::new(8, 4, 16, 20, 24);
-        let (ae, be) = cfg.pack_buffer_elems();
-        assert_eq!(ae, packed_elems::<f32>(16, 20, 8));
-        // Six 4-wide panels carry more pad than three 8-wide shared ones.
-        assert_eq!(be, packed_elems::<f32>(16, 24, 4));
-        assert!(be > packed_elems::<f32>(16, 24, 8));
-        assert!(ae >= packed_elems::<f64>(16, 20, 8) && be >= packed_elems::<f64>(16, 24, 4));
-        // A 12 x 16 tile's shared pack pads 24 columns to one 48-wide
-        // panel, more than two 16-wide ones.
-        let (_, be) = KernelConfig::new(12, 16, 16, 20, 24).pack_buffer_elems();
-        assert_eq!(be, packed_elems::<f32>(16, 24, 48));
-        assert!(be > packed_elems::<f32>(16, 24, 16));
-        assert!(be >= packed_elems::<f64>(16, 24, 48));
     }
 
     #[test]

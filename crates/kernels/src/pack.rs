@@ -71,7 +71,11 @@
 //! pair of grow-only buffers, and `with_thread_bufs` hands out a
 //! per-thread, per-scalar-type cached instance, so repeated kernel calls
 //! — e.g. every Strassen leaf of a plan executed in a serving loop —
-//! reuse one warm allocation per worker thread.
+//! reuse one warm allocation per worker thread. Nothing sizes the
+//! buffers ahead of use: each kernel call grows its thread's pair in
+//! [`PackBufs::split`] to exactly the blocks it packs, so a thread's
+//! first call of a shape allocates and its later calls do not
+//! ([`thread_buf_elems`] reports the footprint).
 
 use ata_mat::{MatRef, Scalar};
 use std::any::{Any, TypeId};
@@ -332,14 +336,6 @@ pub(crate) fn with_thread_bufs<T: Scalar, R>(f: impl FnOnce(&mut PackBufs<T>) ->
     out
 }
 
-/// Pre-grow this thread's cached buffers so the first kernel call after
-/// planning allocates nothing (used by `AtaPlan` construction).
-pub fn warm_thread<T: Scalar>(a_elems: usize, b_elems: usize) {
-    with_thread_bufs::<T, _>(|bufs| {
-        let _ = bufs.split(a_elems, b_elems);
-    });
-}
-
 /// Warm footprint of this thread's cached buffers for `T`, in elements.
 pub fn thread_buf_elems<T: Scalar>() -> usize {
     with_thread_bufs::<T, _>(|bufs| bufs.capacity())
@@ -423,7 +419,9 @@ mod tests {
 
     #[test]
     fn thread_bufs_persist_across_calls() {
-        warm_thread::<f64>(100, 50);
+        with_thread_bufs::<f64, _>(|bufs| {
+            let _ = bufs.split(100, 50);
+        });
         assert!(thread_buf_elems::<f64>() >= 150);
         // A second call sees the same warm pair: no further growth for a
         // smaller request.

@@ -14,16 +14,19 @@
 //!    both shared by every plan created from it. Internally the context
 //!    is an `Arc` around its resources, so cloning is cheap.
 //! 2. **Plan** ([`AtaPlan`]) — built once per `(m, n)` problem shape.
-//!    Resolves the backend into one executor — the serial recursion, an
+//!    Holds decisions only: one executor — the serial recursion, an
 //!    AtA-S task tree on the pool, or, for the simulated-dist backend,
 //!    the full [`ata_dist::DistPlan`] (task tree + distribution layout) —
-//!    and the exact workspace layout, so repeat executions rebuild
-//!    nothing; then executes any number of times against same-shape
-//!    inputs, into caller-provided output ([`AtaPlan::execute_into`]) or
-//!    freshly allocated output ([`AtaPlan::execute`]). A plan holds its
-//!    own context handle, so it is `'static` and [`Send`]: long-lived
-//!    services move it across threads, and it outlives the handle it
-//!    came from.
+//!    and the exact per-worker workspace size, so repeat executions
+//!    rebuild nothing; then executes any number of times against
+//!    same-shape inputs, into caller-provided output
+//!    ([`AtaPlan::execute_into`]) or freshly allocated output
+//!    ([`AtaPlan::execute`]). Memory is sized where it is used: the
+//!    first execution checks out its arenas and grows each thread's
+//!    packing buffers to what its leaves pack, and later executions
+//!    reuse both. A plan holds its own context handle, so it is
+//!    `'static` and [`Send`]: long-lived services move it across
+//!    threads, and it outlives the handle it came from.
 //!
 //! The [`Backend`] enum unifies dispatch: the same plan API fronts the
 //! serial recursion (Algorithm 1), the shared-memory AtA-S (Algorithm 3)
@@ -54,13 +57,13 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use ata_core::serial::{ata_into_with_kind, ata_workspace_elems, StrassenKind};
 use ata_core::tasktree::SharedPlan;
 use ata_core::{ata_s_planned, plan_workspace_elems};
 use ata_dist::{AtaDConfig, DistPlan, WireFormat};
-use ata_kernels::{CacheConfig, KernelConfig};
+use ata_kernels::CacheConfig;
 use ata_mat::{MatMut, MatRef, Matrix, Scalar, SymPacked};
 use ata_mpisim::{run, CostModel};
 use ata_strassen::ArenaPool;
@@ -205,7 +208,8 @@ enum PlanFlavor {
     /// Always the serial recursion, regardless of backend: the batched
     /// serving shape, where a whole problem is one worker's task and
     /// parallelism comes from running many problems at once (see
-    /// [`crate::batch::BatchPlan`]).
+    /// [`crate::batch::BatchPlan`]). Each pool worker that runs one
+    /// checks out its own arena from the context's pool.
     SerialLeaf,
 }
 
@@ -353,9 +357,7 @@ impl ContextInner {
     }
 
     /// Fetch or build the cached plan core for `(T, m, n, output,
-    /// flavor)`. On a hit the core's cheap warm-up still runs, so the
-    /// *calling* thread's packing buffers are grown even when another
-    /// thread built the plan.
+    /// flavor)`. A hit is the lookup and nothing else.
     fn plan_core<T: Scalar + 'static>(
         self: &Arc<Self>,
         m: usize,
@@ -375,7 +377,6 @@ impl ContextInner {
                     .clone();
                 drop(map);
                 self.plans.hits.fetch_add(1, Ordering::Relaxed);
-                core.warm(self);
                 return core;
             }
         }
@@ -471,11 +472,11 @@ impl AtaContext {
     /// selector. This is the expensive phase: the §4.1 task tree is
     /// built (for the simulated-dist backend the full
     /// [`ata_dist::DistPlan`] — task tree plus distribution layout — so
-    /// executions rebuild nothing), the arena cache warmed to the exact
-    /// workspace requirement, and the packed-kernel buffers of the
-    /// planning thread pre-grown (worker threads warm theirs on first
-    /// execution and keep them for the life of the pool), so
-    /// steady-state `execute` calls stay allocation-free.
+    /// executions rebuild nothing) and the per-worker workspace size
+    /// resolved. Planning allocates no arena or packing buffer: the
+    /// first execution checks out its arenas and grows each executing
+    /// thread's packing buffers, and steady-state `execute` calls reuse
+    /// them without allocating.
     ///
     /// Plans are memoized in a shape-keyed cache on the context:
     /// re-planning an already-planned `(T, m, n, output)` combination is
@@ -503,16 +504,17 @@ impl AtaContext {
         self.inner.plan_core(m, n, output, PlanFlavor::SerialLeaf)
     }
 
-    /// Build (or fetch) the cached backend-following plan core — what
-    /// [`AtaContext::plan_with`] wraps. The streaming accumulator uses
-    /// this to run tall chunks through the context's configured engine.
-    pub(crate) fn auto_core<T: Scalar + 'static>(
+    /// Build the backend-following plan core [`AtaContext::plan_with`]
+    /// would, outside the shape-keyed cache. The streaming accumulator
+    /// holds one at its current tall-chunk height, so a stream of
+    /// irregular heights adds nothing to the cache.
+    pub(crate) fn uncached_core<T: Scalar + 'static>(
         &self,
         m: usize,
         n: usize,
         output: Output,
-    ) -> Arc<PlanCore<T>> {
-        self.inner.plan_core(m, n, output, PlanFlavor::Auto)
+    ) -> PlanCore<T> {
+        PlanCore::build(&self.inner, m, n, output, PlanFlavor::Auto)
     }
 
     /// Number of distinct plan cores currently memoized in the context's
@@ -614,28 +616,9 @@ impl AtaContext {
     }
 }
 
-/// The lazily-initialized process-wide default context (serial backend,
-/// default cache model) behind the legacy free functions.
-pub fn default_context() -> &'static AtaContext {
-    static DEFAULT: OnceLock<AtaContext> = OnceLock::new();
-    DEFAULT.get_or_init(AtaContext::serial)
-}
-
 // ---------------------------------------------------------------------
 // Plan.
 // ---------------------------------------------------------------------
-
-/// Packing buffers `(apack, bpack)` the leaves of an `m x n` plan need:
-/// the tuned blocking clamped to the plan's shape, since no leaf of the
-/// recursion is larger than its input. A small plan thus warms no more
-/// than it packs, however wide the tuned `nc`. The `B` side covers both
-/// a `gemm_tn` leaf's `nr`-wide pack and a `syrk_ln` leaf's shared
-/// `lcm(mr, nr)`-wide one.
-fn pack_buffer_elems<T: Scalar>(m: usize, n: usize) -> (usize, usize) {
-    let cfg = KernelConfig::for_scalar::<T>();
-    let (kc, mc, nc) = (cfg.kc.min(m), cfg.mc.min(n), cfg.nc.min(n));
-    KernelConfig { kc, mc, nc, ..cfg }.pack_buffer_elems()
-}
 
 /// How a plan core runs `C_low += alpha * A^T A`: resolved once, at
 /// planning time, from the plan's flavor and the context's backend.
@@ -656,7 +639,7 @@ enum Executor {
     },
 }
 
-/// The context-independent part of a plan: everything pre-computed at
+/// The context-independent part of a plan: the decisions made at
 /// planning time, shared through the context's shape-keyed cache by
 /// every [`AtaPlan`] of the same shape.
 #[derive(Debug)]
@@ -664,16 +647,12 @@ pub(crate) struct PlanCore<T> {
     m: usize,
     n: usize,
     output: Output,
-    /// Decomposition flavor this core was built (and cached) under.
-    flavor: PlanFlavor,
     /// The cache model resolved for `T` at planning time.
     cache: CacheConfig,
     /// The engine every execution runs.
     exec: Executor,
     /// Per-worker Strassen arena requirement, elements.
     ws_elems: usize,
-    /// Per-thread packed-kernel buffer requirement, elements.
-    pack_elems: usize,
     /// The context's arena pool for `T`.
     arenas: Arc<ArenaPool<T>>,
 }
@@ -696,54 +675,14 @@ impl<T: Scalar + 'static> PlanCore<T> {
                 (Executor::Dist { plan, ranks, loggp }, 0)
             }
         };
-        // Leaf-kernel packing workspace (BLIS-style engine): sized from
-        // the measured per-scalar blocking, warmed per thread.
-        // `for_scalar` resolves the *per-ISA* tuned row (the fused
-        // AVX2+FMA kernels prefer different tiles than the portable
-        // ones), so the warmed buffers match whatever tile path
-        // `ata_kernels::simd::detected()` dispatches at execute time.
-        let (pack_a, pack_b) = pack_buffer_elems::<T>(m, n);
-        let pack_elems = match exec {
-            Executor::Dist { .. } => 0,
-            _ => pack_a + pack_b,
-        };
-        let core = PlanCore {
+        PlanCore {
             m,
             n,
             output,
-            flavor,
             cache,
             exec,
             ws_elems,
-            pack_elems,
             arenas: inner.arenas.pool::<T>(),
-        };
-        core.warm(inner);
-        core
-    }
-
-    /// Warm the shared resources this core relies on: the context's
-    /// arena pool (to the exact per-worker requirement) and the calling
-    /// thread's packing buffers. Idempotent and cheap once warm, so
-    /// plan-cache hits re-run it for the benefit of new calling threads.
-    fn warm(&self, inner: &ContextInner) {
-        let arena_count = match &self.exec {
-            Executor::Dist { .. } => 0,
-            Executor::Shared(plan) => plan.procs,
-            // Batched serving: any pool worker may pick up a whole
-            // problem, so each needs its own arena.
-            Executor::Serial if self.flavor == PlanFlavor::SerialLeaf => match &inner.pool {
-                Some(pool) => pool.current_num_threads(),
-                None => rayon::current_num_threads(),
-            },
-            Executor::Serial => 1,
-        };
-        if arena_count > 0 {
-            self.arenas.warm(arena_count, self.ws_elems);
-        }
-        if self.pack_elems > 0 {
-            let (pack_a, pack_b) = pack_buffer_elems::<T>(self.m, self.n);
-            ata_kernels::pack::warm_thread::<T>(pack_a, pack_b);
         }
     }
 
@@ -935,19 +874,12 @@ impl<T: Scalar + 'static> AtaPlan<T> {
         self.core.output
     }
 
-    /// Exact per-worker Strassen workspace requirement, in elements —
-    /// the size the context's arena cache was warmed to.
+    /// Exact per-worker Strassen workspace requirement, in elements: the
+    /// largest arena one worker of this plan needs, which its first
+    /// execution checks out (zero for the simulated-dist backend, whose
+    /// ranks size their own).
     pub fn workspace_elems(&self) -> usize {
         self.core.ws_elems
-    }
-
-    /// Per-thread packing-buffer requirement of the leaf microkernel
-    /// engine, in elements (`apack + bpack`; zero for the simulated-dist
-    /// backend, whose ranks size their own). Planning warms the calling
-    /// thread to this size; each pool worker grows its own buffers once
-    /// on first execution and keeps them for the life of the pool.
-    pub fn pack_workspace_elems(&self) -> usize {
-        self.core.pack_elems
     }
 
     /// The prebuilt AtA-D plan ([`Backend::SimulatedDist`] only): task
@@ -975,8 +907,10 @@ impl<T: Scalar + 'static> AtaPlan<T> {
 
     /// Execute the plan, writing dense output into a caller-provided
     /// `n x n` buffer — the serving-loop entry point. For the
-    /// [`Backend::Serial`] and [`Backend::Shared`] backends this is
-    /// allocation-free after warm-up; [`Backend::SimulatedDist`]
+    /// [`Backend::Serial`] and [`Backend::Shared`] backends every call
+    /// after the first is allocation-free: the first checks out the
+    /// context's arenas and grows the executing threads' packing
+    /// buffers, and later calls reuse both. [`Backend::SimulatedDist`]
     /// necessarily copies the operand into the simulated cluster on
     /// every call.
     ///
@@ -1228,52 +1162,65 @@ mod tests {
     }
 
     #[test]
-    fn plan_sizes_and_warms_pack_buffers() {
-        let ctx = AtaContext::serial();
-        let plan = ctx.plan::<f64>(64, 48);
-        // The tuned blocking, clamped to the 64 x 48 input.
-        let cfg = KernelConfig::for_scalar::<f64>();
-        let (kc, mc, nc) = (cfg.kc.min(64), cfg.mc.min(48), cfg.nc.min(48));
-        let (a_elems, b_elems) = KernelConfig { kc, mc, nc, ..cfg }.pack_buffer_elems();
-        assert_eq!(plan.pack_workspace_elems(), a_elems + b_elems);
-        // Planning warmed this thread's buffers to the full requirement,
-        // and executing the plan needs no more.
-        let warm = ata_kernels::pack::thread_buf_elems::<f64>();
-        assert!(warm >= a_elems + b_elems);
-        let _ = plan.execute(gen::standard::<f64>(3, 64, 48).as_ref());
-        assert_eq!(ata_kernels::pack::thread_buf_elems::<f64>(), warm);
-        // One column past a tile: syrk's shared pack pads it to one
-        // `lcm(mr, nr)`-wide panel, which outgrows two `nr`-wide gemm
-        // panels once `lcm(mr, nr) >= 3 nr` (the 12 x 16 AVX-512 tile).
-        // The plan warms the larger, and the execute grows nothing.
-        let n = cfg.nr + 1;
-        let plan = ctx.plan::<f64>(64, n);
-        let clamped = KernelConfig {
-            kc: cfg.kc.min(64),
-            mc: cfg.mc.min(n),
-            nc: cfg.nc.min(n),
-            ..cfg
-        };
-        let (a_elems, b_elems) = clamped.pack_buffer_elems();
-        assert_eq!(plan.pack_workspace_elems(), a_elems + b_elems);
-        // With `mr = nr` the shared width is `nr`: the gemm-only size.
-        let gemm_only = KernelConfig {
-            mr: cfg.nr,
-            ..clamped
-        };
-        let gemm_b = gemm_only.pack_buffer_elems().1;
-        let width = (1..).map(|q| q * cfg.nr).find(|w| w % cfg.mr == 0).unwrap();
-        assert!(b_elems >= gemm_b);
-        if width >= 3 * cfg.nr {
-            assert!(b_elems > gemm_b, "{cfg:?}: {b_elems} vs {gemm_b}");
+    fn planning_allocates_nothing_and_a_second_execute_grows_no_pack_buffer() {
+        // Each backend on a fresh thread, whose packing buffers start
+        // empty. On `shared(2)` the calling thread runs one worker's
+        // tasks itself, the same ones on every execute.
+        let a = gen::standard::<f64>(3, 64, 48);
+        let backends = [
+            AtaContext::serial(),
+            AtaContext::shared(NonZeroUsize::new(2).unwrap()),
+        ];
+        for ctx in backends {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let plan = ctx.plan::<f64>(64, 48);
+                    let pack = ata_kernels::pack::thread_buf_elems::<f64>;
+                    assert_eq!(pack(), 0, "{:?}: planning packs nothing", ctx.backend());
+                    assert_eq!(ctx.arena_pool::<f64>().cached(), 0, "no arena either");
+                    let mut c = Matrix::zeros(48, 48);
+                    plan.execute_into(a.as_ref(), &mut c.as_mut());
+                    let first = pack();
+                    assert!(first > 0, "{:?}: the execute packed here", ctx.backend());
+                    plan.execute_into(a.as_ref(), &mut c.as_mut());
+                    assert_eq!(pack(), first, "{:?}: second execute grew", ctx.backend());
+                });
+            });
         }
-        let warm = ata_kernels::pack::thread_buf_elems::<f64>();
-        assert!(warm >= a_elems + b_elems);
-        let _ = plan.execute(gen::standard::<f64>(4, 64, n).as_ref());
-        assert_eq!(ata_kernels::pack::thread_buf_elems::<f64>(), warm);
-        // The dist backend packs rank-side; the plan reports zero.
-        let dist = AtaContext::simulated_dist(NonZeroUsize::new(2).unwrap(), CostModel::zero());
-        assert_eq!(dist.plan::<f64>(16, 8).pack_workspace_elems(), 0);
+    }
+
+    #[test]
+    fn concurrent_plan_cache_hits_leave_one_arena_per_worker() {
+        // One thread executes a `shared(2)` plan while another re-plans
+        // its shape until the executions end: a hit is a lookup, so the
+        // pool ends with the two arenas the workers checked out.
+        let ctx = AtaContext::builder()
+            .threads(NonZeroUsize::new(2).unwrap())
+            .cache_words(512)
+            .build();
+        let (m, n) = (64, 64);
+        let plan = ctx.plan::<f64>(m, n);
+        assert!(plan.workspace_elems() > 0, "the tasks run a Strassen level");
+        let a = gen::standard::<f64>(5, m, n);
+        let start = std::sync::Barrier::new(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut c = Matrix::zeros(n, n);
+                start.wait();
+                for _ in 0..200 {
+                    plan.execute_into(a.as_ref(), &mut c.as_mut());
+                }
+                done.store(true, Ordering::Release);
+            });
+            start.wait();
+            while !done.load(Ordering::Acquire) {
+                let _ = ctx.plan::<f64>(m, n);
+            }
+        });
+        let arenas = ctx.arena_pool::<f64>();
+        assert_eq!(arenas.cached(), 2, "one arena per worker");
+        assert!(arenas.cached_elems() <= 2 * plan.workspace_elems());
     }
 
     #[test]

@@ -114,9 +114,8 @@ pub struct FactoredGram<T: Scalar> {
 
 impl AtaContext {
     /// Create a [`FactoredGram`] for `n`-column row chunks, streaming
-    /// through this context (its backend, worker pool, arena and plan
-    /// caches — the same machinery as
-    /// [`AtaContext::gram_accumulator`]).
+    /// through this context (its backend, worker pool and arena cache —
+    /// the same machinery as [`AtaContext::gram_accumulator`]).
     pub fn factored_gram<T: Scalar + 'static>(&self, n: usize) -> FactoredGram<T> {
         self.gram_accumulator::<T>(n).into_factored()
     }

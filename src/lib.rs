@@ -10,12 +10,11 @@
 //!
 //! ## The plan–execute API
 //!
-//! The primary entry point is the two-phase [`AtaContext`] /
-//! [`AtaPlan`] API: build a context once per configuration (it owns a
-//! persistent worker pool and a cache of Strassen arenas), build a plan
-//! once per problem shape (it pre-computes the §4.1 task tree and
-//! workspace layout), then execute the plan as many times as the
-//! workload demands:
+//! The entry point is the two-phase [`AtaContext`] / [`AtaPlan`] API:
+//! build a context once per configuration (it owns a persistent worker
+//! pool and a cache of Strassen arenas), build a plan once per problem
+//! shape (it pre-computes the §4.1 task tree and workspace size), then
+//! execute the plan as many times as the workload demands:
 //!
 //! ```
 //! use ata::{AtaContext, Output};
@@ -56,18 +55,21 @@
 //! assert_eq!(c.shape(), (32, 32));
 //! ```
 //!
-//! One-shot helpers remain for single calls: [`gram`], [`lower`],
-//! [`packed`] run through a lazily-initialized default (serial) context,
-//! so even they amortize arena allocation across calls.
+//! A single call goes through a context too:
+//! `AtaContext::serial().gram(a)` (or [`AtaContext::lower`],
+//! [`AtaContext::packed`]). Keep the context to reuse its plan cache and
+//! arenas across calls.
 //!
 //! ## The serving layer
 //!
 //! Production Gram workloads rarely look like "one matrix, one call".
 //! Four front-ends cover the serving shapes, all sharing the context's
-//! pool, arenas and shape-keyed plan cache:
+//! pool and arenas; the batch and service front-ends also share its
+//! shape-keyed plan cache:
 //!
 //! * [`stream::GramAccumulator`] — `A` arrives as row chunks
-//!   (`C += Aᵢ^T Aᵢ`); a billion-row Gram never materializes `A`.
+//!   (`C += Aᵢ^T Aᵢ`); a billion-row Gram never materializes `A`. It
+//!   holds its own plan core at the current tall-chunk height.
 //! * [`factor::FactoredGram`] — the streaming factorization tier: a
 //!   live `L D Lᵀ` factor maintained alongside the accumulator by
 //!   `O(n²k)` rank-k sweeps, answering `solve`/`ridge`/`logdet`/
@@ -124,9 +126,7 @@ pub mod stream;
 
 pub use batch::BatchPlan;
 pub use clock::{Clock, ManualClock, WallClock};
-pub use context::{
-    default_context, AtaContext, AtaContextBuilder, AtaOutput, AtaPlan, Backend, Output, OwnedPlan,
-};
+pub use context::{AtaContext, AtaContextBuilder, AtaOutput, AtaPlan, Backend, Output, OwnedPlan};
 pub use factor::FactoredGram;
 pub use shard::{
     JobError, JobHandle, RetryPolicy, ShardStats, ShardSubmitError, ShardedService,
@@ -154,24 +154,6 @@ pub use ata_mpisim as mpisim;
 pub use ata_strassen as strassen;
 
 pub use ata_mat::{MatMut, MatRef, Matrix, Scalar, SymPacked};
-
-/// Full symmetric Gram matrix `A^T A` (both triangles filled) through
-/// the lazily-initialized default context.
-pub fn gram<T: Scalar + 'static>(a: MatRef<'_, T>) -> Matrix<T> {
-    default_context().gram(a)
-}
-
-/// Lower-triangular `A^T A` (strictly-upper entries are zero) through
-/// the lazily-initialized default context.
-pub fn lower<T: Scalar + 'static>(a: MatRef<'_, T>) -> Matrix<T> {
-    default_context().lower(a)
-}
-
-/// `A^T A` in packed lower-triangular storage (`n(n+1)/2` elements)
-/// through the lazily-initialized default context.
-pub fn packed<T: Scalar + 'static>(a: MatRef<'_, T>) -> SymPacked<T> {
-    default_context().packed(a)
-}
 
 /// Tests of the single-queue serving configuration,
 /// `ShardedServiceBuilder::new(&ctx).shards(1)`: one bounded queue

@@ -12,18 +12,22 @@
 //!
 //! Each chunk is routed by height: chunks of at most `words / n` rows
 //! run as one direct β = 1 [`ata_kernels::syrk_ln_beta`] rank update on
-//! the calling thread; taller chunks go through the owning context — its
-//! backend, worker pool, arena cache and shape-keyed plan cache — via the
-//! plans' accumulate mode ([`crate::AtaPlan::execute_accumulate`]). At steady
-//! state (a stable chunk shape) a push allocates nothing: arenas come
-//! from the context pool, packing buffers are thread-cached, and the
-//! accumulator buffer is fixed at construction.
+//! the calling thread; taller chunks run the accumulate mode of a plan
+//! core built at the chunk's own height
+//! ([`crate::AtaPlan::execute_accumulate`]), on the owning context's
+//! backend, worker pool and arena cache. The accumulator holds that core
+//! and rebuilds it only when the height changes; it never enters the
+//! context's shape-keyed plan cache, so irregular heights grow nothing
+//! there, and no chunk is padded. At steady state (a stable chunk shape)
+//! a push allocates nothing: arenas come from the context pool, packing
+//! buffers are thread-cached, and the accumulator buffer is fixed at
+//! construction.
 
 use ata_kernels::{syrk_ln_beta, CacheConfig};
 use ata_mat::{MatRef, Matrix, Scalar};
 use ata_strassen::ArenaStats;
 
-use crate::context::{AtaContext, AtaOutput, Output};
+use crate::context::{AtaContext, AtaOutput, Output, PlanCore};
 
 /// Streaming accumulator for `C = A^T A` over row chunks of `A`.
 ///
@@ -60,12 +64,9 @@ pub struct GramAccumulator<T: Scalar> {
     output: Output,
     /// Chunks of at most this many rows take the direct syrk path.
     thin_rows: usize,
-    /// Zero-padded staging buffer for tall pushes: irregular chunk
-    /// heights are rounded up to a power-of-two bucket before planning,
-    /// so the context's plan cache sees `O(log max_height)` distinct
-    /// shapes instead of one per height. Lazily sized to the current
-    /// bucket.
-    pad: Matrix<T>,
+    /// The plan core of the last tall chunk, at that chunk's height;
+    /// rebuilt when a tall chunk of another height arrives.
+    tall: Option<PlanCore<T>>,
     /// The running lower triangle (strict upper stays zero).
     c: Matrix<T>,
     rows: usize,
@@ -103,7 +104,7 @@ impl AtaContext {
             n,
             output,
             thin_rows: thin_rows_for(n, &self.cache_for::<T>()),
-            pad: Matrix::zeros(0, 0),
+            tall: None,
             c: Matrix::zeros(n, n),
             rows: 0,
             pushes: 0,
@@ -120,11 +121,10 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
     ///
     /// Thin chunks (up to [`GramAccumulator::thin_rows`] rows) run as
     /// one direct β = 1 syrk rank update on the calling thread; taller
-    /// chunks run through the context's plan in accumulate mode,
-    /// zero-padded to the next power-of-two height
-    /// bucket so the context's plan cache stays bounded no matter how
-    /// irregular the stream's chunk heights are. Empty chunks are
-    /// no-ops.
+    /// chunks run in accumulate mode through a plan core of exactly
+    /// their height on the context's backend, which the accumulator
+    /// keeps until a tall chunk of another height arrives. Empty chunks
+    /// are no-ops.
     ///
     /// # Panics
     /// If the chunk does not have exactly `n` columns.
@@ -181,32 +181,12 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
             syrk_ln_beta(alpha, T::ONE, chunk, &mut self.c.as_mut());
         } else {
             self.tall_pushes += 1;
-            // Round the height up to its power-of-two bucket before
-            // planning: a stream of irregular chunk heights would
-            // otherwise insert one plan per distinct height and grow the
-            // context's plan cache without bound. The padding rows stay
-            // zero and contribute nothing to `chunk^T chunk`.
-            let bucket = m.next_power_of_two();
-            if bucket == m {
-                let core = self.ctx.auto_core::<T>(m, n, Output::Lower);
-                self.ctx
-                    .accumulate_core(&core, alpha, chunk, &mut self.c.as_mut());
-            } else {
-                if self.pad.shape() != (bucket, n) {
-                    self.pad = Matrix::zeros(bucket, n);
-                }
-                for i in 0..m {
-                    self.pad.row_mut(i).copy_from_slice(chunk.row(i));
-                }
-                // The buffer is reused across pushes; rows past this
-                // chunk may hold a previous (taller) chunk's data.
-                for i in m..bucket {
-                    self.pad.row_mut(i).fill(T::ZERO);
-                }
-                let core = self.ctx.auto_core::<T>(bucket, n, Output::Lower);
-                self.ctx
-                    .accumulate_core(&core, alpha, self.pad.as_ref(), &mut self.c.as_mut());
-            }
+            let core = match &mut self.tall {
+                Some(core) if core.planned_shape() == (m, n) => core,
+                slot => slot.insert(self.ctx.uncached_core(m, n, Output::Lower)),
+            };
+            self.ctx
+                .accumulate_core(core, alpha, chunk, &mut self.c.as_mut());
         }
     }
 
@@ -280,13 +260,6 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
     /// `tests/serving.rs`).
     pub fn arena_stats(&self) -> ArenaStats {
         self.ctx.arena_pool::<T>().stats()
-    }
-
-    /// This thread's packed-kernel buffer footprint in elements —
-    /// stable across steady-state pushes (the buffers are grown once and
-    /// kept for the life of the thread).
-    pub fn pack_footprint_elems(&self) -> usize {
-        ata_kernels::pack::thread_buf_elems::<T>()
     }
 
     /// The context this accumulator executes through.
@@ -505,10 +478,11 @@ mod tests {
         let ctx = AtaContext::builder().cache_words(16).build();
         let n = 12usize;
         let mut acc = ctx.gram_accumulator::<f64>(n);
-        // Warm-up push (plans, warms and caches everything).
+        // Warm-up push (builds the core, checks out the arena and grows
+        // this thread's packing buffers).
         acc.push(gen::standard::<f64>(0, 40, n).as_ref());
         let warm_stats = acc.arena_stats();
-        let warm_pack = acc.pack_footprint_elems();
+        let warm_pack = ata_kernels::pack::thread_buf_elems::<f64>();
         for seed in 1..6u64 {
             acc.push(gen::standard::<f64>(seed, 40, n).as_ref());
         }
@@ -516,18 +490,18 @@ mod tests {
         assert_eq!(s.misses, warm_stats.misses, "no fresh arena allocations");
         assert_eq!(s.grows, warm_stats.grows, "no arena regrowth");
         assert_eq!(s.checkouts, warm_stats.checkouts + 5);
-        assert_eq!(acc.pack_footprint_elems(), warm_pack);
+        assert_eq!(ata_kernels::pack::thread_buf_elems::<f64>(), warm_pack);
     }
 
     #[test]
     fn irregular_heights_keep_the_plan_cache_bounded() {
-        // 1000 pushes with pseudo-random heights in [1, 128]: without
-        // height bucketing every distinct tall height would miss the
-        // plan cache once, ~100+ entries; with power-of-two buckets the
-        // tall path can plan at most log2(128) = 7 shapes (plus
-        // whatever the accumulate path plans per shape internally).
+        // 1000 pushes with pseudo-random heights in [1, 128]: every tall
+        // chunk runs at its own height through the accumulator's own
+        // plan core, so the context's plan cache sees none of them.
         let ctx = AtaContext::builder().cache_words(16).build();
         let n = 8usize;
+        let _ = ctx.plan::<f64>(40, n);
+        let cached = (ctx.plan_cache_len(), ctx.plan_cache_misses());
         let mut acc = ctx.gram_accumulator::<f64>(n);
         let mut want = Matrix::zeros(n, n);
         let mut x = 0x9e3779b97f4a7c15u64;
@@ -545,17 +519,32 @@ mod tests {
             acc.tall_pushes() > 100,
             "the stream must exercise the tall path"
         );
-        let misses = ctx.plan_cache_misses();
-        assert!(
-            misses <= 16,
-            "plan cache must stay bounded under irregular heights, got {misses} misses"
+        assert_eq!(
+            (ctx.plan_cache_len(), ctx.plan_cache_misses()),
+            cached,
+            "stream pushes must add nothing to the plan cache"
         );
         let got = acc.finish().into_dense();
         let tol = ata_mat::ops::product_tol::<f64>(128, n, 1000.0 * 128.0);
-        assert!(
-            got.max_abs_diff_lower(&want) <= tol,
-            "padding must not change the sum"
-        );
+        assert!(got.max_abs_diff_lower(&want) <= tol);
+    }
+
+    #[test]
+    fn tall_push_costs_one_pass_over_its_rows() {
+        // Heights just past a power of two, each one syrk_ln leaf at this
+        // budget: a push multiplies each pushed row's pairs once, and no
+        // padding row.
+        use ata_mat::tracked::{measure, Tracked};
+        let ctx = AtaContext::builder().cache_words(64).build();
+        let n = 8usize;
+        let mut acc = ctx.gram_accumulator::<Tracked>(n);
+        for m in [9usize, 17, 33, 65] {
+            assert!(m > acc.thin_rows(), "{m} rows are tall");
+            let chunk = gen::standard::<Tracked>(m as u64, m, n);
+            let (_, ops) = measure(|| acc.push(chunk.as_ref()));
+            assert_eq!(ops.muls, (m * n * (n + 1) / 2) as u64, "{m} rows");
+        }
+        assert_eq!(acc.tall_pushes(), 4);
     }
 
     #[test]

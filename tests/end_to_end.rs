@@ -447,6 +447,41 @@ fn ata_level_with_classical_c21_products_is_bitwise_syrk_ln() {
 }
 
 #[test]
+fn tall_push_is_bitwise_the_unpadded_accumulate() {
+    // A tall chunk folds at its own height: each push leaves the lower
+    // triangle bitwise equal to one `execute_accumulate` of a plan of
+    // that height on the same starting triangle. The heights sit just
+    // past a power of two, tall at this budget but below a Strassen
+    // level, and change between pushes so the held core is rebuilt.
+    use ata::Output;
+    fn check<T: Scalar>(bits: fn(T) -> u64) {
+        let (n, cfg) = (64, CacheConfig::with_words(4096));
+        let two = NonZeroUsize::new(2).unwrap();
+        for (ctx, backend) in [
+            (AtaContext::builder().cache(cfg).build(), "serial"),
+            (
+                AtaContext::builder().threads(two).cache(cfg).build(),
+                "shared(2)",
+            ),
+        ] {
+            let mut acc = ctx.gram_accumulator_with::<T>(n, Output::Lower);
+            let mut want = Matrix::<T>::zeros(n, n);
+            for m in [1025, 257, 513, 1025] {
+                assert!(m > acc.thin_rows() && cfg.ata_base(m, n), "({m}, {n})");
+                let chunk = gen::standard::<T>(m as u64, m, n);
+                acc.push(chunk.as_ref());
+                ctx.plan_with::<T>(m, n, Output::Lower)
+                    .execute_accumulate(chunk.as_ref(), &mut want.as_mut());
+                let what = format!("{backend} push of {m} rows");
+                assert_lower_bits(&acc.as_lower().to_matrix(), &want, bits, &what);
+            }
+        }
+    }
+    check::<f64>(f64::to_bits);
+    check::<f32>(|x| u64::from(x.to_bits()));
+}
+
+#[test]
 fn tall_gram_without_a_strassen_level_is_one_syrk_ln() {
     // Tall inputs whose `C21` products are skinny: their smallest side is
     // at the square cutoff, so no Strassen level runs and AtA is one

@@ -99,7 +99,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let a = gen::standard::<f64>(seed, m, n);
-        let g = ata::gram(a.as_ref());
+        let g = AtaContext::serial().gram(a.as_ref());
         prop_assert!(g.is_symmetric(0.0));
         // Diagonal entries are squared column norms.
         for j in 0..n {
@@ -117,7 +117,7 @@ proptest! {
     #[test]
     fn packed_roundtrip_any_order(n in 0usize..64, seed in 0u64..1000) {
         let a = gen::standard::<f64>(seed, n + 1, n);
-        let g = ata::gram(a.as_ref());
+        let g = AtaContext::serial().gram(a.as_ref());
         let p = SymPacked::from_lower(&g);
         prop_assert_eq!(p.to_full().max_abs_diff(&g), 0.0);
     }

@@ -182,7 +182,7 @@ fn steady_state_streaming_is_allocation_free() {
     acc.push(gen::standard::<f64>(0, 64, n).as_ref()); // tall: warms arena
     acc.push(gen::standard::<f64>(1, 1, n).as_ref()); // thin: no arena at all
     let warm = acc.arena_stats();
-    let warm_pack = acc.pack_footprint_elems();
+    let warm_pack = ata::kernels::pack::thread_buf_elems::<f64>();
     let warm_footprint = ctx.plan_cache_len();
     for seed in 2..30u64 {
         let rows = if seed % 3 == 0 { 1 } else { 64 };
@@ -201,7 +201,11 @@ fn steady_state_streaming_is_allocation_free() {
         after.checkouts > warm.checkouts,
         "tall pushes kept using the pool"
     );
-    assert_eq!(acc.pack_footprint_elems(), warm_pack, "pack buffers stable");
+    assert_eq!(
+        ata::kernels::pack::thread_buf_elems::<f64>(),
+        warm_pack,
+        "pack buffers stable"
+    );
     assert_eq!(ctx.plan_cache_len(), warm_footprint, "no new plan cores");
 }
 
