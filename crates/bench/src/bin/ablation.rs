@@ -31,7 +31,7 @@ use ata_kernels::CacheConfig;
 use ata_mat::tracked::{measure, Tracked};
 use ata_mat::{gen, half_up, Matrix};
 use ata_mpisim::{run, CostModel};
-use ata_strassen::alloc::strassen_allocating;
+use ata_strassen::strassen_allocating;
 use ata_strassen::{fast_strassen_with, winograd_strassen_with, StrassenWorkspace};
 
 fn leaf_kernel_ablation(cli: &Cli, n: usize) {

@@ -18,7 +18,7 @@ use ata_core::serial::ata_into;
 use ata_kernels::CacheConfig;
 use ata_mat::tracked::{measure, Tracked};
 use ata_mat::{gen, Matrix};
-use ata_strassen::{fast_strassen, strassen_mults};
+use ata_strassen::{fast_strassen, CLASSIC};
 
 fn main() {
     let cli = Cli::from_env();
@@ -37,7 +37,7 @@ fn main() {
     );
     for q in 0..cli.usize("max-q", 10) as u32 {
         let n = 1usize << q;
-        let s = strassen_mults(n, n, n, &deep);
+        let s = CLASSIC.mults(n, n, n, &deep);
         let a = ata_mults(n, n, &deep);
         let naive = (n as u64) * (n as u64) * (n as u64 + 1) / 2;
         assert_eq!(

@@ -328,7 +328,7 @@ pub fn ata_s_modeled_flops(
                 2.0 * ata_core::analysis::ata_mults(m, t.a_cols.1 - t.a_cols.0, cache) as f64
             }
             ComputeKind::AtB => {
-                2.0 * ata_strassen::strassen_mults(
+                2.0 * ata_strassen::CLASSIC.mults(
                     m,
                     t.a_cols.1 - t.a_cols.0,
                     t.b_cols.1 - t.b_cols.0,

@@ -1,22 +1,25 @@
-//! Instrumented walks of the workspace's algorithms over `CachedMem`.
+//! The workspace's algorithms walked over `CachedMem`.
 //!
-//! Each walker mirrors the *address behaviour* of its real counterpart —
-//! the same quadrant splits, the same arena slot carving, the same
-//! row-wise `axpy` sweeps — while running the numerics for real, so the
-//! result can be oracle-checked against `ata-mat::reference`. A walker
-//! whose addressing diverged from the real algorithm would produce wrong
-//! numbers and fail its tests; this is what makes the measured miss
-//! counts credible evidence for Proposition 3.1.
+//! Each walk runs the library's own recursion — `ata-strassen`'s level
+//! programs and `ata-core`'s AtA level — on views of the simulated
+//! memory, so the quadrant splits, the arena slot carving and the step
+//! order are the real algorithm's by construction. Only the machine
+//! differs: every element access of the block sums and of the naive
+//! base kernels is reported to the ideal cache, and the numerics run for
+//! real, so each walk is still oracle-checked.
 //!
 //! Base cases use the naive register-accumulator kernels, which realize
 //! the `O(base^2 / b)` base-case transfer count the cache-oblivious
 //! analysis assumes (all operand lines stay resident once the base block
 //! fits in `M`). The walks stop where that analysis does, at the paper's
-//! cache-fit rule, not at the library's calibrated recursion gate.
+//! cache-fit rule ([`CacheFit`]), not at the library's calibrated
+//! recursion gate.
 
 use crate::lru::IdealCache;
-use crate::mem::{CachedMem, Region};
-use ata_mat::{Matrix, Scalar};
+use crate::mem::{CachedMem, Walk};
+use ata_core::serial::{ata_run, ata_workspace_elems, StrassenKind};
+use ata_mat::{MatMut, MatRef, Matrix, Scalar};
+use ata_strassen::{CacheFit, Machine, Program, CLASSIC, RECURSIVE_GEMM};
 
 /// Miss/access statistics of one instrumented run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,333 +30,67 @@ pub struct CacheStats {
     pub accesses: u64,
 }
 
-/// Base-case predicate of the `A^T B` recursions: the paper's Prop. 3.1
-/// cache-fit rule, both operands fit in `base_words`.
-#[inline]
-fn gemm_base(m: usize, n: usize, k: usize, base_words: usize) -> bool {
-    m * n + m * k <= base_words || (m <= 1 && n <= 1 && k <= 1)
-}
-
-/// Base-case predicate of AtA: the paper's Prop. 3.1 cache-fit rule, the
-/// input block fits in `base_words`.
-#[inline]
-fn ata_base(m: usize, n: usize, base_words: usize) -> bool {
-    m * n <= base_words
-}
-
-// ---------------------------------------------------------------------
-// Base-case kernels.
-// ---------------------------------------------------------------------
-
-/// `C += A^T B`, naive register-accumulator loops.
-fn gemm_tn_walk<T: Scalar>(mem: &mut CachedMem<T>, a: Region, b: Region, c: Region) {
-    debug_assert_eq!(a.rows, b.rows);
-    debug_assert_eq!((c.rows, c.cols), (a.cols, b.cols));
-    for i in 0..c.rows {
-        for j in 0..c.cols {
-            let mut acc = T::ZERO;
-            for l in 0..a.rows {
-                acc += mem.read(a.at(l, i)) * mem.read(b.at(l, j));
-            }
-            mem.add(c.at(i, j), acc);
-        }
-    }
-}
-
-/// Lower triangle of `C += A^T A`, naive loops.
-fn syrk_ln_walk<T: Scalar>(mem: &mut CachedMem<T>, a: Region, c: Region) {
-    debug_assert_eq!((c.rows, c.cols), (a.cols, a.cols));
-    for i in 0..a.cols {
-        for j in 0..=i {
-            let mut acc = T::ZERO;
-            for l in 0..a.rows {
-                acc += mem.read(a.at(l, i)) * mem.read(a.at(l, j));
-            }
-            mem.add(c.at(i, j), acc);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// RecursiveGEMM (Algorithm 2).
-// ---------------------------------------------------------------------
-
-/// Cache-oblivious classical `C += A^T B` (Algorithm 2): eight recursive
-/// calls on quadrants.
-fn recursive_gemm_walk<T: Scalar>(
-    mem: &mut CachedMem<T>,
-    a: Region,
-    b: Region,
-    c: Region,
-    base_words: usize,
-) {
-    let (m, n, k) = (a.rows, a.cols, b.cols);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if gemm_base(m, n, k, base_words) {
-        gemm_tn_walk(mem, a, b, c);
-        return;
-    }
-    let (a11, a12, a21, a22) = a.quad_split();
-    let (b11, b12, b21, b22) = b.quad_split();
-    let n1 = n.div_ceil(2);
-    let k1 = k.div_ceil(2);
-    let c11 = c.block(0, n1, 0, k1);
-    let c12 = c.block(0, n1, k1, k);
-    let c21 = c.block(n1, n, 0, k1);
-    let c22 = c.block(n1, n, k1, k);
-    // C(i,j) += sum_l A(l,i)^T B(l,j) — the paper's triple loop.
-    recursive_gemm_walk(mem, a11, b11, c11, base_words);
-    recursive_gemm_walk(mem, a21, b21, c11, base_words);
-    recursive_gemm_walk(mem, a11, b12, c12, base_words);
-    recursive_gemm_walk(mem, a21, b22, c12, base_words);
-    recursive_gemm_walk(mem, a12, b11, c21, base_words);
-    recursive_gemm_walk(mem, a22, b21, c21, base_words);
-    recursive_gemm_walk(mem, a12, b12, c22, base_words);
-    recursive_gemm_walk(mem, a22, b22, c22, base_words);
-}
-
-// ---------------------------------------------------------------------
-// Strassen (mirror of `ata-strassen::fast`).
-// ---------------------------------------------------------------------
-
-/// Arena words the Strassen walker needs — must match its own carving.
-fn strassen_arena_elems(m: usize, n: usize, k: usize, base_words: usize) -> usize {
-    if m == 0 || n == 0 || k == 0 || gemm_base(m, n, k, base_words) {
-        return 0;
-    }
-    let (m1, n1, k1) = (m.div_ceil(2), n.div_ceil(2), k.div_ceil(2));
-    m1 * n1 + m1 * k1 + n1 * k1 + strassen_arena_elems(m1, n1, k1, base_words)
-}
-
-/// `dst = pad(src)` in the arena.
-fn pad_into_walk<T: Scalar>(mem: &mut CachedMem<T>, dst: Region, src: Region) {
-    for i in 0..dst.rows {
-        for j in 0..dst.cols {
-            let v = if i < src.rows && j < src.cols {
-                mem.read(src.at(i, j))
-            } else {
-                T::ZERO
-            };
-            mem.write(dst.at(i, j), v);
-        }
-    }
-}
-
-/// `dst += sign * pad(src)` over the common prefix (row-wise axpy).
-fn axpy_padded_walk<T: Scalar>(mem: &mut CachedMem<T>, sign: T, src: Region, dst: Region) {
-    for i in 0..src.rows.min(dst.rows) {
-        for j in 0..src.cols.min(dst.cols) {
-            let v = mem.read(src.at(i, j));
-            mem.add(dst.at(i, j), sign * v);
-        }
-    }
-}
-
-/// `c += coeff * mm`, truncating.
-fn accumulate_walk<T: Scalar>(mem: &mut CachedMem<T>, c: Region, mm: Region, coeff: T) {
-    for i in 0..c.rows {
-        for j in 0..c.cols {
-            let v = mem.read(mm.at(i, j));
-            mem.add(c.at(i, j), coeff * v);
-        }
-    }
-}
-
-/// Strassen `C += alpha A^T B` with the arena at `arena`: the walk of
-/// `ata-strassen::fast::rec` (same 7-product schedule and slot reuse).
-#[allow(clippy::too_many_arguments)]
-fn strassen_walk<T: Scalar>(
-    mem: &mut CachedMem<T>,
-    alpha: T,
-    a: Region,
-    b: Region,
-    c: Region,
-    base_words: usize,
-    arena: usize,
-) {
-    let (m, n, k) = (a.rows, a.cols, b.cols);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if gemm_base(m, n, k, base_words) {
-        // alpha is folded into the accumulate of the parent; the real
-        // base kernel takes alpha, and for the walker alpha is always
-        // +-1 at this point except the outermost call. Scale explicitly.
-        if alpha == T::ONE {
-            gemm_tn_walk(mem, a, b, c);
-        } else {
-            // Rare path: materialize alpha by scaling after the multiply
-            // — mirrors gemm_tn(alpha, ..) cost shape (one extra C pass
-            // is *not* performed by the real kernel, so scale inline).
-            for i in 0..c.rows {
-                for j in 0..c.cols {
-                    let mut acc = T::ZERO;
-                    for l in 0..a.rows {
-                        acc += mem.read(a.at(l, i)) * mem.read(b.at(l, j));
-                    }
-                    mem.add(c.at(i, j), alpha * acc);
+/// Naive base kernels and element-wise block sums, each access counted.
+impl<T: Scalar> Machine<T> for Walk<'_> {
+    fn gemm_leaf(&mut self, alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
+        for i in 0..c.rows() {
+            for j in 0..c.cols() {
+                let mut acc = T::ZERO;
+                for l in 0..a.rows() {
+                    acc += self.read(a, l, i) * self.read(b, l, j);
                 }
+                self.add(c, i, j, alpha * acc);
             }
         }
-        return;
     }
 
-    let (m1, n1, k1) = (m.div_ceil(2), n.div_ceil(2), k.div_ceil(2));
-    let (a11, a12, a21, a22) = a.quad_split();
-    let (b11, b12, b21, b22) = b.quad_split();
-
-    let ta = Region::contiguous(arena, m1, n1);
-    let tb = Region::contiguous(ta.end(), m1, k1);
-    let mm = Region::contiguous(tb.end(), n1, k1);
-    let child = mm.end();
-
-    let c11 = c.block(0, n1, 0, k1);
-    let c12 = c.block(0, n1, k1, k);
-    let c21 = c.block(n1, n, 0, k1);
-    let c22 = c.block(n1, n, k1, k);
-
-    let one = T::ONE;
-    let neg = T::NEG_ONE;
-
-    // Build an operand into a slot, or pass the quadrant through if it
-    // already has ceil shape (mirrors `direct_or_pad`).
-    macro_rules! operand {
-        ($slot:expr, $q:expr) => {{
-            if $q.rows == $slot.rows && $q.cols == $slot.cols {
-                $q
-            } else {
-                pad_into_walk(mem, $slot, $q);
-                $slot
-            }
-        }};
-    }
-    macro_rules! operand_sum {
-        ($slot:expr, $x:expr, $sign:expr, $y:expr) => {{
-            pad_into_walk(mem, $slot, $x);
-            axpy_padded_walk(mem, $sign, $y, $slot);
-            $slot
-        }};
-    }
-    // One product into the zeroed mm slot, then signed accumulations.
-    macro_rules! product {
-        ($ta:expr, $tb:expr, [$(($quad:expr, $sgn:expr)),+]) => {{
-            let ta = $ta;
-            let tb = $tb;
-            for i in 0..mm.rows {
-                for j in 0..mm.cols {
-                    mem.write(mm.at(i, j), T::ZERO);
+    fn syrk_leaf(&mut self, alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
+        for i in 0..a.cols() {
+            for j in 0..=i {
+                let mut acc = T::ZERO;
+                for l in 0..a.rows() {
+                    acc += self.read(a, l, i) * self.read(a, l, j);
                 }
+                self.add(c, i, j, alpha * acc);
             }
-            strassen_walk(mem, one, ta, tb, mm, base_words, child);
-            $(
-                let coeff = if $sgn >= 0 { alpha } else { neg * alpha };
-                accumulate_walk(mem, $quad, mm, coeff);
-            )+
-        }};
-    }
-
-    // M1 = (A11 + A22)^T (B11 + B22)  ->  +C11, +C22
-    product!(
-        operand_sum!(ta, a11, one, a22),
-        operand_sum!(tb, b11, one, b22),
-        [(c11, 1), (c22, 1)]
-    );
-    // M2 = (A12 + A22)^T B11          ->  +C21, -C22
-    product!(operand_sum!(ta, a12, one, a22), b11, [(c21, 1), (c22, -1)]);
-    // M3 = A11^T (B12 - B22)          ->  +C12, +C22
-    product!(a11, operand_sum!(tb, b12, neg, b22), [(c12, 1), (c22, 1)]);
-    // M4 = A22^T (B21 - B11)          ->  +C11, +C21
-    product!(
-        operand!(ta, a22),
-        operand_sum!(tb, b21, neg, b11),
-        [(c11, 1), (c21, 1)]
-    );
-    // M5 = (A11 + A21)^T B22          ->  -C11, +C12
-    product!(
-        operand_sum!(ta, a11, one, a21),
-        operand!(tb, b22),
-        [(c11, -1), (c12, 1)]
-    );
-    // M6 = (A12 - A11)^T (B11 + B12)  ->  +C22
-    product!(
-        operand_sum!(ta, a12, neg, a11),
-        operand_sum!(tb, b11, one, b12),
-        [(c22, 1)]
-    );
-    // M7 = (A21 - A22)^T (B21 + B22)  ->  +C11
-    product!(
-        operand_sum!(ta, a21, neg, a22),
-        operand_sum!(tb, b21, one, b22),
-        [(c11, 1)]
-    );
-}
-
-// ---------------------------------------------------------------------
-// AtA (Algorithm 1).
-// ---------------------------------------------------------------------
-
-/// Largest Strassen arena any `C21` product of the AtA recursion needs.
-fn ata_arena_elems(m: usize, n: usize, base_words: usize) -> usize {
-    if m == 0 || n == 0 || ata_base(m, n, base_words) {
-        return 0;
-    }
-    let (m1, n1) = (m.div_ceil(2), n.div_ceil(2));
-    let m2 = m - m1;
-    let n2 = n - n1;
-    let own = strassen_arena_elems(m1, n2, n1, base_words)
-        .max(strassen_arena_elems(m2, n2, n1, base_words));
-    own.max(ata_arena_elems(m1, n1, base_words))
-        .max(ata_arena_elems(m2, n1, base_words))
-        .max(ata_arena_elems(m1, n2, base_words))
-        .max(ata_arena_elems(m2, n2, base_words))
-}
-
-/// AtA walk (Algorithm 1): four recursive calls plus two Strassen
-/// products for `C21`, sharing one arena.
-fn ata_walk<T: Scalar>(
-    mem: &mut CachedMem<T>,
-    a: Region,
-    c: Region,
-    base_words: usize,
-    arena: usize,
-) {
-    let (m, n) = (a.rows, a.cols);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if ata_base(m, n, base_words) {
-        syrk_ln_walk(mem, a, c);
-        return;
-    }
-    let n1 = n.div_ceil(2);
-    let (a11, a12, a21, a22) = a.quad_split();
-    let c11 = c.block(0, n1, 0, n1);
-    let c22 = c.block(n1, n, n1, n);
-    let c21 = c.block(n1, n, 0, n1);
-    ata_walk(mem, a11, c11, base_words, arena);
-    ata_walk(mem, a21, c11, base_words, arena);
-    ata_walk(mem, a12, c22, base_words, arena);
-    ata_walk(mem, a22, c22, base_words, arena);
-    strassen_walk(mem, T::ONE, a12, a11, c21, base_words, arena);
-    strassen_walk(mem, T::ONE, a22, a21, c21, base_words, arena);
-}
-
-// ---------------------------------------------------------------------
-// Public entry points: load a real matrix, run cold, extract results.
-// ---------------------------------------------------------------------
-
-fn load<T: Scalar>(mem: &mut CachedMem<T>, r: Region, src: &Matrix<T>) {
-    for i in 0..src.rows() {
-        for j in 0..src.cols() {
-            mem.poke(r.at(i, j), src[(i, j)]);
         }
     }
-}
 
-fn extract<T: Scalar>(mem: &CachedMem<T>, r: Region) -> Matrix<T> {
-    Matrix::from_fn(r.rows, r.cols, |i, j| mem.peek(r.at(i, j)))
+    fn pad(&mut self, dst: &mut MatMut<'_, T>, src: MatRef<'_, T>) {
+        for i in 0..dst.rows() {
+            for j in 0..dst.cols() {
+                let v = if i < src.rows() && j < src.cols() {
+                    self.read(src, i, j)
+                } else {
+                    T::ZERO
+                };
+                self.write(dst, i, j, v);
+            }
+        }
+    }
+
+    fn add(&mut self, dst: &mut MatMut<'_, T>, coeff: T, src: MatRef<'_, T>) {
+        for i in 0..src.rows().min(dst.rows()) {
+            for j in 0..src.cols().min(dst.cols()) {
+                let v = self.read(src, i, j);
+                Walk::add(self, dst, i, j, coeff * v);
+            }
+        }
+    }
+
+    fn rsub(&mut self, dst: &mut MatMut<'_, T>, src: MatRef<'_, T>) {
+        for i in 0..dst.rows() {
+            for j in 0..dst.cols() {
+                let s = if i < src.rows() && j < src.cols() {
+                    self.read(src, i, j)
+                } else {
+                    T::ZERO
+                };
+                let d = self.read(dst.as_ref(), i, j);
+                self.write(dst, i, j, s - d);
+            }
+        }
+    }
 }
 
 fn stats<T: Scalar>(mem: &CachedMem<T>) -> CacheStats {
@@ -370,12 +107,42 @@ pub fn run_naive_syrk<T: Scalar>(
     line_words: usize,
 ) -> (Matrix<T>, CacheStats) {
     let (m, n) = a.shape();
-    let ra = Region::contiguous(0, m, n);
-    let rc = Region::contiguous(ra.end(), n, n);
-    let mut mem = CachedMem::new(rc.end(), IdealCache::new(capacity_words, line_words));
-    load(&mut mem, ra, a);
-    syrk_ln_walk(&mut mem, ra, rc);
-    (extract(&mem, rc), stats(&mem))
+    let mut mem = CachedMem::new(m * n + n * n, IdealCache::new(capacity_words, line_words));
+    mem.load(0, a);
+    let (data, mut walk) = mem.split();
+    let (ad, cd) = data.split_at_mut(m * n);
+    let mut c = MatMut::from_slice(cd, n, n);
+    walk.syrk_leaf(T::ONE, MatRef::from_slice(ad, m, n), &mut c);
+    (mem.extract(m * n, n, n), stats(&mem))
+}
+
+/// `C = A^T B` through `prog` on the walk, with `A | B | C | arena` laid
+/// out in that order.
+fn run_product<T: Scalar>(
+    prog: &Program,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    base_words: usize,
+    capacity_words: usize,
+    line_words: usize,
+) -> (Matrix<T>, CacheStats) {
+    let (m, n) = a.shape();
+    let k = b.cols();
+    assert_eq!(b.rows(), m, "A and B row mismatch");
+    let fit = CacheFit(base_words);
+    let (ra, rb, rc) = (m * n, m * k, n * k);
+    let words = ra + rb + rc + prog.workspace_elems(m, n, k, &fit);
+    let mut mem = CachedMem::new(words, IdealCache::new(capacity_words, line_words));
+    mem.load(0, a);
+    mem.load(ra, b);
+    let (data, mut walk) = mem.split();
+    let (ad, rest) = data.split_at_mut(ra);
+    let (bd, rest) = rest.split_at_mut(rb);
+    let (cd, arena) = rest.split_at_mut(rc);
+    let (a, b) = (MatRef::from_slice(ad, m, n), MatRef::from_slice(bd, m, k));
+    let mut c = MatMut::from_slice(cd, n, k);
+    prog.run(&mut walk, &fit, T::ONE, a, b, &mut c, arena);
+    (mem.extract(ra + rb, n, k), stats(&mem))
 }
 
 /// Measure the cache-oblivious classical recursion (Algorithm 2) for
@@ -387,17 +154,14 @@ pub fn run_recursive_gemm<T: Scalar>(
     capacity_words: usize,
     line_words: usize,
 ) -> (Matrix<T>, CacheStats) {
-    let (m, n) = a.shape();
-    let k = b.cols();
-    assert_eq!(b.rows(), m, "A and B row mismatch");
-    let ra = Region::contiguous(0, m, n);
-    let rb = Region::contiguous(ra.end(), m, k);
-    let rc = Region::contiguous(rb.end(), n, k);
-    let mut mem = CachedMem::new(rc.end(), IdealCache::new(capacity_words, line_words));
-    load(&mut mem, ra, a);
-    load(&mut mem, rb, b);
-    recursive_gemm_walk(&mut mem, ra, rb, rc, base_words);
-    (extract(&mem, rc), stats(&mem))
+    run_product(
+        &RECURSIVE_GEMM,
+        a,
+        b,
+        base_words,
+        capacity_words,
+        line_words,
+    )
 }
 
 /// Measure the arena Strassen recursion for `C = A^T B`.
@@ -408,19 +172,7 @@ pub fn run_strassen<T: Scalar>(
     capacity_words: usize,
     line_words: usize,
 ) -> (Matrix<T>, CacheStats) {
-    let (m, n) = a.shape();
-    let k = b.cols();
-    assert_eq!(b.rows(), m, "A and B row mismatch");
-    let ra = Region::contiguous(0, m, n);
-    let rb = Region::contiguous(ra.end(), m, k);
-    let rc = Region::contiguous(rb.end(), n, k);
-    let arena = rc.end();
-    let words = arena + strassen_arena_elems(m, n, k, base_words);
-    let mut mem = CachedMem::new(words, IdealCache::new(capacity_words, line_words));
-    load(&mut mem, ra, a);
-    load(&mut mem, rb, b);
-    strassen_walk(&mut mem, T::ONE, ra, rb, rc, base_words, arena);
-    (extract(&mem, rc), stats(&mem))
+    run_product(&CLASSIC, a, b, base_words, capacity_words, line_words)
 }
 
 /// Measure AtA (Algorithm 1) for the lower triangle of `C = A^T A`.
@@ -431,14 +183,24 @@ pub fn run_ata<T: Scalar>(
     line_words: usize,
 ) -> (Matrix<T>, CacheStats) {
     let (m, n) = a.shape();
-    let ra = Region::contiguous(0, m, n);
-    let rc = Region::contiguous(ra.end(), n, n);
-    let arena = rc.end();
-    let words = arena + ata_arena_elems(m, n, base_words);
+    let (fit, kind) = (CacheFit(base_words), StrassenKind::Classic);
+    let words = m * n + n * n + ata_workspace_elems(m, n, &fit, kind);
     let mut mem = CachedMem::new(words, IdealCache::new(capacity_words, line_words));
-    load(&mut mem, ra, a);
-    ata_walk(&mut mem, ra, rc, base_words, arena);
-    (extract(&mem, rc), stats(&mem))
+    mem.load(0, a);
+    let (data, mut walk) = mem.split();
+    let (ad, rest) = data.split_at_mut(m * n);
+    let (cd, arena) = rest.split_at_mut(n * n);
+    let mut c = MatMut::from_slice(cd, n, n);
+    ata_run(
+        &mut walk,
+        &fit,
+        kind,
+        T::ONE,
+        MatRef::from_slice(ad, m, n),
+        &mut c,
+        arena,
+    );
+    (mem.extract(m * n, n, n), stats(&mem))
 }
 
 /// The Θ-expression of Proposition 3.1 (and Frigo et al. for Strassen):
@@ -484,10 +246,13 @@ mod tests {
         for &(m, n, k) in &[(16usize, 16usize, 16usize), (13, 11, 9), (24, 17, 21)] {
             let a = gen::standard::<f64>(m as u64, m, n);
             let b = gen::standard::<f64>(k as u64 + 40, m, k);
-            let (c, _) = run_strassen(&a, &b, 32, M, B);
             let mut want = Matrix::zeros(n, k);
             reference::gemm_tn(1.0, a.as_ref(), b.as_ref(), &mut want.as_mut());
+            let (c, _) = run_strassen(&a, &b, 32, M, B);
             assert!(c.max_abs_diff(&want) < 1e-10, "({m},{n},{k})");
+            // Winograd's chain steps walk too.
+            let (c, _) = run_product(&ata_strassen::WINOGRAD, &a, &b, 32, M, B);
+            assert!(c.max_abs_diff(&want) < 1e-10, "winograd ({m},{n},{k})");
         }
     }
 
@@ -572,6 +337,51 @@ mod tests {
             (6.5..9.0).contains(&last),
             "asymptotic doubling ratio {last} not near 7 ({ratios:?})"
         );
+    }
+
+    #[test]
+    fn exact_counts_at_the_prop31_defaults() {
+        // prop31's n-sweep at its defaults (M = 64, b = 8, base 8), each
+        // input built as prop31 builds it: misses / accesses of naive
+        // syrk, RecursiveGEMM, Strassen and AtA. The inequality tests
+        // above would pass a walk whose addressing drifted within their
+        // bounds; these pins would not.
+        let (m_words, b_words, base) = (64, 8, 8);
+        let pins: [(usize, [(u64, u64); 4]); 3] = [
+            (
+                16,
+                [(3336, 4488), (2688, 10240), (2521, 33272), (972, 13200)],
+            ),
+            (
+                32,
+                [
+                    (29712, 34320),
+                    (21504, 81920),
+                    (19919, 251080),
+                    (8930, 119344),
+                ],
+            ),
+            (
+                64,
+                [
+                    (249888, 268320),
+                    (172032, 655360),
+                    (148521, 1830264),
+                    (75558, 979536),
+                ],
+            ),
+        ];
+        for (n, want) in pins {
+            let a = gen::standard::<f64>(n as u64, n, n);
+            let got = [
+                run_naive_syrk(&a, m_words, b_words).1,
+                run_recursive_gemm(&a, &a.clone(), base, m_words, b_words).1,
+                run_strassen(&a, &a.clone(), base, m_words, b_words).1,
+                run_ata(&a, base, m_words, b_words).1,
+            ]
+            .map(|s| (s.misses, s.accesses));
+            assert_eq!(got, want, "n = {n}: naive, RecursiveGEMM, Strassen, AtA");
+        }
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! et al. (FOCS 1999). The paper proves this by induction; the
 //! reproduction *measures* it:
 //!
-//! * [`lru::IdealCache`] — a fully-associative LRU cache with capacity
+//! * [`IdealCache`] — a fully-associative LRU cache with capacity
 //!   `M` words and lines of `b` words (the ideal-cache machine);
-//! * `mem::CachedMem` / [`mem::Region`] — simulated memory whose every
-//!   access goes through the cache, plus the block-addressing mirror of
-//!   the workspace's matrix views;
-//! * [`algs`] — instrumented walks of naive `syrk`, RecursiveGEMM
-//!   (Algorithm 2), arena-Strassen and AtA (Algorithm 1) that reproduce
-//!   the real implementations' address behaviour *and* their numerics
-//!   (each walker is oracle-checked, so the addressing cannot silently
-//!   diverge);
+//! * `mem::CachedMem` — simulated memory, and the walk machine that
+//!   reports each element access of an `ata-mat` view of it to the cache;
+//! * `algs` — naive `syrk`, RecursiveGEMM (Algorithm 2), arena-Strassen
+//!   and AtA (Algorithm 1) run on that machine: the library's own level
+//!   programs and AtA level (`ata_strassen::Program`,
+//!   `ata_core::serial::ata_run`) with naive base kernels and the paper's
+//!   cache-fit gate, so the walked addressing *is* the library's, and
+//!   each walk is still oracle-checked;
 //! * the `prop31` benchmark binary (in `ata-bench`) sweeps `n`, `M` and
 //!   `b` and prints measured misses next to the Θ-expression.
 //!
@@ -39,12 +39,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod algs;
-pub mod lru;
-pub mod mem;
+mod algs;
+mod lru;
+mod mem;
 
 pub use algs::{
     prop31_expression, run_ata, run_naive_syrk, run_recursive_gemm, run_strassen, CacheStats,
 };
 pub use lru::IdealCache;
-pub use mem::Region;

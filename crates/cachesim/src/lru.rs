@@ -62,11 +62,6 @@ impl IdealCache {
         }
     }
 
-    /// Words per line (`b`).
-    pub fn line_words(&self) -> usize {
-        self.line_words
-    }
-
     /// Total accesses so far.
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses

@@ -4,8 +4,9 @@
 //! needs `2/3 n^(log2 7) + 1/3 n^2` multiplications — two thirds of
 //! Strassen. This module provides
 //!
-//! * closed-form multiplication counts mirroring the recursions
-//!   ([`ata_mults`], re-exporting [`ata_strassen::strassen_mults`]),
+//! * multiplication counts read off the level programs themselves
+//!   ([`ata_mults`] for AtA, [`ata_strassen::Program::mults`] for a
+//!   product),
 //! * the paper's formula [`ata_mults_closed_form`] for fully-recursive
 //!   powers of two, and
 //! * the effective-GFLOPs metric of Eq. 9 used by every benchmark.
@@ -14,9 +15,9 @@
 //! [`ata_mat::tracked::Tracked`] scalar and assert the measured counts
 //! equal these formulas exactly.
 
+use crate::serial::mults;
 use ata_kernels::CacheConfig;
-use ata_mat::{half_down, half_up};
-use ata_strassen::strassen_mults;
+use ata_strassen::CLASSIC;
 
 /// Scalar multiplications performed by the AtA recursion (Algorithm 1)
 /// on an `m x n` input under cache config `cfg`.
@@ -28,17 +29,7 @@ use ata_strassen::strassen_mults;
 /// one `syrk_ln`, so on square powers of two this still equals Table 1's
 /// closed form [`ata_mults_closed_form`] at the fully recursive budget.
 pub fn ata_mults(m: usize, n: usize, cfg: &CacheConfig) -> u64 {
-    if cfg.ata_base(m, n) {
-        return (m as u64) * (n as u64) * (n as u64 + 1) / 2;
-    }
-    let (m1, m2) = (half_up(m), half_down(m));
-    let (n1, n2) = (half_up(n), half_down(n));
-    ata_mults(m1, n1, cfg)
-        + ata_mults(m2, n1, cfg)
-        + ata_mults(m1, n2, cfg)
-        + ata_mults(m2, n2, cfg)
-        + strassen_mults(m1, n2, n1, cfg)
-        + strassen_mults(m2, n2, n1, cfg)
+    mults(&CLASSIC, m, n, cfg)
 }
 
 /// The paper's closed form for fully-recursive square powers of two:
@@ -59,9 +50,14 @@ pub fn effective_gflops(r: f64, m: usize, n: usize, seconds: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serial::ata_into;
+    use crate::serial::{ata_into, run};
     use ata_mat::tracked::{measure, Tracked};
     use ata_mat::{gen, Matrix};
+    use ata_strassen::{Dense, RECURSIVE_GEMM, WINOGRAD};
+
+    fn strassen_mults(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> u64 {
+        CLASSIC.mults(m, n, k, cfg)
+    }
 
     /// Fully-recursive config: base cases only at single elements.
     fn deep() -> CacheConfig {
@@ -115,6 +111,44 @@ mod tests {
                 ata_mults_closed_form(q),
                 "n={n}: measured muls != (2*7^q + 4^q)/3"
             );
+        }
+        // The count interpreter equals the run's multiplications for
+        // every product program, at budgets forcing the C21 product to
+        // depth 1-3 on odd shapes.
+        for (name, prog) in [
+            ("classic", &CLASSIC),
+            ("winograd", &WINOGRAD),
+            ("algorithm 2", &RECURSIVE_GEMM),
+        ] {
+            for &(m, n) in &[(67usize, 45usize), (37, 29)] {
+                for depth in 1..=3u32 {
+                    let mut leaf = m.div_ceil(2).min(n / 2);
+                    for _ in 0..depth {
+                        leaf = leaf.div_ceil(2);
+                    }
+                    let cfg = CacheConfig::with_words(2 * leaf * leaf);
+                    let a = gen::standard::<Tracked>(7, m, n);
+                    let mut c = Matrix::<Tracked>::zeros(n, n);
+                    let mut ws =
+                        vec![Tracked(0.0); crate::serial::workspace_elems(prog, m, n, &cfg)];
+                    let (_, ops) = measure(|| {
+                        run(
+                            prog,
+                            &mut Dense,
+                            &cfg,
+                            Tracked(1.0),
+                            a.as_ref(),
+                            &mut c.as_mut(),
+                            &mut ws,
+                        );
+                    });
+                    assert_eq!(
+                        ops.muls,
+                        mults(prog, m, n, &cfg),
+                        "{name} ({m},{n}) depth {depth}"
+                    );
+                }
+            }
         }
     }
 

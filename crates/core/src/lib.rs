@@ -41,7 +41,7 @@
 
 pub mod accuracy;
 pub mod analysis;
-pub mod naive;
+mod naive;
 pub mod parallel;
 pub mod render;
 pub mod serial;

@@ -1,60 +1,19 @@
-//! Algorithm 2 (`RecursiveGEMM`) and `AtANaive` — the naive recursive
-//! variants the paper defines alongside AtA.
+//! `AtANaive` — Algorithm 1 with Algorithm 2 (`RecursiveGEMM`) for its
+//! off-diagonal block.
 //!
 //! `RecursiveGEMM` is the classical divide-and-conquer `C += A^T B`
-//! (eight recursive sub-products, no Strassen); `AtANaive` is Algorithm 1
-//! with `RecursiveGEMM` in place of `FastStrassen`. The paper uses their
-//! recursion *trees* to schedule the parallel algorithms (§4.1.3: naive
-//! recursion avoids Strassen's extra memory and keeps the workload
+//! (eight recursive sub-products, no Strassen), the level program
+//! [`ata_strassen::RECURSIVE_GEMM`]; `AtANaive` runs the same AtA level
+//! as [`crate::ata_into`] with that program for `C21`. The paper uses
+//! their recursion *trees* to schedule the parallel algorithms (§4.1.3:
+//! naive recursion avoids Strassen's extra memory and keeps the workload
 //! balanceable), and they double as cache-oblivious baselines: same
 //! memory behaviour as AtA, classical flop count.
 
-use ata_kernels::{gemm_tn, syrk_ln, CacheConfig};
-use ata_mat::{half_up, MatMut, MatRef, Scalar};
-
-/// Algorithm 2: `C += alpha * A^T B` by eight-way recursion.
-///
-/// Base case (the paper's line 2): [`CacheConfig::gemm_base`], where the
-/// packed `gemm_tn` kernel runs.
-///
-/// Shapes: `A: m x n`, `B: m x k`, `C: n x k`.
-#[allow(clippy::needless_range_loop)] // the [l][i]/[l][j] indexing mirrors Algorithm 2
-fn recursive_gemm<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cfg: &CacheConfig,
-) {
-    let (m, n) = a.shape();
-    let k = b.cols();
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if cfg.gemm_base(m, n, k) {
-        gemm_tn(alpha, a, b, c);
-        return;
-    }
-    let (a11, a12, a21, a22) = a.quad_split();
-    let (b11, b12, b21, b22) = b.quad_split();
-    let n1 = half_up(n);
-    let k1 = half_up(k);
-
-    // The 2x2x2 loop nest of Algorithm 2: C_ij += A_li^T B_lj.
-    // (i = A column half, j = B column half, l = shared row half.)
-    let a_halves = [[a11, a12], [a21, a22]]; // indexed [l][i]
-    let b_halves = [[b11, b12], [b21, b22]]; // indexed [l][j]
-    for i in 0..2 {
-        for j in 0..2 {
-            let (r0, r1) = if i == 0 { (0, n1) } else { (n1, n) };
-            let (q0, q1) = if j == 0 { (0, k1) } else { (k1, k) };
-            for l in 0..2 {
-                let mut cij = c.block_mut(r0, r1, q0, q1);
-                recursive_gemm(alpha, a_halves[l][i], b_halves[l][j], &mut cij, cfg);
-            }
-        }
-    }
-}
+use crate::serial::run;
+use ata_kernels::CacheConfig;
+use ata_mat::{MatMut, MatRef, Scalar};
+use ata_strassen::{Dense, RECURSIVE_GEMM};
 
 /// `AtANaive`: Algorithm 1 with `RecursiveGEMM` for the off-diagonal
 /// block — the variant whose recursion tree drives the §4.1 scheduler.
@@ -64,54 +23,14 @@ fn recursive_gemm<T: Scalar>(
 /// # Panics
 /// On inconsistent shapes.
 pub fn ata_naive<T: Scalar>(alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>, cfg: &CacheConfig) {
-    let (m, n) = a.shape();
+    let n = a.cols();
     assert_eq!(
         c.shape(),
         (n, n),
         "ata_naive: C must be {n}x{n}, got {:?}",
         c.shape()
     );
-    if m == 0 || n == 0 {
-        return;
-    }
-    rec_naive(alpha, a, c, cfg);
-}
-
-fn rec_naive<T: Scalar>(alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>, cfg: &CacheConfig) {
-    let (m, n) = a.shape();
-    if m == 0 || n == 0 {
-        return;
-    }
-    if cfg.ata_base(m, n) {
-        syrk_ln(alpha, a, c);
-        return;
-    }
-    let n1 = half_up(n);
-    let (a11, a12, a21, a22) = a.quad_split();
-    {
-        let mut c11 = c.block_mut(0, n1, 0, n1);
-        rec_naive(alpha, a11, &mut c11, cfg);
-    }
-    {
-        let mut c11 = c.block_mut(0, n1, 0, n1);
-        rec_naive(alpha, a21, &mut c11, cfg);
-    }
-    {
-        let mut c22 = c.block_mut(n1, n, n1, n);
-        rec_naive(alpha, a12, &mut c22, cfg);
-    }
-    {
-        let mut c22 = c.block_mut(n1, n, n1, n);
-        rec_naive(alpha, a22, &mut c22, cfg);
-    }
-    {
-        let mut c21 = c.block_mut(n1, n, 0, n1);
-        recursive_gemm(alpha, a12, a11, &mut c21, cfg);
-    }
-    {
-        let mut c21 = c.block_mut(n1, n, 0, n1);
-        recursive_gemm(alpha, a22, a21, &mut c21, cfg);
-    }
+    run(&RECURSIVE_GEMM, &mut Dense, cfg, alpha, a, c, &mut []);
 }
 
 #[cfg(test)]
@@ -119,6 +38,17 @@ mod tests {
     use super::*;
     use ata_mat::tracked::{measure, Tracked};
     use ata_mat::{gen, reference, Matrix};
+
+    /// Algorithm 2 on its own: `C += alpha * A^T B`.
+    fn recursive_gemm<T: Scalar>(
+        alpha: T,
+        a: MatRef<'_, T>,
+        b: MatRef<'_, T>,
+        c: &mut MatMut<'_, T>,
+        cfg: &CacheConfig,
+    ) {
+        RECURSIVE_GEMM.run(&mut Dense, cfg, alpha, a, b, c, &mut []);
+    }
 
     #[test]
     fn recursive_gemm_matches_oracle() {
@@ -198,14 +128,34 @@ mod tests {
 
     #[test]
     fn ata_naive_agrees_with_strassen_ata_bitwise_on_ternary() {
-        let (m, n) = (24usize, 20usize);
-        let a = gen::ternary::<f64>(4, m, n);
-        let cfg = CacheConfig::with_words(16);
-        let mut naive = Matrix::zeros(n, n);
-        ata_naive(1.0, a.as_ref(), &mut naive.as_mut(), &cfg);
-        let mut fast = Matrix::zeros(n, n);
-        crate::serial::ata_into(1.0, a.as_ref(), &mut fast.as_mut(), &cfg);
-        assert_eq!(naive.max_abs_diff_lower(&fast), 0.0);
+        use crate::serial::{ata_into_with_kind, StrassenKind};
+        use ata_strassen::StrassenWorkspace;
+        // Integer inputs keep every sum exact, so Algorithm 2 and both
+        // Strassen programs must land on the same bits at any depth.
+        for &(m, n) in &[(24usize, 20usize), (67, 45), (30, 53)] {
+            let a = gen::ternary::<f64>(4, m, n);
+            for depth in 1..=3u32 {
+                // The C21 product (⌈m/2⌉, ⌊n/2⌋, ⌈n/2⌉) runs `depth`
+                // levels below the AtA level.
+                let mut leaf = (m.div_ceil(2)).min(n / 2);
+                for _ in 0..depth {
+                    leaf = leaf.div_ceil(2);
+                }
+                let cfg = CacheConfig::with_words(2 * leaf * leaf);
+                let mut naive = Matrix::zeros(n, n);
+                ata_naive(1.0, a.as_ref(), &mut naive.as_mut(), &cfg);
+                for kind in [StrassenKind::Classic, StrassenKind::Winograd] {
+                    let mut fast = Matrix::zeros(n, n);
+                    let mut ws = StrassenWorkspace::empty();
+                    ata_into_with_kind(1.0, a.as_ref(), &mut fast.as_mut(), &cfg, kind, &mut ws);
+                    assert_eq!(
+                        naive.max_abs_diff_lower(&fast),
+                        0.0,
+                        "({m},{n}) {kind:?} depth {depth}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,24 +10,36 @@
 //! C12  = C21^T                     (never computed — symmetry)
 //! ```
 //!
-//! The base case ([`CacheConfig::ata_base`]: no `C21` product would run
-//! a Strassen level) calls the packed `syrk_ln` kernel, exactly as the
-//! paper calls BLAS `?syrk`. The quadrant split rounds *up* (`m1 =
-//! ⌈m/2⌉`, `n1 = ⌈n/2⌉`), so `C21` is always a full rectangle lying
-//! entirely inside the lower triangle.
+//! That level is written once, as the six calls of `LEVEL`, and read
+//! by three interpreters: the run ([`ata_into_with_kind`], and
+//! [`ata_run`] on any [`Machine`], which is how `ata-cachesim` walks it),
+//! the workspace size ([`ata_workspace_elems`]) and the multiplication
+//! count ([`crate::analysis::ata_mults`]). The `C21` products run a level
+//! program of `ata-strassen`: the chosen [`StrassenKind`]'s, or Algorithm
+//! 2's for [`crate::ata_naive`].
+//!
+//! The base case ([`Gate::ata_base`]; for the library,
+//! [`CacheConfig::ata_base`]: no `C21` product would run a Strassen
+//! level) calls the `syrk` leaf, exactly as the paper calls BLAS
+//! `?syrk`. The quadrant split rounds *up* (`m1 = ⌈m/2⌉`, `n1 = ⌈n/2⌉`),
+//! so `C21` is always a full rectangle lying entirely inside the lower
+//! triangle.
 //!
 //! All Strassen calls share one [`StrassenWorkspace`] (§3.3): the serial
 //! recursion never runs two products concurrently, so a single arena
-//! sized for the top-level product serves every level.
+//! sized for the largest product serves every level.
 
-use ata_kernels::{syrk_ln, CacheConfig};
+use ata_kernels::CacheConfig;
 use ata_mat::{half_up, MatMut, MatRef, Scalar};
-use ata_strassen::{fast_strassen_with, winograd_strassen_with, StrassenWorkspace};
+use ata_strassen::{
+    fast_strassen_with, winograd_strassen_with, Dense, Gate, Machine, Program, StrassenWorkspace,
+    CLASSIC, WINOGRAD,
+};
 
 /// Which 7-multiplication scheme the `C21` products use.
 ///
 /// Both compute the same field values; they differ in block-addition
-/// count and workspace (see `ata-strassen::winograd`), and — in floating
+/// count and workspace (see `ata_strassen::WINOGRAD`), and — in floating
 /// point — in their error constants (see [`crate::accuracy`] and the
 /// `accuracy` bench bin).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,13 +55,18 @@ pub enum StrassenKind {
 }
 
 impl StrassenKind {
+    /// The level program this scheme runs.
+    pub(crate) fn program(self) -> &'static Program {
+        match self {
+            StrassenKind::Classic => &CLASSIC,
+            StrassenKind::Winograd => &WINOGRAD,
+        }
+    }
+
     /// Exact workspace requirement (elements) of one `C += alpha A^T B`
     /// product under this scheme.
     pub fn gemm_workspace_elems(self, m: usize, n: usize, k: usize, cfg: &CacheConfig) -> usize {
-        match self {
-            StrassenKind::Classic => ata_strassen::required_elems(m, n, k, cfg),
-            StrassenKind::Winograd => ata_strassen::required_elems_winograd(m, n, k, cfg),
-        }
+        self.program().workspace_elems(m, n, k, cfg)
     }
 
     /// Dispatch `C += alpha A^T B` to the selected scheme.
@@ -68,6 +85,35 @@ impl StrassenKind {
             StrassenKind::Winograd => winograd_strassen_with(alpha, a, b, c, cfg, ws),
         }
     }
+}
+
+/// One call of Algorithm 1's level, on quadrants `[X11, X12, X21, X22]`.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    /// AtA of an `A` quadrant into the diagonal block `C11` (0) or `C22`
+    /// (1).
+    Ata(usize, usize),
+    /// `C21 += A_x^T A_y` through the level's product program.
+    Gemm(usize, usize),
+}
+
+/// Algorithm 1, lines 7–12, in execution order.
+const LEVEL: [Call; 6] = [
+    Call::Ata(0, 0),  // C11 += A11^T A11
+    Call::Ata(2, 0),  // C11 += A21^T A21
+    Call::Ata(1, 1),  // C22 += A12^T A12
+    Call::Ata(3, 1),  // C22 += A22^T A22
+    Call::Gemm(1, 0), // C21 += A12^T A11
+    Call::Gemm(3, 2), // C21 += A22^T A21
+];
+
+/// The shape of quadrant `q` of an `m x n` block.
+fn quad_shape(m: usize, n: usize, q: usize) -> (usize, usize) {
+    let (m1, n1) = (half_up(m), half_up(n));
+    (
+        if q < 2 { m1 } else { m - m1 },
+        if q.is_multiple_of(2) { n1 } else { n - n1 },
+    )
 }
 
 /// `C_low += alpha * A^T A` (Algorithm 1) with caller-provided workspace
@@ -93,10 +139,8 @@ pub fn ata_into_with_kind<T: Scalar>(
         "ata: C must be {n}x{n}, got {:?}",
         c.shape()
     );
-    if m == 0 || n == 0 {
-        return;
-    }
-    rec(alpha, a, c, cfg, kind, ws);
+    let arena = ws.reserve(ata_workspace_elems(m, n, cfg, kind));
+    run(kind.program(), &mut Dense, cfg, alpha, a, c, arena);
 }
 
 /// `C_low += alpha * A^T A` allocating the Strassen workspace internally.
@@ -109,82 +153,136 @@ pub fn ata_into<T: Scalar>(alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>, cf
 }
 
 /// Exact Strassen-workspace requirement (elements) of the whole serial
-/// AtA recursion on an `m x n` input.
+/// AtA recursion on an `m x n` input under `gate`.
 ///
 /// The recursion shares a single arena across all its `C21` products, so
-/// the requirement is the *maximum* over the six children of each level
-/// — an arena of this size makes [`ata_into_with_kind`] allocation-free.
-/// Plan construction (the `ata` facade's `AtaPlan`) uses this to warm
-/// the context's arena cache before the first execution.
-pub fn ata_workspace_elems(m: usize, n: usize, cfg: &CacheConfig, kind: StrassenKind) -> usize {
-    if cfg.ata_base(m, n) {
-        return 0;
-    }
-    let (m1, n1) = (half_up(m), half_up(n));
-    let (m2, n2) = (m - m1, n - n1);
-    // Mirror rec(): four AtA quadrant recursions and the two C21
-    // products A12^T A11 (m1 x n2 by m1 x n1) and A22^T A21.
-    [
-        ata_workspace_elems(m1, n1, cfg, kind),
-        ata_workspace_elems(m2, n1, cfg, kind),
-        ata_workspace_elems(m1, n2, cfg, kind),
-        ata_workspace_elems(m2, n2, cfg, kind),
-        kind.gemm_workspace_elems(m1, n2, n1, cfg),
-        kind.gemm_workspace_elems(m2, n2, n1, cfg),
-    ]
-    .into_iter()
-    .max()
-    .unwrap_or(0)
+/// the requirement is the *maximum* over the six calls of each level —
+/// an arena of this size makes [`ata_into_with_kind`] allocation-free.
+pub fn ata_workspace_elems<G: Gate>(m: usize, n: usize, gate: &G, kind: StrassenKind) -> usize {
+    workspace_elems(kind.program(), m, n, gate)
 }
 
-fn rec<T: Scalar>(
+/// `C_low += alpha * A^T A` through Algorithm 1 on `mach`, stopping at
+/// `gate`, with the `C21` products carving `ws` — which must hold
+/// [`ata_workspace_elems`] elements. With the library's [`Dense`]
+/// machine and [`CacheConfig`] this is [`ata_into_with_kind`].
+///
+/// # Panics
+/// On inconsistent shapes or an undersized `ws`.
+#[allow(clippy::too_many_arguments)]
+pub fn ata_run<T: Scalar, M: Machine<T>, G: Gate>(
+    mach: &mut M,
+    gate: &G,
+    kind: StrassenKind,
     alpha: T,
     a: MatRef<'_, T>,
     c: &mut MatMut<'_, T>,
-    cfg: &CacheConfig,
-    kind: StrassenKind,
-    ws: &mut StrassenWorkspace<T>,
+    ws: &mut [T],
+) {
+    let n = a.cols();
+    assert_eq!(
+        c.shape(),
+        (n, n),
+        "ata: C must be {n}x{n}, got {:?}",
+        c.shape()
+    );
+    run(kind.program(), mach, gate, alpha, a, c, ws);
+}
+
+/// The run interpreter of [`LEVEL`], with `prog` for the `C21` products.
+pub(crate) fn run<T: Scalar, M: Machine<T>, G: Gate>(
+    prog: &Program,
+    mach: &mut M,
+    gate: &G,
+    alpha: T,
+    a: MatRef<'_, T>,
+    c: &mut MatMut<'_, T>,
+    ws: &mut [T],
 ) {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return;
     }
-    if cfg.ata_base(m, n) {
-        syrk_ln(alpha, a, c);
+    if gate.ata_base(m, n) {
+        mach.syrk_leaf(alpha, a, c);
         return;
     }
-
     let n1 = half_up(n);
     let (a11, a12, a21, a22) = a.quad_split();
+    let aq = [a11, a12, a21, a22];
+    for call in LEVEL {
+        match call {
+            Call::Ata(x, 0) => run(
+                prog,
+                mach,
+                gate,
+                alpha,
+                aq[x],
+                &mut c.block_mut(0, n1, 0, n1),
+                ws,
+            ),
+            Call::Ata(x, _) => run(
+                prog,
+                mach,
+                gate,
+                alpha,
+                aq[x],
+                &mut c.block_mut(n1, n, n1, n),
+                ws,
+            ),
+            Call::Gemm(x, y) => {
+                prog.run(
+                    mach,
+                    gate,
+                    alpha,
+                    aq[x],
+                    aq[y],
+                    &mut c.block_mut(n1, n, 0, n1),
+                    ws,
+                );
+            }
+        }
+    }
+}
 
-    // C11 (lines 7-8): both column-left recursions accumulate into the
-    // same diagonal block.
-    {
-        let mut c11 = c.block_mut(0, n1, 0, n1);
-        rec(alpha, a11, &mut c11, cfg, kind, ws);
+/// The size interpreter of [`LEVEL`]: the largest arena any call needs.
+pub(crate) fn workspace_elems<G: Gate>(prog: &Program, m: usize, n: usize, gate: &G) -> usize {
+    if m == 0 || n == 0 || gate.ata_base(m, n) {
+        return 0;
     }
-    {
-        let mut c11 = c.block_mut(0, n1, 0, n1);
-        rec(alpha, a21, &mut c11, cfg, kind, ws);
+    let call = |call| match call {
+        Call::Ata(x, _) => {
+            let (mx, nx) = quad_shape(m, n, x);
+            workspace_elems(prog, mx, nx, gate)
+        }
+        Call::Gemm(x, y) => {
+            let ((mx, nx), (_, ny)) = (quad_shape(m, n, x), quad_shape(m, n, y));
+            prog.workspace_elems(mx, nx, ny, gate)
+        }
+    };
+    LEVEL.into_iter().map(call).max().unwrap_or(0)
+}
+
+/// The count interpreter of [`LEVEL`]: `m n (n+1) / 2` at a `syrk`
+/// leaf, else the sum over the six calls.
+pub(crate) fn mults<G: Gate>(prog: &Program, m: usize, n: usize, gate: &G) -> u64 {
+    if m == 0 || n == 0 {
+        return 0;
     }
-    // C22 (lines 9-10).
-    {
-        let mut c22 = c.block_mut(n1, n, n1, n);
-        rec(alpha, a12, &mut c22, cfg, kind, ws);
+    if gate.ata_base(m, n) {
+        return (m as u64) * (n as u64) * (n as u64 + 1) / 2;
     }
-    {
-        let mut c22 = c.block_mut(n1, n, n1, n);
-        rec(alpha, a22, &mut c22, cfg, kind, ws);
-    }
-    // C21 (lines 11-12): C21 += alpha * (A12^T A11 + A22^T A21).
-    {
-        let mut c21 = c.block_mut(n1, n, 0, n1);
-        kind.gemm_into(alpha, a12, a11, &mut c21, cfg, ws);
-    }
-    {
-        let mut c21 = c.block_mut(n1, n, 0, n1);
-        kind.gemm_into(alpha, a22, a21, &mut c21, cfg, ws);
-    }
+    let call = |call| match call {
+        Call::Ata(x, _) => {
+            let (mx, nx) = quad_shape(m, n, x);
+            mults(prog, mx, nx, gate)
+        }
+        Call::Gemm(x, y) => {
+            let ((mx, nx), (_, ny)) = (quad_shape(m, n, x), quad_shape(m, n, y));
+            prog.mults(mx, nx, ny, gate)
+        }
+    };
+    LEVEL.into_iter().map(call).sum()
 }
 
 #[cfg(test)]
@@ -321,6 +419,39 @@ mod tests {
                     need,
                     "({m},{n},{words},{kind:?}): presized arena regrew"
                 );
+            }
+        }
+        // Every product program runs in exactly its sized arena (a slice
+        // cannot grow: an undersized one would panic mid-carve), at
+        // budgets forcing the C21 product to depth 1-3 on odd shapes.
+        for prog in [&CLASSIC, &WINOGRAD, &ata_strassen::RECURSIVE_GEMM] {
+            for &(m, n) in &[(67usize, 45usize), (37, 29), (130, 97)] {
+                for depth in 1..=3u32 {
+                    let mut leaf = m.div_ceil(2).min(n / 2);
+                    for _ in 0..depth {
+                        leaf = leaf.div_ceil(2);
+                    }
+                    let cfg = CacheConfig::with_words(2 * leaf * leaf);
+                    let need = workspace_elems(prog, m, n, &cfg);
+                    let a = gen::standard::<f64>(2, m, n);
+                    let mut c = Matrix::zeros(n, n);
+                    let mut ws = vec![0.0; need];
+                    run(
+                        prog,
+                        &mut Dense,
+                        &cfg,
+                        1.0,
+                        a.as_ref(),
+                        &mut c.as_mut(),
+                        &mut ws,
+                    );
+                    let mut want = Matrix::zeros(n, n);
+                    reference::syrk_ln(1.0, a.as_ref(), &mut want.as_mut());
+                    assert!(
+                        c.max_abs_diff_lower(&want) < 1e-10,
+                        "({m},{n}) depth {depth}"
+                    );
+                }
             }
         }
     }

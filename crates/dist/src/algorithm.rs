@@ -48,7 +48,7 @@ use ata_kernels::par::{par_gemm_tn, par_syrk_ln};
 use ata_kernels::{gemm_tn, syrk_ln, CacheConfig};
 use ata_mat::{ops, MatRef, Matrix, Scalar};
 use ata_mpisim::Comm;
-use ata_strassen::{fast_strassen, strassen_mults, StrassenWorkspace};
+use ata_strassen::{fast_strassen, StrassenWorkspace, CLASSIC};
 
 use crate::error::{DistError, DistPhase};
 use crate::wire::{self, WireFormat};
@@ -149,7 +149,7 @@ fn compute_leaf<T: Scalar>(
             // the plain classical kernel, so charge its flops, not
             // Strassen's.
             let flops = if cfg.strassen_leaves && threads == 1 {
-                2.0 * strassen_mults(mb, nb, kb, &cfg.cache) as f64
+                2.0 * CLASSIC.mults(mb, nb, kb, &cfg.cache) as f64
             } else {
                 2.0 * (mb * nb * kb) as f64
             };

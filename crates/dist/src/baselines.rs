@@ -27,7 +27,7 @@ use ata_kernels::syrk::triangle_row_partition;
 use ata_kernels::{gemm_tn, syrk_ln, CacheConfig};
 use ata_mat::{half_up, ops, MatRef, Matrix, Scalar};
 use ata_mpisim::Comm;
-use ata_strassen::{fast_strassen, strassen_mults};
+use ata_strassen::{fast_strassen, CLASSIC};
 
 use crate::wire;
 
@@ -359,7 +359,7 @@ fn caps_group<T: Scalar>(
         return task.map(|(a, b)| {
             let mut c = Matrix::zeros(n, n);
             fast_strassen(T::ONE, a.as_ref(), b.as_ref(), &mut c.as_mut(), cache);
-            comm.add_compute_flops(2.0 * strassen_mults(n, n, n, cache) as f64);
+            comm.add_compute_flops(2.0 * CLASSIC.mults(n, n, n, cache) as f64);
             c
         });
     }
@@ -488,7 +488,7 @@ fn caps_hybrid<T: Scalar>(
     for (i, l, r) in local {
         let mut c = Matrix::zeros(h, h);
         fast_strassen(T::ONE, l.as_ref(), r.as_ref(), &mut c.as_mut(), cache);
-        comm.add_compute_flops(2.0 * strassen_mults(h, h, h, cache) as f64);
+        comm.add_compute_flops(2.0 * CLASSIC.mults(h, h, h, cache) as f64);
         computed.push((i, c));
     }
 

@@ -15,7 +15,7 @@
 use ata_kernels::CacheConfig;
 use ata_mat::{half_up, ops, MatMut, MatRef, Matrix, Scalar};
 use ata_mpisim::Comm;
-use ata_strassen::{fast_strassen, strassen_mults};
+use ata_strassen::{fast_strassen, CLASSIC};
 
 use crate::wire;
 
@@ -250,7 +250,7 @@ fn carma_local<T: Scalar>(
     let footprint = m * n + m * k + n * k;
     if footprint <= cfg.mem_words_per_rank || (m <= 1 && n <= 1 && k <= 1) {
         fast_strassen(T::ONE, a, b, c, &cfg.cache);
-        comm.add_compute_flops(2.0 * strassen_mults(m, n, k, &cfg.cache) as f64);
+        comm.add_compute_flops(2.0 * CLASSIC.mults(m, n, k, &cfg.cache) as f64);
         return;
     }
     if n >= k && n >= m && n > 1 {
@@ -272,7 +272,7 @@ fn carma_local<T: Scalar>(
         carma_local(a.block(d1, m, 0, n), b.block(d1, m, 0, k), c, comm, cfg);
     } else {
         fast_strassen(T::ONE, a, b, c, &cfg.cache);
-        comm.add_compute_flops(2.0 * strassen_mults(m, n, k, &cfg.cache) as f64);
+        comm.add_compute_flops(2.0 * CLASSIC.mults(m, n, k, &cfg.cache) as f64);
     }
 }
 

@@ -94,12 +94,6 @@ impl<T: Scalar> Matrix<T> {
         &self.data
     }
 
-    /// Mutable underlying row-major storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consume into the backing vector.
     #[inline]
     pub fn into_vec(self) -> Vec<T> {

@@ -90,12 +90,6 @@ impl<T: Scalar> SymPacked<T> {
         &self.data
     }
 
-    /// Mutable flat packed storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consume into the packed buffer.
     #[inline]
     pub fn into_vec(self) -> Vec<T> {

@@ -1,7 +1,7 @@
 //! The measured Strassen cutoff: the cache budget below which a product
 //! stays one `gemm_tn` call.
 //!
-//! [`CacheConfig::gemm_base`] gates the recursion in [`crate::fast`]: an
+//! [`CacheConfig::gemm_base`] gates every [`crate::Program`]'s recursion: an
 //! `(m, n, k)` product with smallest side `s` recurses while `2 s²`
 //! exceeds the budget, so a square order-`g` product is a base case
 //! exactly when `2 g² <= words`.
@@ -19,8 +19,7 @@
 //! recurses only when AtA's larger `C21` product would run a Strassen
 //! level. `ata calibrate` prints the ratios and the resulting row.
 
-use crate::fast::fast_strassen_with;
-use crate::workspace::StrassenWorkspace;
+use crate::{fast_strassen_with, StrassenWorkspace, CLASSIC};
 use ata_kernels::timing::{time_rounds, Quartiles};
 use ata_kernels::{gemm_tn, CacheConfig};
 use ata_mat::{gen, half_up, Matrix, Scalar};
@@ -55,7 +54,7 @@ fn level_over_classical<T: Scalar>(g: usize, (rounds, secs): (usize, f64)) -> Qu
     // `g` fails this budget and its halves pass it: exactly one level.
     let half = half_up(g);
     let cfg = CacheConfig::with_words(2 * half * half);
-    let mut ws = StrassenWorkspace::for_problem(g, g, g, &cfg);
+    let mut ws = StrassenWorkspace::with_capacity(CLASSIC.workspace_elems(g, g, g, &cfg));
     let (a, b) = (a.as_ref(), b.as_ref());
     time_rounds(2, rounds, secs, |side| {
         if side == 0 {

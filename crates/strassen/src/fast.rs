@@ -1,125 +1,10 @@
-//! The arena-based Strassen recursion for `C += alpha * A^T B`.
-//!
-//! See the crate docs for the derivation of the transposed-left product
-//! table. Each level computes the seven products one at a time into a
-//! single `M` slot and accumulates them immediately into the affected `C`
-//! quadrants, so only three workspace slots per level are live:
-//!
-//! | slot | shape            | holds                              |
-//! |------|------------------|------------------------------------|
-//! | `tA` | ⌈m/2⌉ x ⌈n/2⌉    | padded sums of `A` quadrants       |
-//! | `tB` | ⌈m/2⌉ x ⌈k/2⌉    | padded sums of `B` quadrants       |
-//! | `M`  | ⌈n/2⌉ x ⌈k/2⌉    | the current product `Mi`           |
-//!
-//! Quadrants that already have full ceil-size (`A11`, `B11`) are passed
-//! to the recursion directly without copying.
+//! FastStrassen's entry points: the [`CLASSIC`] level program run on the
+//! library's [`Dense`] machine in one pre-allocated arena (§3.3).
 
-use crate::pad::{accumulate, direct_or_pad, pad_sum};
+use crate::level::{check_shapes, Dense, CLASSIC};
 use crate::workspace::StrassenWorkspace;
-use ata_kernels::{gemm_tn, CacheConfig};
-use ata_mat::{half_up, MatMut, MatRef, Scalar};
-
-/// The recursion. `ws` must hold at least
-/// [`required_elems`]`(m, n, k, cfg)` elements.
-fn rec<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cfg: &CacheConfig,
-    ws: &mut [T],
-) {
-    let (m, n) = a.shape();
-    let k = b.cols();
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if cfg.gemm_base(m, n, k) {
-        gemm_tn(alpha, a, b, c);
-        return;
-    }
-
-    let (m1, n1, k1) = (half_up(m), half_up(n), half_up(k));
-    let (a11, a12, a21, a22) = a.quad_split();
-    let (b11, b12, b21, b22) = b.quad_split();
-
-    let (ta_buf, rest) = ws.split_at_mut(m1 * n1);
-    let (tb_buf, rest) = rest.split_at_mut(m1 * k1);
-    let (mm_buf, rest) = rest.split_at_mut(n1 * k1);
-
-    // C quadrant index ranges (C is n x k).
-    let (c11, c12, c21, c22) = (
-        (0, n1, 0, k1),
-        (0, n1, k1, k),
-        (n1, n, 0, k1),
-        (n1, n, k1, k),
-    );
-
-    // Runs one product `M = tA^T tB` and adds `±alpha * M` to the listed
-    // C quadrants. `mm_buf` is zeroed each time because the recursion has
-    // accumulate semantics.
-    macro_rules! product {
-        ($ta:expr, $tb:expr, [$(($quad:expr, $sgn:expr)),+]) => {{
-            let ta = $ta;
-            let tb = $tb;
-            let mut mm = MatMut::from_slice(mm_buf, n1, k1);
-            mm.fill_zero();
-            rec(T::ONE, ta, tb, &mut mm, cfg, rest);
-            let mm = mm.into_ref();
-            $(
-                let (r0, r1, q0, q1) = $quad;
-                let mut cq = c.block_mut(r0, r1, q0, q1);
-                // `Neg` rather than `ZERO - alpha`: negation is free in
-                // the flop accounting (and cheaper at run time).
-                let coeff = if $sgn >= 0 { alpha } else { -alpha };
-                accumulate(&mut cq, mm, coeff);
-            )+
-        }};
-    }
-
-    // M1 = (A11 + A22)^T (B11 + B22)  ->  +C11, +C22
-    product!(
-        pad_sum(ta_buf, a11, T::ONE, a22, m1, n1),
-        pad_sum(tb_buf, b11, T::ONE, b22, m1, k1),
-        [(c11, 1), (c22, 1)]
-    );
-    // M2 = (A12 + A22)^T B11          ->  +C21, -C22
-    product!(
-        pad_sum(ta_buf, a12, T::ONE, a22, m1, n1),
-        b11,
-        [(c21, 1), (c22, -1)]
-    );
-    // M3 = A11^T (B12 - B22)          ->  +C12, +C22
-    product!(
-        a11,
-        pad_sum(tb_buf, b12, T::NEG_ONE, b22, m1, k1),
-        [(c12, 1), (c22, 1)]
-    );
-    // M4 = A22^T (B21 - B11)          ->  +C11, +C21
-    product!(
-        direct_or_pad(ta_buf, a22, m1, n1),
-        pad_sum(tb_buf, b21, T::NEG_ONE, b11, m1, k1),
-        [(c11, 1), (c21, 1)]
-    );
-    // M5 = (A11 + A21)^T B22          ->  -C11, +C12
-    product!(
-        pad_sum(ta_buf, a11, T::ONE, a21, m1, n1),
-        direct_or_pad(tb_buf, b22, m1, k1),
-        [(c11, -1), (c12, 1)]
-    );
-    // M6 = (A12 - A11)^T (B11 + B12)  ->  +C22
-    product!(
-        pad_sum(ta_buf, a12, T::NEG_ONE, a11, m1, n1),
-        pad_sum(tb_buf, b11, T::ONE, b12, m1, k1),
-        [(c22, 1)]
-    );
-    // M7 = (A21 - A22)^T (B21 + B22)  ->  +C11
-    product!(
-        pad_sum(ta_buf, a21, T::NEG_ONE, a22, m1, n1),
-        pad_sum(tb_buf, b21, T::ONE, b22, m1, k1),
-        [(c11, 1)]
-    );
-}
+use ata_kernels::CacheConfig;
+use ata_mat::{MatMut, MatRef, Scalar};
 
 /// `C += alpha * A^T B` by Strassen's algorithm with a caller-provided
 /// workspace — the paper's `Strassen` called from `FastStrassen`
@@ -138,17 +23,10 @@ pub fn fast_strassen_with<T: Scalar>(
     cfg: &CacheConfig,
     ws: &mut StrassenWorkspace<T>,
 ) {
-    let (m, n) = a.shape();
-    let (mb, k) = b.shape();
-    assert_eq!(m, mb, "fast_strassen: A is {m}x{n} but B has {mb} rows");
-    assert_eq!(
-        c.shape(),
-        (n, k),
-        "fast_strassen: C must be {n}x{k}, got {:?}",
-        c.shape()
-    );
-    ws.reserve_for(m, n, k, cfg);
-    rec(alpha, a, b, c, cfg, ws.as_mut_slice());
+    check_shapes("fast_strassen", a, b, c);
+    let (m, n, k) = (a.rows(), a.cols(), b.cols());
+    let arena = ws.reserve(CLASSIC.workspace_elems(m, n, k, cfg));
+    CLASSIC.run(&mut Dense, cfg, alpha, a, b, c, arena);
 }
 
 /// `C += alpha * A^T B` allocating the workspace internally — the paper's
@@ -168,23 +46,12 @@ pub fn fast_strassen<T: Scalar>(
     fast_strassen_with(alpha, a, b, c, cfg, &mut ws);
 }
 
-/// Theoretical number of scalar *multiplications* the recursion performs
-/// (products only; the `±1`-scaled block sums are multiplication-free).
-/// For `n = 2^q` square problems under a fully-recursive config this is
-/// exactly `7^q = n^(log2 7)` — Strassen's count, which the measured-flop
-/// tests compare against.
-pub fn strassen_mults(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> u64 {
-    if cfg.gemm_base(m, n, k) {
-        return (m as u64) * (n as u64) * (k as u64);
-    }
-    7 * strassen_mults(half_up(m), half_up(n), half_up(k), cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::level::{RECURSIVE_GEMM, WINOGRAD};
     use ata_mat::tracked::{measure, Tracked};
-    use ata_mat::{gen, ops, reference, Matrix};
+    use ata_mat::{gen, half_up, ops, reference, Matrix};
 
     /// Oracle comparison on one shape with a recursion-forcing config.
     fn check(m: usize, n: usize, k: usize, alpha: f64, words: usize) {
@@ -269,7 +136,7 @@ mod tests {
     #[test]
     fn workspace_reuse_across_calls() {
         let cfg = CacheConfig::with_words(8);
-        let mut ws = StrassenWorkspace::for_problem(16, 16, 16, &cfg);
+        let mut ws = StrassenWorkspace::with_capacity(CLASSIC.workspace_elems(16, 16, 16, &cfg));
         for trial in 0..3u64 {
             let a = gen::standard::<f64>(trial, 16, 16);
             let b = gen::standard::<f64>(100 + trial, 16, 16);
@@ -287,7 +154,7 @@ mod tests {
         let cfg = CacheConfig::with_words(2);
         for q in 0..6u32 {
             let n = 1usize << q;
-            assert_eq!(strassen_mults(n, n, n, &cfg), 7u64.pow(q), "n={n}");
+            assert_eq!(CLASSIC.mults(n, n, n, &cfg), 7u64.pow(q), "n={n}");
         }
     }
 
@@ -307,6 +174,44 @@ mod tests {
                 7u64.pow(q),
                 "n={n}: measured muls must equal 7^q exactly"
             );
+        }
+        // Every program's count equals the multiplications its run
+        // performs, at budgets forcing depth 1-3 on odd shapes.
+        for (name, prog) in [
+            ("classic", &CLASSIC),
+            ("winograd", &WINOGRAD),
+            ("algorithm 2", &RECURSIVE_GEMM),
+        ] {
+            for &(m, n, k) in &[(67usize, 45usize, 53usize), (13, 21, 9)] {
+                for depth in 1..=3u32 {
+                    let mut leaf = m.min(n).min(k);
+                    for _ in 0..depth {
+                        leaf = half_up(leaf);
+                    }
+                    let cfg = CacheConfig::with_words(2 * leaf * leaf);
+                    let a = gen::standard::<Tracked>(5, m, n);
+                    let b = gen::standard::<Tracked>(6, m, k);
+                    let mut c = Matrix::<Tracked>::zeros(n, k);
+                    let mut ws = vec![Tracked(0.0); prog.workspace_elems(m, n, k, &cfg)];
+                    let (_, ops) = measure(|| {
+                        let (a, b) = (a.as_ref(), b.as_ref());
+                        prog.run(
+                            &mut Dense,
+                            &cfg,
+                            Tracked(1.0),
+                            a,
+                            b,
+                            &mut c.as_mut(),
+                            &mut ws,
+                        );
+                    });
+                    assert_eq!(
+                        ops.muls,
+                        prog.mults(m, n, k, &cfg),
+                        "{name} ({m},{n},{k}) at depth {depth}"
+                    );
+                }
+            }
         }
     }
 

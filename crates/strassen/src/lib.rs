@@ -13,27 +13,37 @@
 //!   zero-filled (the paper does this with size-aware `?axpy` calls
 //!   instead of the peeling/padding of Huss-Lederman et al.), and
 //!   accumulation into smaller `C` quadrants simply truncates;
+//! * each recursion level is a [`Program`] written once as data —
+//!   [`CLASSIC`], [`WINOGRAD`] and Algorithm 2's [`RECURSIVE_GEMM`] — and
+//!   run, sized ([`Program::workspace_elems`]) and counted
+//!   ([`Program::mults`]) by interpreters of the same steps, on the
+//!   library's [`Dense`] kernels or any other [`Machine`], stopping at a
+//!   [`Gate`];
 //! * the recursion runs inside a **single arena** ([`StrassenWorkspace`])
 //!   allocated once up front — the paper's `FastStrassen` wrapper
 //!   (Algorithm 1, lines 14–18). Per-level slots are carved off with
-//!   `split_at_mut`, so the compute phase performs no heap allocation;
-//! * [`alloc::strassen_allocating`] is the naive variant that allocates
-//!   temporaries at every level — kept as the ablation baseline of
-//!   Figure 4, which shows the benefit of pre-allocation;
+//!   `split_at_mut`, so the compute phase performs no heap allocation
+//!   ([`fast_strassen_with`], [`winograd_strassen_with`]);
+//! * [`strassen_allocating`] is the naive variant that allocates its
+//!   slots at every level — kept as the ablation baseline of Figure 4,
+//!   which shows the benefit of pre-allocation;
 //! * [`calibrate`] measures the cache budget at which one more level
 //!   stops paying for its block sums, against the `gemm_tn` it replaces.
 
 #![forbid(unsafe_code)]
 
-pub mod alloc;
+mod alloc;
 pub mod calibrate;
-pub mod fast;
-pub(crate) mod pad;
-pub mod pool;
-pub mod winograd;
-pub mod workspace;
+mod fast;
+mod level;
+mod pad;
+mod pool;
+mod winograd;
+mod workspace;
 
-pub use fast::{fast_strassen, fast_strassen_with, strassen_mults};
+pub use alloc::strassen_allocating;
+pub use fast::{fast_strassen, fast_strassen_with};
+pub use level::{CacheFit, Dense, Gate, Machine, Program, CLASSIC, RECURSIVE_GEMM, WINOGRAD};
 pub use pool::{ArenaPool, ArenaStats};
-pub use winograd::{required_elems_winograd, winograd_strassen, winograd_strassen_with};
-pub use workspace::{required_elems, StrassenWorkspace};
+pub use winograd::{winograd_strassen, winograd_strassen_with};
+pub use workspace::StrassenWorkspace;

@@ -1,5 +1,5 @@
-//! Virtual-padding helpers shared by the Strassen and Strassen–Winograd
-//! recursions.
+//! Virtual-padding block sums: the library machine's `pad`, `add` and
+//! `rsub` (see [`crate::level::Machine`]).
 //!
 //! The paper avoids the peeling/padding of Huss-Lederman et al. by
 //! "conveniently applying the BLAS routine `?axpy` ... so that it
@@ -24,29 +24,13 @@ pub(crate) fn pad_into<T: Scalar>(dst: &mut MatMut<'_, T>, src: MatRef<'_, T>) {
     }
 }
 
-/// Build the `rows x cols` operand `pad(a) + sign * pad(b)` in `buf` and
-/// return it as a view.
-pub(crate) fn pad_sum<'s, T: Scalar>(
-    buf: &'s mut [T],
-    a: MatRef<'_, T>,
-    sign: T,
-    b: MatRef<'_, T>,
-    rows: usize,
-    cols: usize,
-) -> MatRef<'s, T> {
-    let mut dst = MatMut::from_slice(&mut buf[..rows * cols], rows, cols);
-    pad_into(&mut dst, a);
-    for i in 0..b.rows().min(rows) {
-        axpy(sign, b.row(i), dst.row_mut(i));
-    }
-    dst.into_ref()
-}
-
-/// In-place chain update `dst -= pad(src)` on an operand slot that
-/// already holds a previous chain value (Winograd's `T4 = T2 - B21`).
-pub(crate) fn sub_padded<T: Scalar>(dst: &mut MatMut<'_, T>, src: MatRef<'_, T>) {
+/// `dst += coeff * pad(src)` over the rows and columns both have: the
+/// second term of an operand sum, the chain step `T4 = T2 - B21`
+/// (`coeff = -1`), or an accumulation that truncates a padded product
+/// to a smaller `C` quadrant (the virtual-padding inverse).
+pub(crate) fn add_padded<T: Scalar>(dst: &mut MatMut<'_, T>, coeff: T, src: MatRef<'_, T>) {
     for i in 0..src.rows().min(dst.rows()) {
-        axpy(T::NEG_ONE, src.row(i), dst.row_mut(i));
+        axpy(coeff, src.row(i), dst.row_mut(i));
     }
 }
 
@@ -73,32 +57,6 @@ pub(crate) fn rsub_padded<T: Scalar>(dst: &mut MatMut<'_, T>, src: MatRef<'_, T>
     }
 }
 
-/// Return `src` directly if it already has the target shape, otherwise
-/// pad-copy it into `buf` (the odd-dimension case).
-pub(crate) fn direct_or_pad<'s, T: Scalar>(
-    buf: &'s mut [T],
-    src: MatRef<'s, T>,
-    rows: usize,
-    cols: usize,
-) -> MatRef<'s, T> {
-    if src.shape() == (rows, cols) {
-        src
-    } else {
-        let mut dst = MatMut::from_slice(&mut buf[..rows * cols], rows, cols);
-        pad_into(&mut dst, src);
-        dst.into_ref()
-    }
-}
-
-/// `c += coeff * mm`, truncating `mm` to `c`'s shape (the virtual-padding
-/// inverse: rows/cols beyond `c` belong to the zero padding).
-pub(crate) fn accumulate<T: Scalar>(c: &mut MatMut<'_, T>, mm: MatRef<'_, T>, coeff: T) {
-    debug_assert!(c.rows() <= mm.rows() && c.cols() <= mm.cols());
-    for i in 0..c.rows() {
-        axpy(coeff, mm.row(i), c.row_mut(i));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +77,9 @@ mod tests {
         let a = Matrix::from_fn(2, 2, |_, _| 5.0f64);
         let b = Matrix::from_fn(1, 2, |_, _| 2.0f64);
         let mut buf = vec![0.0f64; 4];
-        let s = pad_sum(&mut buf, a.as_ref(), -1.0, b.as_ref(), 2, 2);
+        let mut s = MatMut::from_slice(&mut buf, 2, 2);
+        pad_into(&mut s, a.as_ref());
+        add_padded(&mut s, -1.0, b.as_ref());
         assert_eq!(s[(0, 0)], 3.0);
         assert_eq!(s[(1, 1)], 5.0, "row beyond b gets pad(a) only");
     }
@@ -129,7 +89,7 @@ mod tests {
         let src = Matrix::from_fn(1, 2, |_, j| (j + 1) as f64);
         let mut buf = vec![10.0f64; 4];
         let mut dst = MatMut::from_slice(&mut buf, 2, 2);
-        sub_padded(&mut dst, src.as_ref());
+        add_padded(&mut dst, -1.0, src.as_ref());
         assert_eq!(buf, [9.0, 8.0, 10.0, 10.0]);
     }
 
@@ -145,24 +105,22 @@ mod tests {
 
     #[test]
     fn direct_or_pad_passthrough_and_copy() {
+        // A full-shape source copies exactly; a short one is padded.
         let m = Matrix::from_fn(2, 2, |i, j| (i + j) as f64);
         let mut buf = vec![0.0f64; 4];
-        let v = direct_or_pad(&mut buf, m.as_ref(), 2, 2);
-        assert_eq!(v[(1, 1)], 2.0);
-        // Odd source gets padded.
+        pad_into(&mut MatMut::from_slice(&mut buf, 2, 2), m.as_ref());
+        assert_eq!(buf, m.as_slice());
         let s = Matrix::from_fn(1, 2, |_, j| j as f64 + 1.0);
         let mut buf2 = vec![9.0f64; 4];
-        let v2 = direct_or_pad(&mut buf2, s.as_ref(), 2, 2);
-        assert_eq!(v2[(0, 1)], 2.0);
-        assert_eq!(v2[(1, 0)], 0.0);
+        pad_into(&mut MatMut::from_slice(&mut buf2, 2, 2), s.as_ref());
+        assert_eq!(buf2, [1.0, 2.0, 0.0, 0.0]);
     }
 
     #[test]
     fn accumulate_truncates() {
         let mm = Matrix::from_fn(3, 3, |_, _| 1.0f64);
         let mut c = Matrix::zeros(2, 2);
-        accumulate(&mut c.as_mut(), mm.as_ref(), 2.0);
-        assert_eq!(c[(0, 0)], 2.0);
-        assert_eq!(c[(1, 1)], 2.0);
+        add_padded(&mut c.as_mut(), 2.0, mm.as_ref());
+        assert_eq!(c.as_slice(), [2.0; 4]);
     }
 }

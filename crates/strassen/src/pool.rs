@@ -78,7 +78,7 @@ impl<T: Scalar> ArenaPool<T> {
             self.grows.fetch_add(1, Ordering::Relaxed);
         }
         let mut ws = cached.unwrap_or_else(StrassenWorkspace::empty);
-        ws.reserve_elems(min_elems);
+        ws.reserve(min_elems);
         ws
     }
 
@@ -106,7 +106,7 @@ impl<T: Scalar> ArenaPool<T> {
     pub fn warm(&self, count: usize, min_elems: usize) {
         let mut free = self.free.lock().expect("arena pool poisoned");
         for ws in free.iter_mut().take(count) {
-            ws.reserve_elems(min_elems);
+            ws.reserve(min_elems);
         }
         for _ in free.len()..count {
             free.push(StrassenWorkspace::with_capacity(min_elems));

@@ -1,201 +1,22 @@
-//! The Strassen–Winograd variant of [`crate::fast_strassen`]:
-//! 7 multiplications, 15 block additions instead of 18.
+//! The Strassen–Winograd entry points: the [`WINOGRAD`] level program
+//! (7 multiplications, 15 block additions instead of 18) run on the
+//! library's [`Dense`] machine.
 //!
 //! §3.2 of the paper counts "18 sums between sub-matrices" for classic
 //! Strassen. Winograd's 1971 rearrangement shares three intermediate
-//! sums (`U2 = M1 + M6`, `U3 = U2 + M7`, `U4 = U2 + M5`) and reaches the
-//! minimum of 15 additions for any 7-multiplication scheme (Probert's
-//! lower bound). The paper leaves this as an implementation alternative;
-//! we build it as an ablation of the block-addition count.
-//!
-//! Under this workspace's *accumulate* semantics (`C += alpha A^T B`
-//! rather than `C = A^T B`) the counts shift by the four unavoidable
-//! C-quadrant accumulations: classic performs 22 block-add volumes per
-//! level (10 operand sums + 12 accumulations), Winograd 19 (8 operand
-//! sums + 2 shared-U builds + 9 accumulations) — the same 3-addition
-//! saving, verified *by measurement* in the tests below.
-//!
-//! With `X = A^T` the operands map to untransposed quadrants of `A`
-//! (`X11 = A11^T, X12 = A21^T, X21 = A12^T, X22 = A22^T`), so like the
-//! classic recursion, `A^T` is never materialized:
-//!
-//! ```text
-//! S1 = (A12 + A22)^T        T1 = B12 - B11        M5 = S1 T1
-//! S2 = S1 - A11^T           T2 = B22 - T1         M6 = S2 T2
-//! S4 = (A21)^T - S2         T4 = T2 - B21         M4 = A22^T T4
-//! S3 = (A11 - A12)^T        T3 = B22 - B12        M7 = S3 T3
-//! M1 = A11^T B11            M2 = A21^T B21        M3 = S4 B22
-//!
-//! C11 += a (M1 + M2)                 U2 = M1 + M6
-//! C12 += a (U2 + M5 + M3)            U3 = U2 + M7
-//! C21 += a (U3 - M4)
-//! C22 += a (U3 + M5)
-//! ```
-//!
-//! The S/T chains are computed *in place* in the two operand slots (each
-//! chain step is one block addition), which is why the operand-sum count
-//! drops from 10 to 8. The price is workspace: three product slots must
-//! be live at once (`M6`, `M7`, `M1` while building `U2`/`U3`) plus a
-//! second A-side slot for `direct_or_pad` while a chain value is held —
-//! `2·⌈m/2⌉⌈n/2⌉ + ⌈m/2⌉⌈k/2⌉ + 3·⌈n/2⌉⌈k/2⌉` per level against classic's
-//! `⌈m/2⌉⌈n/2⌉ + ⌈m/2⌉⌈k/2⌉ + ⌈n/2⌉⌈k/2⌉`. The `ablation` bench bin
-//! quantifies the trade on real workloads.
+//! sums and reaches the minimum of 15 additions for any
+//! 7-multiplication scheme (Probert's lower bound). The paper leaves
+//! this as an implementation alternative; we build it as an ablation of
+//! the block-addition count. Under this workspace's *accumulate*
+//! semantics (`C += alpha A^T B`) classic performs 22 block-add volumes
+//! per level and Winograd 19 — the same 3-addition saving, verified *by
+//! measurement* in the tests below — at about twice the workspace. The
+//! `ablation` bench bin quantifies the trade on real workloads.
 
-use crate::pad::{accumulate, direct_or_pad, pad_sum, rsub_padded, sub_padded};
+use crate::level::{check_shapes, Dense, WINOGRAD};
 use crate::workspace::StrassenWorkspace;
-use ata_kernels::level1::axpy;
-use ata_kernels::{gemm_tn, CacheConfig};
-use ata_mat::{half_up, MatMut, MatRef, Scalar};
-
-/// Exact number of workspace elements the Winograd recursion on a
-/// `(m, n, k)` problem consumes (counterpart of
-/// [`crate::workspace::required_elems`]).
-pub fn required_elems_winograd(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> usize {
-    if cfg.gemm_base(m, n, k) {
-        return 0;
-    }
-    let (m1, n1, k1) = (half_up(m), half_up(n), half_up(k));
-    2 * m1 * n1 + m1 * k1 + 3 * n1 * k1 + required_elems_winograd(m1, n1, k1, cfg)
-}
-
-/// The recursion. `ws` must hold at least
-/// [`required_elems_winograd`]`(m, n, k, cfg)` elements.
-fn rec<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: &mut MatMut<'_, T>,
-    cfg: &CacheConfig,
-    ws: &mut [T],
-) {
-    let (m, n) = a.shape();
-    let k = b.cols();
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if cfg.gemm_base(m, n, k) {
-        gemm_tn(alpha, a, b, c);
-        return;
-    }
-
-    let (m1, n1, k1) = (half_up(m), half_up(n), half_up(k));
-    let (a11, a12, a21, a22) = a.quad_split();
-    let (b11, b12, b21, b22) = b.quad_split();
-
-    let (ta_buf, rest) = ws.split_at_mut(m1 * n1);
-    let (ta2_buf, rest) = rest.split_at_mut(m1 * n1);
-    let (tb_buf, rest) = rest.split_at_mut(m1 * k1);
-    let (p1_buf, rest) = rest.split_at_mut(n1 * k1);
-    let (p2_buf, rest) = rest.split_at_mut(n1 * k1);
-    let (p3_buf, rest) = rest.split_at_mut(n1 * k1);
-
-    // C quadrant index ranges (C is n x k).
-    let (c11, c12, c21, c22) = (
-        (0, n1, 0, k1),
-        (0, n1, k1, k),
-        (n1, n, 0, k1),
-        (n1, n, k1, k),
-    );
-
-    // Run one product `P = ta^T tb` into a zeroed slot.
-    macro_rules! product {
-        ($p:ident, $ta:expr, $tb:expr, $rest:expr) => {{
-            let ta = $ta;
-            let tb = $tb;
-            let mut p = MatMut::from_slice($p, n1, k1);
-            p.fill_zero();
-            rec(T::ONE, ta, tb, &mut p, cfg, $rest);
-        }};
-    }
-    // `c_quad += sgn * alpha * P` (truncating).
-    macro_rules! acc {
-        ($quad:expr, $p:ident, $sgn:expr) => {{
-            let (r0, r1, q0, q1) = $quad;
-            let mut cq = c.block_mut(r0, r1, q0, q1);
-            let p = MatRef::from_slice(&$p[..n1 * k1], n1, k1);
-            let coeff = if $sgn >= 0 { alpha } else { -alpha };
-            accumulate(&mut cq, p, coeff);
-        }};
-    }
-
-    // ---- step 1: S1 = A12 + A22, T1 = B12 - B11, M5 = S1^T T1 ----
-    {
-        let ta = pad_sum(ta_buf, a12, T::ONE, a22, m1, n1);
-        let tb = pad_sum(tb_buf, b12, T::NEG_ONE, b11, m1, k1);
-        product!(p1_buf, ta, tb, rest);
-    }
-    acc!(c12, p1_buf, 1); // C12 += a M5
-    acc!(c22, p1_buf, 1); // C22 += a M5  (P1 free)
-
-    // ---- step 2: S2 = S1 - A11 (in place), T2 = B22 - T1 (in place),
-    //              M6 = S2^T T2 (kept for U2) ----
-    {
-        let mut ta = MatMut::from_slice(&mut ta_buf[..m1 * n1], m1, n1);
-        sub_padded(&mut ta, a11);
-        let mut tb = MatMut::from_slice(&mut tb_buf[..m1 * k1], m1, k1);
-        rsub_padded(&mut tb, b22);
-    }
-    {
-        let ta = MatRef::from_slice(&ta_buf[..m1 * n1], m1, n1);
-        let tb = MatRef::from_slice(&tb_buf[..m1 * k1], m1, k1);
-        product!(p2_buf, ta, tb, rest);
-    }
-
-    // ---- step 3: T4 = T2 - B21 (in place), M4 = A22^T T4 ----
-    {
-        let mut tb = MatMut::from_slice(&mut tb_buf[..m1 * k1], m1, k1);
-        sub_padded(&mut tb, b21);
-    }
-    {
-        let ta = direct_or_pad(ta2_buf, a22, m1, n1);
-        let tb = MatRef::from_slice(&tb_buf[..m1 * k1], m1, k1);
-        product!(p3_buf, ta, tb, rest);
-    }
-    acc!(c21, p3_buf, -1); // C21 -= a M4  (P3 free)
-
-    // ---- step 4: S4 = A21 - S2 (in place), M3 = S4^T B22 ----
-    {
-        let mut ta = MatMut::from_slice(&mut ta_buf[..m1 * n1], m1, n1);
-        rsub_padded(&mut ta, a21);
-    }
-    {
-        let ta = MatRef::from_slice(&ta_buf[..m1 * n1], m1, n1);
-        let tb = direct_or_pad(tb_buf, b22, m1, k1);
-        product!(p3_buf, ta, tb, rest);
-    }
-    acc!(c12, p3_buf, 1); // C12 += a M3  (P3 free)
-
-    // ---- step 5: S3 = A11 - A12, T3 = B22 - B12, M7 = S3^T T3 (kept) ----
-    {
-        let ta = pad_sum(ta2_buf, a11, T::NEG_ONE, a12, m1, n1);
-        let tb = pad_sum(tb_buf, b22, T::NEG_ONE, b12, m1, k1);
-        product!(p3_buf, ta, tb, rest);
-    }
-
-    // ---- step 6: M1 = A11^T B11 ----
-    {
-        let ta = direct_or_pad(ta_buf, a11, m1, n1);
-        let tb = direct_or_pad(tb_buf, b11, m1, k1);
-        product!(p1_buf, ta, tb, rest);
-    }
-    acc!(c11, p1_buf, 1); // C11 += a M1
-
-    // ---- step 7: U2 = M1 + M6 (into P2), C12 += a U2;
-    //              U3 = U2 + M7 (into P2), C21 += a U3, C22 += a U3 ----
-    axpy(T::ONE, &p1_buf[..n1 * k1], &mut p2_buf[..n1 * k1]); // P2 = U2
-    acc!(c12, p2_buf, 1);
-    axpy(T::ONE, &p3_buf[..n1 * k1], &mut p2_buf[..n1 * k1]); // P2 = U3
-    acc!(c21, p2_buf, 1);
-    acc!(c22, p2_buf, 1);
-
-    // ---- step 8: M2 = A21^T B21, C11 += a M2 ----
-    {
-        let ta = direct_or_pad(ta_buf, a21, m1, n1);
-        let tb = direct_or_pad(tb_buf, b21, m1, k1);
-        product!(p1_buf, ta, tb, rest);
-    }
-    acc!(c11, p1_buf, 1);
-}
+use ata_kernels::CacheConfig;
+use ata_mat::{MatMut, MatRef, Scalar};
 
 /// `C += alpha * A^T B` by the Strassen–Winograd algorithm with a
 /// caller-provided workspace. Drop-in replacement for
@@ -212,17 +33,10 @@ pub fn winograd_strassen_with<T: Scalar>(
     cfg: &CacheConfig,
     ws: &mut StrassenWorkspace<T>,
 ) {
-    let (m, n) = a.shape();
-    let (mb, k) = b.shape();
-    assert_eq!(m, mb, "winograd_strassen: A is {m}x{n} but B has {mb} rows");
-    assert_eq!(
-        c.shape(),
-        (n, k),
-        "winograd_strassen: C must be {n}x{k}, got {:?}",
-        c.shape()
-    );
-    ws.reserve_elems(required_elems_winograd(m, n, k, cfg));
-    rec(alpha, a, b, c, cfg, ws.as_mut_slice());
+    check_shapes("winograd_strassen", a, b, c);
+    let (m, n, k) = (a.rows(), a.cols(), b.cols());
+    let arena = ws.reserve(WINOGRAD.workspace_elems(m, n, k, cfg));
+    WINOGRAD.run(&mut Dense, cfg, alpha, a, b, c, arena);
 }
 
 /// `C += alpha * A^T B` by Strassen–Winograd, allocating the workspace
@@ -245,6 +59,7 @@ pub fn winograd_strassen<T: Scalar>(
 mod tests {
     use super::*;
     use crate::fast_strassen;
+    use crate::level::CLASSIC;
     use ata_mat::tracked::{measure, Tracked};
     use ata_mat::{gen, ops, reference, Matrix};
 
@@ -390,8 +205,8 @@ mod tests {
     fn workspace_requirement_is_larger_but_bounded() {
         let cfg = CacheConfig::with_words(2);
         for n in [8usize, 16, 33, 100] {
-            let w = required_elems_winograd(n, n, n, &cfg);
-            let s = crate::workspace::required_elems(n, n, n, &cfg);
+            let w = WINOGRAD.workspace_elems(n, n, n, &cfg);
+            let s = CLASSIC.workspace_elems(n, n, n, &cfg);
             assert!(w > s, "n={n}: winograd needs more workspace");
             // Per level 6 ceil-half-squares vs 3: at most ~2x plus
             // rounding slack.

@@ -6,26 +6,15 @@
 //! operation results throughout the recursive calls."
 //!
 //! Instead of three separate arrays, the arena is one buffer from which
-//! each recursion level carves its three slots (`tA`: ⌈m/2⌉x⌈n/2⌉,
-//! `tB`: ⌈m/2⌉x⌈k/2⌉, `M`: ⌈n/2⌉x⌈k/2⌉) with `split_at_mut`, passing the
-//! tail to the child call. The required capacity is computed by
-//! *simulating* the recursion's dimension sequence, so it is exact — and
-//! provably below the paper's `3/2 n^2` bound (Eq. 4), which a unit test
-//! checks.
+//! each recursion level carves its slots in the order its
+//! [`crate::Program`] declares them (`tA`: ⌈m/2⌉x⌈n/2⌉, `tB`:
+//! ⌈m/2⌉x⌈k/2⌉, `M`: ⌈n/2⌉x⌈k/2⌉ for FastStrassen) with `split_at_mut`,
+//! passing the tail to the child call. The required capacity,
+//! [`crate::Program::workspace_elems`], reads the same slot shapes level
+//! by level, so it is exact — and provably below the paper's `3/2 n^2`
+//! bound (Eq. 4), which a unit test checks.
 
-use ata_kernels::CacheConfig;
-use ata_mat::{half_up, Scalar};
-
-/// Exact number of workspace elements the recursion on a `(m, n, k)`
-/// problem consumes. It simulates the recursion's dimension sequence
-/// under the same [`CacheConfig::gemm_base`] gate the recursion reads.
-pub fn required_elems(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> usize {
-    if cfg.gemm_base(m, n, k) {
-        return 0;
-    }
-    let (m1, n1, k1) = (half_up(m), half_up(n), half_up(k));
-    m1 * n1 + m1 * k1 + n1 * k1 + required_elems(m1, n1, k1, cfg)
-}
+use ata_mat::Scalar;
 
 /// Reusable arena for [`crate::fast_strassen_with`].
 ///
@@ -39,13 +28,6 @@ pub struct StrassenWorkspace<T> {
 }
 
 impl<T: Scalar> StrassenWorkspace<T> {
-    /// Arena sized exactly for a `(m, n, k)` product under `cfg`.
-    pub fn for_problem(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> Self {
-        Self {
-            buf: vec![T::ZERO; required_elems(m, n, k, cfg)],
-        }
-    }
-
     /// Arena with an explicit element capacity.
     pub fn with_capacity(elems: usize) -> Self {
         Self {
@@ -63,21 +45,12 @@ impl<T: Scalar> StrassenWorkspace<T> {
         self.buf.len()
     }
 
-    /// Grow (never shrink) to cover a `(m, n, k)` problem.
-    pub(crate) fn reserve_for(&mut self, m: usize, n: usize, k: usize, cfg: &CacheConfig) {
-        self.reserve_elems(required_elems(m, n, k, cfg));
-    }
-
-    /// Grow (never shrink) to an explicit element count — used by the
-    /// Winograd variant, whose per-level slot layout differs.
-    pub(crate) fn reserve_elems(&mut self, need: usize) {
-        if need > self.buf.len() {
-            self.buf.resize(need, T::ZERO);
+    /// Grow (never shrink) to at least `elems` elements and return the
+    /// whole arena for a level program to carve.
+    pub fn reserve(&mut self, elems: usize) -> &mut [T] {
+        if elems > self.buf.len() {
+            self.buf.resize(elems, T::ZERO);
         }
-    }
-
-    /// Whole buffer as a mutable slice for the recursion to carve.
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.buf
     }
 }
@@ -85,6 +58,12 @@ impl<T: Scalar> StrassenWorkspace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::level::CLASSIC;
+    use ata_kernels::CacheConfig;
+
+    fn required_elems(m: usize, n: usize, k: usize, cfg: &CacheConfig) -> usize {
+        CLASSIC.workspace_elems(m, n, k, cfg)
+    }
 
     #[test]
     fn base_case_needs_nothing() {
@@ -134,11 +113,11 @@ mod tests {
     #[test]
     fn workspace_reuse_and_growth() {
         let cfg = CacheConfig::with_words(2);
-        let mut ws = StrassenWorkspace::<f64>::for_problem(8, 8, 8, &cfg);
+        let mut ws = StrassenWorkspace::<f64>::with_capacity(required_elems(8, 8, 8, &cfg));
         let c8 = ws.capacity();
-        ws.reserve_for(4, 4, 4, &cfg);
+        ws.reserve(required_elems(4, 4, 4, &cfg));
         assert_eq!(ws.capacity(), c8, "reserve never shrinks");
-        ws.reserve_for(16, 16, 16, &cfg);
+        ws.reserve(required_elems(16, 16, 16, &cfg));
         assert!(ws.capacity() > c8, "reserve grows for bigger problems");
     }
 
