@@ -67,11 +67,6 @@ impl IdealCache {
         self.hits + self.misses
     }
 
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Cache misses so far (the `Q(n; M, b)` of the cache-oblivious
     /// bounds).
     pub fn misses(&self) -> u64 {
@@ -191,7 +186,7 @@ mod tests {
             c.access(addr);
         }
         assert_eq!(c.misses(), 256 / 8);
-        assert_eq!(c.hits(), 256 - 256 / 8);
+        assert_eq!(c.hits, 256 - 256 / 8);
         assert_eq!(c.accesses(), 256);
     }
 
@@ -255,7 +250,7 @@ mod tests {
         assert_eq!(c.accesses(), 0);
         assert!(c.resident() > 0, "reset keeps residents");
         c.access(0);
-        assert_eq!(c.hits(), 1, "still warm");
+        assert_eq!(c.hits, 1, "still warm");
         c.flush();
         assert_eq!(c.resident(), 0);
         c.access(0);
@@ -281,6 +276,6 @@ mod tests {
             assert!(c.resident() <= 256 / 4, "at most M / b lines resident");
         }
         assert_eq!(c.accesses(), 10_000);
-        assert_eq!(c.hits() + c.misses(), 10_000);
+        assert_eq!(c.hits + c.misses(), 10_000);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! ata gen    --rows M --cols N [--seed S] --out FILE        generate a random matrix
-//! ata gram   --input FILE --out FILE [--threads T]          C = A^T A (full symmetric)
-//!            [--algo ata|ata-s|ata-d|syrk|naive] [--cache-words W]
-//!            [--strassen classic|winograd] [--ranks R] [--repeat K]
-//!            [--wire packed|dense]
+//! ata gram   --input FILE --out FILE [--repeat K]           C = A^T A (full symmetric)
+//!            [--algo ata|ata-s|ata-d|syrk|naive] [--threads T]
+//!            [--cache-words W] [--strassen classic|winograd]
+//!            [--ranks R] [--wire packed|dense]
 //! ata stream --input FILE --out FILE [--chunk R]            streaming Gram over row chunks
 //!            [--decay B] [--threads T] [--cache-words W]
 //! ata solve  --input FILE --out FILE [--rhs FILE]           online normal-equations solve
@@ -15,18 +15,23 @@
 //!            [--split-words W] [--poison 1] [--seed S]
 //! ata chaos  [--seeds N] [--jobs J] [--shards P]            chaos drill: seeded fault sweep
 //!            [--rows M] [--cols N] [--budget R] [--seed S0]
-//! ata verify --input FILE [--threads T]                     AtA vs naive oracle
+//! ata verify --input FILE [--algo ...] [--threads T]        --algo's Gram vs naive oracle
+//!            [--cache-words W] [--strassen classic|winograd]
+//!            [--ranks R] [--wire packed|dense]
 //! ata info   --input FILE                                   shape and norms
 //! ata calibrate [--quick 1]                                 measure kernel tuning table and
 //!                                                           the Strassen cutoff
 //! ```
 //!
-//! All AtA variants run through one [`AtaContext`]: `--threads` selects
-//! the shared-memory backend, `--algo ata-d --ranks R` the simulated
-//! distributed one (`--wire packed|dense` picks the §4.3.1 retrieval
-//! encoding; packed is the default). `--repeat K` executes the plan `K`
-//! times (a serving loop) and reports per-call time, demonstrating the
-//! plan-reuse amortization.
+//! `gram` and `verify` share one `--algo` list. `ata` and `ata-s` run
+//! through an [`AtaContext`], where `--threads` > 1 selects AtA-S.
+//! `ata-d` builds one [`DistPlan`] for AtA-D on `--ranks R` simulated
+//! ranks (default 4); `--wire packed|dense` picks the §4.3.1 retrieval
+//! encoding (packed is the default). `--cache-words` sizes the
+//! recursions of both. A flag the chosen algorithm or command does not
+//! read is an error naming it, never a silent no-op. `--repeat K`
+//! executes the plan `K` times (a serving loop) and reports per-call
+//! time, demonstrating the plan-reuse amortization.
 //!
 //! `ata stream` replays a file as a row-chunk stream through a
 //! [`GramAccumulator`] (never holding more than one chunk plus the
@@ -40,13 +45,14 @@
 
 #![forbid(unsafe_code)]
 
+use ata::dist::{AtaDConfig, DistPlan, WireFormat};
 use ata::shard::{JobError, RetryPolicy, ShardedServiceBuilder, SplitChaos};
 use ata::strassen::calibrate as strassen_calibrate;
-use ata::{AtaContext, Backend, GramAccumulator, ManualClock, Output, WireFormat};
+use ata::{AtaContext, GramAccumulator, ManualClock, Output};
 use ata_kernels::calibrate::{self, Tuned};
-use ata_kernels::syrk_ln;
+use ata_kernels::{syrk_ln, CacheConfig};
 use ata_mat::{gen, io, reference, Matrix, Scalar};
-use ata_mpisim::CostModel;
+use ata_mpisim::{run, CostModel};
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
@@ -108,44 +114,84 @@ impl Args {
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
+
+    /// Reject any flag outside `known` (space-separated lists), so a
+    /// misspelt or inapplicable flag is an error naming it instead of a
+    /// silent no-op.
+    fn only(&self, cmd: &str, known: &[&str]) -> Result<(), String> {
+        let mut keys: Vec<&str> = self.kv.keys().map(String::as_str).collect();
+        keys.sort_unstable();
+        let is_known = |key| known.iter().any(|list| list.split(' ').any(|k| k == key));
+        match keys.into_iter().find(|&key| !is_known(key)) {
+            Some(key) => Err(format!("ata {cmd} takes no --{key}")),
+            None => Ok(()),
+        }
+    }
 }
 
 const ONE: NonZeroUsize = NonZeroUsize::MIN;
 
-/// Build the execution context from the common flags. `--algo ata-d`
-/// selects the simulated-distributed backend (`--ranks`, default 4);
-/// otherwise `--threads` > 1 selects the shared-memory backend.
-fn context(args: &Args, algo: &str) -> Result<AtaContext, String> {
-    let mut b = AtaContext::builder();
-    // --wire only affects the distributed backend; reject it elsewhere
-    // instead of silently ignoring it (or a typo'd value).
-    let wire = match args.kv.get("wire").map(String::as_str) {
-        None => None,
-        Some("packed") => Some(WireFormat::SymPacked),
-        Some("dense") => Some(WireFormat::Dense),
-        Some(other) => return Err(format!("unknown --wire '{other}' (packed | dense)")),
+/// The flags [`context`] reads.
+const CONTEXT: &str = "threads cache-words strassen";
+
+/// The flags `--algo ata-d` reads.
+const ATA_D: &str = "ranks wire cache-words";
+
+/// The Gram algorithms `gram` and `verify` run, each with the flags it
+/// reads beyond the command's own.
+const ALGOS: [(&str, &str); 5] = [
+    ("ata", CONTEXT),
+    ("ata-s", CONTEXT),
+    ("ata-d", ATA_D),
+    ("syrk", ""),
+    ("naive", ""),
+];
+
+/// The `--algo` name, after checking that it is one of [`ALGOS`] and
+/// that every algorithm-specific flag given is one it reads.
+fn algo(args: &Args) -> Result<&'static str, String> {
+    let given = args.str_or("algo", "ata");
+    let Some(&(name, reads)) = ALGOS.iter().find(|&&(name, _)| name == given) else {
+        let names: Vec<&str> = ALGOS.iter().map(|&(name, _)| name).collect();
+        return Err(format!("unknown --algo '{given}' ({})", names.join(" | ")));
     };
-    if wire.is_some() && algo != "ata-d" {
-        return Err("--wire applies only to --algo ata-d".to_string());
-    }
-    if algo == "ata-d" {
-        let ranks = args.nonzero("ranks", NonZeroUsize::new(4).expect("4 > 0"))?;
-        b = b.backend(Backend::SimulatedDist {
-            ranks,
-            loggp: CostModel::terastat(),
-        });
-        b = b.wire(wire.unwrap_or(WireFormat::SymPacked));
-    } else {
-        let threads = args.nonzero("threads", ONE)?;
-        if threads.get() > 1 {
-            b = b.backend(Backend::Shared { threads });
+    let reads_flag = |reads: &str, flag| reads.split(' ').any(|r| r == flag);
+    for flag in CONTEXT.split(' ').chain(ATA_D.split(' ')) {
+        if args.kv.contains_key(flag) && !reads_flag(reads, flag) {
+            let takers: Vec<&str> = ALGOS
+                .iter()
+                .filter(|(_, reads)| reads_flag(reads, flag))
+                .map(|&(name, _)| name)
+                .collect();
+            return Err(format!(
+                "--{flag} applies only to --algo {}",
+                takers.join(" | ")
+            ));
         }
     }
-    if let Some(w) = args.kv.get("cache-words") {
-        let w: usize = w
-            .parse()
-            .map_err(|_| "--cache-words expects an integer".to_string())?;
-        b = b.cache_words(w);
+    Ok(name)
+}
+
+/// The cache model `--cache-words W` asks for, if given.
+fn cache(args: &Args) -> Result<Option<CacheConfig>, String> {
+    match args.kv.get("cache-words") {
+        None => Ok(None),
+        Some(_) => Ok(Some(CacheConfig::with_words(
+            args.nonzero("cache-words", ONE)?.get(),
+        ))),
+    }
+}
+
+/// Build the execution context from the common flags: `--threads` > 1
+/// selects the shared-memory backend.
+fn context(args: &Args) -> Result<AtaContext, String> {
+    let mut b = AtaContext::builder();
+    let threads = args.nonzero("threads", ONE)?;
+    if threads.get() > 1 {
+        b = b.threads(threads);
+    }
+    if let Some(cache) = cache(args)? {
+        b = b.cache(cache);
     }
     match args.str_or("strassen", "classic").as_str() {
         "classic" => {}
@@ -155,7 +201,72 @@ fn context(args: &Args, algo: &str) -> Result<AtaContext, String> {
     Ok(b.build())
 }
 
+/// The AtA-D configuration of `--algo ata-d`: `--wire` (packed by
+/// default) and the cache model a context would resolve for `f64`.
+fn dist_config(args: &Args) -> Result<AtaDConfig, String> {
+    let wire = match args.str_or("wire", "packed").as_str() {
+        "packed" => WireFormat::SymPacked,
+        "dense" => WireFormat::Dense,
+        other => return Err(format!("unknown --wire '{other}' (packed | dense)")),
+    };
+    Ok(AtaDConfig {
+        cache: cache(args)?.unwrap_or_else(CacheConfig::for_scalar::<f64>),
+        wire,
+        ..AtaDConfig::default()
+    })
+}
+
+/// `C = A^T A`, both triangles, by the checked `--algo` name, computed
+/// `repeat` times into one output. The AtA variants plan once and
+/// execute `repeat` times — the serving-loop shape; AtA-D runs its plan
+/// on a fresh simulated cluster each time and mirrors the root's lower
+/// triangle.
+fn gram(args: &Args, algo: &str, a: &Matrix<f64>, repeat: usize) -> Result<Matrix<f64>, String> {
+    let (m, n) = a.shape();
+    let mut c = Matrix::<f64>::zeros(n, n);
+    match algo {
+        "ata" | "ata-s" => {
+            let plan = context(args)?.plan_with::<f64>(m, n, Output::Gram);
+            for _ in 0..repeat {
+                plan.execute_into(a.as_ref(), &mut c.as_mut());
+            }
+        }
+        "ata-d" => {
+            let ranks = args
+                .nonzero("ranks", NonZeroUsize::new(4).expect("4 > 0"))?
+                .get();
+            let plan = DistPlan::build(m, n, ranks, &dist_config(args)?);
+            for _ in 0..repeat {
+                let mut results = run(ranks, CostModel::terastat(), |comm| {
+                    plan.execute((comm.rank() == 0).then_some(a), comm)
+                })
+                .results;
+                c = results
+                    .swap_remove(0)
+                    .map_err(|e| e.to_string())?
+                    .ok_or("AtA-D: rank 0 returned no Gram")?;
+            }
+            c.mirror_lower_to_upper();
+        }
+        "syrk" => {
+            for _ in 0..repeat {
+                c.as_mut().fill_zero();
+                syrk_ln(1.0, a.as_ref(), &mut c.as_mut());
+            }
+            c.mirror_lower_to_upper();
+        }
+        // `naive`: the only other name `algo` returns.
+        _ => {
+            for _ in 0..repeat {
+                c = reference::gram(a.as_ref());
+            }
+        }
+    }
+    Ok(c)
+}
+
 fn cmd_gen(args: &Args) -> Result<(), String> {
+    args.only("gen", &["rows cols seed out"])?;
     let rows = args.required_usize("rows")?;
     let cols = args.required_usize("cols")?;
     let seed = args.usize("seed", 42)? as u64;
@@ -167,48 +278,16 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_gram(args: &Args) -> Result<(), String> {
+    args.only("gram", &["input out algo repeat", CONTEXT, ATA_D])?;
     let input = args.required("input")?;
     let out = args.required("out")?;
-    let algo = args.str_or("algo", "ata");
+    let algo = algo(args)?;
     let repeat = args.nonzero("repeat", ONE)?.get();
     let a: Matrix<f64> = io::load(input).map_err(|e| e.to_string())?;
     let (m, n) = a.shape();
 
     let t0 = std::time::Instant::now();
-    let g = match algo.as_str() {
-        "ata" | "ata-s" | "ata-d" => {
-            // Plan once, execute `repeat` times — the context API's
-            // serving-loop shape.
-            let ctx = context(args, &algo)?;
-            let plan = ctx.plan_with::<f64>(m, n, Output::Gram);
-            let mut c = Matrix::<f64>::zeros(n, n);
-            for _ in 0..repeat {
-                plan.execute_into(a.as_ref(), &mut c.as_mut());
-            }
-            c
-        }
-        "syrk" => {
-            let mut c = Matrix::<f64>::zeros(n, n);
-            for _ in 0..repeat {
-                c.as_mut().fill_zero();
-                syrk_ln(1.0, a.as_ref(), &mut c.as_mut());
-            }
-            c.mirror_lower_to_upper();
-            c
-        }
-        "naive" => {
-            let mut g = reference::gram(a.as_ref());
-            for _ in 1..repeat {
-                g = reference::gram(a.as_ref());
-            }
-            g
-        }
-        other => {
-            return Err(format!(
-                "unknown --algo '{other}' (ata | ata-s | ata-d | syrk | naive)"
-            ))
-        }
-    };
+    let g = gram(args, algo, &a, repeat)?;
     let dt = t0.elapsed().as_secs_f64() / repeat as f64;
     io::save(&g, out).map_err(|e| e.to_string())?;
     println!("A: {m}x{n}; C = A^T A ({n}x{n}) via {algo} in {dt:.3}s/call (x{repeat}) -> {out}");
@@ -216,15 +295,16 @@ fn cmd_gram(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &Args) -> Result<(), String> {
+    args.only("verify", &["input algo", CONTEXT, ATA_D])?;
     let input = args.required("input")?;
-    let ctx = context(args, &args.str_or("algo", "ata"))?;
+    let algo = algo(args)?;
     let a: Matrix<f64> = io::load(input).map_err(|e| e.to_string())?;
     let (m, n) = a.shape();
-    let fast = ctx.gram(a.as_ref());
+    let fast = gram(args, algo, &a, 1)?;
     let slow = reference::gram(a.as_ref());
     let diff = fast.max_abs_diff(&slow);
     let tol = ata_mat::ops::product_tol::<f64>(m.max(n), n, m as f64);
-    println!("max |AtA - naive| = {diff:.3e} (tolerance {tol:.3e})");
+    println!("max |{algo} - naive| = {diff:.3e} (tolerance {tol:.3e})");
     if diff <= tol {
         println!("VERIFIED");
         Ok(())
@@ -237,6 +317,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
 /// [`GramAccumulator`], as a long-running ingest pipeline would; only
 /// one chunk plus the `n x n` accumulator is ever in play.
 fn cmd_stream(args: &Args) -> Result<(), String> {
+    args.only("stream", &["input out chunk decay", CONTEXT])?;
     let input = args.required("input")?;
     let out = args.required("out")?;
     let a: Matrix<f64> = io::load(input).map_err(|e| e.to_string())?;
@@ -251,7 +332,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                 .map_err(|_| format!("--decay expects a number, got '{v}'"))?,
         ),
     };
-    let ctx = context(args, "ata")?;
+    let ctx = context(args)?;
     let t0 = std::time::Instant::now();
     let mut acc: GramAccumulator<f64> = ctx.gram_accumulator(n);
     let mut r0 = 0usize;
@@ -282,6 +363,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
 /// sweeps, so the final solve is an `O(n²)` substitution, not a
 /// refactorization.
 fn cmd_solve(args: &Args) -> Result<(), String> {
+    args.only("solve", &["input out rhs lambda chunk", CONTEXT])?;
     let input = args.required("input")?;
     let out = args.required("out")?;
     let a: Matrix<f64> = io::load(input).map_err(|e| e.to_string())?;
@@ -323,7 +405,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         }
         None => vec![1.0; m],
     };
-    let ctx = context(args, "ata")?;
+    let ctx = context(args)?;
     let t0 = std::time::Instant::now();
     let mut fg = ctx.factored_gram::<f64>(n);
     let mut atb = vec![0.0f64; n];
@@ -364,6 +446,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
 /// Execute many independent gram problems as one batched dispatch
 /// across the context's worker pool (one problem per worker).
 fn cmd_batch(args: &Args) -> Result<(), String> {
+    args.only("batch", &["inputs out-dir", CONTEXT])?;
     let inputs_arg = args.required("inputs")?;
     let out_dir = args.required("out-dir")?;
     let paths: Vec<&str> = inputs_arg.split(',').filter(|s| !s.is_empty()).collect();
@@ -374,7 +457,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         .iter()
         .map(|p| io::load(p).map_err(|e| format!("{p}: {e}")))
         .collect::<Result<_, _>>()?;
-    let ctx = context(args, "ata")?;
+    let ctx = context(args)?;
     let shapes: Vec<(usize, usize)> = mats.iter().map(|a| a.shape()).collect();
     let t0 = std::time::Instant::now();
     let batch = ctx.batch_plan::<f64>(&shapes, Output::Gram);
@@ -409,6 +492,10 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
 /// (bit-exact by construction). `--poison 1` injects a shard failure
 /// mid-flood to demonstrate requeue: the flood must still verify.
 fn cmd_shard(args: &Args) -> Result<(), String> {
+    args.only(
+        "shard",
+        &["shards jobs rows cols split-words poison seed", CONTEXT],
+    )?;
     let shards = args
         .nonzero("shards", NonZeroUsize::new(4).expect("4 > 0"))?
         .get();
@@ -427,7 +514,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     if poison && shards < 3 {
         return Err("--poison needs --shards >= 3 (a poison can kill two shards)".to_string());
     }
-    let ctx = context(args, "ata")?;
+    let ctx = context(args)?;
     let svc = ShardedServiceBuilder::new(&ctx)
         .shards(shards)
         .split_words(split_words)
@@ -518,6 +605,10 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
 /// cost no wall time and the sweep replays identically. Exits nonzero
 /// on the first violated invariant.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
+    args.only(
+        "chaos",
+        &["seeds jobs shards rows cols budget seed", CONTEXT],
+    )?;
     let seeds = args
         .nonzero("seeds", NonZeroUsize::new(8).expect("8 > 0"))?
         .get();
@@ -538,7 +629,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         None => None,
         Some(_) => Some(args.nonzero("shards", NonZeroUsize::MIN)?.get()),
     };
-    let ctx = context(args, "ata")?;
+    let ctx = context(args)?;
     let (mut split, mut degraded, mut retries, mut whole) = (0usize, 0usize, 0usize, 0usize);
     for s in 0..seeds {
         let shards = fixed_shards.unwrap_or([2usize, 4, 8][s % 3]);
@@ -625,6 +716,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 /// `ata_kernels::calibrate`, its `base_words` from the Strassen cutoff
 /// sweep in `ata_strassen::calibrate`.
 fn cmd_calibrate(args: &Args) -> Result<(), String> {
+    args.only("calibrate", &["quick"])?;
     let quick = args.usize("quick", 0)? != 0;
     println!(
         "calibrating kernel parameters and the Strassen cutoff ({} sweep, single thread)...",
@@ -686,6 +778,7 @@ fn calibrate_row<T: Scalar>(quick: bool) -> Tuned {
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
+    args.only("info", &["input"])?;
     let input = args.required("input")?;
     let a: Matrix<f64> = io::load(input).map_err(|e| e.to_string())?;
     let (m, n) = a.shape();
@@ -698,10 +791,10 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 fn usage() -> String {
     "usage: ata <gen|gram|stream|solve|batch|shard|chaos|verify|info|calibrate> [--key value ...]\n\
      \n  ata gen    --rows M --cols N [--seed S] --out FILE\
-     \n  ata gram   --input FILE --out FILE [--threads T] [--repeat K]\
-     \n             [--algo ata|ata-s|ata-d|syrk|naive] [--ranks R]\
-     \n             [--wire packed|dense] [--cache-words W]\
-     \n             [--strassen classic|winograd]\
+     \n  ata gram   --input FILE --out FILE [--repeat K]\
+     \n             [--algo ata|ata-s|ata-d|syrk|naive] [--threads T]\
+     \n             [--cache-words W] [--strassen classic|winograd]\
+     \n             [--ranks R] [--wire packed|dense]\
      \n  ata stream --input FILE --out FILE [--chunk R] [--decay B]\
      \n             [--threads T] [--cache-words W]\
      \n  ata solve  --input FILE --out FILE [--rhs FILE] [--lambda L]\
@@ -711,7 +804,10 @@ fn usage() -> String {
      \n             [--split-words W] [--poison 1] [--seed S]\
      \n  ata chaos  [--seeds N] [--jobs J] [--shards P] [--rows M]\
      \n             [--cols N] [--budget R] [--seed S0]\
-     \n  ata verify --input FILE [--threads T]\
+     \n  ata verify --input FILE [--algo ata|ata-s|ata-d|syrk|naive]\
+     \n             [--threads T] [--cache-words W]\
+     \n             [--strassen classic|winograd]\
+     \n             [--ranks R] [--wire packed|dense]\
      \n  ata info   --input FILE\
      \n  ata calibrate [--quick 1]"
         .to_string()
@@ -775,7 +871,7 @@ mod tests {
         let err = a.nonzero("threads", ONE).expect_err("0 must be rejected");
         assert!(err.contains("positive integer"), "got: {err}");
         // And the context builder reports it as a clean Err.
-        assert!(context(&a, "ata").is_err());
+        assert!(context(&a).is_err());
     }
 
     #[test]
@@ -939,18 +1035,19 @@ mod tests {
             0.0,
             "wire formats must agree bit-for-bit"
         );
-        // The builder surfaces the selection.
-        let a = args(&["--wire", "dense"]);
+        // The AtA-D configuration carries the selection.
+        let dist = |list: &[&str]| dist_config(&args(list));
         assert_eq!(
-            context(&a, "ata-d").expect("context").wire(),
+            dist(&["--wire", "dense"]).expect("config").wire,
             WireFormat::Dense
         );
-        assert!(context(&args(&["--wire", "zip"]), "ata-d").is_err());
+        assert_eq!(dist(&[]).expect("config").wire, WireFormat::SymPacked);
+        assert!(dist(&["--wire", "zip"]).is_err());
         // No silent no-ops: --wire outside ata-d is an error, not a
         // quietly ignored flag.
-        let err = context(&args(&["--wire", "packed"]), "ata").expect_err("must reject");
+        let err = algo(&args(&["--wire", "packed"])).expect_err("must reject");
         assert!(err.contains("ata-d"), "got: {err}");
-        assert!(context(&args(&["--wire", "zip"]), "ata").is_err());
+        assert!(algo(&args(&["--wire", "zip"])).is_err());
     }
 
     #[test]
@@ -1110,6 +1207,57 @@ mod tests {
         .expect("poisoned flood still verifies");
         // Too few shards to contain a poison is a clean error.
         assert!(cmd_shard(&args(&["--shards", "2", "--poison", "1"])).is_err());
+    }
+
+    #[test]
+    fn flags_a_command_or_algo_does_not_read_are_rejected_by_name() {
+        let dir = std::env::temp_dir().join("ata_cli_flags");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let a = dir.join("a.atm").to_string_lossy().to_string();
+        let g = dir.join("g.atm").to_string_lossy().to_string();
+        cmd_gen(&args(&["--rows", "33", "--cols", "9", "--out", &a])).expect("gen");
+        // `--input A`, then `--out G` where the command writes one.
+        let argv = |out: bool, extra: &'static str| {
+            let mut list = vec!["--input", a.as_str()];
+            if out {
+                list.extend(["--out", g.as_str()]);
+            }
+            list.extend(extra.split_whitespace());
+            args(&list)
+        };
+        type Cmd = fn(&Args) -> Result<(), String>;
+        // (command, writes --out, extra flags, the flag its error names)
+        let refused: [(Cmd, bool, &str, &str); 11] = [
+            (cmd_gram, true, "--algo magic", "--algo 'magic'"),
+            (cmd_verify, false, "--algo magic", "--algo 'magic'"),
+            (cmd_gram, true, "--algo ata-d --threads 4", "--threads"),
+            (
+                cmd_gram,
+                true,
+                "--algo ata-d --strassen winograd",
+                "--strassen",
+            ),
+            (cmd_verify, false, "--algo ata-d --threads 2", "--threads"),
+            (cmd_gram, true, "--ranks 8", "--ranks"),
+            (cmd_gram, true, "--algo syrk --wire dense", "--wire"),
+            (cmd_verify, false, "--ranks 3", "--ranks"),
+            (cmd_stream, true, "--algo ata-d --ranks 4", "--algo"),
+            (cmd_stream, true, "--ranks 4", "--ranks"),
+            (cmd_info, false, "--algo ata", "--algo"),
+        ];
+        for (cmd, out, extra, flag) in refused {
+            let err = cmd(&argv(out, extra)).expect_err(extra);
+            assert!(err.contains(flag), "{extra}: {err:?} must name {flag}");
+        }
+        // Every listed algorithm verifies, with the flags it reads.
+        for extra in [
+            "--algo ata-s --threads 2 --strassen winograd",
+            "--algo ata-d --ranks 5 --wire dense --cache-words 64",
+            "--algo syrk",
+            "--algo naive",
+        ] {
+            cmd_verify(&argv(false, extra)).expect(extra);
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!
 //! The distributed algorithm AtA-D (Algorithm 4) lives in the `ata-dist`
 //! crate, on top of the `ata-mpisim` message-passing substrate. The `ata`
-//! facade's `AtaContext` picks among the three backends and caches plans
-//! and arenas; the functions here are what its plans execute.
+//! facade's `AtaContext` picks between the serial and AtA-S backends and
+//! caches plans and arenas; the functions here are what its plans
+//! execute.
 //!
 //! # Quickstart
 //!

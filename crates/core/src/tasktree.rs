@@ -424,12 +424,12 @@ impl DistTree {
     /// specific `(m, n, procs)` shape.
     ///
     /// Plan-level amortization tests snapshot this around repeated
-    /// executions to prove the distributed backend builds its tree once
-    /// at planning time and never again (the PR 2 follow-up the
-    /// `DistPlan` refactor closes). Keying by shape keeps the assertion
-    /// deterministic under the parallel test harness: sibling tests
-    /// building trees for *other* shapes cannot perturb the count, so a
-    /// test only needs a shape unique within its own binary.
+    /// executions to prove that `ata-dist`'s `DistPlan` — which the
+    /// facade's split lane keeps per shape — builds its tree once, at
+    /// planning time, and never again. Keying by shape keeps the
+    /// assertion deterministic under the parallel test harness: sibling
+    /// tests building trees for *other* shapes cannot perturb the count,
+    /// so a test only needs a shape unique within its own binary.
     pub fn build_count_for(m: usize, n: usize, procs: usize) -> u64 {
         DIST_TREE_BUILDS_BY_SHAPE
             .lock()

@@ -9,7 +9,8 @@
 //!    distribution layout: per-rank scatter payload sizes derived from
 //!    the leaves each rank owns. A [`DistPlan`] is built once per
 //!    `(m, n, P, config)` and executed any number of times — the facade's
-//!    `AtaPlan` holds one so serving loops never rebuild the tree.
+//!    sharded service keeps one per shape for its split lane, so serving
+//!    loops never rebuild the tree.
 //! 2. **Distribution** (§4.3) — `p0` owns the input; it assembles one
 //!    concatenated operand chunk per rank (every remotely-owned leaf's
 //!    block(s), in tree order) and ships them down a binomial tree with
@@ -172,9 +173,9 @@ fn compute_leaf<T: Scalar>(
 /// Building is the expensive, allocation-heavy phase (tree construction
 /// is `O(nodes)`); [`DistPlan::execute`] then runs the
 /// distribute–compute–retrieve schedule without rebuilding anything —
-/// the facade's simulated-dist backend holds one plan per problem shape
-/// and the `DistTree::build_count` tests prove repeat executions rebuild
-/// no tree.
+/// the facade's sharded service holds one plan per split shape, and the
+/// `DistTree::build_count_for` tests prove repeat executions rebuild no
+/// tree.
 #[derive(Debug, Clone)]
 pub struct DistPlan {
     m: usize,

@@ -25,8 +25,8 @@
 //!   dense blocks and §4.3.1's packed lower-triangle encoding
 //!   ([`wire::SymPacked`]) for symmetric result blocks;
 //! * [`DistPlan`] — the plan/execute split: tree + distribution layout
-//!   built once, executed many times (what the facade's `AtaPlan`
-//!   holds for its simulated-dist backend).
+//!   built once, executed many times (the facade's sharded service
+//!   keeps one per shape for its split lane).
 //!
 //! # Example
 //!

@@ -54,11 +54,6 @@ impl Gf31 {
         Gf31(r as u32)
     }
 
-    /// The canonical representative in `[0, p)`.
-    pub const fn value(self) -> u32 {
-        self.0
-    }
-
     /// Field exponentiation by repeated squaring.
     pub fn pow(self, mut e: u64) -> Self {
         let mut base = self;
@@ -201,12 +196,12 @@ mod tests {
 
     #[test]
     fn canonical_embedding() {
-        assert_eq!(g(0).value(), 0);
-        assert_eq!(g(P as i64).value(), 0);
-        assert_eq!(g(P as i64 + 5).value(), 5);
-        assert_eq!(g(-1).value(), P - 1);
-        assert_eq!(g(-(P as i64)).value(), 0);
-        assert_eq!(g(i64::MIN).value(), Gf31::new(i64::MIN).value()); // total
+        assert_eq!(g(0).0, 0);
+        assert_eq!(g(P as i64).0, 0);
+        assert_eq!(g(P as i64 + 5).0, 5);
+        assert_eq!(g(-1).0, P - 1);
+        assert_eq!(g(-(P as i64)).0, 0);
+        assert_eq!(g(i64::MIN).0, Gf31::new(i64::MIN).0); // total
     }
 
     #[test]

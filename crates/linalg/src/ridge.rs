@@ -67,7 +67,7 @@ impl<T: Scalar> RidgeSolver<T> {
     }
 
     /// Number of features (columns of `A`).
-    pub fn features(&self) -> usize {
+    fn features(&self) -> usize {
         self.gram_lower.rows()
     }
 

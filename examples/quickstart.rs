@@ -1,4 +1,4 @@
-//! Quickstart: the plan–execute API, three backends, one oracle.
+//! Quickstart: the plan–execute API, both backends, one oracle.
 //!
 //! ```text
 //! cargo run --release --example quickstart [-- <m> <n> <threads>]

@@ -9,18 +9,16 @@
 //! this module splits the API in two phases:
 //!
 //! 1. **Context** ([`AtaContext`]) — built once per configuration
-//!    (backend, cache model, Strassen kind, wire format). Owns the
-//!    persistent worker pool and a cache of reusable Strassen arenas,
-//!    both shared by every plan created from it. Internally the context
-//!    is an `Arc` around its resources, so cloning is cheap.
+//!    (backend, cache model, Strassen kind). Owns the persistent worker
+//!    pool and a cache of reusable Strassen arenas, both shared by every
+//!    plan created from it. Internally the context is an `Arc` around
+//!    its resources, so cloning is cheap.
 //! 2. **Plan** ([`AtaPlan`]) — built once per `(m, n)` problem shape.
-//!    Holds decisions only: one executor — the serial recursion, an
-//!    AtA-S task tree on the pool, or, for the simulated-dist backend,
-//!    the full [`ata_dist::DistPlan`] (task tree + distribution layout) —
-//!    and the exact per-worker workspace size, so repeat executions
-//!    rebuild nothing; then executes any number of times against
-//!    same-shape inputs, into caller-provided output
-//!    ([`AtaPlan::execute_into`]) or freshly allocated output
+//!    Holds decisions only: one executor — the serial recursion or an
+//!    AtA-S task tree on the pool — and the exact per-worker workspace
+//!    size, so repeat executions rebuild nothing; then executes any
+//!    number of times against same-shape inputs, into caller-provided
+//!    output ([`AtaPlan::execute_into`]) or freshly allocated output
 //!    ([`AtaPlan::execute`]). Memory is sized where it is used: the
 //!    first execution checks out its arenas and grows each thread's
 //!    packing buffers to what its leaves pack, and later executions
@@ -28,10 +26,11 @@
 //!    `'static` and [`Send`]: long-lived services move it across
 //!    threads, and it outlives the handle it came from.
 //!
-//! The [`Backend`] enum unifies dispatch: the same plan API fronts the
-//! serial recursion (Algorithm 1), the shared-memory AtA-S (Algorithm 3)
-//! and the simulated-cluster AtA-D (Algorithm 4), which previously had a
-//! completely disjoint entry point in `ata-dist`.
+//! The [`Backend`] enum selects the engine: the same plan API fronts the
+//! serial recursion (Algorithm 1) and the shared-memory AtA-S
+//! (Algorithm 3). The simulated-cluster AtA-D (Algorithm 4) keeps its
+//! own plan, [`crate::dist::DistPlan`], which the sharded service's split
+//! lane and the distributed benchmarks run on `ata-mpisim`'s ranks.
 //!
 //! # Example
 //!
@@ -62,10 +61,8 @@ use std::sync::{Arc, Mutex};
 use ata_core::serial::{ata_into_with_kind, ata_workspace_elems, StrassenKind};
 use ata_core::tasktree::SharedPlan;
 use ata_core::{ata_s_planned, plan_workspace_elems};
-use ata_dist::{AtaDConfig, DistPlan, WireFormat};
 use ata_kernels::CacheConfig;
 use ata_mat::{MatMut, MatRef, Matrix, Scalar, SymPacked};
-use ata_mpisim::{run, CostModel};
 use ata_strassen::ArenaPool;
 use rayon::prelude::*;
 
@@ -73,8 +70,8 @@ use rayon::prelude::*;
 // Backend and output selectors.
 // ---------------------------------------------------------------------
 
-/// Which execution engine a context drives — the unified dispatch over
-/// the paper's three algorithm variants.
+/// Which execution engine a context drives: one of the paper's two
+/// single-node algorithms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
     /// Algorithm 1: the serial cache-oblivious recursion.
@@ -84,13 +81,6 @@ pub enum Backend {
         /// Worker/task count (the invariant `threads > 0` lives in the
         /// type).
         threads: NonZeroUsize,
-    },
-    /// AtA-D (Algorithm 4) on the simulated LogGP cluster.
-    SimulatedDist {
-        /// Number of simulated ranks.
-        ranks: NonZeroUsize,
-        /// LogGP cost model driving the simulated clocks.
-        loggp: CostModel,
     },
 }
 
@@ -215,8 +205,8 @@ enum PlanFlavor {
 
 /// Key of one cached plan core: scalar type, shape, output selector and
 /// decomposition flavor. The context's configuration (backend, cache
-/// model, Strassen kind, wire format) is immutable, so it never needs to
-/// participate in the key.
+/// model, Strassen kind) is immutable, so it never needs to participate
+/// in the key.
 type PlanKey = (TypeId, usize, usize, Output, PlanFlavor);
 
 /// Shape-keyed cache of type-erased `Arc<PlanCore<T>>` values, plus
@@ -243,7 +233,6 @@ pub struct AtaContextBuilder {
     /// `f32`-calibrated cutoff instead of inheriting the `f64` default.
     cache: Option<CacheConfig>,
     strassen: StrassenKind,
-    wire: WireFormat,
 }
 
 impl Default for AtaContextBuilder {
@@ -252,21 +241,18 @@ impl Default for AtaContextBuilder {
             backend: Backend::Serial,
             cache: None,
             strassen: StrassenKind::Classic,
-            wire: WireFormat::default(),
         }
     }
 }
 
 impl AtaContextBuilder {
-    /// Select the execution backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Shorthand for [`Backend::Shared`] with `threads` workers.
+    /// Select [`Backend::Shared`] with `threads` workers (the default is
+    /// [`Backend::Serial`]).
     pub fn threads(self, threads: NonZeroUsize) -> Self {
-        self.backend(Backend::Shared { threads })
+        Self {
+            backend: Backend::Shared { threads },
+            ..self
+        }
     }
 
     /// Override the cache model deciding recursion base cases. Without
@@ -294,28 +280,18 @@ impl AtaContextBuilder {
         self.strassen(StrassenKind::Winograd)
     }
 
-    /// Wire encoding of result blocks for the simulated-dist backend
-    /// (§4.3.1). Defaults to [`WireFormat::SymPacked`], which is
-    /// bit-identical to dense but strictly cheaper on the root's
-    /// received words.
-    pub fn wire(mut self, wire: WireFormat) -> Self {
-        self.wire = wire;
-        self
-    }
-
     /// Build the context (spawning the worker pool for a shared
     /// backend).
     pub fn build(self) -> AtaContext {
         let pool = match self.backend {
             Backend::Shared { threads } => Some(ata_kernels::par::pool_with_threads(threads.get())),
-            _ => None,
+            Backend::Serial => None,
         };
         AtaContext {
             inner: Arc::new(ContextInner {
                 backend: self.backend,
                 cache: self.cache,
                 strassen: self.strassen,
-                wire: self.wire,
                 pool,
                 arenas: ArenaCache::default(),
                 plans: PlanCache::default(),
@@ -330,7 +306,6 @@ struct ContextInner {
     backend: Backend,
     cache: Option<CacheConfig>,
     strassen: StrassenKind,
-    wire: WireFormat,
     pool: Option<rayon::ThreadPool>,
     arenas: ArenaCache,
     plans: PlanCache,
@@ -342,18 +317,6 @@ impl ContextInner {
     /// calibrated default.
     fn cache_for<T: Scalar>(&self) -> CacheConfig {
         self.cache.unwrap_or_else(CacheConfig::for_scalar::<T>)
-    }
-
-    /// The AtA-D configuration a plan of scalar type `T` resolves under
-    /// this context — shared by the dist-backend plan cores and the
-    /// sharded service's split lane, so both price and execute the same
-    /// schedule.
-    fn dist_config<T: Scalar>(&self) -> AtaDConfig {
-        AtaDConfig {
-            cache: self.cache_for::<T>(),
-            wire: self.wire,
-            ..AtaDConfig::default()
-        }
     }
 
     /// Fetch or build the cached plan core for `(T, m, n, output,
@@ -432,13 +395,6 @@ impl AtaContext {
         Self::builder().threads(threads).build()
     }
 
-    /// Simulated-cluster context with `ranks` ranks under `loggp`.
-    pub fn simulated_dist(ranks: NonZeroUsize, loggp: CostModel) -> Self {
-        Self::builder()
-            .backend(Backend::SimulatedDist { ranks, loggp })
-            .build()
-    }
-
     /// The context's backend.
     pub fn backend(&self) -> Backend {
         self.inner.backend
@@ -457,11 +413,6 @@ impl AtaContext {
         self.inner.strassen
     }
 
-    /// The context's wire format for the simulated-dist backend.
-    pub fn wire(&self) -> WireFormat {
-        self.inner.wire
-    }
-
     /// Build a plan for an `m x n` input with the default
     /// [`Output::Gram`] selector.
     pub fn plan<T: Scalar + 'static>(&self, m: usize, n: usize) -> AtaPlan<T> {
@@ -470,13 +421,10 @@ impl AtaContext {
 
     /// Build a plan for an `m x n` input with an explicit [`Output`]
     /// selector. This is the expensive phase: the §4.1 task tree is
-    /// built (for the simulated-dist backend the full
-    /// [`ata_dist::DistPlan`] — task tree plus distribution layout — so
-    /// executions rebuild nothing) and the per-worker workspace size
-    /// resolved. Planning allocates no arena or packing buffer: the
-    /// first execution checks out its arenas and grows each executing
-    /// thread's packing buffers, and steady-state `execute` calls reuse
-    /// them without allocating.
+    /// built and the per-worker workspace size resolved. Planning
+    /// allocates no arena or packing buffer: the first execution checks
+    /// out its arenas and grows each executing thread's packing buffers,
+    /// and steady-state `execute` calls reuse them without allocating.
     ///
     /// Plans are memoized in a shape-keyed cache on the context:
     /// re-planning an already-planned `(T, m, n, output)` combination is
@@ -572,13 +520,6 @@ impl AtaContext {
         self.inner.cache_for::<T>()
     }
 
-    /// The AtA-D configuration a plan of scalar type `T` resolves under
-    /// this context — what the dist-backend plan cores build with, and
-    /// what the sharded service's split lane plans and prices with.
-    pub(crate) fn dist_config<T: Scalar>(&self) -> AtaDConfig {
-        self.inner.dist_config::<T>()
-    }
-
     /// The context's arena pool for `T` — shared by every plan and the
     /// streaming/batched front-ends.
     pub(crate) fn arena_pool<T: Scalar + 'static>(&self) -> Arc<ArenaPool<T>> {
@@ -630,13 +571,6 @@ enum Executor {
     /// AtA-S over a prebuilt task tree on the context's pool
     /// ([`Backend::Shared`]).
     Shared(SharedPlan),
-    /// AtA-D over a prebuilt task tree and distribution layout on the
-    /// simulated cluster ([`Backend::SimulatedDist`]).
-    Dist {
-        plan: DistPlan,
-        ranks: NonZeroUsize,
-        loggp: CostModel,
-    },
 }
 
 /// The context-independent part of a plan: the decisions made at
@@ -669,10 +603,6 @@ impl<T: Scalar + 'static> PlanCore<T> {
                 let plan = SharedPlan::build(n, threads.get());
                 let need = plan_workspace_elems(&plan, m, &cache, inner.strassen);
                 (Executor::Shared(plan), need)
-            }
-            (PlanFlavor::Auto, Backend::SimulatedDist { ranks, loggp }) => {
-                let plan = DistPlan::build(m, n, ranks.get(), &inner.dist_config::<T>());
-                (Executor::Dist { plan, ranks, loggp }, 0)
             }
         };
         PlanCore {
@@ -741,30 +671,6 @@ impl<T: Scalar + 'static> PlanCore<T> {
                 match &inner.pool {
                     Some(pool) => pool.install(exec),
                     None => exec(),
-                }
-            }
-            Executor::Dist { plan, ranks, loggp } => {
-                let owned = a.to_matrix();
-                let input = &owned;
-                let report = run(ranks.get(), *loggp, move |comm| {
-                    let input = (comm.rank() == 0).then_some(input);
-                    // Fault-free universe: execute cannot return Err.
-                    plan.execute(input, comm)
-                        .unwrap_or_else(|e| panic!("fault-free AtA-D failed: {e}"))
-                });
-                let lower = report
-                    .results
-                    .into_iter()
-                    .flatten()
-                    .next()
-                    // ata-lint: allow(no-unwrap-in-lib): the closure
-                    // passed to `run` returns Some exactly on rank 0.
-                    .expect("rank 0 returns the result");
-                // The cluster computes a fresh lower triangle; fold it in.
-                for i in 0..self.n {
-                    for j in 0..=i {
-                        c[(i, j)] += alpha * lower[(i, j)];
-                    }
                 }
             }
         }
@@ -876,20 +782,9 @@ impl<T: Scalar + 'static> AtaPlan<T> {
 
     /// Exact per-worker Strassen workspace requirement, in elements: the
     /// largest arena one worker of this plan needs, which its first
-    /// execution checks out (zero for the simulated-dist backend, whose
-    /// ranks size their own).
+    /// execution checks out.
     pub fn workspace_elems(&self) -> usize {
         self.core.ws_elems
-    }
-
-    /// The prebuilt AtA-D plan ([`Backend::SimulatedDist`] only): task
-    /// tree plus distribution layout, built once at planning time and
-    /// reused by every execution.
-    pub fn dist_plan(&self) -> Option<&DistPlan> {
-        match &self.core.exec {
-            Executor::Dist { plan, .. } => Some(plan),
-            _ => None,
-        }
     }
 
     /// The cache model this plan's recursion actually uses: the
@@ -906,13 +801,10 @@ impl<T: Scalar + 'static> AtaPlan<T> {
     }
 
     /// Execute the plan, writing dense output into a caller-provided
-    /// `n x n` buffer — the serving-loop entry point. For the
-    /// [`Backend::Serial`] and [`Backend::Shared`] backends every call
-    /// after the first is allocation-free: the first checks out the
-    /// context's arenas and grows the executing threads' packing
-    /// buffers, and later calls reuse both. [`Backend::SimulatedDist`]
-    /// necessarily copies the operand into the simulated cluster on
-    /// every call.
+    /// `n x n` buffer — the serving-loop entry point. Every call after
+    /// the first is allocation-free: the first checks out the context's
+    /// arenas and grows the executing threads' packing buffers, and later
+    /// calls reuse both.
     ///
     /// The buffer is overwritten: [`Output::Gram`] fills both triangles;
     /// [`Output::Lower`] and [`Output::Packed`] fill the lower triangle
@@ -958,7 +850,6 @@ impl<T: Scalar + 'static> AtaPlan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ata_core::tasktree::DistTree;
     use ata_mat::{gen, reference};
 
     fn oracle(a: &Matrix<f64>) -> Matrix<f64> {
@@ -1024,73 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn dist_backend_matches_direct_ata_d_bitwise() {
-        use ata_dist::{ata_d, AtaDConfig};
-        let (m, n, ranks) = (32usize, 24usize, 4usize);
-        let a = gen::standard::<f64>(11, m, n);
-        let ctx = AtaContext::simulated_dist(NonZeroUsize::new(ranks).unwrap(), CostModel::zero());
-        let via_ctx = ctx.lower(a.as_ref());
-        let a_ref = &a;
-        let report = run(ranks, CostModel::zero(), move |comm| {
-            let input = (comm.rank() == 0).then_some(a_ref);
-            ata_d(input, m, n, comm, &AtaDConfig::default())
-        });
-        let direct = report.results[0].as_ref().expect("root holds C");
-        assert_eq!(
-            via_ctx.max_abs_diff(direct),
-            0.0,
-            "context dist backend must be bit-identical to ata_d"
-        );
-    }
-
-    #[test]
-    fn dist_plan_is_built_once_and_reused() {
-        // Shape unique within this test binary: the shape-keyed build
-        // counter stays deterministic under the parallel test harness.
-        let (m, n, ranks) = (49usize, 41usize, 6usize);
-        let ctx = AtaContext::simulated_dist(NonZeroUsize::new(ranks).unwrap(), CostModel::zero());
-        let builds_before = DistTree::build_count_for(m, n, ranks);
-        let plan = ctx.plan_with::<f64>(m, n, Output::Lower);
-        assert_eq!(
-            DistTree::build_count_for(m, n, ranks),
-            builds_before + 1,
-            "planning builds the DistTree exactly once"
-        );
-        assert!(plan.dist_plan().is_some());
-        let a = gen::standard::<f64>(17, m, n);
-        let mut runs = Vec::new();
-        for _ in 0..3 {
-            runs.push(plan.execute(a.as_ref()).into_dense());
-        }
-        assert_eq!(
-            DistTree::build_count_for(m, n, ranks),
-            builds_before + 1,
-            "repeat executions must rebuild no DistTree"
-        );
-        assert_eq!(runs[0].max_abs_diff(&runs[1]), 0.0, "bit-identical reuse");
-        assert_eq!(runs[0].max_abs_diff(&runs[2]), 0.0, "bit-identical reuse");
-        assert!(runs[0].max_abs_diff_lower(&oracle(&a)) < 1e-10);
-    }
-
-    #[test]
-    fn dist_wire_formats_agree_bitwise_through_the_context() {
-        let (m, n, ranks) = (40usize, 32usize, 5usize);
-        let a = gen::standard::<f64>(23, m, n);
-        let mk = |wire| {
-            AtaContext::builder()
-                .backend(Backend::SimulatedDist {
-                    ranks: NonZeroUsize::new(ranks).unwrap(),
-                    loggp: CostModel::zero(),
-                })
-                .wire(wire)
-                .build()
-        };
-        let dense = mk(WireFormat::Dense).lower(a.as_ref());
-        let packed = mk(WireFormat::SymPacked).lower(a.as_ref());
-        assert_eq!(dense.max_abs_diff(&packed), 0.0);
-    }
-
-    #[test]
     fn owned_plan_moves_across_threads() {
         // A plan must be Send (compile-time check) and produce the same
         // bits on another thread as on the one that planned it.
@@ -1126,26 +950,6 @@ mod tests {
             _ => panic!("Lower selector yields dense output"),
         }
         assert!(matches!(owned.context().backend(), Backend::Shared { .. }));
-    }
-
-    #[test]
-    fn owned_dist_plan_is_send_and_reuses_the_tree() {
-        let ctx = AtaContext::simulated_dist(NonZeroUsize::new(4).unwrap(), CostModel::zero());
-        let owned = ctx.plan_with::<f64>(24, 16, Output::Gram);
-        let builds = DistTree::build_count_for(24, 16, 4);
-        let a = gen::standard::<f64>(51, 24, 16);
-        let handle = std::thread::spawn(move || {
-            let g = owned.execute(a.as_ref()).into_dense();
-            (owned, g)
-        });
-        let (owned, g) = handle.join().expect("worker thread");
-        assert_eq!(
-            DistTree::build_count_for(24, 16, 4),
-            builds,
-            "no rebuild across threads"
-        );
-        assert!(g.is_symmetric(0.0));
-        assert!(owned.dist_plan().is_some());
     }
 
     #[test]

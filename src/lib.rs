@@ -34,24 +34,24 @@
 //! }
 //! ```
 //!
-//! The [`Backend`] selector drives all three of the paper's algorithm
-//! variants through the same plan API — serial Algorithm 1, the
-//! shared-memory AtA-S and the simulated-cluster AtA-D:
+//! The [`Backend`] selector picks the engine behind the same plan API:
+//! the serial Algorithm 1 ([`AtaContext::serial`]) or the shared-memory
+//! AtA-S ([`AtaContext::shared`]). The simulated-cluster AtA-D keeps its
+//! own plan, [`dist::DistPlan`], run on [`mpisim`]'s ranks:
 //!
 //! ```
-//! use ata::{AtaContext, Backend};
-//! use ata::mpisim::CostModel;
+//! use ata::dist::{AtaDConfig, DistPlan};
+//! use ata::mpisim::{run, CostModel};
 //! use ata::mat::gen;
-//! use std::num::NonZeroUsize;
 //!
 //! let a = gen::standard::<f64>(7, 48, 32);
-//! let ctx = AtaContext::builder()
-//!     .backend(Backend::SimulatedDist {
-//!         ranks: NonZeroUsize::new(4).unwrap(),
-//!         loggp: CostModel::zero(),
-//!     })
-//!     .build();
-//! let c = ctx.lower(a.as_ref()); // AtA-D on 4 simulated ranks
+//! // AtA-D on 4 simulated ranks; rank 0 returns the lower triangle.
+//! let plan = DistPlan::build(48, 32, 4, &AtaDConfig::default());
+//! let report = run(4, CostModel::zero(), |comm| {
+//!     let input = (comm.rank() == 0).then_some(&a);
+//!     plan.execute(input, comm).expect("fault-free universe")
+//! });
+//! let c = report.results[0].as_ref().expect("rank 0 holds C");
 //! assert_eq!(c.shape(), (32, 32));
 //! ```
 //!
@@ -133,8 +133,6 @@ pub use shard::{
     ShardedServiceBuilder, ShardedStats, SplitChaos,
 };
 pub use stream::GramAccumulator;
-
-pub use ata_dist::{DistPlan, WireFormat};
 
 /// The paper's core algorithms (`ata-core`).
 pub use ata_core as core;

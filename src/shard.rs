@@ -62,7 +62,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ata_dist::{plan_traffic, DistPlan, RoutePrice};
+use ata_dist::{plan_traffic, AtaDConfig, DistPlan, RoutePrice};
 use ata_mat::{Matrix, Scalar};
 use ata_mpisim::{CostModel, FaultPlan, FaultSpec, Universe};
 use crossbeam::channel::{self, TrySendError};
@@ -362,7 +362,10 @@ impl<T: Scalar + 'static> Shared<T> {
         let mut map = lock_recover(&self.dist_plans);
         map.entry((m, n))
             .or_insert_with(|| {
-                let cfg = self.ctx.dist_config::<T>();
+                let cfg = AtaDConfig {
+                    cache: self.ctx.cache_for::<T>(),
+                    ..AtaDConfig::default()
+                };
                 let plan = DistPlan::build(m, n, self.slots.len(), &cfg);
                 let price = plan_traffic(&plan).price();
                 Arc::new((plan, price))

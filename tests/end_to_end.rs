@@ -179,31 +179,25 @@ fn exactness_on_integer_inputs_across_algorithms() {
 
 #[test]
 fn context_backends_agree_through_one_api() {
-    use ata::{Backend, Output};
+    use ata::Output;
 
     let (m, n) = (64usize, 48usize);
     let a = gen::standard::<f64>(2024, m, n);
     let reference_c = oracle_lower(&a);
     let tol = ata::mat::ops::product_tol::<f64>(m, n, m as f64);
 
-    let backends = [
-        Backend::Serial,
-        Backend::Shared {
-            threads: NonZeroUsize::new(4).unwrap(),
-        },
-        Backend::SimulatedDist {
-            ranks: NonZeroUsize::new(6).unwrap(),
-            loggp: CostModel::zero(),
-        },
+    let contexts = [
+        AtaContext::builder().cache_words(64).build(),
+        AtaContext::builder()
+            .threads(NonZeroUsize::new(4).unwrap())
+            .cache_words(64)
+            .build(),
     ];
     // Right-hand side for the ata-linalg consumers of each backend's Gram.
     let b: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
     let mut serial_solutions: Option<(Vec<f64>, Vec<f64>)> = None;
-    for backend in backends {
-        let ctx = AtaContext::builder()
-            .backend(backend)
-            .cache_words(64)
-            .build();
+    for ctx in contexts {
+        let backend = ctx.backend();
         let plan = ctx.plan_with::<f64>(m, n, Output::Lower);
         // Execute twice through the same plan: reuse must not drift.
         let first = plan.execute(a.as_ref()).into_dense();

@@ -269,46 +269,6 @@ proptest! {
     }
 
     #[test]
-    fn dist_context_wire_formats_and_owned_plans_agree_bitwise(
-        m in 1usize..28,
-        n in 1usize..28,
-        ranks in 1usize..9,
-        seed in 0u64..500,
-    ) {
-        // The same input through the dist backend must yield identical
-        // bits for (a) both wire formats, (b) repeated executions of one
-        // plan, and (c) the owned-plan variant on another thread.
-        use ata::mpisim::CostModel;
-        use ata::{Backend, WireFormat};
-        let a = gen::standard::<f64>(seed, m, n);
-        let mk = |wire| {
-            AtaContext::builder()
-                .backend(Backend::SimulatedDist {
-                    ranks: NonZeroUsize::new(ranks).expect("ranks > 0"),
-                    loggp: CostModel::zero(),
-                })
-                .wire(wire)
-                .build()
-        };
-        let packed_ctx = mk(WireFormat::SymPacked);
-        let plan = packed_ctx.plan_with::<f64>(m, n, Output::Lower);
-        let first = plan.execute(a.as_ref()).into_dense();
-        let second = plan.execute(a.as_ref()).into_dense();
-        prop_assert_eq!(first.max_abs_diff(&second), 0.0);
-        let dense = mk(WireFormat::Dense).lower(a.as_ref());
-        prop_assert_eq!(first.max_abs_diff(&dense), 0.0);
-        let owned = plan.into_owned();
-        let a2 = a.clone();
-        let threaded = std::thread::spawn(move || owned.execute(a2.as_ref()).into_dense())
-            .join()
-            .expect("worker");
-        prop_assert_eq!(first.max_abs_diff(&threaded), 0.0);
-        let mut slow = Matrix::zeros(n, n);
-        reference::syrk_ln(1.0, a.as_ref(), &mut slow.as_mut());
-        prop_assert!(first.max_abs_diff_lower(&slow) <= tolerance(m, n) * 2.0);
-    }
-
-    #[test]
     fn carma_matches_oracle_any_shape_and_budget(
         m in 1usize..32,
         n in 1usize..32,

@@ -210,9 +210,8 @@ fn steady_state_streaming_is_allocation_free() {
 }
 
 #[test]
-fn accumulator_matches_shared_and_dist_backends() {
-    // The same stream through all three backends agrees (the dist
-    // backend folds cluster results into the accumulator via scratch).
+fn accumulator_matches_serial_and_shared_backends() {
+    // The same stream through both backends agrees with the oracle.
     let n = 16usize;
     let chunks: Vec<Matrix<f64>> = (0..3).map(|i| gen::standard::<f64>(i, 40, n)).collect();
     let mut oracle = Matrix::zeros(n, n);
@@ -220,21 +219,13 @@ fn accumulator_matches_shared_and_dist_backends() {
         reference::syrk_ln(1.0, ch.as_ref(), &mut oracle.as_mut());
     }
     // cache_words(64) makes 40-row x 16-col chunks *tall* (threshold 4
-    // rows) on every backend, so the dist context genuinely exercises
-    // the scratch-fold arm of the accumulate path rather than the thin
-    // syrk shortcut.
+    // rows) on both backends, so each folds through its plan rather
+    // than the thin syrk shortcut.
     let contexts = [
         AtaContext::builder().cache_words(64).build(),
         AtaContext::builder()
             .cache_words(64)
             .threads(NonZeroUsize::new(3).unwrap())
-            .build(),
-        AtaContext::builder()
-            .cache_words(64)
-            .backend(ata::Backend::SimulatedDist {
-                ranks: NonZeroUsize::new(4).unwrap(),
-                loggp: ata::mpisim::CostModel::zero(),
-            })
             .build(),
     ];
     for (which, ctx) in contexts.iter().enumerate() {
