@@ -3,9 +3,9 @@
 //! ```text
 //! ata gen    --rows M --cols N [--seed S] --out FILE        generate a random matrix
 //! ata gram   --input FILE --out FILE [--repeat K]           C = A^T A (full symmetric)
-//!            [--algo ata|ata-s|ata-d|syrk|naive] [--threads T]
+//!            [--algo ata|ata-s|ata-d|syrk|naive]
 //!            [--cache-words W] [--strassen classic|winograd]
-//!            [--ranks R] [--wire packed|dense]
+//!            [--threads T] (ata-s) [--ranks R] [--wire packed|dense] (ata-d)
 //! ata stream --input FILE --out FILE [--chunk R]            streaming Gram over row chunks
 //!            [--decay B] [--threads T] [--cache-words W]
 //! ata solve  --input FILE --out FILE [--rhs FILE]           online normal-equations solve
@@ -15,21 +15,25 @@
 //!            [--split-words W] [--poison 1] [--seed S]
 //! ata chaos  [--seeds N] [--jobs J] [--shards P]            chaos drill: seeded fault sweep
 //!            [--rows M] [--cols N] [--budget R] [--seed S0]
-//! ata verify --input FILE [--algo ...] [--threads T]        --algo's Gram vs naive oracle
+//! ata verify --input FILE [--algo ...]                      --algo's Gram vs naive oracle
 //!            [--cache-words W] [--strassen classic|winograd]
-//!            [--ranks R] [--wire packed|dense]
+//!            [--threads T] (ata-s) [--ranks R] [--wire packed|dense] (ata-d)
 //! ata info   --input FILE                                   shape and norms
 //! ata calibrate [--quick 1]                                 measure kernel tuning table and
 //!                                                           the Strassen cutoff
 //! ```
 //!
-//! `gram` and `verify` share one `--algo` list. `ata` and `ata-s` run
-//! through an [`AtaContext`], where `--threads` > 1 selects AtA-S.
-//! `ata-d` builds one [`DistPlan`] for AtA-D on `--ranks R` simulated
-//! ranks (default 4); `--wire packed|dense` picks the §4.3.1 retrieval
-//! encoding (packed is the default). `--cache-words` sizes the
-//! recursions of both. A flag the chosen algorithm or command does not
-//! read is an error naming it, never a silent no-op. `--repeat K`
+//! `gram` and `verify` share one `--algo` list, and each name runs one
+//! algorithm. `ata` runs Algorithm 1 on a serial [`AtaContext`] and
+//! takes no `--threads`; `ata-s` runs AtA-S on a shared context of
+//! `--threads T` workers (default 1). `ata-d` builds one [`DistPlan`]
+//! for AtA-D on `--ranks R` simulated ranks (default 4); `--wire
+//! packed|dense` picks the §4.3.1 retrieval encoding (packed is the
+//! default). `--cache-words` sizes the recursions of all three. The
+//! commands without `--algo` (`stream`, `solve`, `batch`, `shard`,
+//! `chaos`) run AtA-S when `--threads` > 1 and Algorithm 1 otherwise.
+//! A flag the chosen algorithm or command does not read is an error
+//! naming it, never a silent no-op. `--repeat K`
 //! executes the plan `K` times (a serving loop) and reports per-call
 //! time, demonstrating the plan-reuse amortization.
 //!
@@ -134,13 +138,16 @@ const ONE: NonZeroUsize = NonZeroUsize::MIN;
 /// The flags [`context`] reads.
 const CONTEXT: &str = "threads cache-words strassen";
 
+/// The flags `--algo ata` reads: [`CONTEXT`]'s but `--threads`.
+const ATA: &str = "cache-words strassen";
+
 /// The flags `--algo ata-d` reads.
 const ATA_D: &str = "ranks wire cache-words";
 
 /// The Gram algorithms `gram` and `verify` run, each with the flags it
 /// reads beyond the command's own.
 const ALGOS: [(&str, &str); 5] = [
-    ("ata", CONTEXT),
+    ("ata", ATA),
     ("ata-s", CONTEXT),
     ("ata-d", ATA_D),
     ("syrk", ""),
@@ -182,12 +189,15 @@ fn cache(args: &Args) -> Result<Option<CacheConfig>, String> {
     }
 }
 
-/// Build the execution context from the common flags: `--threads` > 1
-/// selects the shared-memory backend.
-fn context(args: &Args) -> Result<AtaContext, String> {
+/// Build the execution context from the common flags. `--threads T`
+/// selects AtA-S on `T` workers (default 1) when `shared` (`--algo
+/// ata-s`) or when `T` > 1 (the commands without `--algo`); otherwise
+/// the context runs Algorithm 1 (`--algo ata`, which refuses
+/// `--threads`).
+fn context(args: &Args, shared: bool) -> Result<AtaContext, String> {
     let mut b = AtaContext::builder();
     let threads = args.nonzero("threads", ONE)?;
-    if threads.get() > 1 {
+    if shared || threads.get() > 1 {
         b = b.threads(threads);
     }
     if let Some(cache) = cache(args)? {
@@ -217,16 +227,16 @@ fn dist_config(args: &Args) -> Result<AtaDConfig, String> {
 }
 
 /// `C = A^T A`, both triangles, by the checked `--algo` name, computed
-/// `repeat` times into one output. The AtA variants plan once and
-/// execute `repeat` times — the serving-loop shape; AtA-D runs its plan
-/// on a fresh simulated cluster each time and mirrors the root's lower
-/// triangle.
+/// `repeat` times into one output. `ata` (serial) and `ata-s` (shared)
+/// plan once and execute `repeat` times — the serving-loop shape; AtA-D
+/// runs its plan on a fresh simulated cluster each time and mirrors the
+/// root's lower triangle.
 fn gram(args: &Args, algo: &str, a: &Matrix<f64>, repeat: usize) -> Result<Matrix<f64>, String> {
     let (m, n) = a.shape();
     let mut c = Matrix::<f64>::zeros(n, n);
     match algo {
         "ata" | "ata-s" => {
-            let plan = context(args)?.plan_with::<f64>(m, n, Output::Gram);
+            let plan = context(args, algo == "ata-s")?.plan_with::<f64>(m, n, Output::Gram);
             for _ in 0..repeat {
                 plan.execute_into(a.as_ref(), &mut c.as_mut());
             }
@@ -332,7 +342,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                 .map_err(|_| format!("--decay expects a number, got '{v}'"))?,
         ),
     };
-    let ctx = context(args)?;
+    let ctx = context(args, false)?;
     let t0 = std::time::Instant::now();
     let mut acc: GramAccumulator<f64> = ctx.gram_accumulator(n);
     let mut r0 = 0usize;
@@ -405,7 +415,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         }
         None => vec![1.0; m],
     };
-    let ctx = context(args)?;
+    let ctx = context(args, false)?;
     let t0 = std::time::Instant::now();
     let mut fg = ctx.factored_gram::<f64>(n);
     let mut atb = vec![0.0f64; n];
@@ -457,7 +467,7 @@ fn cmd_batch(args: &Args) -> Result<(), String> {
         .iter()
         .map(|p| io::load(p).map_err(|e| format!("{p}: {e}")))
         .collect::<Result<_, _>>()?;
-    let ctx = context(args)?;
+    let ctx = context(args, false)?;
     let shapes: Vec<(usize, usize)> = mats.iter().map(|a| a.shape()).collect();
     let t0 = std::time::Instant::now();
     let batch = ctx.batch_plan::<f64>(&shapes, Output::Gram);
@@ -514,7 +524,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     if poison && shards < 3 {
         return Err("--poison needs --shards >= 3 (a poison can kill two shards)".to_string());
     }
-    let ctx = context(args)?;
+    let ctx = context(args, false)?;
     let svc = ShardedServiceBuilder::new(&ctx)
         .shards(shards)
         .split_words(split_words)
@@ -629,7 +639,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         None => None,
         Some(_) => Some(args.nonzero("shards", NonZeroUsize::MIN)?.get()),
     };
-    let ctx = context(args)?;
+    let ctx = context(args, false)?;
     let (mut split, mut degraded, mut retries, mut whole) = (0usize, 0usize, 0usize, 0usize);
     for s in 0..seeds {
         let shards = fixed_shards.unwrap_or([2usize, 4, 8][s % 3]);
@@ -792,9 +802,10 @@ fn usage() -> String {
     "usage: ata <gen|gram|stream|solve|batch|shard|chaos|verify|info|calibrate> [--key value ...]\n\
      \n  ata gen    --rows M --cols N [--seed S] --out FILE\
      \n  ata gram   --input FILE --out FILE [--repeat K]\
-     \n             [--algo ata|ata-s|ata-d|syrk|naive] [--threads T]\
+     \n             [--algo ata|ata-s|ata-d|syrk|naive]\
      \n             [--cache-words W] [--strassen classic|winograd]\
-     \n             [--ranks R] [--wire packed|dense]\
+     \n             [--threads T] (ata-s)\
+     \n             [--ranks R] [--wire packed|dense] (ata-d)\
      \n  ata stream --input FILE --out FILE [--chunk R] [--decay B]\
      \n             [--threads T] [--cache-words W]\
      \n  ata solve  --input FILE --out FILE [--rhs FILE] [--lambda L]\
@@ -805,9 +816,9 @@ fn usage() -> String {
      \n  ata chaos  [--seeds N] [--jobs J] [--shards P] [--rows M]\
      \n             [--cols N] [--budget R] [--seed S0]\
      \n  ata verify --input FILE [--algo ata|ata-s|ata-d|syrk|naive]\
-     \n             [--threads T] [--cache-words W]\
-     \n             [--strassen classic|winograd]\
-     \n             [--ranks R] [--wire packed|dense]\
+     \n             [--cache-words W] [--strassen classic|winograd]\
+     \n             [--threads T] (ata-s)\
+     \n             [--ranks R] [--wire packed|dense] (ata-d)\
      \n  ata info   --input FILE\
      \n  ata calibrate [--quick 1]"
         .to_string()
@@ -845,6 +856,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ata::Backend;
 
     fn args(list: &[&str]) -> Args {
         Args::parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>()).expect("parse")
@@ -871,7 +883,8 @@ mod tests {
         let err = a.nonzero("threads", ONE).expect_err("0 must be rejected");
         assert!(err.contains("positive integer"), "got: {err}");
         // And the context builder reports it as a clean Err.
-        assert!(context(&a).is_err());
+        assert!(context(&a, false).is_err());
+        assert!(context(&a, true).is_err());
     }
 
     #[test]
@@ -900,6 +913,8 @@ mod tests {
             &a_path,
             "--out",
             &g_path,
+            "--algo",
+            "ata-s",
             "--threads",
             "2",
         ]))
@@ -1064,6 +1079,8 @@ mod tests {
             &g_path,
             "--repeat",
             "5",
+            "--algo",
+            "ata-s",
             "--threads",
             "2",
         ]))
@@ -1227,8 +1244,9 @@ mod tests {
         };
         type Cmd = fn(&Args) -> Result<(), String>;
         // (command, writes --out, extra flags, the flag its error names)
-        let refused: [(Cmd, bool, &str, &str); 11] = [
+        let refused: [(Cmd, bool, &str, &str); 12] = [
             (cmd_gram, true, "--algo magic", "--algo 'magic'"),
+            (cmd_gram, true, "--algo ata --threads 2", "--threads"),
             (cmd_verify, false, "--algo magic", "--algo 'magic'"),
             (cmd_gram, true, "--algo ata-d --threads 4", "--threads"),
             (
@@ -1258,6 +1276,11 @@ mod tests {
         ] {
             cmd_verify(&argv(false, extra)).expect(extra);
         }
+        // `ata-s` runs AtA-S at its default of one thread, and `ata`
+        // (no `--threads`) runs Algorithm 1.
+        let backend = |shared| context(&args(&[]), shared).expect("context").backend();
+        assert_eq!(backend(true), Backend::Shared { threads: ONE });
+        assert_eq!(backend(false), Backend::Serial);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod timing;
 
 pub use gemm::gemm_tn;
 pub use micro::{KernelConfig, MicroPath};
-pub use syrk::{syrk_ln, syrk_ln_beta};
+pub use syrk::syrk_ln;
 
 use ata_mat::{half_down, half_up};
 
@@ -73,6 +73,9 @@ impl Default for CacheConfig {
 
 impl CacheConfig {
     /// Config with an explicit element budget.
+    ///
+    /// # Panics
+    /// If `words` is 0: "cache budget must be positive".
     pub fn with_words(words: usize) -> Self {
         assert!(words >= 1, "cache budget must be positive");
         Self { words }

@@ -28,6 +28,15 @@
 //! wholly above the diagonal), tiles above the diagonal are skipped, and
 //! tiles the diagonal cuts run a kernel that writes only `i >= j`.
 //!
+//! # Threading
+//!
+//! The whole nest, packs included, runs on its calling thread: a kernel
+//! never hands work to a thread pool. Its bits, its `Tracked` ledger
+//! and its speed are therefore the same whichever pool it is called
+//! under. Parallelism is the caller's decision: AtA-S's task tree gives
+//! each thread its own tasks, and [`crate::par`] gives each thread its
+//! own strip of `C`.
+//!
 //! # The shared pack
 //!
 //! Rows `jc..jn` of a `syrk` column block (its diagonal block) need the
@@ -80,8 +89,8 @@
 //! `acc` to `C` and the next starts by loading it, which rounds nothing.
 
 use crate::pack::{
-    micro_panel_len, pack_panels, pack_panels_par, packed_elems, panel_stride, shared_width,
-    with_thread_bufs, PackBufs, PackScale,
+    micro_panel_len, pack_panels, packed_elems, panel_stride, shared_width, with_thread_bufs,
+    PackBufs, PackScale,
 };
 use ata_mat::{MatMut, MatRef, Scalar};
 use std::sync::OnceLock;
@@ -581,7 +590,7 @@ fn macro_kernel<T: Scalar>(
         while pc < m {
             let pe = (pc + cfg.kc).min(m);
             let kc_eff = pe - pc;
-            pack_panels_par(b.block(pc, pe, jc, jn), b_width, scale, bpack);
+            pack_panels(b.block(pc, pe, jc, jn), b_width, scale, bpack);
             let b_panels = Panels::new(bpack, b_width);
             let mut ic = if lower { jc } else { 0 };
             while ic < n {

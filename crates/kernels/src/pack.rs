@@ -75,7 +75,8 @@
 //! buffers ahead of use: each kernel call grows its thread's pair in
 //! [`PackBufs::split`] to exactly the blocks it packs, so a thread's
 //! first call of a shape allocates and its later calls do not
-//! ([`thread_buf_elems`] reports the footprint).
+//! ([`thread_buf_elems`] reports the footprint). Every pack runs on the
+//! calling thread, into that thread's pair.
 
 use ata_mat::{MatRef, Scalar};
 use std::any::{Any, TypeId};
@@ -195,67 +196,6 @@ pub(crate) fn shared_width(mr: usize, nr: usize) -> usize {
         (a, b) = (b, a % b);
     }
     mr / a * nr
-}
-
-/// Panel count below which [`pack_panels_par`] always stays serial: the
-/// pool round-trip costs more than copying a few panels.
-const PAR_PACK_MIN_PANELS: usize = 8;
-
-/// Element count below which [`pack_panels_par`] always stays serial.
-const PAR_PACK_MIN_ELEMS: usize = 32_768;
-
-/// [`pack_panels`], fanned out across the rayon worker pool when the
-/// block is large enough to pay for the coordination.
-///
-/// Each worker packs a disjoint run of whole panels (a `pack_panels`
-/// call on a column sub-block into a disjoint buffer chunk), so the
-/// result — zero padding included — is bitwise identical to the serial
-/// pass regardless of scheduling. Small blocks, single-thread pools, and
-/// non-`f32`/`f64` scalars stay serial; the latter keeps the op-counting
-/// `Tracked` scalar's thread-local counters on the calling thread.
-/// Inside a pool worker, and in the bucket a submitter runs itself,
-/// rayon runs nested iterators inline, so packs issued from
-/// already-parallel callers (AtA-S leaves, shard threads) degrade to the
-/// serial pass instead of deadlocking or oversubscribing.
-///
-/// # Panics
-/// If `buf` is too small or `r == 0`.
-pub(crate) fn pack_panels_par<T: Scalar>(
-    src: MatRef<'_, T>,
-    r: usize,
-    scale: PackScale<T>,
-    buf: &mut [T],
-) {
-    let (kc, w) = src.shape();
-    assert!(r > 0, "panel width must be positive");
-    let panels = w.div_ceil(r);
-    let need = packed_elems::<T>(kc, w, r);
-    assert!(
-        buf.len() >= need,
-        "pack buffer holds {} elements, block needs {need}",
-        buf.len()
-    );
-    let t = TypeId::of::<T>();
-    let plain_float = t == TypeId::of::<f64>() || t == TypeId::of::<f32>();
-    let threads = rayon::current_num_threads();
-    if !plain_float || panels < PAR_PACK_MIN_PANELS || need < PAR_PACK_MIN_ELEMS || threads < 2 {
-        pack_panels(src, r, scale, buf);
-        return;
-    }
-    use rayon::prelude::*;
-    let per = panels.div_ceil(threads);
-    let stride = panel_stride::<T>(kc, r);
-    buf[..need]
-        .chunks_mut(per * stride)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let c0 = ci * per * r;
-            let chunk_panels = chunk.len() / stride;
-            let c1 = w.min(c0 + chunk_panels * r);
-            pack_panels(src.block(0, kc, c0, c1), r, scale, chunk);
-        });
 }
 
 /// A reusable pair of packing buffers (`A`-side and `B`-side).
@@ -445,42 +385,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn parallel_pack_is_bitwise_identical_to_serial() {
-        // Big enough to clear both serial-fallback thresholds.
-        let (kc, w, r) = (64, 1021, 8);
-        let src = gen::standard::<f64>(42, kc, w);
-        let mut serial = vec![-1.0f64; packed_elems::<f64>(kc, w, r)];
-        pack_panels(src.as_ref(), r, PackScale::NegOne, &mut serial);
-        let pool = crate::par::pool_with_threads(4);
-        for _ in 0..8 {
-            let mut par = vec![-1.0f64; packed_elems::<f64>(kc, w, r)];
-            pool.install(|| {
-                pack_panels_par(src.as_ref(), r, PackScale::NegOne, &mut par);
-            });
-            assert_eq!(serial, par, "scheduling must not change a single bit");
-        }
-    }
-
-    #[test]
-    fn parallel_pack_of_tracked_counts_on_the_calling_thread() {
-        use ata_mat::tracked::{measure, Tracked};
-        let (kc, w, r) = (64, 512, 8);
-        let src = gen::standard::<Tracked>(7, kc, w);
-        let mut buf = vec![Tracked(0.0); packed_elems::<Tracked>(kc, w, r)];
-        let pool = crate::par::pool_with_threads(4);
-        let (_, ops) = measure(|| {
-            pool.install(|| {
-                pack_panels_par(src.as_ref(), r, PackScale::NegOne, &mut buf);
-            });
-        });
-        assert_eq!(
-            ops.negs,
-            (kc * w) as u64,
-            "Tracked packs serially so no ops scatter onto pool threads"
-        );
-    }
-
     /// Every panel width a tile on any menu asks for: its `mr`, its
     /// `nr`, and syrk's shared `lcm(mr, nr)`.
     fn menu_widths() -> Vec<usize> {
@@ -500,7 +404,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Both passes write exactly the layout the module doc states,
+        /// The pack writes exactly the layout the module doc states,
         /// `buf[u*(kc*r + L) + p*r + i] = scale * src[p, u*r + i]`, with
         /// zeros past the block's last column and the `L`-element pad
         /// after each panel left untouched, on strided sub-views.
@@ -537,12 +441,9 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut serial = vec![untouched; need];
-            pack_panels(src, r, scale, &mut serial);
-            prop_assert_eq!(&serial, &want, "serial kc {} w {} r {}", kc, w, r);
-            let mut par = vec![untouched; need];
-            crate::par::pool_with_threads(2).install(|| pack_panels_par(src, r, scale, &mut par));
-            prop_assert_eq!(&par, &want, "parallel kc {} w {} r {}", kc, w, r);
+            let mut buf = vec![untouched; need];
+            pack_panels(src, r, scale, &mut buf);
+            prop_assert_eq!(&buf, &want, "kc {} w {} r {}", kc, w, r);
         }
     }
 

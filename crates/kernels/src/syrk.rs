@@ -10,7 +10,12 @@
 //! a lower-triangle mask, as BLIS `gemmt` does (see
 //! [`crate::micro::syrk_ln_micro_path_with`]). Tiles wholly above the
 //! diagonal are never visited, and tiles the diagonal cuts touch only
-//! their `i >= j` entries.
+//! their `i >= j` entries. Like every kernel it runs on its calling
+//! thread; [`crate::par::par_syrk_ln`] is the parallel call.
+//!
+//! [`syrk_ln`] is the β = 1 mode of the BLAS routine: it accumulates
+//! into `C`. A caller that needs another β scales the lower triangle
+//! first, then calls it.
 
 use crate::micro::{micro_path_for, syrk_ln_micro_path, KernelConfig};
 use ata_mat::{MatMut, MatRef, Scalar};
@@ -29,52 +34,6 @@ use ata_mat::{MatMut, MatRef, Scalar};
 pub fn syrk_ln<T: Scalar>(alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
     let cfg = KernelConfig::for_scalar::<T>();
     syrk_ln_micro_path(micro_path_for::<T>(), alpha, a, c, &cfg);
-}
-
-/// `C_low = alpha * A^T A + beta * C_low` — the full `?syrk('L','T')`
-/// contract with an explicit β, for callers that need more than the
-/// accumulate-only (`β = 1`) mode of [`syrk_ln`].
-///
-/// The streaming Gram accumulator is the motivating call site: `β = 1`
-/// folds a new row chunk into a running sum, `0 < β < 1` applies an
-/// exponential forgetting factor in the same pass, and `β = 0` recovers
-/// overwrite semantics without a separate zeroing sweep over `C`.
-///
-/// Exact-op contract (for `Tracked` measurements): the β-scaling costs
-/// exactly `n(n+1)/2` multiplications when `beta ∉ {0, 1}` and zero
-/// arithmetic otherwise; the update itself then costs exactly what
-/// [`syrk_ln`] costs at the same shape. Following BLAS, the scaling is
-/// applied even when `A` has no rows.
-///
-/// Shapes: `A: m x n`, `C: n x n` (only `i >= j` entries touched).
-///
-/// # Panics
-/// On inconsistent shapes.
-pub fn syrk_ln_beta<T: Scalar>(alpha: T, beta: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-    let (m, n) = a.shape();
-    assert_eq!(
-        c.shape(),
-        (n, n),
-        "syrk_ln_beta: C must be {n}x{n}, got {:?}",
-        c.shape()
-    );
-    if beta == T::ZERO {
-        for i in 0..n {
-            for cv in &mut c.row_mut(i)[..=i] {
-                *cv = T::ZERO;
-            }
-        }
-    } else if beta != T::ONE {
-        for i in 0..n {
-            for cv in &mut c.row_mut(i)[..=i] {
-                *cv = beta * *cv;
-            }
-        }
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    syrk_ln(alpha, a, c);
 }
 
 /// Balanced partition of the rows of an `n x n` lower triangle into `p`
@@ -193,81 +152,5 @@ mod tests {
         let a = Matrix::<f64>::zeros(3, 4);
         let mut c = Matrix::<f64>::zeros(3, 3);
         syrk_ln(1.0, a.as_ref(), &mut c.as_mut());
-    }
-
-    #[test]
-    fn beta_modes_match_reference() {
-        let (m, n) = (18usize, 13usize);
-        let a = gen::standard::<f64>(31, m, n);
-        for beta in [0.0f64, 1.0, 0.5, -2.0] {
-            let mut c = gen::standard::<f64>(32, n, n);
-            let mut c_ref = c.clone();
-            syrk_ln_beta(0.75, beta, a.as_ref(), &mut c.as_mut());
-            // Reference: scale the lower triangle, then accumulate.
-            for i in 0..n {
-                for j in 0..=i {
-                    c_ref[(i, j)] *= beta;
-                }
-            }
-            reference::syrk_ln(0.75, a.as_ref(), &mut c_ref.as_mut());
-            let tol = ata_mat::ops::product_tol::<f64>(m.max(n), n, m as f64);
-            assert!(
-                c.max_abs_diff_lower(&c_ref) <= tol,
-                "beta={beta}: diff {} > {tol}",
-                c.max_abs_diff_lower(&c_ref)
-            );
-            // Strict upper untouched for every beta.
-            assert_eq!(c.max_abs_diff(&c_ref), c.max_abs_diff_lower(&c_ref));
-        }
-    }
-
-    #[test]
-    fn beta_scaling_applies_even_without_rows() {
-        // BLAS semantics: k = 0 still scales C by beta.
-        let a = Matrix::<f64>::zeros(0, 4);
-        let mut c = Matrix::from_fn(4, 4, |_, _| 3.0);
-        syrk_ln_beta(1.0, 0.5, a.as_ref(), &mut c.as_mut());
-        for i in 0..4 {
-            for j in 0..4 {
-                let expect = if j <= i { 1.5 } else { 3.0 };
-                assert_eq!(c[(i, j)], expect);
-            }
-        }
-    }
-
-    #[test]
-    fn beta_scaling_op_counts_are_exact() {
-        use ata_mat::tracked::{measure, Tracked};
-        let (m, n) = (9usize, 7usize);
-        let a = gen::standard::<Tracked>(5, m, n);
-        let baseline = {
-            let mut c = Matrix::<Tracked>::zeros(n, n);
-            let (_, ops) = measure(|| syrk_ln(Tracked::ONE, a.as_ref(), &mut c.as_mut()));
-            ops
-        };
-        // beta = 1: identical to the plain accumulate.
-        let mut c = Matrix::<Tracked>::zeros(n, n);
-        let (_, ops1) = measure(|| {
-            syrk_ln_beta(Tracked::ONE, Tracked::ONE, a.as_ref(), &mut c.as_mut());
-        });
-        assert_eq!(ops1.muls, baseline.muls);
-        assert_eq!(ops1.additive(), baseline.additive());
-        // beta = 0: zeroing is assignment, no arithmetic.
-        let mut c = Matrix::<Tracked>::zeros(n, n);
-        let (_, ops0) = measure(|| {
-            syrk_ln_beta(Tracked::ONE, Tracked::ZERO, a.as_ref(), &mut c.as_mut());
-        });
-        assert_eq!(ops0.muls, baseline.muls);
-        assert_eq!(ops0.additive(), baseline.additive());
-        // General beta: exactly n(n+1)/2 extra multiplications.
-        let beta = Tracked::ONE + Tracked::ONE;
-        let extra_muls = {
-            let mut c = Matrix::<Tracked>::zeros(n, n);
-            let (_, ops) = measure(|| {
-                syrk_ln_beta(Tracked::ONE, beta, a.as_ref(), &mut c.as_mut());
-            });
-            ops.muls - baseline.muls
-        };
-        assert_eq!(extra_muls, (n * (n + 1) / 2) as u64);
     }
 }

@@ -3,8 +3,7 @@
 //! scalar types, chunk shapes and decay interleavings — and must cost
 //! `O(n²k)` per chunk (op-counted), not `O(n³)`.
 
-use ata_linalg::update::{llt_rank_update, LdltFactor, UpdateError};
-use ata_linalg::{cholesky_factor, cholesky_solve};
+use ata_linalg::update::{LdltFactor, UpdateError};
 use ata_mat::tracked::{measure, Tracked};
 use ata_mat::{gen, MatRef, Matrix, Scalar};
 use proptest::collection::vec;
@@ -171,38 +170,6 @@ proptest! {
     }
 
     #[test]
-    fn llt_update_matches_refactor(
-        seed in 0u64..1000,
-        n in 2usize..16,
-        k in 1usize..12,
-    ) {
-        let base = spd_base::<f64>(seed, n);
-        let mut l = base.clone();
-        cholesky_factor(&mut l).expect("SPD");
-        let chunk = gen::standard::<f64>(seed + 7, k, n);
-        llt_rank_update(&mut l, 1.0, chunk.as_ref()).expect("update");
-        llt_rank_update(&mut l, -1.0, chunk.as_ref()).expect("downdate back");
-        let mut lr = base.clone();
-        cholesky_factor(&mut lr).expect("SPD");
-        let scale = max_abs_lower(&base).max(1.0);
-        let tol = f64::EPSILON * ((n + 2 * k) as f64) * scale * 256.0;
-        for i in 0..n {
-            for j in 0..=i {
-                prop_assert!(
-                    (l[(i, j)] - lr[(i, j)]).abs() <= tol,
-                    "({i},{j}): {} vs {}", l[(i, j)], lr[(i, j)]
-                );
-            }
-        }
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos()).collect();
-        let x1 = cholesky_solve(&l, &b).expect("shape");
-        let x2 = cholesky_solve(&lr, &b).expect("shape");
-        for (u, v) in x1.iter().zip(&x2) {
-            prop_assert!((u - v).abs() <= 1e-6);
-        }
-    }
-
-    #[test]
     fn over_retraction_errors_typed_and_never_nan(
         seed in 0u64..1000,
         n in 2usize..16,
@@ -224,16 +191,6 @@ proptest! {
         for i in 0..n {
             for j in 0..n {
                 prop_assert!(l[(i, j)].is_finite(), "NaN leaked into the factor");
-            }
-        }
-        // The LLᵀ sweep keeps the same contract.
-        let mut lc = base.clone();
-        cholesky_factor(&mut lc).expect("SPD");
-        let res = llt_rank_update(&mut lc, -1.0, big.as_ref());
-        prop_assert!(matches!(res, Err(UpdateError::Indefinite { .. })));
-        for i in 0..n {
-            for j in 0..=i {
-                prop_assert!(lc[(i, j)].is_finite());
             }
         }
     }

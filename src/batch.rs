@@ -161,7 +161,7 @@ impl<T: Scalar + 'static> BatchPlan<T> {
             .collect();
         let run = || {
             items.into_par_iter().for_each(|(slot, core, a, storage)| {
-                *slot = Some(self.ctx.execute_core(core, a, storage));
+                *slot = Some(core.execute(a, storage));
             });
         };
         match self.ctx.worker_pool() {

@@ -14,9 +14,11 @@
 //!    plan created from it. Internally the context is an `Arc` around
 //!    its resources, so cloning is cheap.
 //! 2. **Plan** ([`AtaPlan`]) — built once per `(m, n)` problem shape.
-//!    Holds decisions only: one executor — the serial recursion or an
-//!    AtA-S task tree on the pool — and the exact per-worker workspace
-//!    size, so repeat executions rebuild nothing; then executes any
+//!    Holds decisions only, every one an execution runs: the cache
+//!    model, the product scheme, one executor — the serial recursion,
+//!    or an AtA-S task tree with the pool it runs on — and the exact
+//!    per-worker workspace size, so repeat executions rebuild nothing
+//!    and read nothing back from the context; then executes any
 //!    number of times against same-shape inputs, into caller-provided
 //!    output ([`AtaPlan::execute_into`]) or freshly allocated output
 //!    ([`AtaPlan::execute`]). Memory is sized where it is used: the
@@ -28,9 +30,13 @@
 //!
 //! The [`Backend`] enum selects the engine: the same plan API fronts the
 //! serial recursion (Algorithm 1) and the shared-memory AtA-S
-//! (Algorithm 3). The simulated-cluster AtA-D (Algorithm 4) keeps its
-//! own plan, [`crate::dist::DistPlan`], which the sharded service's split
-//! lane and the distributed benchmarks run on `ata-mpisim`'s ranks.
+//! (Algorithm 3). The context's worker pool is the only thing that sets
+//! how many threads a Gram uses: a serial plan runs on its calling
+//! thread, and so does every kernel call below an AtA-S task, whatever
+//! pool the caller runs in. The simulated-cluster AtA-D (Algorithm 4)
+//! keeps its own plan, [`crate::dist::DistPlan`], which the sharded
+//! service's split lane and the distributed benchmarks run on
+//! `ata-mpisim`'s ranks.
 //!
 //! # Example
 //!
@@ -264,6 +270,10 @@ impl AtaContextBuilder {
     }
 
     /// Override the cache budget in elements.
+    ///
+    /// # Panics
+    /// If `words` is 0: "cache budget must be positive", from
+    /// [`CacheConfig::with_words`].
     pub fn cache_words(mut self, words: usize) -> Self {
         self.cache = Some(CacheConfig::with_words(words));
         self
@@ -284,15 +294,16 @@ impl AtaContextBuilder {
     /// backend).
     pub fn build(self) -> AtaContext {
         let pool = match self.backend {
-            Backend::Shared { threads } => Some(ata_kernels::par::pool_with_threads(threads.get())),
+            Backend::Shared { threads } => {
+                Some(Arc::new(ata_kernels::par::pool_with_threads(threads.get())))
+            }
             Backend::Serial => None,
         };
         AtaContext {
             inner: Arc::new(ContextInner {
-                backend: self.backend,
+                pool,
                 cache: self.cache,
                 strassen: self.strassen,
-                pool,
                 arenas: ArenaCache::default(),
                 plans: PlanCache::default(),
             }),
@@ -303,10 +314,11 @@ impl AtaContextBuilder {
 /// The shared resources behind an [`AtaContext`] handle.
 #[derive(Debug)]
 struct ContextInner {
-    backend: Backend,
+    /// The backend: AtA-S's worker pool, which its plans share, or
+    /// `None` for Algorithm 1 on the calling thread.
+    pool: Option<Arc<rayon::ThreadPool>>,
     cache: Option<CacheConfig>,
     strassen: StrassenKind,
-    pool: Option<rayon::ThreadPool>,
     arenas: ArenaCache,
     plans: PlanCache,
 }
@@ -317,6 +329,41 @@ impl ContextInner {
     /// calibrated default.
     fn cache_for<T: Scalar>(&self) -> CacheConfig {
         self.cache.unwrap_or_else(CacheConfig::for_scalar::<T>)
+    }
+
+    /// Make every decision a plan core for `(T, m, n, output, flavor)`
+    /// executes: the cache model and product scheme, and the engine with
+    /// the pool it runs on and its per-worker workspace size.
+    fn build_core<T: Scalar + 'static>(
+        &self,
+        m: usize,
+        n: usize,
+        output: Output,
+        flavor: PlanFlavor,
+    ) -> PlanCore<T> {
+        let (cache, strassen) = (self.cache_for::<T>(), self.strassen);
+        let (exec, ws_elems) = match (flavor, &self.pool) {
+            (PlanFlavor::SerialLeaf, _) | (PlanFlavor::Auto, None) => (
+                Executor::Serial,
+                ata_workspace_elems(m, n, &cache, strassen),
+            ),
+            (PlanFlavor::Auto, Some(pool)) => {
+                let plan = SharedPlan::build(n, pool.current_num_threads());
+                let need = plan_workspace_elems(&plan, m, &cache, strassen);
+                let pool = pool.clone();
+                (Executor::Shared { plan, pool }, need)
+            }
+        };
+        PlanCore {
+            m,
+            n,
+            output,
+            cache,
+            strassen,
+            exec,
+            ws_elems,
+            arenas: self.arenas.pool::<T>(),
+        }
     }
 
     /// Fetch or build the cached plan core for `(T, m, n, output,
@@ -346,7 +393,7 @@ impl ContextInner {
         // Build outside the lock (planning is the expensive phase); a
         // concurrent builder of the same key wins via the entry API, so
         // every caller ends up sharing one core.
-        let built = Arc::new(PlanCore::<T>::build(self, m, n, output, flavor));
+        let built = Arc::new(self.build_core::<T>(m, n, output, flavor));
         self.plans.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = lock_recover(&self.plans.map);
         map.entry(key)
@@ -397,7 +444,11 @@ impl AtaContext {
 
     /// The context's backend.
     pub fn backend(&self) -> Backend {
-        self.inner.backend
+        self.inner
+            .pool
+            .as_ref()
+            .and_then(|pool| NonZeroUsize::new(pool.current_num_threads()))
+            .map_or(Backend::Serial, |threads| Backend::Shared { threads })
     }
 
     /// The context's cache model. When no explicit override was
@@ -462,7 +513,7 @@ impl AtaContext {
         n: usize,
         output: Output,
     ) -> PlanCore<T> {
-        PlanCore::build(&self.inner, m, n, output, PlanFlavor::Auto)
+        self.inner.build_core(m, n, output, PlanFlavor::Auto)
     }
 
     /// Number of distinct plan cores currently memoized in the context's
@@ -528,32 +579,7 @@ impl AtaContext {
 
     /// The context's dedicated worker pool, if the backend spawned one.
     pub(crate) fn worker_pool(&self) -> Option<&rayon::ThreadPool> {
-        self.inner.pool.as_ref()
-    }
-
-    /// Execute a cached plan core through this context, building the
-    /// output in `storage` when it holds at least `n²` elements (see
-    /// `PlanCore::execute`); a packed result also returns its dense
-    /// scratch.
-    pub(crate) fn execute_core<T: Scalar + 'static>(
-        &self,
-        core: &PlanCore<T>,
-        a: MatRef<'_, T>,
-        storage: Vec<T>,
-    ) -> Executed<T> {
-        core.execute(&self.inner, a, storage)
-    }
-
-    /// Accumulate a cached plan core's product into `c`'s lower
-    /// triangle through this context: `C_low += alpha * A^T A`.
-    pub(crate) fn accumulate_core<T: Scalar + 'static>(
-        &self,
-        core: &PlanCore<T>,
-        alpha: T,
-        a: MatRef<'_, T>,
-        c: &mut MatMut<'_, T>,
-    ) {
-        core.accumulate_lower(&self.inner, alpha, a, c);
+        self.inner.pool.as_deref()
     }
 }
 
@@ -568,14 +594,17 @@ enum Executor {
     /// Algorithm 1 on the calling thread: [`Backend::Serial`], and every
     /// serial-leaf core whatever the backend.
     Serial,
-    /// AtA-S over a prebuilt task tree on the context's pool
-    /// ([`Backend::Shared`]).
-    Shared(SharedPlan),
+    /// AtA-S over a prebuilt task tree ([`Backend::Shared`]), on the
+    /// context's pool, which the executor holds a handle to.
+    Shared {
+        plan: SharedPlan,
+        pool: Arc<rayon::ThreadPool>,
+    },
 }
 
-/// The context-independent part of a plan: the decisions made at
-/// planning time, shared through the context's shape-keyed cache by
-/// every [`AtaPlan`] of the same shape.
+/// The context-independent part of a plan: every decision an execution
+/// runs, made at planning time and shared through the context's
+/// shape-keyed cache by every [`AtaPlan`] of the same shape.
 #[derive(Debug)]
 pub(crate) struct PlanCore<T> {
     m: usize,
@@ -583,6 +612,8 @@ pub(crate) struct PlanCore<T> {
     output: Output,
     /// The cache model resolved for `T` at planning time.
     cache: CacheConfig,
+    /// The context's product scheme.
+    strassen: StrassenKind,
     /// The engine every execution runs.
     exec: Executor,
     /// Per-worker Strassen arena requirement, elements.
@@ -592,30 +623,6 @@ pub(crate) struct PlanCore<T> {
 }
 
 impl<T: Scalar + 'static> PlanCore<T> {
-    fn build(inner: &ContextInner, m: usize, n: usize, output: Output, flavor: PlanFlavor) -> Self {
-        let cache = inner.cache_for::<T>();
-        let (exec, ws_elems) = match (flavor, inner.backend) {
-            (PlanFlavor::SerialLeaf, _) | (PlanFlavor::Auto, Backend::Serial) => (
-                Executor::Serial,
-                ata_workspace_elems(m, n, &cache, inner.strassen),
-            ),
-            (PlanFlavor::Auto, Backend::Shared { threads }) => {
-                let plan = SharedPlan::build(n, threads.get());
-                let need = plan_workspace_elems(&plan, m, &cache, inner.strassen);
-                (Executor::Shared(plan), need)
-            }
-        };
-        PlanCore {
-            m,
-            n,
-            output,
-            cache,
-            exec,
-            ws_elems,
-            arenas: inner.arenas.pool::<T>(),
-        }
-    }
-
     /// Planned input shape `(m, n)`.
     pub(crate) fn planned_shape(&self) -> (usize, usize) {
         (self.m, self.n)
@@ -651,28 +658,17 @@ impl<T: Scalar + 'static> PlanCore<T> {
     /// entry points zero `c` and pass `alpha = 1`. Shapes are checked
     /// before any write, and strictly-upper entries of `c` are never
     /// touched.
-    fn accumulate_lower(
-        &self,
-        inner: &ContextInner,
-        alpha: T,
-        a: MatRef<'_, T>,
-        c: &mut MatMut<'_, T>,
-    ) {
+    pub(crate) fn accumulate_lower(&self, alpha: T, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
         self.check_shapes(a, c);
         match &self.exec {
             Executor::Serial => {
                 let mut ws = self.arenas.checkout(self.ws_elems);
-                ata_into_with_kind(alpha, a, c, &self.cache, inner.strassen, &mut ws);
+                ata_into_with_kind(alpha, a, c, &self.cache, self.strassen, &mut ws);
                 self.arenas.give_back(ws);
             }
-            Executor::Shared(plan) => {
-                let mut exec =
-                    || ata_s_planned(alpha, a, c, plan, &self.cache, inner.strassen, &self.arenas);
-                match &inner.pool {
-                    Some(pool) => pool.install(exec),
-                    None => exec(),
-                }
-            }
+            Executor::Shared { plan, pool } => pool.install(|| {
+                ata_s_planned(alpha, a, c, plan, &self.cache, self.strassen, &self.arenas)
+            }),
         }
     }
 
@@ -682,10 +678,9 @@ impl<T: Scalar + 'static> PlanCore<T> {
     /// the workers in that order, so two workers each copy about a
     /// quarter of `C` (`C11` and `C22` on one, the transpose on the
     /// other).
-    fn mirror(&self, inner: &ContextInner, c: &mut MatMut<'_, T>) {
-        let pool = match (&self.exec, &inner.pool) {
-            (Executor::Shared(_), Some(pool)) => pool,
-            _ => return c.mirror_lower_to_upper(),
+    fn mirror(&self, c: &mut MatMut<'_, T>) {
+        let Executor::Shared { pool, .. } = &self.exec else {
+            return c.mirror_lower_to_upper();
         };
         let (c11, c12, c21, c22) = c.rb_mut().quad_split_mut();
         let parts = vec![(c11, None), (c12, Some(c21.into_ref())), (c22, None)];
@@ -711,17 +706,17 @@ impl<T: Scalar + 'static> PlanCore<T> {
     }
 
     /// Accumulate into zeroed storage and mirror a Gram.
-    fn fill(&self, inner: &ContextInner, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-        self.accumulate_lower(inner, T::ONE, a, c);
+    fn fill(&self, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
+        self.accumulate_lower(T::ONE, a, c);
         if self.output == Output::Gram {
-            self.mirror(inner, c);
+            self.mirror(c);
         }
     }
 
-    fn execute_into(&self, inner: &ContextInner, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
+    fn execute_into(&self, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
         self.check_shapes(a, c);
         self.zero(c, self.output != Output::Gram);
-        self.fill(inner, a, c);
+        self.fill(a, c);
     }
 
     /// Execute into `storage` when it holds at least `n²` elements, whose
@@ -729,7 +724,7 @@ impl<T: Scalar + 'static> PlanCore<T> {
     /// fresh zeroed storage otherwise; then wrap the dense result per the
     /// plan's [`Output`]. A packed result also hands back the dense
     /// scratch it was compacted from.
-    fn execute(&self, inner: &ContextInner, a: MatRef<'_, T>, mut storage: Vec<T>) -> Executed<T> {
+    pub(crate) fn execute(&self, a: MatRef<'_, T>, mut storage: Vec<T>) -> Executed<T> {
         let n = self.n;
         let mut c = if storage.len() >= n * n {
             storage.truncate(n * n);
@@ -739,7 +734,7 @@ impl<T: Scalar + 'static> PlanCore<T> {
         } else {
             Matrix::zeros(n, n)
         };
-        self.fill(inner, a, &mut c.as_mut());
+        self.fill(a, &mut c.as_mut());
         match self.output {
             Output::Gram | Output::Lower => (AtaOutput::Dense(c), None),
             Output::Packed => (
@@ -813,7 +808,7 @@ impl<T: Scalar + 'static> AtaPlan<T> {
     /// # Panics
     /// If `a` is not the planned shape or `c` is not `n x n`.
     pub fn execute_into(&self, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-        self.core.execute_into(&self.ctx.inner, a, c);
+        self.core.execute_into(a, c);
     }
 
     /// Execute the plan into freshly allocated output, per the plan's
@@ -822,7 +817,7 @@ impl<T: Scalar + 'static> AtaPlan<T> {
     /// # Panics
     /// If `a` is not the planned shape.
     pub fn execute(&self, a: MatRef<'_, T>) -> AtaOutput<T> {
-        self.core.execute(&self.ctx.inner, a, Vec::new()).0
+        self.core.execute(a, Vec::new()).0
     }
 
     /// Accumulate into a caller-held buffer: `C_low += A^T A`, the β = 1
@@ -836,7 +831,7 @@ impl<T: Scalar + 'static> AtaPlan<T> {
     /// # Panics
     /// If `a` is not the planned shape or `c` is not `n x n`.
     pub fn execute_accumulate(&self, a: MatRef<'_, T>, c: &mut MatMut<'_, T>) {
-        self.core.accumulate_lower(&self.ctx.inner, T::ONE, a, c);
+        self.core.accumulate_lower(T::ONE, a, c);
     }
 
     /// The plan itself: plans already own their context handle. Kept
@@ -1083,6 +1078,52 @@ mod tests {
         let first = ctx.plan::<f64>(30, 20).execute(a.as_ref()).into_dense();
         let second = ctx.plan::<f64>(30, 20).execute(a.as_ref()).into_dense();
         assert_eq!(first.max_abs_diff(&second), 0.0);
+    }
+
+    #[test]
+    fn serial_plan_inside_a_busy_pool_returns_without_its_workers() {
+        // Kernels run on their calling thread, so a serial plan executed
+        // under a pool whose workers are all held needs none of them. At
+        // (256, 512) a `B` pack spans more than 8 panels and 32768
+        // elements on every tile path.
+        use rayon::prelude::*;
+        use std::sync::{Barrier, RwLock};
+        let pool = ata_kernels::par::pool_with_threads(2);
+        let plan = AtaContext::serial().plan::<f64>(256, 512);
+        let a = gen::standard::<f64>(11, 256, 512);
+        let (gate, ready) = (RwLock::new(()), Barrier::new(5));
+        let closed = gate.write().expect("fresh lock");
+        let hold = |()| {
+            ready.wait();
+            drop(gate.read());
+        };
+        std::thread::scope(|s| {
+            // Each holder runs one item itself and queues the other on a
+            // worker, so two holders hold both workers once all four
+            // items reach the barrier.
+            for _ in 0..2 {
+                s.spawn(|| pool.install(|| vec![(); 2].into_par_iter().for_each(hold)));
+            }
+            ready.wait();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (pool, plan, a) = (&pool, &plan, &a);
+            s.spawn(move || {
+                let _ = pool.install(|| plan.execute(a.as_ref()));
+                let _ = tx.send(());
+            });
+            let returned = rx.recv_timeout(std::time::Duration::from_secs(30));
+            drop(closed);
+            assert!(
+                returned.is_ok(),
+                "the execution waited for the held workers"
+            );
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cache budget must be positive")]
+    fn zero_cache_budget_panics_in_the_builder() {
+        let _ = AtaContext::builder().cache_words(0);
     }
 
     #[test]

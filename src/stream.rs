@@ -11,9 +11,9 @@
 //! away, so a billion-row Gram costs `O(n²)` resident memory.
 //!
 //! Each chunk is routed by height: chunks of at most `words / n` rows
-//! run as one direct β = 1 [`ata_kernels::syrk_ln_beta`] rank update on
-//! the calling thread; taller chunks run the accumulate mode of a plan
-//! core built at the chunk's own height
+//! run as one direct [`ata_kernels::syrk_ln`] rank update on the
+//! calling thread; taller chunks run the accumulate mode of a plan core
+//! built at the chunk's own height
 //! ([`crate::AtaPlan::execute_accumulate`]), on the owning context's
 //! backend, worker pool and arena cache. The accumulator holds that core
 //! and rebuilds it only when the height changes; it never enters the
@@ -23,7 +23,7 @@
 //! buffers are thread-cached, and the accumulator buffer is fixed at
 //! construction.
 
-use ata_kernels::{syrk_ln_beta, CacheConfig};
+use ata_kernels::{syrk_ln, CacheConfig};
 use ata_mat::{MatRef, Matrix, Scalar};
 use ata_strassen::ArenaStats;
 
@@ -76,7 +76,7 @@ pub struct GramAccumulator<T: Scalar> {
     tall_pushes: usize,
 }
 
-/// Tallest chunk folded by a direct `syrk_ln_beta` call on the calling
+/// Tallest chunk folded by a direct `syrk_ln` call on the calling
 /// thread rather than the context's plan: `words / n` rows, at least 1.
 /// A dispatch threshold, not the recursion gate.
 fn thin_rows_for(n: usize, cfg: &CacheConfig) -> usize {
@@ -120,7 +120,7 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
     /// `C_low += chunk^T chunk`.
     ///
     /// Thin chunks (up to [`GramAccumulator::thin_rows`] rows) run as
-    /// one direct β = 1 syrk rank update on the calling thread; taller
+    /// one direct `syrk_ln` rank update on the calling thread; taller
     /// chunks run in accumulate mode through a plan core of exactly
     /// their height on the context's backend, which the accumulator
     /// keeps until a tall chunk of another height arrives. Empty chunks
@@ -178,15 +178,14 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
         );
         if m <= self.thin_rows {
             self.thin_pushes += 1;
-            syrk_ln_beta(alpha, T::ONE, chunk, &mut self.c.as_mut());
+            syrk_ln(alpha, chunk, &mut self.c.as_mut());
         } else {
             self.tall_pushes += 1;
             let core = match &mut self.tall {
                 Some(core) if core.planned_shape() == (m, n) => core,
                 slot => slot.insert(self.ctx.uncached_core(m, n, Output::Lower)),
             };
-            self.ctx
-                .accumulate_core(core, alpha, chunk, &mut self.c.as_mut());
+            core.accumulate_lower(alpha, chunk, &mut self.c.as_mut());
         }
     }
 

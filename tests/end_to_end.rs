@@ -441,12 +441,14 @@ fn ata_level_with_classical_c21_products_is_bitwise_syrk_ln() {
 }
 
 #[test]
-fn tall_push_is_bitwise_the_unpadded_accumulate() {
-    // A tall chunk folds at its own height: each push leaves the lower
-    // triangle bitwise equal to one `execute_accumulate` of a plan of
-    // that height on the same starting triangle. The heights sit just
-    // past a power of two, tall at this budget but below a Strassen
-    // level, and change between pushes so the held core is rebuilt.
+fn thin_and_tall_pushes_are_bitwise_the_plan_accumulate() {
+    // Each push leaves the lower triangle bitwise equal to one
+    // `execute_accumulate` of a plan of the chunk's height on the same
+    // starting triangle, on both fold routes. Thin chunks (at most
+    // `thin_rows()` = 4096 / 64 = 64 rows) are one direct `syrk_ln`
+    // call. A tall chunk folds at its own height: the tall heights sit
+    // just past a power of two, below a Strassen level at this budget,
+    // and change between pushes so the held core is rebuilt.
     use ata::Output;
     fn check<T: Scalar>(bits: fn(T) -> u64) {
         let (n, cfg) = (64, CacheConfig::with_words(4096));
@@ -459,9 +461,12 @@ fn tall_push_is_bitwise_the_unpadded_accumulate() {
             ),
         ] {
             let mut acc = ctx.gram_accumulator_with::<T>(n, Output::Lower);
+            assert_eq!(acc.thin_rows(), 64);
             let mut want = Matrix::<T>::zeros(n, n);
-            for m in [1025, 257, 513, 1025] {
-                assert!(m > acc.thin_rows() && cfg.ata_base(m, n), "({m}, {n})");
+            let heights = [1, 1025, 63, 257, 64, 513, 1025];
+            for m in heights {
+                let thin = m <= acc.thin_rows();
+                assert!(thin || cfg.ata_base(m, n), "({m}, {n})");
                 let chunk = gen::standard::<T>(m as u64, m, n);
                 acc.push(chunk.as_ref());
                 ctx.plan_with::<T>(m, n, Output::Lower)
@@ -469,6 +474,7 @@ fn tall_push_is_bitwise_the_unpadded_accumulate() {
                 let what = format!("{backend} push of {m} rows");
                 assert_lower_bits(&acc.as_lower().to_matrix(), &want, bits, &what);
             }
+            assert_eq!((acc.thin_pushes(), acc.tall_pushes()), (3, 4), "{backend}");
         }
     }
     check::<f64>(f64::to_bits);
